@@ -48,7 +48,7 @@ class ChaosSample:
 
 def _input_series(stream, N: int, K: float) -> np.ndarray:
     """Coefficient vector of sum_{k<=min(K,N)} X(k) z^k / sqrt(k)."""
-    m = min(N, _int_floor(K))
+    m = N if K >= N else _int_floor(K)  # K = inf is the untruncated model
     x = stream.draw(m)
     s = np.zeros(N + 1, dtype=np.complex128)
     if m:
@@ -56,48 +56,51 @@ def _input_series(stream, N: int, K: float) -> np.ndarray:
     return s
 
 
-def sample_A(N: int, K: float, stream: GaussianStream, engine: str = "auto") -> ChaosSample:
+def sample_A(N: int, K: float, stream: GaussianStream) -> ChaosSample:
     """Sample A(0..N) for the degree-K truncated model.
 
     Coefficients of degree n <= K depend only on X(1..n), so any K >= N
     yields the untruncated law of A(N).
     """
-    if N < 0 or K < 1:
+    if N < 0 or not K >= 1:
         raise PreconditionError("sample_A requires N >= 0 and K >= 1")
-    coeffs = exp_array(_input_series(stream, N, K), N, engine)
+    coeffs = exp_array(_input_series(stream, N, K), N)
     coeffs[0] = 1.0
     return ChaosSample(N=N, K=float(K), coeffs=ComplexSeries(coeffs), seed=stream.seed)
 
 
-def _abs_coeff_pow(stream, N, q, engine):
-    coeffs = exp_array(_input_series(stream, N, float(N)), N, engine)
+def _abs_coeff_pow(stream, N, q):
+    coeffs = exp_array(_input_series(stream, N, float(N)), N)
     return abs(coeffs[N]) ** (2.0 * q)
 
 
-def _coeff_value(stream, N, engine):
-    return exp_array(_input_series(stream, N, float(N)), N, engine)[N]
+def _coeff_value(stream, N):
+    return exp_array(_input_series(stream, N, float(N)), N)[N]
 
 
 def estimate_moment(N: int, q: float, samples: int, seed: Seed,
-                    workers: int = 1, engine: str = "auto") -> MomentEstimate:
+                    workers: int = 1) -> MomentEstimate:
     """Monte Carlo estimate of E[|A(N)|^{2q}]; replicate i uses split(seed, i)."""
+    if N < 0:
+        raise PreconditionError("estimate_moment requires N >= 0")
     if not 0.0 <= q <= 1.0:
         raise PreconditionError("estimate_moment requires 0 <= q <= 1")
     if samples < 2:
         raise PreconditionError("estimate_moment requires samples >= 2")
-    values = mc.map_replicates(_abs_coeff_pow, (N, q, engine), seed, samples, workers)
+    values = mc.map_replicates(_abs_coeff_pow, (N, q), seed, samples, workers)
     return mc.from_values(values, q, seed)
 
 
-def coefficient_values(N: int, samples: int, seed: Seed, workers: int = 1,
-                       engine: str = "auto") -> np.ndarray:
+def coefficient_values(N: int, samples: int, seed: Seed, workers: int = 1) -> np.ndarray:
     """Raw replicate values of A(N) (complex), for distribution checks."""
-    return mc.map_replicates(_coeff_value, (N, engine), seed, samples, workers)
+    if N < 0:
+        raise PreconditionError("coefficient_values requires N >= 0")
+    return mc.map_replicates(_coeff_value, (N,), seed, samples, workers)
 
 
 def circle_mean_closed_form(K: float, r: float) -> float:
     """E[|F_K(r e^{i theta})|^2] = exp(sum_{k<=K} r^{2k}/k), any theta."""
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("circle_mean_closed_form requires r > 0")
     m = _int_floor(K)
     if m < 1:
@@ -120,7 +123,7 @@ def _sq_modulus_at_radius(stream, count, K, r):
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
                    workers: int = 1) -> MomentEstimate:
     """Direct Monte Carlo of E[|F_K(r)|^2] (heavy-tailed; compare at 5 sigma)."""
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("circle_mean_mc requires r > 0")
     values = mc.map_chunks(_sq_modulus_at_radius, (K, r), seed, samples, workers)
     return mc.from_values(values, 1.0, seed)
@@ -140,7 +143,7 @@ def truncation_degree(K: float, r: float) -> int:
 
 
 def circle_average_sample(K: float, r: float, stream: GaussianStream,
-                          D: int | None = None, engine: str = "auto") -> float:
+                          D: int | None = None) -> float:
     """One sample of (1/2pi) int |F_K(r e^{i theta})|^2 dtheta.
 
     Computed as sum_{n<=D} |c_n|^2 r^{2n} from the coefficients of F_K. For
@@ -155,21 +158,19 @@ def circle_average_sample(K: float, r: float, stream: GaussianStream,
         if r == 1.0:
             raise PreconditionError("r = 1 needs an explicit truncation degree D")
         D = truncation_degree(K, r)
-    coeffs = exp_array(_input_series(stream, D, K), D, engine)
+    coeffs = exp_array(_input_series(stream, D, K), D)
     power = r ** (2.0 * np.arange(D + 1))
     return float(np.sum(np.abs(coeffs) ** 2 * power))
 
 
-def _circle_average_rep(stream, K, r, D, engine):
-    return circle_average_sample(K, r, stream, D, engine)
+def _circle_average_rep(stream, K, r, D):
+    return circle_average_sample(K, r, stream, D)
 
 
 def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
-                          D: int | None = None, workers: int = 1,
-                          engine: str = "auto") -> MomentEstimate:
+                          D: int | None = None, workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of the circle average (q = 1 moment)."""
-    values = mc.map_replicates(_circle_average_rep, (K, r, D, engine), seed,
-                               samples, workers)
+    values = mc.map_replicates(_circle_average_rep, (K, r, D), seed, samples, workers)
     return mc.from_values(values, 1.0, seed)
 
 
@@ -183,8 +184,8 @@ class DecayRow:
     seed: Seed
 
 
-def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1,
-                   engine: str = "auto") -> tuple[list[DecayRow], float]:
+def fit_decay_band(N_grid, S_per_N, seed: Seed,
+                   workers: int = 1) -> tuple[list[DecayRow], float]:
     """First-moment table E|A(N)| with the (log N)^{1/4}-compensated column.
 
     Returns the per-N rows and the max/min ratio of the compensated column
@@ -201,7 +202,7 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1,
     rows = []
     for index, (n, count) in enumerate(zip(grid, counts)):
         child = split(seed, index)
-        est = estimate_moment(n, 0.5, count, child, workers=workers, engine=engine)
+        est = estimate_moment(n, 0.5, count, child, workers=workers)
         comp = est.mean * math.log(n) ** 0.25
         rows.append(DecayRow(n, count, est.mean, est.std_error, comp, child))
     comps = [row.compensated for row in rows]

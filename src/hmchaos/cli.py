@@ -44,8 +44,8 @@ def _require(args, *names):
 def cmd_sample(args):
     _require(args, "N")
     stream = GaussianStream(_seed(args))
-    draw = chaos.sample_A(args.N, args.K if args.K else float(args.N), stream,
-                          engine=args.engine)
+    K = args.K if args.K is not None else float(args.N)
+    draw = chaos.sample_A(args.N, K, stream)
     rows = [(n, float(draw.coeffs.coeffs[n].real), float(draw.coeffs.coeffs[n].imag))
             for n in range(args.N + 1)]
     return ["n", "re", "im"], rows, []
@@ -54,7 +54,7 @@ def cmd_sample(args):
 def cmd_moment(args):
     _require(args, "N")
     est = chaos.estimate_moment(args.N, args.q, args.samples, _seed(args),
-                                workers=args.workers, engine=args.engine)
+                                workers=args.workers)
     comp = est.mean * chaos.theorem_band_factor(args.N, args.q)
     rows = [(args.N, args.q, est.samples, est.mean, est.std_error, comp, str(est.seed))]
     # reference constant for lower-bound comparisons: E|Z|^{2q} of a unit
@@ -70,8 +70,7 @@ def cmd_moment(args):
 def cmd_decay(args):
     grid = _parse_grid(args.n_grid, int)
     counts = _parse_grid(args.samples_per, int)
-    rows_data, _ = chaos.fit_decay_band(grid, counts, _seed(args),
-                                        workers=args.workers, engine=args.engine)
+    rows_data, _ = chaos.fit_decay_band(grid, counts, _seed(args), workers=args.workers)
     rows = [(row.N, 0.5, row.samples, row.mean, row.std_error, row.compensated,
              str(row.seed)) for row in rows_data]
     checks = []
@@ -177,8 +176,9 @@ def cmd_blocks(args):
 
 
 def cmd_bivariate(args):
-    rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0],
-                                                            dtype=np.uint64)))
+    seed = _seed(args)
+    key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     rows, checks = [], []
     for rho in _parse_grid(args.rho_grid):
         params = barrier.BivariateParams(args.mu1, args.mu2, args.sigma1**2,
@@ -256,7 +256,7 @@ def cmd_series_selftest(args):
     stream = GaussianStream(_seed(args))
     s = chaos._input_series(stream, args.degree, float(args.degree))
     slow = series.exp_array(s, args.degree, engine="recurrence")
-    fast = series.exp_array(s, args.degree, engine="newton")
+    fast = series.exp_array(s, args.degree)
     err = float(np.max(np.abs(slow - fast)))
     ok = err <= 1e-9
     rows.append(("exp_engines_agree", args.degree, err, 1e-9, ok))
@@ -313,14 +313,12 @@ def build_parser():
     p = sub.add_parser("sample", help="emit one draw of the coefficients A(0..N)")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--K", type=float, default=None)
-    p.add_argument("--engine", default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("moment", help="Monte Carlo estimate of E|A(N)|^{2q}")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--engine", default="auto")
     _add_common(p, samples_default=1000)
     p.set_defaults(func=cmd_moment)
 
@@ -330,7 +328,6 @@ def build_parser():
                    default="20000,16000,12000,8000,5000,3500,2200,1400,800,500")
     p.add_argument("--band-from", type=int, default=64)
     p.add_argument("--band-max", type=float, default=3.0)
-    p.add_argument("--engine", default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_decay)
 

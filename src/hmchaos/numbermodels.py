@@ -367,12 +367,12 @@ class FFModel:
                 coeffs[n] += u * coeffs[n - d]
         return coeffs
 
-    def gaussian_exp_series(self, degree: int, engine: str = "auto") -> np.ndarray:
+    def gaussian_exp_series(self, degree: int) -> np.ndarray:
         """Coefficients of exp(sum_{k<=degree} X(k) z^k / sqrt(k))."""
         s = np.zeros(degree + 1, dtype=np.complex128)
         for k in range(1, degree + 1):
             s[k] = self.X(k) / math.sqrt(k)
-        return _series.exp_array(s, degree, engine)
+        return _series.exp_array(s, degree)
 
 
 def ff_A(q: int, N: int, seed: Seed) -> complex:

@@ -37,7 +37,8 @@ class Seed:
     def __post_init__(self):
         for name in ("root", "replicate_index"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= _MASK64:
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or not 0 <= value <= _MASK64):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
     def __str__(self):

@@ -1,12 +1,15 @@
 """Truncated complex power series arithmetic.
 
 A series is the coefficient vector (c_0, ..., c_D); every operation agrees
-with the formal, untruncated operation on coefficients 0..D. Two
-exponentiation engines sit behind one interface: a quadratic-time
-derivative recurrence n*E_n = sum_{k=1..n} k*s_k*E_{n-k} (the reference),
-and a Newton iteration E <- E*(1 + s - log E) with FFT products that
-doubles the accurate degree per round (the fast path). Products switch
-from schoolbook to FFT at FFT_CROSSOVER.
+with the formal, untruncated operation on coefficients 0..D. The
+exponential solves the derivative recurrence
+n*E_n = sum_{k=1..n} k*s_k*E_{n-k} in two ways: directly at quadratic cost
+(the oracle), and as a relaxed (online) product that splits [lo, hi) in
+half, finishes [lo, mid), adds its contribution to every coefficient of
+[mid, hi) with one FFT product, and then finishes [mid, hi) (van der
+Hoeven, "Relax, but don't be too lazy", 2002). Blocks of at most EXP_LEAF
+coefficients run the recurrence loop, so below that degree both ways give
+the same bits. Products switch from schoolbook to FFT at FFT_CROSSOVER.
 
 Also here: the Parseval power sum sum_n |c_n|^2 r^{2n} (the circle average
 of |f(r e^{i theta})|^2 for a polynomial), the proportion of S_N whose
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 
 FFT_CROSSOVER = 64        # schoolbook convolution below this length
-NEWTON_CROSSOVER = 12288  # 'auto' exp engine: measured dot-recurrence/Newton crossover
+EXP_LEAF = 384            # relaxed exp: blocks this short run the recurrence (measured)
 
 
 class ComplexSeries:
@@ -66,129 +69,61 @@ def _conv(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _inverse(a: np.ndarray, degree: int) -> np.ndarray:
-    """Newton inverse of a modulo z^{degree+1}; requires a_0 != 0."""
-    inv = np.array([1.0 / a[0]], dtype=np.complex128)
-    while inv.size <= degree:
-        target = min(2 * inv.size, degree + 1)
-        t = -_conv(a, inv, target - 1)
-        t[0] += 2.0
-        inv = _conv(inv, t, target - 1)
-    return inv[: degree + 1]
-
-
-def _derivative(a: np.ndarray) -> np.ndarray:
-    return a[1:] * np.arange(1, a.size)
-
-
-def _integral(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.size + 1, dtype=a.dtype)
-    out[1:] = a / np.arange(1, a.size + 1)
-    return out
-
-
-def _log(a: np.ndarray, degree: int) -> np.ndarray:
-    """Formal log of a modulo z^{degree+1}; requires a_0 = 1."""
-    if degree == 0:
-        return np.zeros(1, dtype=np.complex128)
-    d = _conv(_derivative(a), _inverse(a, degree - 1), degree - 1)
-    return _integral(d)[: degree + 1]
-
-
-_LD = np.clongdouble
-
-
-def _conv_ld(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """Long-double FFT convolution, used only by the refinement pass."""
-    a = a[: degree + 1]
-    b = b[: degree + 1]
-    if a.size == 0 or b.size == 0:
-        return np.zeros(degree + 1, dtype=_LD)
-    full = a.size + b.size - 1
-    size = 1 << max(full - 1, 1).bit_length()
-    prod = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:full]
-    out = np.zeros(degree + 1, dtype=_LD)
-    keep = min(full, degree + 1)
-    out[:keep] = prod[:keep]
-    return out
-
-
-def _refine_exp(s: np.ndarray, exp: np.ndarray, degree: int) -> np.ndarray:
-    """Extended-precision Newton corrections E <- E(1 + s - log E).
-
-    Double-precision Newton leaves a coefficient error dominated by the
-    final log evaluation (its derivative product carries n-scaled
-    operands); the iteration contracts errors quadratically, so corrective
-    steps with long-double products bring the fast engine within ~1e-12 of
-    the formal coefficients. Stops as soon as the residual s - log E is
-    at rounding level.
-    """
-    e = exp.astype(_LD)
-    for _ in range(3):
-        inv = _inverse(e.astype(np.complex128), degree).astype(_LD)
-        t = -_conv_ld(e, inv, degree)
-        t[0] += 2.0
-        inv = _conv_ld(inv, t, degree)
-        logarithm = _integral(_conv_ld(_derivative(e), inv, degree - 1))[: degree + 1]
-        residual = -logarithm
-        keep = min(s.size, degree + 1)
-        residual[:keep] += s[:keep]
-        residual[0] = 0.0
-        scale = 1.0 + float(np.max(np.abs(e)))
-        if float(np.max(np.abs(residual))) <= 1e-13 * scale:
-            break
-        e = e + _conv_ld(e, residual, degree)
-    return e.astype(np.complex128)
-
-
-def _exp_newton(s: np.ndarray, degree: int) -> np.ndarray:
-    exp = np.ones(1, dtype=np.complex128)
-    while exp.size <= degree:
-        target = min(2 * exp.size, degree + 1)
-        corr = -_log(exp, target - 1)
-        keep = min(s.size, target)
-        corr[:keep] += s[:keep]
-        corr[0] += 1.0
-        exp = _conv(exp, corr, target - 1)
-        exp[0] = 1.0
-    out = np.zeros(degree + 1, dtype=np.complex128)
-    out[: exp.size] = exp[: degree + 1]
-    if degree >= 1:
-        out = _refine_exp(s, out, degree)
-        out[0] = 1.0
-    return out
-
-
-def _exp_recurrence(s: np.ndarray, degree: int) -> np.ndarray:
-    # dtype follows the input so the all-real path stays real
-    out = np.zeros(degree + 1, dtype=s.dtype)
-    out[0] = 1.0
+def _weights(s: np.ndarray, degree: int) -> np.ndarray:
+    """k*s_k for k = 0..degree; dtype follows the input so real stays real."""
     weighted = np.zeros(degree + 1, dtype=s.dtype)
     keep = min(s.size, degree + 1)
     weighted[:keep] = s[:keep] * np.arange(keep)
+    return weighted
+
+
+def _exp_recurrence(s: np.ndarray, degree: int) -> np.ndarray:
+    out = np.zeros(degree + 1, dtype=s.dtype)
+    out[0] = 1.0
+    weighted = _weights(s, degree)
     for n in range(1, degree + 1):
         out[n] = np.dot(weighted[1 : n + 1], out[n - 1 :: -1]) / n
     return out
 
 
+def _exp_relaxed(weighted: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """Finish E_n for lo <= n < hi in place.
+
+    On entry out[n] holds sum_{j<lo} E_j * weighted[n-j] for those n.
+    """
+    if hi - lo <= EXP_LEAF:
+        w, rev, size = weighted[1:], out[::-1], out.size
+        for n in range(max(lo, 1), hi):
+            # rev[size-n : size-lo] is E_{n-1}, ..., E_lo
+            out[n] = (out[n] + np.dot(w[: n - lo], rev[size - n : size - lo])) / n
+        return
+    mid = (lo + hi) // 2
+    _exp_relaxed(weighted, out, lo, mid)
+    part = _conv(out[lo:mid], weighted, hi - lo - 1)[mid - lo :]
+    out[mid:hi] += part if np.iscomplexobj(out) else part.real
+    _exp_relaxed(weighted, out, mid, hi)
+
+
 def exp_array(s: np.ndarray, degree: int, engine: str = "auto") -> np.ndarray:
     """exp of a coefficient vector with zero constant term, to `degree`.
 
-    The recurrence engine handles arbitrary inputs at quadratic cost; the
-    Newton engine is tuned for inputs whose exponential keeps a moderate
-    dynamic range (the chaos inputs X(k) r^k/sqrt(k) do), where it meets
-    1e-9 per coefficient through degree 4096 and beyond.
+    engine "auto" is the relaxed engine; "recurrence" is the quadratic
+    oracle. Both keep a real input real. Below degree EXP_LEAF they return
+    the same bits; above it they agree to rounding (about 1e-15 on the
+    chaos inputs X(k)/sqrt(k) through degree 16384).
     """
     s = np.asarray(s)
     if s.size and s[0] != 0:
         raise PreconditionError("exp_series requires a zero constant term")
-    if engine == "auto":
-        engine = "newton" if degree >= NEWTON_CROSSOVER else "recurrence"
-    if engine == "recurrence":
+    if engine not in ("auto", "recurrence"):
+        raise ValueError(f"unknown exp engine {engine!r}")
+    if engine == "recurrence" or degree < EXP_LEAF:
+        # a single leaf is the recurrence; skip the leaf loop's carry add
         return _exp_recurrence(s, degree)
-    if engine == "newton":
-        return _exp_newton(np.asarray(s, dtype=np.complex128), degree)
-    raise ValueError(f"unknown exp engine {engine!r}")
+    out = np.zeros(degree + 1, dtype=s.dtype)
+    out[0] = 1.0
+    _exp_relaxed(_weights(s, degree), out, 0, degree + 1)
+    return out
 
 
 def multiply(a: ComplexSeries, b: ComplexSeries, degree: int) -> ComplexSeries:
@@ -196,9 +131,9 @@ def multiply(a: ComplexSeries, b: ComplexSeries, degree: int) -> ComplexSeries:
     return ComplexSeries(_conv(a.coeffs, b.coeffs, degree))
 
 
-def exp_series(s: ComplexSeries, degree: int, engine: str = "auto") -> ComplexSeries:
+def exp_series(s: ComplexSeries, degree: int) -> ComplexSeries:
     """Formal exponential of s (which must have zero constant term)."""
-    return ComplexSeries(exp_array(s.coeffs, degree, engine))
+    return ComplexSeries(exp_array(s.coeffs, degree))
 
 
 def parseval_power_sum(f: ComplexSeries, r: float) -> float:

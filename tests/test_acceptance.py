@@ -177,7 +177,7 @@ def test_c12_oracle_equivalences():
     s = np.zeros(4097, dtype=complex)
     s[1:] = x / np.sqrt(np.arange(1, 4097))
     engines_err = float(np.max(np.abs(exp_array(s, 4096, "recurrence")
-                                      - exp_array(s, 4096, "newton"))))
+                                      - exp_array(s, 4096, "auto"))))
     engines_ok = engines_err <= 1e-9
 
     partition_ok = True

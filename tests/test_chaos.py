@@ -38,6 +38,8 @@ def test_sample_validation():
         sample_A(-1, 4.0, FixedStream([0.0]))
     with pytest.raises(PreconditionError):
         sample_A(4, 0.5, FixedStream([0.0]))
+    with pytest.raises(PreconditionError):
+        sample_A(4, float("nan"), FixedStream([0.0]))
 
 
 def test_coefficients_depend_only_on_prefix():
@@ -71,6 +73,10 @@ def test_moment_validation():
         estimate_moment(8, 1.5, 100, Seed(1))
     with pytest.raises(PreconditionError):
         estimate_moment(8, 0.5, 1, Seed(1))
+    with pytest.raises(PreconditionError):
+        estimate_moment(-3, 0.5, 100, Seed(1))
+    with pytest.raises(PreconditionError):
+        coefficient_values(-1, 100, Seed(1))
 
 
 def test_mean_coefficient_vanishes():
@@ -99,7 +105,7 @@ def test_engine_equivalence_on_shared_stream():
     s = np.zeros(513, dtype=complex)
     s[1:] = x / np.sqrt(np.arange(1, 513))
     slow = exp_array(s, 512, "recurrence")
-    fast = exp_array(s, 512, "newton")
+    fast = exp_array(s, 512, "auto")
     assert np.max(np.abs(slow - fast)) < 1e-9
 
 
@@ -107,6 +113,14 @@ def test_circle_mean_closed_form_values():
     assert circle_mean_closed_form(1.0, 1.0) == pytest.approx(math.e, rel=1e-15)
     assert circle_mean_closed_form(2.0, 1.0) == pytest.approx(math.exp(1.5), rel=1e-15)
     assert circle_mean_closed_form(0.5, 0.9) == 1.0
+
+
+def test_circle_mean_rejects_bad_radius():
+    for r in (0.0, -1.0, float("nan")):
+        with pytest.raises(PreconditionError):
+            circle_mean_closed_form(8.0, r)
+        with pytest.raises(PreconditionError):
+            circle_mean_mc(8.0, r, 100, Seed(1))
 
 
 def test_circle_mean_mc_matches_closed_form():

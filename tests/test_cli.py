@@ -65,10 +65,12 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert out_flag.read_text().splitlines()[1].split(",")[0] == "8"
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"N": 16, "bogus": 1}))
-    assert main(["moment", "--config", str(config)]) == 2
+    for key in ("bogus", "engine"):
+        config.write_text(json.dumps({"N": 16, key: "auto"}))
+        assert main(["moment", "--config", str(config)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_plot_file_two_columns(tmp_path):
@@ -173,11 +175,17 @@ def test_precondition_violation_exits_3(tmp_path):
     code = main(["event", "--kind", "G", "--K", "2", "--r", "1.0", "--A", "1.5",
                  "--samples", "200"])
     assert code == 3
+    assert main(["sample", "--N", "4", "--K", "0"]) == 3
+    assert main(["sample", "--N", "4", "--K", "nan"]) == 3
+    assert main(["moment", "--N", "-3"]) == 3
 
 
 def test_bad_configuration_exits_2(tmp_path):
     assert main(["moment"]) == 2  # --N is required
     assert main(["decay", "--n-grid", "abc", "--samples-per", "10"]) == 2
+    assert main(["bivariate", "--seed", "-1"]) == 2
+    for argv in (["sample", "--N", "4"], ["moment", "--N", "4"], ["decay"]):
+        assert main(argv + ["--engine", "auto"]) == 2
 
 
 def test_failed_check_exits_4(tmp_path):
@@ -228,3 +236,6 @@ def test_sample_deterministic(tmp_path):
     _, b = run_csv(tmp_path, "s2", argv)
     assert a == b
     assert a.splitlines()[1] == "0,1.0,0.0"
+    # K at or above N (infinity included) is the untruncated model
+    _, c = run_csv(tmp_path, "s3", argv + ["--K", "inf"])
+    assert c == a

@@ -103,3 +103,7 @@ def test_seed_validation():
         Seed(-1)
     with pytest.raises(ValueError):
         Seed(1 << 64)
+    with pytest.raises(ValueError):
+        Seed(True)
+    with pytest.raises(ValueError):
+        Seed(3, False)

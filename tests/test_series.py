@@ -7,7 +7,7 @@ import pytest
 
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import GaussianStream, Seed
-from hmchaos.series import (ComplexSeries, exp_array, exp_series, multiply,
+from hmchaos.series import (EXP_LEAF, ComplexSeries, exp_array, exp_series, multiply,
                             parseval_power_sum, rankin_bound,
                             smooth_partition_weight)
 
@@ -60,7 +60,7 @@ def test_multiply_fft_path_matches_schoolbook():
     assert np.max(np.abs(prod.coeffs - schoolbook(a, b))) < 1e-10
 
 
-@pytest.mark.parametrize("engine", ["recurrence", "newton"])
+@pytest.mark.parametrize("engine", ["recurrence", "auto"])
 def test_exp_of_z(engine):
     s = np.zeros(5, dtype=complex)
     s[1] = 1.0
@@ -68,7 +68,7 @@ def test_exp_of_z(engine):
     assert np.max(np.abs(out - [1, 1, 0.5, 1 / 6, 1 / 24])) < 1e-15
 
 
-@pytest.mark.parametrize("engine", ["recurrence", "newton"])
+@pytest.mark.parametrize("engine", ["recurrence", "auto"])
 def test_exp_quadratic_coefficient_closed_form(engine):
     # With input x1*z + (x2/sqrt(2))*z^2 the z^2 coefficient is x1^2/2 + x2/sqrt(2)
     x1, x2 = 0.3 - 0.7j, -1.1 + 0.2j
@@ -105,7 +105,7 @@ def test_exp_engines_vs_independent_oracles():
     s[0] = 0.0
     oracle_taylor = taylor_exp(s, 12)
     oracle_limit = compound_limit_exp(s, 12)
-    for engine in ("recurrence", "newton"):
+    for engine in ("recurrence", "auto"):
         out = exp_array(s, 12, engine)
         assert np.max(np.abs(out - oracle_taylor)) < 1e-9
         assert np.max(np.abs(out - oracle_limit)) < 1e-9
@@ -116,7 +116,7 @@ def test_exp_rejects_nonzero_constant_term():
         exp_series(ComplexSeries([1.0, 2.0]), 4)
 
 
-@pytest.mark.parametrize("engine", ["recurrence", "newton"])
+@pytest.mark.parametrize("engine", ["recurrence", "auto"])
 def test_exp_is_a_homomorphism(engine):
     for seed in (21, 22, 23):
         s = random_series(seed, 12)
@@ -133,8 +133,8 @@ def test_truncation_consistency():
     full = exp_array(s, 300, "recurrence")
     part = exp_array(s, 120, "recurrence")
     assert np.array_equal(full[:121], part)
-    full_n = exp_array(s, 300, "newton")
-    part_n = exp_array(s, 120, "newton")
+    full_n = exp_array(s, 300, "auto")
+    part_n = exp_array(s, 120, "auto")
     assert np.max(np.abs(full_n[:121] - part_n)) < 1e-10
 
 
@@ -142,8 +142,31 @@ def test_engines_agree_at_moderate_degree():
     for degree in (256, 1024):
         s = chaos_series(degree, degree)
         slow = exp_array(s, degree, "recurrence")
-        fast = exp_array(s, degree, "newton")
+        fast = exp_array(s, degree, "auto")
         assert np.max(np.abs(slow - fast)) < 1e-9
+
+
+def test_relaxed_engine_is_the_recurrence_below_the_leaf():
+    s = chaos_series(7, EXP_LEAF)
+    for values in (s, s.real.copy()):
+        for degree in range(EXP_LEAF):
+            fast = exp_array(values, degree)
+            assert fast.dtype == values.dtype
+            assert np.array_equal(fast, exp_array(values, degree, "recurrence"))
+
+
+@pytest.mark.parametrize("degree", [3 * EXP_LEAF + 5, 16384])
+def test_relaxed_engine_above_the_leaf(degree):
+    s = chaos_series(degree, degree)
+    for values in (s, s.real.copy()):
+        fast = exp_array(values, degree)
+        assert fast.dtype == values.dtype
+        assert np.max(np.abs(fast - exp_array(values, degree, "recurrence"))) < 1e-12
+
+
+def test_exp_rejects_unknown_engine():
+    with pytest.raises(ValueError):
+        exp_array(chaos_series(1, 8), 8, "newton")
 
 
 def test_parseval_constants():
