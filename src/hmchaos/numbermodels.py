@@ -17,10 +17,12 @@ which also equals exp(sum_k X(k) z^k / sqrt(k)) for
 
 tying the model to the Gaussian chaos coefficients as q grows.
 
-Core arithmetic is over prime fields (coefficient vectors mod p);
-irreducibility is decided by trial division, enumeration is budgeted at
-q^N <= 10^7 terms, and structure tables (irreducibles, factorizations) are
-cached per (q, N) and shared read-only across replicates.
+With f(P) = exp(i theta_P), both models sum exp(i sum e theta_P) over the
+rows prod P^e of a CSR factorization table, evaluated by one kernel. The
+integer table is peeled from a smallest-prime-factor sieve (floor(x) <=
+10^6); the F_q[t] tables come from the Mobius counts, for any prime power q
+(q^N <= 10^7 rows). Tables are cached and shared read-only. Irreducibles
+found by budgeted trial division over prime fields check the counts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 
@@ -38,10 +41,42 @@ from .mc import MomentEstimate
 from .rng import Seed, UnitCircleStream
 
 ENUMERATION_BUDGET = 10**7
+# Cap on floor(x), checked before the sieve allocates: building the integer
+# table for 10**6 peaks at about 210 MiB, so 10**7 would need over 2 GiB.
+SIEVE_BUDGET = 10**6
+# Cap on the trial divisions of the brute-force irreducible lists (admits
+# q = 3 up to degree 8 and q = 5 up to degree 6).
+TRIAL_DIVISION_BUDGET = 10**6
+
+
+def _row_values(angles, table):
+    """exp(i sum e theta_P) for every row prod P^e of a CSR table (idx, exp, indptr).
+
+    Every row must be non-empty: reduceat returns an element, not 0, on an
+    empty row, so callers add the empty factorization themselves.
+    """
+    idx, exp, indptr = table
+    return np.exp(1j * np.add.reduceat(exp * angles[idx], indptr[:-1]))
+
+
+def _replicate(stream, model, size, statistic, power):
+    """One replicate: `statistic` (a methodcaller) of a model drawn from
+    `stream`, as |value|**power, or the complex value when power is None."""
+    value = statistic(model.from_stream(*size, stream))
+    return value if power is None else abs(value) ** power
 
 
 # ---------------------------------------------------------------------------
 # integers: sieve and the Steinhaus model
+
+
+def _cutoff(x) -> int:
+    """floor(x) for a Steinhaus cutoff, validated before anything allocates."""
+    if not x >= 1:
+        raise PreconditionError("the Steinhaus model requires x >= 1")
+    if not x < SIEVE_BUDGET + 1:
+        raise BudgetError(f"Steinhaus budget floor(x) <= {SIEVE_BUDGET} exceeded")
+    return int(math.floor(x))
 
 
 @functools.lru_cache(maxsize=16)
@@ -57,38 +92,51 @@ def _sieve(n: int):
     return spf, primes
 
 
+@functools.lru_cache(maxsize=16)
+def _integer_table(n: int):
+    """CSR factor table of 2..n (row r factors r + 2), shared read-only.
+
+    Each pass of the peel divides every unfinished number m by its smallest
+    prime factor p and records the key m * (n + 1) + p; sorted, the keys
+    run through each row's primes in order, and a key's count is the
+    exponent.
+    """
+    spf, primes = _sieve(n)
+    number = rem = np.arange(2, n + 1)
+    keys = [number[:0]]
+    while rem.size:
+        p = spf[rem]
+        keys.append(number * (n + 1) + p)
+        live = rem > p
+        number, rem = number[live], rem[live] // p[live]
+    keys, exp = np.unique(np.concatenate(keys), return_counts=True)
+    number, factor = np.divmod(keys, n + 1)
+    indptr = np.searchsorted(number, np.arange(2, n + 2))
+    return np.searchsorted(primes, factor), exp.astype(np.float64), indptr
+
+
 @dataclass(frozen=True)
 class SteinhausModel:
     """One seeded instantiation of a Steinhaus multiplicative function."""
 
     x: float
-    phases: np.ndarray
+    angles: np.ndarray
     seed: Seed
-
-    @property
-    def cutoff(self) -> int:
-        return int(math.floor(self.x))
 
     @classmethod
     def build(cls, x: float, seed: Seed) -> "SteinhausModel":
-        if x < 1:
-            raise PreconditionError("SteinhausModel requires x >= 1")
-        _, primes = _sieve(int(math.floor(x)))
-        phases = UnitCircleStream(seed).draw(primes.size)
-        return cls(x=float(x), phases=phases, seed=seed)
+        return cls.from_stream(x, UnitCircleStream(seed))
+
+    @classmethod
+    def from_stream(cls, x: float, stream: UnitCircleStream) -> "SteinhausModel":
+        """The model whose prime angles are the next draws of `stream`."""
+        _, primes = _sieve(_cutoff(x))
+        return cls(float(x), np.angle(stream.draw(primes.size)), stream.seed)
 
     def f_values(self) -> np.ndarray:
-        """f(0..cutoff) with f(0) = 0; completely multiplicative in n."""
-        n = self.cutoff
-        _, primes = _sieve(n)
-        f = np.ones(n + 1, dtype=np.complex128)
-        for j, p in enumerate(primes):
-            power = int(p)
-            while power <= n:
-                f[power::power] *= self.phases[j]
-                power *= int(p)
-        f[0] = 0.0
-        return f
+        """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
+        rows = _row_values(self.angles, _integer_table(_cutoff(self.x)))
+        return np.concatenate(([0.0, 1.0], rows))
 
     def partial_sum(self) -> complex:
         return complex(np.sum(self.f_values()[1:]))
@@ -99,20 +147,13 @@ def steinhaus_partial_sum(x: float, seed: Seed) -> complex:
     return SteinhausModel.build(x, seed).partial_sum()
 
 
-def _steinhaus_abs_pow(stream, x, power):
-    n = int(math.floor(x))
-    _, primes = _sieve(n)
-    model = SteinhausModel(x=float(x), phases=stream.draw(primes.size), seed=stream.seed)
-    return abs(model.partial_sum()) ** power
-
-
 def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
                          workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |sum_{n<=x} f(n)|^power over fresh instantiations."""
-    if x < 1:
-        raise PreconditionError("steinhaus_abs_moment requires x >= 1")
-    values = mc.map_replicates(_steinhaus_abs_pow, (x, power), seed, samples,
-                               workers, stream_cls=UnitCircleStream)
+    _cutoff(x)
+    values = mc.map_replicates(_replicate, (SteinhausModel, (x,),
+                                            methodcaller("partial_sum"), power),
+                               seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, power / 2.0, seed)
 
 
@@ -130,17 +171,6 @@ def steinhaus_compensated_first_moment(x: float, samples: int, seed: Seed,
 
 # ---------------------------------------------------------------------------
 # prime-field polynomial arithmetic (tuples of ints, ascending coefficients)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_power_base(q: int):
@@ -199,19 +229,20 @@ def _poly_mod(f, g, p):
     return tuple(out[:dg])
 
 
-def _divides(g, f, p) -> bool:
-    return not any(_poly_mod(f, g, p))
-
-
 @functools.lru_cache(maxsize=32)
 def irreducibles_by_degree(p: int, max_degree: int):
     """Monic irreducibles over F_p for every degree <= max_degree.
 
-    Trial division against lower-degree irreducibles; lexicographic order
-    on the ascending coefficient tuples within each degree.
+    Trial division against lower-degree irreducibles, budgeted before any
+    enumeration; lexicographic order on the ascending coefficient tuples
+    within each degree.
     """
-    if not _is_prime(p):
+    if _prime_power_base(p) != (p, 1):
         raise PreconditionError("core field arithmetic requires a prime field size")
+    divisions = sum(p**d * sum(count_irreducibles(p, e) for e in range(1, d // 2 + 1))
+                    for d in range(2, max_degree + 1))
+    if divisions > TRIAL_DIVISION_BUDGET:
+        raise BudgetError(f"trial-division budget {TRIAL_DIVISION_BUDGET} exceeded")
     table = {1: tuple((a, 1) for a in range(p))}
     for d in range(2, max_degree + 1):
         divisors = [g for dd in range(1, d // 2 + 1) for g in table[dd]]
@@ -223,7 +254,7 @@ def irreducibles_by_degree(p: int, max_degree: int):
                 lower.append(c % p)
                 c //= p
             f = tuple(lower) + (1,)
-            if not any(_divides(g, f, p) for g in divisors):
+            if all(any(_poly_mod(f, g, p)) for g in divisors):
                 found.append(f)
         table[d] = tuple(found)
     return {d: table[d] for d in range(1, max_degree + 1)}
@@ -235,25 +266,19 @@ def brute_force_irreducible_count(q: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _structure(q: int, max_degree: int, degree_counts: tuple | None = None):
-    """Irreducibles (global order) and factorization tables per degree.
+def _structure(q: int, max_degree: int):
+    """Irreducible degrees (global order) and factorization tables per degree.
 
     For each degree n <= max_degree, every monic polynomial of degree n
     appears exactly once as a multiset of irreducibles; the table stores
-    the (irreducible index, exponent) pairs in CSR form. Built once and
-    shared read-only. Only the degree of each irreducible enters the
-    tables, so an external (degree -> count) table stands in for explicit
-    polynomials; that is the prime-power entry point.
+    the (irreducible index, exponent) pairs in CSR form. Only the degree of
+    each irreducible enters the tables, so the Mobius counts build them for
+    any prime power q. Built once and shared read-only.
     """
     if q ** max(max_degree, 0) > ENUMERATION_BUDGET:
         raise BudgetError(f"enumeration budget q^N <= {ENUMERATION_BUDGET} exceeded")
-    if degree_counts is None:
-        by_degree = irreducibles_by_degree(q, max_degree) if max_degree >= 1 else {}
-        degree_counts = tuple(len(by_degree[d]) for d in range(1, max_degree + 1))
-    degrees = []
-    for d in range(1, max_degree + 1):
-        degrees.extend([d] * degree_counts[d - 1])
-    degrees = np.array(degrees, dtype=np.int64)
+    counts = [count_irreducibles(q, d) for d in range(1, max_degree + 1)]
+    degrees = np.repeat(np.arange(1, max_degree + 1, dtype=np.int64), counts)
     rows = {n: [] for n in range(max_degree + 1)}
 
     def rec(start, remaining, acc):
@@ -269,55 +294,41 @@ def _structure(q: int, max_degree: int, degree_counts: tuple | None = None):
 
     rec(0, max_degree, [])
     tables = {}
-    for n in range(max_degree + 1):
-        entries = rows[n]
+    for n, entries in rows.items():
         assert len(entries) == q**n
-        indptr = np.zeros(len(entries) + 1, dtype=np.int64)
-        idx, exp = [], []
-        for row_number, row in enumerate(entries):
-            indptr[row_number + 1] = indptr[row_number] + len(row)
-            for i, e in row:
-                idx.append(i)
-                exp.append(e)
-        tables[n] = (np.array(idx, dtype=np.int64), np.array(exp, dtype=np.float64),
-                     indptr)
+        pairs = np.array([pair for row in entries for pair in row], dtype=np.int64)
+        pairs = pairs.reshape(-1, 2).T.copy()
+        indptr = np.cumsum([0] + [len(row) for row in entries], dtype=np.int64)
+        tables[n] = (pairs[0], pairs[1].astype(np.float64), indptr)
     return degrees, tables
 
 
 class FFModel:
     """Seeded random multiplicative function over monic polynomials of F_q[t].
 
-    Prime q builds its own irreducible tables. For prime-power q pass
-    `irreducible_counts`, a mapping degree -> number of monic irreducibles
-    (an external field table); only degrees and unit-modulus values enter
-    the model, so explicit prime-power arithmetic is never needed.
+    q is any prime power: only the degree and the unit-modulus value of each
+    irreducible enter the model, so no arithmetic over F_q is needed.
     """
 
-    def __init__(self, q: int, N: int, seed: Seed, irreducible_counts=None):
-        if N < 0:
-            raise PreconditionError("FFModel requires N >= 0")
-        if irreducible_counts is None:
-            if not _is_prime(q):
-                raise PreconditionError("FFModel requires a prime field size "
-                                        "(prime powers need irreducible_counts)")
-            counts_key = None
-        else:
-            if _prime_power_base(q) is None:
-                raise PreconditionError("q must be a prime power >= 2")
-            counts_key = tuple(int(irreducible_counts[d]) for d in range(1, N + 1))
-        self.q = q
-        self.N = N
-        self.seed = seed
-        self.degrees, self._tables = _structure(q, N, counts_key)
-        self.angles = np.angle(UnitCircleStream(seed).draw(self.degrees.size))
+    def __init__(self, q: int, N: int, seed: Seed):
+        self._draw(q, N, UnitCircleStream(seed))
 
     @classmethod
-    def _with_angles(cls, q, N, angles, seed):
+    def from_stream(cls, q: int, N: int, stream: UnitCircleStream) -> "FFModel":
+        """The model whose irreducible angles are the next draws of `stream`."""
         model = cls.__new__(cls)
-        model.q, model.N, model.seed = q, N, seed
-        model.degrees, model._tables = _structure(q, N)
-        model.angles = angles
+        model._draw(q, N, stream)
         return model
+
+    def _draw(self, q, N, stream):
+        if N < 0:
+            raise PreconditionError("FFModel requires N >= 0")
+        # the q^N budget first: the prime-power test trial-divides up to sqrt(q)
+        self.degrees, self._tables = _structure(q, N)
+        if _prime_power_base(q) is None:
+            raise PreconditionError("FFModel requires a prime power q >= 2")
+        self.q, self.N, self.seed = q, N, stream.seed
+        self.angles = np.angle(stream.draw(self.degrees.size))
 
     def irreducible_values(self) -> np.ndarray:
         """f(P) for every irreducible, in the global (degree, lex) order."""
@@ -329,15 +340,15 @@ class FFModel:
             raise PreconditionError("A(n) needs 0 <= n <= N")
         if n == 0:
             return complex(1.0)
-        idx, exp, indptr = self._tables[n]
-        contrib = exp * self.angles[idx]
-        row_angles = np.add.reduceat(contrib, indptr[:-1])
-        return complex(self.q ** (-n / 2.0) * np.sum(np.exp(1j * row_angles)))
+        rows = _row_values(self.angles, self._tables[n])
+        return complex(self.q ** (-n / 2.0) * np.sum(rows))
 
     def X(self, k: int) -> complex:
         """(sqrt(k)/q^{k/2}) sum_{deg(P) | k} f(P)^{k/deg P} / (k/deg P)."""
         if not 1 <= k <= self.N:
             raise PreconditionError("X(k) needs 1 <= k <= N")
+        # one pairwise sum per degree d | k: summing all terms at once moves
+        # X, and the printed series errors, in the last bits
         total = complex(0.0)
         for d in range(1, k + 1):
             if k % d:
@@ -385,30 +396,16 @@ def ff_X(q: int, k: int, seed: Seed) -> complex:
     return FFModel(q, k, seed).X(k)
 
 
-def _ff_abs_sq(stream, q, N):
-    degrees, _ = _structure(q, N)
-    angles = np.angle(stream.draw(degrees.size))
-    model = FFModel._with_angles(q, N, angles, stream.seed)
-    return abs(model.A(N)) ** 2
-
-
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
-    values = mc.map_replicates(_ff_abs_sq, (q, N), seed, samples, workers,
-                               stream_cls=UnitCircleStream)
+    values = mc.map_replicates(_replicate, (FFModel, (q, N), methodcaller("A", N), 2),
+                               seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, 1.0, seed)
-
-
-def _ff_x_value(stream, q, k):
-    degrees, _ = _structure(q, k)
-    angles = np.angle(stream.draw(degrees.size))
-    model = FFModel._with_angles(q, k, angles, stream.seed)
-    return model.X(k)
 
 
 def ff_X_values(q: int, k: int, samples: int, seed: Seed,
                 workers: int = 1) -> np.ndarray:
     """Replicate draws of X(k), for mean/variance sanity checks."""
-    return mc.map_replicates(_ff_x_value, (q, k), seed, samples, workers,
-                             stream_cls=UnitCircleStream)
+    return mc.map_replicates(_replicate, (FFModel, (q, k), methodcaller("X", k), None),
+                             seed, samples, workers, stream_cls=UnitCircleStream)

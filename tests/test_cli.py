@@ -1,4 +1,5 @@
 import json
+import time
 
 from hmchaos.cli import main
 
@@ -178,6 +179,10 @@ def test_precondition_violation_exits_3(tmp_path):
     assert main(["sample", "--N", "4", "--K", "0"]) == 3
     assert main(["sample", "--N", "4", "--K", "nan"]) == 3
     assert main(["moment", "--N", "-3"]) == 3
+    for x in ("inf", "nan", "1e12"):
+        assert main(["steinhaus", "--x", x, "--samples", "10"]) == 3
+    assert main(["ff", "--mode", "moment", "--q", "7", "--N", "-1",
+                 "--samples", "10"]) == 3
 
 
 def test_bad_configuration_exits_2(tmp_path):
@@ -214,6 +219,25 @@ def test_ff_counts_check(tmp_path):
                           "--check"])
     assert code == 0
     assert text.splitlines()[0] == "q,n,count_mobius,count_brute,equal"
+
+
+def test_ff_counts_over_budget_exits_3_quickly(tmp_path):
+    start = time.perf_counter()
+    code, _ = run_csv(tmp_path, "ffc",
+                      ["ff", "--mode", "counts", "--q", "2", "--n-max", "30"])
+    assert code == 3
+    assert time.perf_counter() - start < 5.0
+
+
+def test_ff_prime_power_runs(tmp_path):
+    code, text = run_csv(tmp_path, "ffq4",
+                         ["ff", "--mode", "moment", "--q", "4", "--N", "3",
+                          "--samples", "50"])
+    assert code == 0
+    assert text.splitlines()[1].startswith("4,3,50,")
+    code, _ = run_csv(tmp_path, "ffq4s",
+                      ["ff", "--mode", "series", "--q", "4", "--N", "4", "--check"])
+    assert code == 0
 
 
 def test_ff_series_check(tmp_path):

@@ -9,7 +9,8 @@ from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.numbermodels import (FFModel, SteinhausModel,
                                   brute_force_irreducible_count,
                                   count_irreducibles, ff_A, ff_X, ff_X_values,
-                                  ff_second_moment, steinhaus_abs_moment,
+                                  ff_second_moment, irreducibles_by_degree,
+                                  steinhaus_abs_moment,
                                   steinhaus_compensated_first_moment,
                                   steinhaus_partial_sum, _structure)
 from hmchaos.rng import Seed, split
@@ -20,13 +21,23 @@ def test_steinhaus_at_one():
 
 
 def test_steinhaus_complete_multiplicativity():
-    model = SteinhausModel.build(12.0, Seed(19))
+    model = SteinhausModel.build(300.0, Seed(19))
     f = model.f_values()
-    assert f[1] == 1.0
+    assert f[0] == 0.0 and f[1] == 1.0
     assert f[6] == pytest.approx(f[2] * f[3], rel=1e-12)
     assert f[4] == pytest.approx(f[2] ** 2, rel=1e-12)
     assert f[12] == pytest.approx(f[2] ** 2 * f[3], rel=1e-12)
     assert np.allclose(np.abs(f[1:]), 1.0)
+    # the definitional product prod f(p)^e, with n factored by trial division
+    primes = [p for p in range(2, 301) if all(p % d for d in range(2, p))]
+    f_p = dict(zip(primes, np.exp(1j * model.angles)))
+    for n in range(1, 301):
+        expected, rest = 1.0 + 0.0j, n
+        for p in primes:
+            while rest % p == 0:
+                expected *= f_p[p]
+                rest //= p
+        assert f[n] == pytest.approx(expected, rel=1e-12)
 
 
 def test_steinhaus_variance_matches_cutoff():
@@ -52,6 +63,13 @@ def test_steinhaus_worker_count_is_invisible():
 def test_steinhaus_validation():
     with pytest.raises(PreconditionError):
         steinhaus_partial_sum(0.5, Seed(1))
+    for x in (math.nan, -math.inf):
+        with pytest.raises(PreconditionError):
+            steinhaus_abs_moment(x, 2.0, 10, Seed(1))
+    # refused before the sieve allocates
+    for x in (math.inf, 1e12, 10**6 + 1):
+        with pytest.raises(BudgetError):
+            steinhaus_abs_moment(x, 2.0, 10, Seed(1))
 
 
 def test_count_irreducibles_known_values():
@@ -86,10 +104,13 @@ def test_gauss_degree_identity():
 
 
 def test_structure_enumerates_every_monic():
-    _, tables = _structure(3, 5)
+    degrees, tables = _structure(3, 5)
     for n in range(6):
         _, _, indptr = tables[n]
         assert indptr.size - 1 == 3**n
+    # the Mobius-built degrees match the explicitly listed irreducibles
+    listed = [d for d, polys in irreducibles_by_degree(3, 5).items() for _ in polys]
+    assert degrees.tolist() == listed
 
 
 def test_ff_A_trivial_degree():
@@ -125,6 +146,24 @@ def test_ff_X_variance_near_one():
 def test_ff_second_moment_is_one():
     est = ff_second_moment(5, 3, 500, Seed(60))
     assert abs(est.mean - 1.0) <= 4.0 * est.std_error
+    # A(0) = 1: the empty product
+    est = ff_second_moment(5, 0, 10, Seed(60))
+    assert est.mean == 1.0 and est.std_error == 0.0
+
+
+def test_ff_worker_count_is_invisible():
+    serial = ff_second_moment(3, 4, 600, Seed(77), workers=1)
+    pooled = ff_second_moment(3, 4, 600, Seed(77), workers=3)
+    assert serial.mean == pooled.mean and serial.std_error == pooled.std_error
+
+
+def test_ff_replicate_validation():
+    with pytest.raises(PreconditionError):
+        ff_second_moment(7, -1, 10, Seed(1))
+    with pytest.raises(PreconditionError):
+        ff_X_values(7, 0, 10, Seed(1))
+    with pytest.raises(PreconditionError):
+        ff_X_values(7, -1, 10, Seed(1))
 
 
 def test_generating_function_routes_agree():
@@ -148,20 +187,21 @@ def test_ff_budget_and_field_validation():
     with pytest.raises(BudgetError):
         FFModel(5, 12, Seed(1))
     with pytest.raises(PreconditionError):
-        FFModel(4, 3, Seed(1))
+        FFModel(6, 3, Seed(1))
+    with pytest.raises(PreconditionError):
+        FFModel(6, 0, Seed(1))
     with pytest.raises(PreconditionError):
         FFModel(5, -1, Seed(1))
 
 
 def test_ff_prime_power_via_external_counts():
-    # F_4 through the declared extension point: only (degree -> count) and
+    # F_4 runs directly: only the Mobius counts (degree -> count) and
     # unit-modulus values enter the model
     q, top = 4, 4
-    counts = {d: count_irreducibles(q, d) for d in range(1, top + 1)}
-    model = FFModel(q, top, Seed(404), irreducible_counts=counts)
+    model = FFModel(q, top, Seed(404))
     direct = np.array([model.A(n) for n in range(top + 1)])
     assert direct[0] == 1.0
     assert np.max(np.abs(model.euler_product_series(top) - direct)) < 1e-9
     assert np.max(np.abs(model.gaussian_exp_series(top) - direct)) < 1e-9
     with pytest.raises(PreconditionError):
-        FFModel(6, 2, Seed(1), irreducible_counts={1: 6, 2: 15})
+        FFModel(6, 2, Seed(1))
