@@ -39,19 +39,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import mc
+from . import chaos, mc
+from .chaos import _int_floor
 from .errors import PreconditionError
 from .mc import MomentEstimate
 from .rng import Seed, split
 
-_GUARD = 1e-9
 _R_TOL = 1e-12
 VARIANCE_RANGE = (1.0 / 20.0, 20.0)
-
-
-def _int_log_floor(x: float) -> int:
-    """Largest integer n with e^n <= x (guarded against ulp noise)."""
-    return int(math.floor(math.log(x) + _GUARD))
 
 
 def block_bounds(m: int) -> tuple[int, int]:
@@ -61,7 +56,7 @@ def block_bounds(m: int) -> tuple[int, int]:
 
 def log_horizon(r: float, K: float) -> int:
     """log K_r: the largest integer with e^{log K_r} <= min(-1/(4 log r), K)."""
-    return _int_log_floor(min(-1.0 / (4.0 * math.log(r)), K))
+    return _int_floor(math.log(min(-1.0 / (4.0 * math.log(r)), K)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +81,7 @@ class BarrierSpec:
 
     The offset must satisfy |offset(j)| <= 10 log j (so offset(1) = 0);
     named module-level offsets keep the schedule picklable for worker pools.
+    A walk draws rows of n_max steps, so n_max is budgeted like one row.
     """
 
     height: float
@@ -93,10 +89,11 @@ class BarrierSpec:
     offset: Callable[[int], float] = no_offset
 
     def __post_init__(self):
-        if self.height < 1.0:
+        if not self.height >= 1.0:
             raise PreconditionError("barrier height must be >= 1")
         if self.n_max < 1:
             raise PreconditionError("n_max must be >= 1")
+        chaos.check_field_budget(1, self.n_max)
         for j in range(1, self.n_max + 1):
             if abs(self.offset(j)) > 10.0 * math.log(j) + 1e-12:
                 raise PreconditionError(f"|offset({j})| exceeds 10 log {j}")
@@ -107,6 +104,7 @@ class BarrierSpec:
 
 def _ballot_chunk(stream, count, levels, sigmas):
     n = sigmas.size
+    chaos.check_field_budget(count, n)
     steps = stream.draw_real(count * n).reshape(count, n) * sigmas
     walks = np.cumsum(steps, axis=1)
     return np.all(walks <= levels, axis=1).astype(float)
@@ -159,60 +157,55 @@ def _checkpoint_sums_scalar(X, r, theta, n_max):
     return sums
 
 
-def _validate_G(r, theta, K, A):
-    if K < 3:
-        raise PreconditionError("event G requires K >= 3")
-    if not 1.0 - _R_TOL <= r <= math.exp(1.0 / K) + _R_TOL:
-        raise PreconditionError("event G requires 1 <= r <= e^{1/K}")
-    if A < 1.0:
-        raise PreconditionError("event G requires A >= 1")
-    return _int_log_floor(K)
+def _event_spec(kind, r, K, A) -> BarrierSpec:
+    """The barrier of event G (A + 10 log n, n <= log K) or L (A - 5 log n,
+    n <= log K_r), after validating (r, K) for it."""
+    if kind == "G":
+        if not K >= 3:
+            raise PreconditionError("event G requires K >= 3")
+        if not 1.0 - _R_TOL <= r <= math.exp(1.0 / K) + _R_TOL:
+            raise PreconditionError("event G requires 1 <= r <= e^{1/K}")
+        return BarrierSpec(A, _int_floor(math.log(K)), upper_log_offset)
+    if kind == "L":
+        if not K >= 10:
+            raise PreconditionError("event L requires K >= 10")
+        if not math.exp(-1.0 / 40.0) - _R_TOL <= r < 1.0:
+            raise PreconditionError("event L requires e^{-1/40} <= r < 1")
+        return BarrierSpec(A, log_horizon(r, K), lower_log_offset)
+    raise PreconditionError("kind must be 'G' or 'L'")
 
 
-def _validate_L(r, theta, K, A):
-    if K < 10:
-        raise PreconditionError("event L requires K >= 10")
-    if not math.exp(-1.0 / 40.0) - _R_TOL <= r < 1.0:
-        raise PreconditionError("event L requires e^{-1/40} <= r < 1")
-    if A < 1.0:
-        raise PreconditionError("event L requires A >= 1")
-    return log_horizon(r, K)
-
-
-def _upper_levels(A, n_max):
-    return np.array([A + 10.0 * math.log(n) for n in range(1, n_max + 1)])
-
-
-def _lower_levels(A, n_max):
-    return np.array([A - 5.0 * math.log(n) for n in range(1, n_max + 1)])
+def _event_holds(kind, X, r, theta, K, A):
+    spec = _event_spec(kind, r, K, A)
+    sums = _checkpoint_sums_scalar(X, r, theta, spec.n_max)
+    return bool(np.all(sums <= spec.levels()))
 
 
 def event_G_holds(X, r: float, theta: float, K: float, A: float) -> bool:
     """Upper barrier event: all checkpoints n <= log K stay below A + 10 log n."""
-    n_max = _validate_G(r, theta, K, A)
-    sums = _checkpoint_sums_scalar(X, r, theta, n_max)
-    return bool(np.all(sums <= _upper_levels(A, n_max)))
+    return _event_holds("G", X, r, theta, K, A)
 
 
 def event_L_holds(X, r: float, theta: float, K: float, A: float) -> bool:
     """Lower-variant event: checkpoints n <= log K_r stay below A - 5 log n."""
-    n_max = _validate_L(r, theta, K, A)
-    sums = _checkpoint_sums_scalar(X, r, theta, n_max)
-    return bool(np.all(sums <= _lower_levels(A, n_max)))
+    return _event_holds("L", X, r, theta, K, A)
 
 
-def _block_starts(n_max):
-    return np.array([block_bounds(n)[0] - 1 for n in range(1, n_max + 1)])
+def _checkpoints(steps, first_block, last_block):
+    """Walk values at the ends of blocks first_block..last_block.
+
+    Column 0 of `steps` is k = ceil(e^{first_block - 1}); each block is
+    summed pairwise, then the block sums are accumulated.
+    """
+    base = block_bounds(first_block)[0]
+    starts = [block_bounds(m)[0] - base for m in range(first_block, last_block + 1)]
+    return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
 
 
 def _event_chunk(stream, count, r, theta, n_max, levels_list):
     """Indicator matrix (one column per barrier level schedule)."""
-    _, kmax = block_bounds(n_max)
-    k = np.arange(1, kmax + 1, dtype=float)
-    x = stream.draw(count * kmax).reshape(count, kmax)
-    terms = (x * np.exp(1j * theta * k)).real * (r**k / np.sqrt(k)) - r ** (2.0 * k) / k
-    blocks = np.add.reduceat(terms, _block_starts(n_max), axis=1)
-    sums = np.cumsum(blocks, axis=1)
+    x, k, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
+    sums = _checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, 1, n_max)
     cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
     return np.stack(cols, axis=1).reshape(count * len(levels_list))
 
@@ -227,16 +220,11 @@ def event_probability_mc(kind: str, K: float, r: float, A, theta: float,
     heights = [float(a) for a in (A if np.iterable(A) else [A])]
     if not heights:
         raise PreconditionError("need at least one barrier height")
-    if kind == "G":
-        n_max = _validate_G(r, theta, K, min(heights))
-        levels_list = [_upper_levels(a, n_max) for a in heights]
-    elif kind == "L":
-        n_max = _validate_L(r, theta, K, min(heights))
-        levels_list = [_lower_levels(a, n_max) for a in heights]
-    else:
-        raise PreconditionError("kind must be 'G' or 'L'")
-    flat = mc.map_chunks(_event_chunk, (r, theta, n_max, levels_list), seed,
-                         samples, workers)
+    specs = [_event_spec(kind, r, K, a) for a in heights]
+    mc.check_samples(samples)
+    flat = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
+                                        [spec.levels() for spec in specs]),
+                         seed, samples, workers)
     values = flat.reshape(-1, len(heights))
     return [mc.from_values(values[:, i], 1.0, seed) for i in range(len(heights))]
 
@@ -247,27 +235,26 @@ def _grid_event_chunk(stream, count, r, n_max, levels):
     Checkpoint n uses ceil(n e^n) uniform angles; the field values on the
     grid come from one inverse FFT per checkpoint.
     """
-    _, kmax = block_bounds(n_max)
-    k = np.arange(1, kmax + 1, dtype=float)
-    x = stream.draw(count * kmax).reshape(count, kmax)
-    scaled = x * (r**k / np.sqrt(k))
+    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
+    scaled = x * coef
     ok = np.ones(count, dtype=bool)
     for n in range(1, n_max + 1):
         _, hi = block_bounds(n)
         grid = int(math.ceil(n * math.e**n))
+        chaos.check_field_budget(count, grid)
         padded = np.zeros((count, grid), dtype=np.complex128)
         padded[:, 1 : hi + 1] = scaled[:, :hi]
         values = np.fft.ifft(padded, axis=1).real * grid
-        tilt = float(np.sum(r ** (2.0 * k[:hi]) / k[:hi]))
-        ok &= values.max(axis=1) - tilt <= levels[n - 1]
+        ok &= values.max(axis=1) - float(np.sum(drift[:hi])) <= levels[n - 1]
     return ok.astype(float)
 
 
 def event_G_all_angles_mc(K: float, r: float, A: float, samples: int, seed: Seed,
                           workers: int = 1) -> MomentEstimate:
     """Empirical probability that the upper barrier holds for every grid angle."""
-    n_max = _validate_G(r, 0.0, K, A)
-    values = mc.map_chunks(_grid_event_chunk, (r, n_max, _upper_levels(A, n_max)),
+    spec = _event_spec("G", r, K, A)
+    mc.check_samples(samples)
+    values = mc.map_chunks(_grid_event_chunk, (r, spec.n_max, spec.levels()),
                            seed, samples, workers, chunk=512)
     return mc.from_values(values, 1.0, seed)
 
@@ -277,23 +264,19 @@ def event_G_all_angles_mc(K: float, r: float, A: float, samples: int, seed: Seed
 
 
 def _com_left_chunk(stream, count, K, r, n_max, levels):
-    m = int(math.floor(K + _GUARD))
-    k = np.arange(1, m + 1, dtype=float)
-    x = stream.draw(count * m).reshape(count, m)
-    coef = r**k / np.sqrt(k)
+    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K))
     weight = np.exp(2.0 * (x.real @ coef))
     _, kmax = block_bounds(n_max)
-    terms = x[:, :kmax].real * coef[:kmax] - r ** (2.0 * k[:kmax]) / k[:kmax]
-    sums = np.cumsum(np.add.reduceat(terms, _block_starts(n_max), axis=1), axis=1)
+    sums = _checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], 1, n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
 
 
 def _com_right_chunk(stream, count, r, n_max, levels):
     _, kmax = block_bounds(n_max)
-    k = np.arange(1, kmax + 1, dtype=float)
+    chaos.check_field_budget(count, kmax)
+    _, coef, _ = chaos.field_weights(r, 1, kmax)
     y = stream.draw_real(count * kmax).reshape(count, kmax) * math.sqrt(0.5)
-    steps = y * (r**k / np.sqrt(k))
-    sums = np.cumsum(np.add.reduceat(steps, _block_starts(n_max), axis=1), axis=1)
+    sums = _checkpoints(y * coef, 1, n_max)
     return np.all(sums <= levels, axis=1).astype(float)
 
 
@@ -307,18 +290,18 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     y_k r^k/sqrt(k) (Var y_k = 1/2) respects the A + 10 log n barrier.
     The two are equal in expectation and serve as each other's oracle.
     """
-    n_max = _validate_G(r, 0.0, K, A)
-    levels = _upper_levels(A, n_max)
+    spec = _event_spec("G", r, K, A)
+    mc.check_samples(samples_left)
+    mc.check_samples(samples_right)
+    levels = spec.levels()
     seed_left, seed_right = split(seed, 0), split(seed, 1)
-    left_values = mc.map_chunks(_com_left_chunk, (K, r, n_max, levels),
+    left_values = mc.map_chunks(_com_left_chunk, (K, r, spec.n_max, levels),
                                 seed_left, samples_left, workers)
     left = mc.from_values(left_values, 1.0, seed_left)
-    right_values = mc.map_chunks(_com_right_chunk, (r, n_max, levels),
+    right_values = mc.map_chunks(_com_right_chunk, (r, spec.n_max, levels),
                                  seed_right, samples_right, workers)
     prob = mc.from_values(right_values, 1.0, seed_right)
-    m = int(math.floor(K + _GUARD))
-    k = np.arange(1, m + 1, dtype=float)
-    scale = float(math.exp(np.sum(r ** (2.0 * k) / k)))
+    scale = chaos.circle_mean_closed_form(K, r)
     right = MomentEstimate(scale * prob.mean, scale * prob.std_error,
                            prob.samples, 1.0, seed_right)
     return left, right
@@ -374,14 +357,20 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     """
     if not 0.0 < r < 1.0:
         raise PreconditionError("block_stats requires 0 < r < 1")
+    if not K > 0.0:
+        raise PreconditionError("block_stats requires K > 0")
+    if m_max is not None and m_max < 1:
+        raise PreconditionError("block_stats requires m_max >= 1")
     log_K_r = log_horizon(r, K)
+    count = m_max if m_max is not None else log_K_r
+    if count < 0:
+        raise PreconditionError("the horizon K_r is below 1: pass m_max")
     K_r = math.e**log_K_r
     if theta == 0.0:
         anchor = K_r / math.e
     else:
         anchor = min(1e3 / abs(theta), K_r / math.e)
-    M = max(1, int(math.ceil(math.log(anchor) - _GUARD)))
-    count = m_max if m_max is not None else log_K_r
+    M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
     lo = np.empty(count, dtype=int)
     hi = np.empty(count, dtype=int)
     sigma2 = np.empty(count)
@@ -397,9 +386,7 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
 
 
 def _increment_chunk(stream, count, r, theta, lo, hi):
-    k = np.arange(lo, hi + 1, dtype=float)
-    x = stream.draw(count * k.size).reshape(count, k.size)
-    coef = r**k / np.sqrt(k)
+    x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
     z0 = x.real @ coef
     zt = (x * np.exp(1j * theta * k)).real @ coef
     return np.stack([z0, zt], axis=1).reshape(2 * count)
@@ -458,20 +445,15 @@ def dominating_density(p: BivariateParams, x1, x2):
 
 
 def _two_walk_chunk(stream, count, r, theta, M, log_K_r, level):
-    lo = block_bounds(M + 1)[0]
-    hi = block_bounds(log_K_r)[1]
-    k = np.arange(lo, hi + 1, dtype=float)
-    x = stream.draw(count * k.size).reshape(count, k.size)
-    coef = r**k / np.sqrt(k)
+    x, k, coef, drift = chaos.field_rows(stream, count, r, block_bounds(M + 1)[0],
+                                         block_bounds(log_K_r)[1])
     z0 = x.real * coef
     zt = (x * np.exp(1j * theta * k)).real * coef
     weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
     if level is None or math.isinf(level):
         return weight
-    starts = np.array([block_bounds(m)[0] - lo for m in range(M + 1, log_K_r + 1)])
-    tilt = r ** (2.0 * k) / k
-    s0 = np.cumsum(np.add.reduceat(z0 - tilt, starts, axis=1), axis=1)
-    st = np.cumsum(np.add.reduceat(zt - tilt, starts, axis=1), axis=1)
+    s0 = _checkpoints(z0 - drift, M + 1, log_K_r)
+    st = _checkpoints(zt - drift, M + 1, log_K_r)
     ok = np.all(s0 <= level, axis=1) & np.all(st <= level, axis=1)
     return np.where(ok, weight, 0.0)
 
@@ -486,6 +468,7 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level,
     unconstrained expectation. With no blocks (M >= log K_r) the empty
     product gives exactly 1.
     """
+    mc.check_samples(samples)
     blocks = block_stats(r, theta, K)
     if blocks.M >= blocks.log_K_r:
         return MomentEstimate(1.0, 0.0, samples, 1.0, seed)

@@ -10,6 +10,11 @@ evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 = exp(sum_{k<=K} r^{2k}/k), computes per-sample circle averages through
 the Parseval power sum, and tabulates the (log N)^{1/4}-compensated first
 moment over a grid of N.
+
+It is also the one home of the field that the barrier and partition
+kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
+r^k/sqrt(k) and drift r^{2k}/k, after checking the (rows, width) block
+against FIELD_BUDGET.
 """
 
 from __future__ import annotations
@@ -20,17 +25,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
 from .rng import GaussianStream, Seed, split
-from .series import ComplexSeries, exp_array
+from .series import ComplexSeries, exp_array, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
 _TAIL_RELATIVE = 1e-9
+# Cap on the values of one (rows, width) block of draws, checked before it is
+# drawn: 256 MiB as complex128, about 1 GiB with the Box-Muller temporaries.
+FIELD_BUDGET = 2**24
 
 
 def _int_floor(x: float) -> int:
+    """floor(x), guarded against ulp noise; a non-finite x is refused."""
+    if not math.isfinite(x):
+        raise PreconditionError(f"a finite value is required, got {x}")
     return int(math.floor(x + _FLOOR_GUARD))
+
+
+def check_field_budget(rows: int, width: int) -> None:
+    """Refuse a (rows, width) block above FIELD_BUDGET values before it exists."""
+    if rows * width > FIELD_BUDGET:
+        raise BudgetError(f"a {rows} x {width} block exceeds the budget of "
+                          f"{FIELD_BUDGET} values")
+
+
+def field_weights(r: float, lo: int, hi: int):
+    """k = lo..hi with the walk's step weights r^k/sqrt(k) and drift r^{2k}/k."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    return k, r**k / np.sqrt(k), r ** (2.0 * k) / k
+
+
+def field_rows(stream, count: int, r: float, lo: int, hi: int):
+    """count rows of X(lo..hi) from `stream`, with field_weights(r, lo, hi).
+
+    Row i holds draws i*width .. (i+1)*width - 1 of the stream; an empty
+    range gives rows of width 0. The block is budgeted before it is drawn.
+    """
+    width = max(hi - lo + 1, 0)
+    check_field_budget(count, width)
+    x = stream.draw(count * width).reshape(count, width)
+    return (x, *field_weights(r, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -69,13 +105,11 @@ def sample_A(N: int, K: float, stream: GaussianStream) -> ChaosSample:
     return ChaosSample(N=N, K=float(K), coeffs=ComplexSeries(coeffs), seed=stream.seed)
 
 
-def _abs_coeff_pow(stream, N, q):
-    coeffs = exp_array(_input_series(stream, N, float(N)), N)
-    return abs(coeffs[N]) ** (2.0 * q)
-
-
-def _coeff_value(stream, N):
-    return exp_array(_input_series(stream, N, float(N)), N)[N]
+def _coefficient(stream, N, power):
+    """A(N) of the untruncated model, as |A(N)|**power, or the complex value
+    when power is None."""
+    value = exp_array(_input_series(stream, N, float(N)), N)[N]
+    return value if power is None else abs(value) ** power
 
 
 def estimate_moment(N: int, q: float, samples: int, seed: Seed,
@@ -85,9 +119,8 @@ def estimate_moment(N: int, q: float, samples: int, seed: Seed,
         raise PreconditionError("estimate_moment requires N >= 0")
     if not 0.0 <= q <= 1.0:
         raise PreconditionError("estimate_moment requires 0 <= q <= 1")
-    if samples < 2:
-        raise PreconditionError("estimate_moment requires samples >= 2")
-    values = mc.map_replicates(_abs_coeff_pow, (N, q), seed, samples, workers)
+    mc.check_samples(samples)
+    values = mc.map_replicates(_coefficient, (N, 2.0 * q), seed, samples, workers)
     return mc.from_values(values, q, seed)
 
 
@@ -95,28 +128,20 @@ def coefficient_values(N: int, samples: int, seed: Seed, workers: int = 1) -> np
     """Raw replicate values of A(N) (complex), for distribution checks."""
     if N < 0:
         raise PreconditionError("coefficient_values requires N >= 0")
-    return mc.map_replicates(_coeff_value, (N,), seed, samples, workers)
+    return mc.map_replicates(_coefficient, (N, None), seed, samples, workers)
 
 
 def circle_mean_closed_form(K: float, r: float) -> float:
     """E[|F_K(r e^{i theta})|^2] = exp(sum_{k<=K} r^{2k}/k), any theta."""
     if not r > 0:
         raise PreconditionError("circle_mean_closed_form requires r > 0")
-    m = _int_floor(K)
-    if m < 1:
-        return 1.0
-    k = np.arange(1, m + 1, dtype=float)
-    return float(math.exp(np.sum(r ** (2.0 * k) / k)))
+    _, _, drift = field_weights(r, 1, _int_floor(K))
+    return float(math.exp(np.sum(drift)))
 
 
 def _sq_modulus_at_radius(stream, count, K, r):
     # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)); scalar per sample
-    m = _int_floor(K)
-    if m < 1:
-        return np.ones(count)
-    x = stream.draw(count * m).reshape(count, m)
-    k = np.arange(1, m + 1, dtype=float)
-    coef = r ** k / np.sqrt(k)
+    x, _, coef, _ = field_rows(stream, count, r, 1, _int_floor(K))
     return np.exp(2.0 * (x.real @ coef))
 
 
@@ -125,6 +150,7 @@ def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
     """Direct Monte Carlo of E[|F_K(r)|^2] (heavy-tailed; compare at 5 sigma)."""
     if not r > 0:
         raise PreconditionError("circle_mean_mc requires r > 0")
+    mc.check_samples(samples)
     values = mc.map_chunks(_sq_modulus_at_radius, (K, r), seed, samples, workers)
     return mc.from_values(values, 1.0, seed)
 
@@ -159,8 +185,7 @@ def circle_average_sample(K: float, r: float, stream: GaussianStream,
             raise PreconditionError("r = 1 needs an explicit truncation degree D")
         D = truncation_degree(K, r)
     coeffs = exp_array(_input_series(stream, D, K), D)
-    power = r ** (2.0 * np.arange(D + 1))
-    return float(np.sum(np.abs(coeffs) ** 2 * power))
+    return parseval_power_sum(ComplexSeries(coeffs), r)
 
 
 def _circle_average_rep(stream, K, r, D):
@@ -170,6 +195,7 @@ def _circle_average_rep(stream, K, r, D):
 def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
                           D: int | None = None, workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of the circle average (q = 1 moment)."""
+    mc.check_samples(samples)
     values = mc.map_replicates(_circle_average_rep, (K, r, D), seed, samples, workers)
     return mc.from_values(values, 1.0, seed)
 

@@ -6,4 +6,4 @@ class PreconditionError(ValueError):
 
 
 class BudgetError(PreconditionError):
-    """An exact-enumeration request exceeds the configured size budget."""
+    """A request exceeds a size budget that is checked before allocation."""

@@ -44,6 +44,15 @@ def from_values(values: np.ndarray, q: float, seed: Seed) -> MomentEstimate:
     return MomentEstimate(mean, math.sqrt(var / n), n, q, seed)
 
 
+def check_samples(samples: int, least: int = 2) -> None:
+    """Refuse a replicate count below `least` before any replicate runs.
+
+    Estimators reduced by from_values need 2; the maps need 1.
+    """
+    if not samples >= least:
+        raise PreconditionError(f"need at least {least} samples, got {samples}")
+
+
 def _eval_span(task):
     fn, args, seed, start, stop, stream_cls = task
     return np.asarray([fn(stream_cls(split(seed, i)), *args) for i in range(start, stop)])
@@ -67,6 +76,7 @@ def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1,
 
     fn must be a module-level callable (it is pickled when workers > 1).
     """
+    check_samples(samples, 1)
     tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples), stream_cls)
              for start in range(0, samples, REPLICATE_SPAN)]
     return np.concatenate(_run_tasks(_eval_span, tasks, workers))
@@ -81,6 +91,7 @@ def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
     The chunk size is fixed per call site, never derived from the worker
     count, so results are worker-count independent.
     """
+    check_samples(samples, 1)
     tasks = []
     for index, start in enumerate(range(0, samples, chunk)):
         tasks.append((fn, args, seed, index, min(chunk, samples - start), stream_cls))

@@ -45,7 +45,8 @@ ENUMERATION_BUDGET = 10**7
 # table for 10**6 peaks at about 210 MiB, so 10**7 would need over 2 GiB.
 SIEVE_BUDGET = 10**6
 # Cap on the trial divisions of the brute-force irreducible lists (admits
-# q = 3 up to degree 8 and q = 5 up to degree 6).
+# q = 3 up to degree 8 and q = 5 up to degree 6) and of the prime-power test
+# (q <= TRIAL_DIVISION_BUDGET**2).
 TRIAL_DIVISION_BUDGET = 10**6
 
 
@@ -83,10 +84,13 @@ def _cutoff(x) -> int:
 def _sieve(n: int):
     """Smallest-prime-factor table and prime list up to n (shared, read-only)."""
     spf = np.zeros(n + 1, dtype=np.int64)
-    for i in range(2, n + 1):
+    for i in range(2, math.isqrt(n) + 1):
         if spf[i] == 0:
             view = spf[i::i]
             view[view == 0] = i
+    # every composite has a prime factor <= isqrt(n); the rest are primes
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
     primes = np.flatnonzero(spf == np.arange(n + 1))
     primes = primes[primes >= 2]
     return spf, primes
@@ -151,6 +155,9 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
                          workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |sum_{n<=x} f(n)|^power over fresh instantiations."""
     _cutoff(x)
+    if not math.isfinite(power):
+        raise PreconditionError("the moment power must be finite")
+    mc.check_samples(samples)
     values = mc.map_replicates(_replicate, (SteinhausModel, (x,),
                                             methodcaller("partial_sum"), power),
                                seed, samples, workers, stream_cls=UnitCircleStream)
@@ -177,6 +184,9 @@ def _prime_power_base(q: int):
     """Return (p, e) with q = p^e, or None when q is not a prime power."""
     if q < 2:
         return None
+    if q > TRIAL_DIVISION_BUDGET**2:
+        raise BudgetError(f"prime-power test budget q <= {TRIAL_DIVISION_BUDGET**2} "
+                          "exceeded")
     for p in range(2, q + 1):
         if p * p > q:
             return (q, 1)
@@ -399,6 +409,7 @@ def ff_X(q: int, k: int, seed: Seed) -> complex:
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
+    mc.check_samples(samples)
     values = mc.map_replicates(_replicate, (FFModel, (q, N), methodcaller("A", N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, 1.0, seed)

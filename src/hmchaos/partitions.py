@@ -20,7 +20,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from . import mc
+from . import chaos, mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
 from .rng import Seed
@@ -154,8 +154,7 @@ def reconstruct_A_by_largest_part(total: int, depth: int, X):
 
 
 def _paired_product(stream, count, parts_a, parts_b):
-    kmax = max(parts_a + parts_b)
-    x = stream.draw(count * kmax).reshape(count, kmax)
+    x = chaos.field_rows(stream, count, 1.0, 1, max(parts_a + parts_b))[0]
     va = np.ones(count, dtype=np.complex128)
     for k, m in Partition(parts_a).multiplicities.items():
         va *= (x[:, k - 1] / sqrt(k)) ** m / factorial(m)
@@ -177,6 +176,7 @@ def orthogonality_check(first: Partition, second: Partition, samples: int,
     if first == second:
         raise PreconditionError("orthogonality_check requires distinct partitions "
                                 "(use diagonal_second_moment for the diagonal)")
+    mc.check_samples(samples)
     values = mc.map_chunks(_paired_product, (first.parts, second.parts), seed,
                            samples, workers)
     n = values.size

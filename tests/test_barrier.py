@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FixedStream
 from hmchaos import barrier
 from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scalar,
-                             _lower_levels, _upper_levels, ballot_probability_mc,
-                             ballot_scale, bivariate_density, block_stats,
-                             change_of_measure_check, dominating_density,
+                             ballot_probability_mc, ballot_scale, bivariate_density,
+                             block_stats, change_of_measure_check, dominating_density,
                              event_G_all_angles_mc, event_G_holds, event_L_holds,
-                             event_probability_mc, sample_block_increments,
-                             two_walk_shape_scale, two_walk_tilted_expectation)
+                             event_probability_mc, lower_log_offset,
+                             sample_block_increments, two_walk_shape_scale,
+                             two_walk_tilted_expectation, upper_log_offset)
 from hmchaos.chaos import circle_mean_closed_form
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import GaussianStream, Seed
@@ -130,9 +131,40 @@ def test_lower_barrier_implies_upper_barrier():
     for _ in range(100):
         x = rng.draw(21) * 2.0
         sums = _checkpoint_sums_scalar(x, 0.99, 0.4, n_max)
-        lower = bool(np.all(sums <= _lower_levels(2.0, n_max)))
-        upper = bool(np.all(sums <= _upper_levels(2.0, n_max)))
+        lower = bool(np.all(sums <= BarrierSpec(2.0, n_max, lower_log_offset).levels()))
+        upper = bool(np.all(sums <= BarrierSpec(2.0, n_max, upper_log_offset).levels()))
         assert (not lower) or upper
+
+
+@pytest.mark.parametrize("kind, K, r, theta", [
+    ("G", 400.0, 1.0, 0.0), ("G", 400.0, 1.0, 0.7),
+    ("L", 1e4, 0.99, 0.0), ("L", 1e4, 0.99, 1.3)])
+def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
+    # the vectorized kernel and the fsum oracle read the same draws, scaled
+    # up so that both outcomes occur; samples whose checkpoint sum sits
+    # within 1e-9 of a level are skipped
+    heights = (1.0, 2.0, 4.0)
+    if kind == "G":
+        n_max, offset, holds = int(math.log(K)), upper_log_offset, event_G_holds
+    else:
+        n_max, offset, holds = barrier.log_horizon(r, K), lower_log_offset, event_L_holds
+    levels_list = [BarrierSpec(a, n_max, offset).levels() for a in heights]
+    count = 300
+    _, kmax = barrier.block_bounds(n_max)
+    x = 2.5 * GaussianStream(Seed(61)).draw(count * kmax)
+    flags = barrier._event_chunk(FixedStream(x), count, r, theta, n_max,
+                                 levels_list).reshape(count, len(heights))
+    x = x.reshape(count, kmax)
+    seen = set()
+    for i in range(count):
+        sums = _checkpoint_sums_scalar(x[i], r, theta, n_max)
+        for j, a in enumerate(heights):
+            if np.min(np.abs(sums - levels_list[j])) < 1e-9:
+                continue
+            expected = holds(x[i], r, theta, K, a)
+            assert flags[i, j] == float(expected)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_event_L_probability_band():
@@ -146,7 +178,7 @@ def test_grid_event_fft_matches_direct_angle_loop():
     # white box: the FFT evaluation of the field on the per-checkpoint
     # angle grids must reproduce a direct evaluation angle by angle
     r, n_max, A = 1.0, 3, 1.5
-    levels = _upper_levels(A, n_max)
+    levels = BarrierSpec(A, n_max, upper_log_offset).levels()
     stream = GaussianStream(Seed(2718))
     count = 16
     flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r,

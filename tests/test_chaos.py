@@ -77,6 +77,8 @@ def test_moment_validation():
         estimate_moment(-3, 0.5, 100, Seed(1))
     with pytest.raises(PreconditionError):
         coefficient_values(-1, 100, Seed(1))
+    with pytest.raises(PreconditionError):
+        coefficient_values(8, 0, Seed(1))
 
 
 def test_mean_coefficient_vanishes():
@@ -121,6 +123,15 @@ def test_circle_mean_rejects_bad_radius():
             circle_mean_closed_form(8.0, r)
         with pytest.raises(PreconditionError):
             circle_mean_mc(8.0, r, 100, Seed(1))
+
+
+def test_circle_mean_rejects_non_finite_K():
+    # the truncation degree floor(K) must be a finite integer
+    for K in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            circle_mean_closed_form(K, 0.5)
+        with pytest.raises(PreconditionError):
+            circle_mean_mc(K, 0.5, 100, Seed(1))
 
 
 def test_circle_mean_mc_matches_closed_form():

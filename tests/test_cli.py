@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 from hmchaos.cli import main
 
@@ -183,6 +184,41 @@ def test_precondition_violation_exits_3(tmp_path):
         assert main(["steinhaus", "--x", x, "--samples", "10"]) == 3
     assert main(["ff", "--mode", "moment", "--q", "7", "--N", "-1",
                  "--samples", "10"]) == 3
+    for samples in ("0", "1"):
+        assert main(["steinhaus", "--samples", samples]) == 3
+        assert main(["ff", "--mode", "moment", "--q", "3", "--N", "2",
+                     "--samples", samples]) == 3
+        assert main(["event", "--K", "20", "--r", "1", "--samples", samples]) == 3
+        assert main(["com-check", "--samples-left", samples]) == 3
+        assert main(["com-check", "--samples-right", samples]) == 3
+    assert main(["event", "--K", "inf", "--r", "1"]) == 3
+    assert main(["event", "--kind", "L", "--K", "nan", "--r", "0.99"]) == 3
+    assert main(["com-check", "--K", "inf"]) == 3
+    blocks = ["blocks", "--r", "0.98", "--theta", "0.5"]
+    for flags in (["--K", "0.5"], ["--K", "0"], ["--K", "nan"], ["--m-max", "-2"],
+                  ["--m-max", "0"]):
+        assert main(blocks + flags) == 3
+    assert main(["blocks", "--r", "0.5", "--theta", "0.5"]) == 3  # K_r < 1
+    for power in ("nan", "inf"):
+        assert main(["steinhaus", "--power", power, "--samples", "10"]) == 3
+    huge_q = str(10**18 + 3)
+    assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
+    assert main(["ff", "--mode", "counts", "--q", huge_q]) == 3
+
+
+def test_over_budget_draws_exit_3_quickly():
+    # refused before the (rows, width) block of draws is allocated
+    for argv in (["event", "--K", "1e7", "--r", "1"],
+                 ["ballot", "--n-grid", "100000000"]):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 5.0
+        assert peak < 16 * 2**20
 
 
 def test_bad_configuration_exits_2(tmp_path):

@@ -12,7 +12,7 @@ from hmchaos.numbermodels import (FFModel, SteinhausModel,
                                   ff_second_moment, irreducibles_by_degree,
                                   steinhaus_abs_moment,
                                   steinhaus_compensated_first_moment,
-                                  steinhaus_partial_sum, _structure)
+                                  steinhaus_partial_sum, _sieve, _structure)
 from hmchaos.rng import Seed, split
 
 
@@ -70,6 +70,18 @@ def test_steinhaus_validation():
     for x in (math.inf, 1e12, 10**6 + 1):
         with pytest.raises(BudgetError):
             steinhaus_abs_moment(x, 2.0, 10, Seed(1))
+    for power in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            steinhaus_abs_moment(100.0, power, 10, Seed(1))
+
+
+def test_sieve_smallest_prime_factors():
+    # sizes on both sides of perfect squares, where the marking loop stops
+    for n in (1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 960, 961, 962):
+        spf, primes = _sieve(n)
+        for m in range(2, n + 1):
+            assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
+        assert list(primes) == [m for m in range(2, n + 1) if spf[m] == m]
 
 
 def test_count_irreducibles_known_values():
@@ -192,6 +204,9 @@ def test_ff_budget_and_field_validation():
         FFModel(6, 0, Seed(1))
     with pytest.raises(PreconditionError):
         FFModel(5, -1, Seed(1))
+    # refused before trial division up to sqrt(q)
+    with pytest.raises(BudgetError):
+        FFModel(10**18 + 3, 0, Seed(1))
 
 
 def test_ff_prime_power_via_external_counts():
