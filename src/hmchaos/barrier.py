@@ -359,6 +359,8 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         raise PreconditionError("block_stats requires 0 < r < 1")
     if not K > 0.0:
         raise PreconditionError("block_stats requires K > 0")
+    if not math.isfinite(theta):
+        raise PreconditionError("block_stats requires a finite theta")
     if m_max is not None and m_max < 1:
         raise PreconditionError("block_stats requires m_max >= 1")
     log_K_r = log_horizon(r, K)

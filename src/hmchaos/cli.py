@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import barrier, chaos, numbermodels, partitions, report, series
+from . import barrier, chaos, mc, numbermodels, partitions, report, series
 from .errors import PreconditionError
 from .rng import GaussianStream, Seed, split
 
@@ -95,6 +95,8 @@ def cmd_mass(args):
 def cmd_ballot(args):
     a_grid = _parse_grid(args.a_grid)
     n_grid = _parse_grid(args.n_grid, int)
+    for n in n_grid:  # each chunk's (rows, n) draw, before any O(n) setup
+        chaos.check_field_budget(min(args.samples, mc.CHUNK_SAMPLES), n)
     rows, checks = [], []
     root = _seed(args)
     for j, n in enumerate(n_grid):

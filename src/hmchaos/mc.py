@@ -2,9 +2,11 @@
 
 Replicate i of an estimator is a pure function of split(seed, i), and work
 is cut into fixed-size spans of replicate indices, so the per-replicate
-values are identical for any worker count. Reductions run over the
-gathered array in replicate order with numpy's pairwise summation, making
-every estimate reproducible bit for bit.
+values are identical for any worker count. A span reaches its kernel as
+one lazy iterator of streams, so the kernel may stack its replicates into
+one batch, as long as each value depends only on its own stream.
+Reductions run over the gathered array in replicate order with numpy's
+pairwise summation, making every estimate reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ def check_samples(samples: int, least: int = 2) -> None:
 
 def _eval_span(task):
     fn, args, seed, start, stop, stream_cls = task
-    return np.asarray([fn(stream_cls(split(seed, i)), *args) for i in range(start, stop)])
+    streams = (stream_cls(split(seed, i)) for i in range(start, stop))
+    values = np.asarray(fn(streams, *args))
+    if values.shape != (stop - start,):
+        raise RuntimeError(f"{fn.__name__} returned {values.shape} values for "
+                           f"{stop - start} replicates")
+    return values
 
 
 def _eval_chunk(task):
@@ -72,9 +79,12 @@ def _run_tasks(runner, tasks, workers):
 
 def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1,
                    stream_cls=GaussianStream) -> np.ndarray:
-    """values[i] = fn(stream_cls(split(seed, i)), *args) for i in 0..samples-1.
+    """values[start:stop] = fn(streams, *args) for each span [start, stop).
 
-    fn must be a module-level callable (it is pickled when workers > 1).
+    streams lazily yields stream_cls(split(seed, i)) for i = start..stop-1,
+    and fn returns exactly one value per stream, in order; value i must
+    depend on stream i alone. Spans hold REPLICATE_SPAN replicates. fn must
+    be a module-level callable (it is pickled when workers > 1).
     """
     check_samples(samples, 1)
     tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples), stream_cls)

@@ -60,11 +60,11 @@ def _row_values(angles, table):
     return np.exp(1j * np.add.reduceat(exp * angles[idx], indptr[:-1]))
 
 
-def _replicate(stream, model, size, statistic, power):
-    """One replicate: `statistic` (a methodcaller) of a model drawn from
-    `stream`, as |value|**power, or the complex value when power is None."""
-    value = statistic(model.from_stream(*size, stream))
-    return value if power is None else abs(value) ** power
+def _replicates(streams, model, size, statistic, power):
+    """One value per stream: `statistic` (a methodcaller) of a model drawn
+    from it, as |value|**power, or the complex value when power is None."""
+    values = [statistic(model.from_stream(*size, stream)) for stream in streams]
+    return values if power is None else [abs(value) ** power for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,8 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     if not math.isfinite(power):
         raise PreconditionError("the moment power must be finite")
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicate, (SteinhausModel, (x,),
-                                            methodcaller("partial_sum"), power),
+    values = mc.map_replicates(_replicates, (SteinhausModel, (x,),
+                                             methodcaller("partial_sum"), power),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, power / 2.0, seed)
 
@@ -410,7 +410,7 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicate, (FFModel, (q, N), methodcaller("A", N), 2),
+    values = mc.map_replicates(_replicates, (FFModel, (q, N), methodcaller("A", N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, 1.0, seed)
 
@@ -418,5 +418,5 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
 def ff_X_values(q: int, k: int, samples: int, seed: Seed,
                 workers: int = 1) -> np.ndarray:
     """Replicate draws of X(k), for mean/variance sanity checks."""
-    return mc.map_replicates(_replicate, (FFModel, (q, k), methodcaller("X", k), None),
+    return mc.map_replicates(_replicates, (FFModel, (q, k), methodcaller("X", k), None),
                              seed, samples, workers, stream_cls=UnitCircleStream)

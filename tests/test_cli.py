@@ -199,6 +199,8 @@ def test_precondition_violation_exits_3(tmp_path):
                   ["--m-max", "0"]):
         assert main(blocks + flags) == 3
     assert main(["blocks", "--r", "0.5", "--theta", "0.5"]) == 3  # K_r < 1
+    for theta in ("inf", "nan"):
+        assert main(["blocks", "--r", "0.98", "--theta", theta]) == 3
     for power in ("nan", "inf"):
         assert main(["steinhaus", "--power", power, "--samples", "10"]) == 3
     huge_q = str(10**18 + 3)
@@ -207,9 +209,16 @@ def test_precondition_violation_exits_3(tmp_path):
 
 
 def test_over_budget_draws_exit_3_quickly():
-    # refused before the (rows, width) block of draws is allocated
-    for argv in (["event", "--K", "1e7", "--r", "1"],
-                 ["ballot", "--n-grid", "100000000"]):
+    # refused before the (rows, width) block of draws is allocated; the
+    # ballot's chunk is checked before its O(n) level and variance setup,
+    # and a chaos degree before its N + 1 inputs are drawn
+    for argv, limit in ((["event", "--K", "1e7", "--r", "1"], 5.0),
+                        (["ballot", "--n-grid", "100000000"], 5.0),
+                        (["ballot", "--n-grid", "10000000"], 1.0),
+                        (["moment", "--N", "100000000"], 5.0),
+                        (["sample", "--N", "100000000"], 5.0),
+                        (["decay", "--n-grid", "100000000", "--samples-per", "2"], 5.0),
+                        (["series-selftest", "--degree", "100000000"], 5.0)):
         tracemalloc.start()
         start = time.perf_counter()
         code = main(argv)
@@ -217,7 +226,7 @@ def test_over_budget_draws_exit_3_quickly():
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert code == 3
-        assert elapsed < 5.0
+        assert elapsed < limit
         assert peak < 16 * 2**20
 
 

@@ -69,6 +69,13 @@ def test_exp_of_z(engine):
 
 
 @pytest.mark.parametrize("engine", ["recurrence", "auto"])
+def test_exp_of_integer_input_is_not_truncated(engine):
+    out = exp_array(np.array([0, 1]), 4, engine)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - [1, 1, 0.5, 1 / 6, 1 / 24])) < 1e-15
+
+
+@pytest.mark.parametrize("engine", ["recurrence", "auto"])
 def test_exp_quadratic_coefficient_closed_form(engine):
     # With input x1*z + (x2/sqrt(2))*z^2 the z^2 coefficient is x1^2/2 + x2/sqrt(2)
     x1, x2 = 0.3 - 0.7j, -1.1 + 0.2j
@@ -162,6 +169,31 @@ def test_relaxed_engine_above_the_leaf(degree):
         fast = exp_array(values, degree)
         assert fast.dtype == values.dtype
         assert np.max(np.abs(fast - exp_array(values, degree, "recurrence"))) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("degree", [0, 1, 383, 384, 1000, 4096])
+def test_stacked_exp_equals_row_by_row(rows, degree):
+    stack = np.stack([chaos_series(1000 * degree + i, degree) for i in range(rows)])
+    engines = ("auto", "recurrence") if degree <= 1000 else ("auto",)
+    for values in (stack, stack.real.copy()):
+        for engine in engines:
+            out = exp_array(values, degree, engine)
+            assert out.shape == values.shape and out.dtype == values.dtype
+            ones = [exp_array(row, degree, engine) for row in values]
+            assert out.tobytes() == np.stack(ones).tobytes()
+            # any sub-batch gives the same rows
+            for part in (slice(1, 3), slice(None, None, 7)):
+                if values[part].size:
+                    assert (exp_array(values[part], degree, engine).tobytes()
+                            == out[part].tobytes())
+
+
+def test_exp_rejects_nonzero_constant_term_in_any_row():
+    stack = np.stack([chaos_series(1, 8), chaos_series(2, 8)])
+    stack[1, 0] = 0.5
+    with pytest.raises(PreconditionError):
+        exp_array(stack, 8)
 
 
 def test_exp_rejects_unknown_engine():
