@@ -11,7 +11,8 @@ evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 the Parseval power sum, and tabulates the (log N)^{1/4}-compensated first
 moment over a grid of N. The moment and circle-average kernels take a
 span of replicates at a time and stack them into blocks of at most
-EXP_BLOCK values, one exp_array call per block.
+EXP_BLOCK values of exp_array's working width, one exp_array call per
+block.
 
 It is also the one home of the field that the barrier and partition
 kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
@@ -32,17 +33,15 @@ from . import mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
 from .rng import GaussianStream, Seed, split
-from .series import ComplexSeries, exp_array, parseval_power_sum
+from .series import FIELD_BUDGET, ComplexSeries, exp_array, exp_width, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
 _TAIL_RELATIVE = 1e-9
-# Cap on the values of one (rows, width) block of draws, checked before it is
-# drawn: 256 MiB as complex128, about 1 GiB with the Box-Muller temporaries.
-FIELD_BUDGET = 2**24
-# Cap on the values of one row-stacked exp call, rows x (N+1). A block's rows
-# share each step of the exp leaf loop, so a bigger block is faster and
-# costs peak memory (at 2^15 the chaos-mc benchmark ran 63% faster at +2.9%
-# peak RSS on a 2-core Xeon).
+# Cap on the values of one row-stacked exp call, rows x exp_width(N). Below
+# EXP_LEAF a block's rows share each step of the recurrence, so a bigger
+# block is faster and costs peak memory (at 2^15 the chaos-mc benchmark ran
+# 63% faster at +2.9% peak RSS on a 2-core Xeon); above it each row runs on
+# its own circle of M points.
 EXP_BLOCK = 2**15
 
 
@@ -120,19 +119,19 @@ def sample_A(N: int, K: float, stream: GaussianStream) -> ChaosSample:
     """
     if N < 0 or not K >= 1:
         raise PreconditionError("sample_A requires N >= 0 and K >= 1")
-    coeffs = exp_array(_input_series(stream, N, K), N)
-    coeffs[0] = 1.0
+    coeffs = _exp_rows([stream], N, K, lambda row: row)[0]
     return ChaosSample(N=N, K=float(K), coeffs=ComplexSeries(coeffs), seed=stream.seed)
 
 
 def _exp_rows(streams, N: int, K: float, statistic) -> list:
     """statistic(row) for each row of exp of the streams' input series.
 
-    The rows run to degree N in blocks of EXP_BLOCK // (N + 1) streams (at
-    least one), one exp_array call per block.
+    The rows run to degree N in blocks of EXP_BLOCK // exp_width(N) streams
+    (at least one), one exp_array call per block; exp_width refuses a width
+    above FIELD_BUDGET before anything is drawn.
     """
     streams = iter(streams)
-    rows = max(1, EXP_BLOCK // (N + 1))
+    rows = max(1, EXP_BLOCK // exp_width(N))
     values = []
     while len(block := _input_rows(streams, N, K, rows)):
         values += map(statistic, exp_array(block, N))
@@ -280,6 +279,8 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed,
 
 def theorem_band_factor(N: int, q: float) -> float:
     """((1-q) sqrt(log N) + 1)^q, the reciprocal of the moment's target scale."""
+    if not N >= 1:
+        raise PreconditionError(f"theorem_band_factor requires N >= 1, got {N}")
     return ((1.0 - q) * math.sqrt(math.log(N)) + 1.0) ** q
 
 

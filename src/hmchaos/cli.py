@@ -44,7 +44,7 @@ def _require(args, *names):
 def cmd_sample(args):
     _require(args, "N")
     stream = GaussianStream(_seed(args))
-    K = args.K if args.K is not None else float(args.N)
+    K = args.K if args.K is not None else float(max(args.N, 1))
     draw = chaos.sample_A(args.N, K, stream)
     rows = [(n, float(draw.coeffs.coeffs[n].real), float(draw.coeffs.coeffs[n].imag))
             for n in range(args.N + 1)]
@@ -53,9 +53,10 @@ def cmd_sample(args):
 
 def cmd_moment(args):
     _require(args, "N")
+    band = chaos.theorem_band_factor(args.N, args.q)  # refuses N < 1 before sampling
     est = chaos.estimate_moment(args.N, args.q, args.samples, _seed(args),
                                 workers=args.workers)
-    comp = est.mean * chaos.theorem_band_factor(args.N, args.q)
+    comp = est.mean * band
     rows = [(args.N, args.q, est.samples, est.mean, est.std_error, comp, str(est.seed))]
     # reference constant for lower-bound comparisons: E|Z|^{2q} of a unit
     # complex Gaussian; lands in the manifest next to the run config
@@ -257,6 +258,7 @@ def cmd_ff(args):
 
 def cmd_series_selftest(args):
     rows, checks = [], []
+    series.check_recurrence_budget(args.degree)  # before the inputs are drawn
     stream = GaussianStream(_seed(args))
     s = chaos._input_series(stream, args.degree, float(args.degree))
     slow = series.exp_array(s, args.degree, engine="recurrence")

@@ -203,6 +203,8 @@ def test_precondition_violation_exits_3(tmp_path):
         assert main(["blocks", "--r", "0.98", "--theta", theta]) == 3
     for power in ("nan", "inf"):
         assert main(["steinhaus", "--power", power, "--samples", "10"]) == 3
+    assert main(["series-selftest", "--degree", "-1"]) == 3
+    assert main(["moment", "--N", "0", "--q", "0.5", "--samples", "2"]) == 3
     huge_q = str(10**18 + 3)
     assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
     assert main(["ff", "--mode", "counts", "--q", huge_q]) == 3
@@ -211,14 +213,18 @@ def test_precondition_violation_exits_3(tmp_path):
 def test_over_budget_draws_exit_3_quickly():
     # refused before the (rows, width) block of draws is allocated; the
     # ballot's chunk is checked before its O(n) level and variance setup,
-    # and a chaos degree before its N + 1 inputs are drawn
+    # and a chaos degree before its N + 1 inputs are drawn; the quadratic
+    # recurrence before its first step, and the exp circle before its buffer
     for argv, limit in ((["event", "--K", "1e7", "--r", "1"], 5.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
                         (["ballot", "--n-grid", "10000000"], 1.0),
                         (["moment", "--N", "100000000"], 5.0),
                         (["sample", "--N", "100000000"], 5.0),
                         (["decay", "--n-grid", "100000000", "--samples-per", "2"], 5.0),
-                        (["series-selftest", "--degree", "100000000"], 5.0)):
+                        (["series-selftest", "--degree", "100000000"], 5.0),
+                        (["series-selftest", "--degree", "200000"], 5.0),
+                        (["moment", "--N", "5000000", "--samples", "2"], 5.0),
+                        (["sample", "--N", "5000000"], 5.0)):
         tracemalloc.start()
         start = time.perf_counter()
         code = main(argv)
@@ -308,3 +314,10 @@ def test_sample_deterministic(tmp_path):
     # K at or above N (infinity included) is the untruncated model
     _, c = run_csv(tmp_path, "s3", argv + ["--K", "inf"])
     assert c == a
+
+
+def test_sample_of_degree_zero_is_one(tmp_path):
+    # --K defaults to max(N, 1), so N = 0 samples the constant coefficient
+    code, text = run_csv(tmp_path, "s0", ["sample", "--N", "0"])
+    assert code == 0
+    assert text.splitlines() == ["n,re,im", "0,1.0,0.0"]

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hmchaos import chaos, mc
+from hmchaos import chaos, mc, series
 from hmchaos.chaos import (EXP_BLOCK, circle_average_moment, circle_average_sample,
                            coefficient_values, estimate_moment)
 from hmchaos.rng import GaussianStream, Seed, split
-from hmchaos.series import exp_array
+from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
 SPANS = []
 
@@ -43,11 +43,12 @@ def _scalar_coefficient(N, seed, i):
     return exp_array(chaos._input_series(stream, N, float(N)), N)[N]
 
 
-@pytest.mark.parametrize("N", [64, 400])
+@pytest.mark.parametrize("N", [64, 400, EXP_LEAF + 48])
 def test_batched_coefficients_equal_the_scalar_oracle(N):
-    # samples cross a span boundary, and every block boundary inside it
-    rows = EXP_BLOCK // (N + 1)
-    assert rows < mc.REPLICATE_SPAN
+    # samples cross a span boundary, and every block boundary inside it; the
+    # last N runs on the circle, EXP_BLOCK // M rows per block
+    rows = EXP_BLOCK // exp_width(N)
+    assert 1 < rows < mc.REPLICATE_SPAN
     samples = mc.REPLICATE_SPAN + 9
     seed = Seed(N)
     oracle = np.array([_scalar_coefficient(N, seed, i) for i in range(samples)])
@@ -56,6 +57,39 @@ def test_batched_coefficients_equal_the_scalar_oracle(N):
         est = estimate_moment(N, q, samples, seed)
         ref = mc.from_values([abs(v) ** (2.0 * q) for v in oracle], q, seed)
         assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+
+def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
+    # at N = 1536 the size rule leaves M/N at 5.3, and about one chaos row in
+    # six fails its error estimate on M points. With the recurrence out of
+    # reach (RECURRENCE_REDO and RECURRENCE_BUDGET at 0, as past degree
+    # 65535) each such row is redone on 2M, so the estimate completes, every
+    # value keeps the bits of its own 1-D call, and the values stay within
+    # 1e-12 of the oracle's
+    N, samples, seed = 1536, mc.REPLICATE_SPAN + 9, Seed(1536)
+    assert N >= EXP_LEAF and EXP_BLOCK // exp_width(N) > 1
+    row_exp, seen = series._circle_row, []
+
+    def spy(row, degree, buf):
+        coeffs, err = row_exp(row, degree, buf)
+        seen.append((buf.size, err))
+        return coeffs, err
+
+    monkeypatch.setattr(series, "_circle_row", spy)
+    monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
+    monkeypatch.setattr(series, "RECURRENCE_BUDGET", 0)
+    values = coefficient_values(N, samples, seed)
+    est = estimate_moment(N, 0.5, samples, seed)
+    retried = sum(err > series.EXP_TOLERANCE for _, err in seen)
+    assert 0 < retried < len(seen) // 4
+    assert {size for size, _ in seen} == {exp_width(N), 2 * exp_width(N)}
+    scalar = np.array([_scalar_coefficient(N, seed, i) for i in range(samples)])
+    assert values.tobytes() == scalar.tobytes()
+    assert est.mean == mc.from_values([abs(v) for v in scalar], 0.5, seed).mean
+    monkeypatch.undo()
+    oracle = [exp_array(chaos._input_series(GaussianStream(split(seed, i)), N, float(N)),
+                        N, "recurrence")[N] for i in range(samples)]
+    assert np.max(np.abs(values - oracle)) < 1e-12
 
 
 def test_batched_circle_averages_equal_the_scalar_oracle():

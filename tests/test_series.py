@@ -4,11 +4,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hmchaos.errors import PreconditionError
+from hmchaos import series
+from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.rng import GaussianStream, Seed
-from hmchaos.series import (EXP_LEAF, ComplexSeries, exp_array, exp_series, multiply,
-                            parseval_power_sum, rankin_bound,
+from hmchaos.series import (EXP_LEAF, EXP_TOLERANCE, ComplexSeries, exp_array, exp_series,
+                            multiply, parseval_power_sum, rankin_bound,
                             smooth_partition_weight)
 
 
@@ -187,6 +190,144 @@ def test_stacked_exp_equals_row_by_row(rows, degree):
                 if values[part].size:
                     assert (exp_array(values[part], degree, engine).tobytes()
                             == out[part].tobytes())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(degree=st.integers(0, EXP_LEAF - 1) | st.integers(EXP_LEAF, 3 * EXP_LEAF),
+       rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+@example(degree=EXP_LEAF - 1, rows=4, seed=0, real=False)
+@example(degree=EXP_LEAF, rows=4, seed=0, real=True)
+@example(degree=3 * EXP_LEAF, rows=3, seed=1, real=False)
+def test_exp_stacks_and_agrees_with_the_recurrence(degree, rows, seed, real):
+    stack = np.stack([chaos_series(seed + i, degree) for i in range(rows)])
+    if real:
+        stack = stack.real.copy()
+    out = exp_array(stack, degree)
+    assert out.dtype == stack.dtype
+    assert out.tobytes() == np.stack([exp_array(row, degree) for row in stack]).tobytes()
+    oracle = exp_array(stack, degree, "recurrence")
+    assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+def circle(row, degree, times=1):
+    # exp of row on times * M points, and its error estimate
+    size = times * series._circle_size(degree)
+    return series._circle_row(row, degree, np.empty(size, dtype=complex))
+
+
+def test_circle_row_over_the_bound_is_redone_by_the_recurrence_or_a_wider_circle(monkeypatch):
+    # a chaos row scaled by 1.6 has more RMS on the circle than the size rule
+    # assumes: its estimate fails on M points. Below RECURRENCE_REDO the row
+    # is the oracle's; past it (here at 0) it is the 2M circle's, which meets
+    # the bound, and a row after it in the stack runs on a prefix of the
+    # wider buffer and keeps its bits
+    degree = EXP_LEAF
+    row, other = 1.6 * chaos_series(5, degree), chaos_series(6, degree)
+    narrow, err = circle(row, degree)
+    assert err > EXP_TOLERANCE
+    oracle = exp_array(row, degree, "recurrence")
+    assert exp_array(row, degree).tobytes() == oracle.tobytes() != narrow.tobytes()
+    stack = np.stack([other, row, other])
+    assert exp_array(stack, degree)[1].tobytes() == oracle.tobytes()
+    monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
+    wide, err = circle(row, degree, 2)
+    assert err <= EXP_TOLERANCE
+    out = exp_array(row, degree)
+    assert out.tobytes() == wide.tobytes() != narrow.tobytes()
+    assert np.max(np.abs(out - oracle)) < 1e-12
+    alone = exp_array(other, degree)
+    assert exp_array(stack, degree).tobytes() == np.stack([alone, out, alone]).tobytes()
+
+
+@pytest.mark.parametrize("degree", [EXP_LEAF, 2047, 4095])
+def test_chaos_rows_mostly_stay_on_the_circle(degree):
+    # the size rule's M is where the error model meets the bound at the
+    # chaos input's mean RMS, so few rows need a wider circle (1-3% measured
+    # at M/N = 8); at 2047 and 4095 that is twice the least power of two
+    # >= 4(degree+1)
+    size = series._circle_size(degree)
+    buf = np.empty(size, dtype=complex)
+    errors = [series._circle_row(chaos_series(900 + i, degree), degree, buf)[1]
+              for i in range(40)]
+    assert sum(err > EXP_TOLERANCE for err in errors) <= 4
+
+
+def test_circle_rounding_estimate_counts(monkeypatch):
+    # exp(6 z): RMS|exp S| on the circle is about 137, so the rounding part
+    # alone exceeds the bound on M points, while the coefficients in
+    # [M/4, M/2) vanish; on 2M points r^{-D} is 8 times smaller
+    s = np.zeros(EXP_LEAF + 1)
+    s[1] = 6.0
+    assert circle(s, EXP_LEAF)[1] > EXP_TOLERANCE
+    oracle = exp_array(s, EXP_LEAF, "recurrence")
+    assert exp_array(s, EXP_LEAF).tobytes() == oracle.tobytes()
+    monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
+    wide, err = circle(s, EXP_LEAF, 2)
+    assert err <= EXP_TOLERANCE
+    out = exp_array(s, EXP_LEAF)  # real in, real out
+    assert out.tobytes() == wide.real.tobytes()
+    assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+def test_circle_aliasing_estimate_counts(monkeypatch):
+    # exp(4.5 z^D) has coefficients 4.5^m/m! at z^{mD}, largest at m = 3..4:
+    # the ones in [M/4, M/2) push the row's estimate over the bound on M and
+    # on 2M points, though its rounding part alone (RMS about 33) stays
+    # under it; on 4M points [M, 2M) holds only m >= 8
+    degree = EXP_LEAF
+    s = np.zeros(degree + 1)
+    s[degree] = 4.5
+    assert circle(s, degree)[1] > EXP_TOLERANCE
+    oracle = exp_array(s, degree, "recurrence")
+    assert exp_array(s, degree).tobytes() == oracle.tobytes()
+    monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
+    assert circle(s, degree, 2)[1] > EXP_TOLERANCE
+    wide, err = circle(s, degree, 4)
+    assert err <= EXP_TOLERANCE
+    out = exp_array(s, degree)
+    assert out.tobytes() == wide.real.tobytes()
+    assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+def test_circle_row_over_the_bound_is_refused_past_the_recurrence_budget(monkeypatch):
+    # exp(40 z): |exp S| reaches e^40 on the circle, so no circle of M, 2M or
+    # 4M points meets the bound; the recurrence redoes the row, and past its
+    # budget the row is refused, never returned
+    s = np.zeros(EXP_LEAF + 1)
+    s[1] = 40.0
+    assert all(circle(s, EXP_LEAF, times)[1] > EXP_TOLERANCE for times in (1, 2, 4))
+    monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
+    assert exp_array(s, EXP_LEAF).tobytes() == exp_array(s, EXP_LEAF, "recurrence").tobytes()
+    monkeypatch.setattr(series, "RECURRENCE_BUDGET", 0)
+    with pytest.raises(BudgetError):
+        exp_array(np.stack([chaos_series(1, EXP_LEAF), s]), EXP_LEAF)
+    exp_array(chaos_series(1, EXP_LEAF), EXP_LEAF)  # a row within the bound runs
+
+
+@pytest.mark.parametrize("panels", [1, 2, 8, 64])
+def test_four_step_is_the_fft_in_panel_order(panels):
+    # spectrum index p + P q sits at grid[p, q]; the inverse undoes it. At 64
+    # panels, twiddles from one running product over all rows were 47 eps
+    # sqrt(M) off; taken afresh every TWIDDLE_RUN rows they stay near 16
+    size = panels * series.CIRCLE_PANEL
+    x = random_series(50 + panels, size - 1)
+    buf = x.copy()
+    series._four_step(buf)
+    spectrum = np.fft.fft(x).reshape(-1, panels).T
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(buf.reshape(panels, -1) - spectrum)) < 24 * eps * np.sqrt(size)
+    series._four_step(buf, inverse=True)
+    assert np.max(np.abs(buf - x)) < 1e-14
+
+
+def test_exp_refuses_a_negative_degree_and_over_budget_work():
+    for engine in ("auto", "recurrence"):
+        with pytest.raises(PreconditionError):
+            exp_array(chaos_series(1, 8), -1, engine)
+    with pytest.raises(BudgetError):
+        exp_array(np.zeros(2), 200_000, "recurrence")
+    with pytest.raises(BudgetError):
+        exp_array(np.zeros(2), 5_000_000)
 
 
 def test_exp_rejects_nonzero_constant_term_in_any_row():
