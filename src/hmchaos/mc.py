@@ -12,6 +12,7 @@ pairwise summation, making every estimate reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -71,7 +72,10 @@ def _eval_chunk(task):
 
 
 def _run_tasks(runner, tasks, workers):
-    if workers <= 1 or len(tasks) == 1:
+    # a pool starts all its workers at once, so never more than there are
+    # tasks or cores; results do not depend on the worker count
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [runner(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(runner, tasks))

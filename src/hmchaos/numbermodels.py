@@ -17,12 +17,14 @@ which also equals exp(sum_k X(k) z^k / sqrt(k)) for
 
 tying the model to the Gaussian chaos coefficients as q grows.
 
-With f(P) = exp(i theta_P), both models sum exp(i sum e theta_P) over the
-rows prod P^e of a CSR factorization table, evaluated by one kernel. The
-integer table is peeled from a smallest-prime-factor sieve (floor(x) <=
-10^6); the F_q[t] tables come from the Mobius counts, for any prime power q
-(q^N <= 10^7 rows). Tables are cached and shared read-only. Irreducibles
-found by budgeted trial division over prime fields check the counts.
+A monic irreducible P is a prime of norm q^{deg P}, so both models are
+the products of primes of norm <= a bound, listed once as a factor tree in
+Omega order: each row is its parent row times one prime, and one
+gather-multiply per level gives f on every row. The integer tree grows
+from a boolean prime sieve (floor(x) <= 10^6); the F_q[t] tree from the
+Mobius counts, for any prime power q (sum_{n<=N} q^n <= 10^7 rows). Trees
+are cached and shared read-only. Irreducibles found by budgeted trial
+division over prime fields check the counts.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .rng import Seed, UnitCircleStream
 
 ENUMERATION_BUDGET = 10**7
 # Cap on floor(x), checked before the sieve allocates: building the integer
-# table for 10**6 peaks at about 210 MiB, so 10**7 would need over 2 GiB.
+# tree for 10**6 peaks at 46 MiB (tracemalloc), so 10**7 would need about 460 MiB.
 SIEVE_BUDGET = 10**6
 # Cap on the trial divisions of the brute-force irreducible lists (admits
 # q = 3 up to degree 8 and q = 5 up to degree 6) and of the prime-power test
@@ -50,21 +52,55 @@ SIEVE_BUDGET = 10**6
 TRIAL_DIVISION_BUDGET = 10**6
 
 
-def _row_values(angles, table):
-    """exp(i sum e theta_P) for every row prod P^e of a CSR table (idx, exp, indptr).
+def _factor_tree(norms, bound: int):
+    """Every product of primes of norm <= bound, as a tree in Omega order.
 
-    Every row must be non-empty: reduceat returns an element, not 0, on an
-    empty row, so callers add the empty factorization themselves.
+    `norms` lists the primes' norms in ascending order. Row 0 is the empty
+    product (parent and factor 0, so it takes every prime); a row of norm m
+    whose last prime has index j has one child for each prime i >= j with
+    m * norms[i] <= bound, so every product appears once. Returns
+    (parent, factor, levels) and each row's norm: level k (the products of k
+    primes) is rows levels[k]:levels[k + 1], and row r > 0 is row parent[r]
+    times prime factor[r]. Each level is one np.repeat.
     """
-    idx, exp, indptr = table
-    return np.exp(1j * np.add.reduceat(exp * angles[idx], indptr[:-1]))
+    root = np.zeros(1, np.int64)
+    parent, factor, norm, levels = [root], [root], [root + 1], [0, 1]
+    while True:
+        last, size = factor[-1], norm[-1]
+        counts = np.maximum(np.searchsorted(norms, bound // size, "right") - last, 0)
+        total = int(counts.sum())
+        if not total:
+            break
+        # child c of the level's row `owner` takes prime last[owner] + c
+        owner = np.repeat(np.arange(counts.size), counts)
+        child = np.arange(total) - (np.cumsum(counts) - counts)[owner]
+        parent.append(levels[-2] + owner)
+        factor.append(last[owner] + child)
+        norm.append(size[owner] * norms[factor[-1]])
+        levels.append(levels[-1] + total)
+    return (np.concatenate(parent), np.concatenate(factor), np.array(levels)), \
+        np.concatenate(norm)
+
+
+def _tree_values(angles, tree):
+    """f on every row of a factor tree, for f(prime i) = exp(i angles[i])."""
+    parent, factor, levels = tree
+    primes = np.exp(1j * angles)
+    values = np.empty(parent.size, dtype=np.complex128)
+    values[0] = 1.0
+    for a, b in zip(levels[1:-1], levels[2:]):
+        values[a:b] = values[parent[a:b]] * primes[factor[a:b]]
+    return values
 
 
 def _replicates(streams, model, size, statistic, power):
     """One value per stream: `statistic` (a methodcaller) of a model drawn
     from it, as |value|**power, or the complex value when power is None."""
     values = [statistic(model.from_stream(*size, stream)) for stream in streams]
-    return values if power is None else [abs(value) ** power for value in values]
+    try:
+        return values if power is None else [abs(value) ** power for value in values]
+    except OverflowError:
+        raise PreconditionError(f"|value|**{power} overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -82,41 +118,19 @@ def _cutoff(x) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _sieve(n: int):
-    """Smallest-prime-factor table and prime list up to n (shared, read-only)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == 0:
-            view = spf[i::i]
-            view[view == 0] = i
-    # every composite has a prime factor <= isqrt(n); the rest are primes
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    primes = np.flatnonzero(spf == np.arange(n + 1))
-    primes = primes[primes >= 2]
-    return spf, primes
+    """The primes up to n, from a boolean sieve (shared, read-only)."""
+    composite = np.zeros(n + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+    return np.flatnonzero(~composite)
 
 
 @functools.lru_cache(maxsize=16)
-def _integer_table(n: int):
-    """CSR factor table of 2..n (row r factors r + 2), shared read-only.
-
-    Each pass of the peel divides every unfinished number m by its smallest
-    prime factor p and records the key m * (n + 1) + p; sorted, the keys
-    run through each row's primes in order, and a key's count is the
-    exponent.
-    """
-    spf, primes = _sieve(n)
-    number = rem = np.arange(2, n + 1)
-    keys = [number[:0]]
-    while rem.size:
-        p = spf[rem]
-        keys.append(number * (n + 1) + p)
-        live = rem > p
-        number, rem = number[live], rem[live] // p[live]
-    keys, exp = np.unique(np.concatenate(keys), return_counts=True)
-    number, factor = np.divmod(keys, n + 1)
-    indptr = np.searchsorted(number, np.arange(2, n + 2))
-    return np.searchsorted(primes, factor), exp.astype(np.float64), indptr
+def _integer_tree(n: int):
+    """Factor tree of 1..n (each row's norm is its integer), shared read-only."""
+    return _factor_tree(_sieve(n), n)
 
 
 @dataclass(frozen=True)
@@ -134,13 +148,15 @@ class SteinhausModel:
     @classmethod
     def from_stream(cls, x: float, stream: UnitCircleStream) -> "SteinhausModel":
         """The model whose prime angles are the next draws of `stream`."""
-        _, primes = _sieve(_cutoff(x))
+        primes = _sieve(_cutoff(x))
         return cls(float(x), np.angle(stream.draw(primes.size)), stream.seed)
 
     def f_values(self) -> np.ndarray:
         """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
-        rows = _row_values(self.angles, _integer_table(_cutoff(self.x)))
-        return np.concatenate(([0.0, 1.0], rows))
+        tree, norm = _integer_tree(_cutoff(self.x))
+        f = np.zeros(norm.size + 1, dtype=np.complex128)
+        f[norm] = _tree_values(self.angles, tree)
+        return f
 
     def partial_sum(self) -> complex:
         return complex(np.sum(self.f_values()[1:]))
@@ -277,40 +293,26 @@ def brute_force_irreducible_count(q: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _structure(q: int, max_degree: int):
-    """Irreducible degrees (global order) and factorization tables per degree.
+    """Irreducible degrees (global order) and the factor tree of F_q[t].
 
-    For each degree n <= max_degree, every monic polynomial of degree n
-    appears exactly once as a multiset of irreducibles; the table stores
-    the (irreducible index, exponent) pairs in CSR form. Only the degree of
-    each irreducible enters the tables, so the Mobius counts build them for
-    any prime power q. Built once and shared read-only.
+    An irreducible of degree d is a prime of norm q^d, so the tree's rows of
+    norm q^n are the monic polynomials of degree n, each once as a multiset
+    of irreducibles. Only the degrees enter the tree, so the Mobius counts
+    build it for any prime power q. Its rows, sum_{n<=N} q^n, are budgeted
+    before anything is built. Built once and shared read-only.
     """
-    if q ** max(max_degree, 0) > ENUMERATION_BUDGET:
-        raise BudgetError(f"enumeration budget q^N <= {ENUMERATION_BUDGET} exceeded")
+    if not q >= 2:
+        raise PreconditionError("FFModel requires a prime power q >= 2")
+    rows = 0
+    for n in range(max_degree + 1):   # stops within log_q(budget) + 1 steps
+        rows += q**n
+        if rows > ENUMERATION_BUDGET:
+            raise BudgetError(f"enumeration budget sum_(n<=N) q^n <= {ENUMERATION_BUDGET} "
+                              "exceeded")
     counts = [count_irreducibles(q, d) for d in range(1, max_degree + 1)]
     degrees = np.repeat(np.arange(1, max_degree + 1, dtype=np.int64), counts)
-    rows = {n: [] for n in range(max_degree + 1)}
-
-    def rec(start, remaining, acc):
-        rows[max_degree - remaining].append(tuple(acc))
-        for i in range(start, degrees.size):
-            d = int(degrees[i])
-            if d > remaining:
-                break
-            e = 1
-            while e * d <= remaining:
-                rec(i + 1, remaining - e * d, acc + [(i, e)])
-                e += 1
-
-    rec(0, max_degree, [])
-    tables = {}
-    for n, entries in rows.items():
-        assert len(entries) == q**n
-        pairs = np.array([pair for row in entries for pair in row], dtype=np.int64)
-        pairs = pairs.reshape(-1, 2).T.copy()
-        indptr = np.cumsum([0] + [len(row) for row in entries], dtype=np.int64)
-        tables[n] = (pairs[0], pairs[1].astype(np.float64), indptr)
-    return degrees, tables
+    powers = np.array([q**n for n in range(max_degree + 1)], dtype=np.int64)
+    return degrees, *_factor_tree(powers[degrees], q**max_degree)
 
 
 class FFModel:
@@ -333,8 +335,8 @@ class FFModel:
     def _draw(self, q, N, stream):
         if N < 0:
             raise PreconditionError("FFModel requires N >= 0")
-        # the q^N budget first: the prime-power test trial-divides up to sqrt(q)
-        self.degrees, self._tables = _structure(q, N)
+        # the row budget first: the prime-power test trial-divides up to sqrt(q)
+        self.degrees, self._tree, self._norm = _structure(q, N)
         if _prime_power_base(q) is None:
             raise PreconditionError("FFModel requires a prime power q >= 2")
         self.q, self.N, self.seed = q, N, stream.seed
@@ -344,28 +346,24 @@ class FFModel:
         """f(P) for every irreducible, in the global (degree, lex) order."""
         return np.exp(1j * self.angles)
 
+    @functools.cached_property
+    def _values(self):
+        return _tree_values(self.angles, self._tree)
+
     def A(self, n: int) -> complex:
         """q^{-n/2} sum over monic F of degree n of f(F), by direct enumeration."""
         if not 0 <= n <= self.N:
             raise PreconditionError("A(n) needs 0 <= n <= N")
-        if n == 0:
-            return complex(1.0)
-        rows = _row_values(self.angles, self._tables[n])
+        rows = self._values[self._norm == self.q**n]
         return complex(self.q ** (-n / 2.0) * np.sum(rows))
 
     def X(self, k: int) -> complex:
         """(sqrt(k)/q^{k/2}) sum_{deg(P) | k} f(P)^{k/deg P} / (k/deg P)."""
         if not 1 <= k <= self.N:
             raise PreconditionError("X(k) needs 1 <= k <= N")
-        # one pairwise sum per degree d | k: summing all terms at once moves
-        # X, and the printed series errors, in the last bits
-        total = complex(0.0)
-        for d in range(1, k + 1):
-            if k % d:
-                continue
-            rep = k // d
-            mask = self.degrees == d
-            total += np.sum(np.exp(1j * rep * self.angles[mask])) / rep
+        mask = k % self.degrees == 0
+        rep = k // self.degrees[mask]
+        total = np.sum(np.exp(1j * rep * self.angles[mask]) / rep)
         return complex(math.sqrt(k) / self.q ** (k / 2.0) * total)
 
     def euler_product_series(self, degree: int) -> np.ndarray:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import time
 import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmchaos.cli import main
 
@@ -201,7 +206,7 @@ def test_precondition_violation_exits_3(tmp_path):
     assert main(["blocks", "--r", "0.5", "--theta", "0.5"]) == 3  # K_r < 1
     for theta in ("inf", "nan"):
         assert main(["blocks", "--r", "0.98", "--theta", theta]) == 3
-    for power in ("nan", "inf"):
+    for power in ("nan", "inf", "1e308"):  # 1e308: |S|**power overflows
         assert main(["steinhaus", "--power", power, "--samples", "10"]) == 3
     assert main(["series-selftest", "--degree", "-1"]) == 3
     assert main(["moment", "--N", "0", "--q", "0.5", "--samples", "2"]) == 3
@@ -214,7 +219,8 @@ def test_over_budget_draws_exit_3_quickly():
     # refused before the (rows, width) block of draws is allocated; the
     # ballot's chunk is checked before its O(n) level and variance setup,
     # and a chaos degree before its N + 1 inputs are drawn; the quadratic
-    # recurrence before its first step, and the exp circle before its buffer
+    # recurrence before its first step, and the exp circle before its buffer;
+    # the F_q[t] tree's rows of every degree <= N before it is built
     for argv, limit in ((["event", "--K", "1e7", "--r", "1"], 5.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
                         (["ballot", "--n-grid", "10000000"], 1.0),
@@ -224,7 +230,10 @@ def test_over_budget_draws_exit_3_quickly():
                         (["series-selftest", "--degree", "100000000"], 5.0),
                         (["series-selftest", "--degree", "200000"], 5.0),
                         (["moment", "--N", "5000000", "--samples", "2"], 5.0),
-                        (["sample", "--N", "5000000"], 5.0)):
+                        (["sample", "--N", "5000000"], 5.0),
+                        (["ff", "--mode", "moment", "--q", "2", "--N", "23",
+                          "--samples", "3"], 1.0),
+                        (["ff", "--mode", "series", "--q", "2", "--N", "23"], 1.0)):
         tracemalloc.start()
         start = time.perf_counter()
         code = main(argv)
@@ -321,3 +330,51 @@ def test_sample_of_degree_zero_is_one(tmp_path):
     code, text = run_csv(tmp_path, "s0", ["sample", "--N", "0"])
     assert code == 0
     assert text.splitlines() == ["n,re,im", "0,1.0,0.0"]
+
+
+# CLI fuzz: finite, non-finite, negative and huge flag values. Every case
+# runs or exits 2/3 (4 cannot occur without --check), prints no traceback,
+# and stays within a time and a traced-memory bound. In-budget sizes are
+# kept small (x <= 3e4 or 1e6; q <= 9 with N <= 6 or 10, at most 1.4M tree
+# rows) so the suite stays quick.
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1e308",
+                                    "-1e308", "1e-320", "abc"]))
+SAMPLES = st.integers(-1, 8).map(str)
+
+
+def _fuzz_case(argv, limit=10.0):
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--workers", "1"])
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < limit
+    assert peak < 256 * 2**20
+
+
+@FUZZ
+@given(x=st.one_of(st.floats(max_value=3e4).map(repr),
+                   st.sampled_from(["1e6", "1000000.5", "1000001", "1e12"]), FLOATS),
+       power=FLOATS, samples=SAMPLES)
+def test_fuzz_steinhaus(x, power, samples):
+    _fuzz_case(["steinhaus", "--x", x, "--power", power, "--samples", samples])
+
+
+@FUZZ
+@given(mode=st.sampled_from(["moment", "series"]),
+       q=st.one_of(st.integers(-3, 9).map(str),
+                   st.sampled_from([str(10**12 + 39), str(10**18 + 3), str(2**64),
+                                    str(10**30), "nan", "inf", "1.5"])),
+       N=st.one_of(st.integers(-3, 6).map(str),
+                   st.sampled_from(["10", "23", str(10**9), str(10**30), str(-10**9),
+                                    "nan", "-inf"])),
+       samples=SAMPLES)
+def test_fuzz_ff(mode, q, N, samples):
+    _fuzz_case(["ff", "--mode", mode, "--q", q, "--N", N, "--samples", samples])

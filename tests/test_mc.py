@@ -37,6 +37,46 @@ def test_kernel_returning_the_wrong_count_raises():
         mc.map_replicates(_one_short, (), Seed(3), 10)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    samples = 3 * mc.REPLICATE_SPAN
+    expected = np.arange(samples) + 0.5
+    for workers, size in ((100000, 3), (3, 3), (2, 2)):
+        _SerialPool.sizes.clear()
+        values = mc.map_replicates(_indices, (0.5,), Seed(3), samples, workers)
+        assert np.array_equal(values, expected)
+        assert _SerialPool.sizes == [size]
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    _SerialPool.sizes.clear()
+    mc.map_replicates(_indices, (0.5,), Seed(3), samples, 100000)
+    assert _SerialPool.sizes == [2]
+    # one task, one core, or one worker run in process
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    _SerialPool.sizes.clear()
+    mc.map_replicates(_indices, (0.5,), Seed(3), samples, 100000)
+    mc.map_replicates(_indices, (0.5,), Seed(3), 5, 100000)
+    assert _SerialPool.sizes == []
+
+
 def _scalar_coefficient(N, seed, i):
     # the per-replicate oracle: one 1-D exp on replicate i's own stream
     stream = GaussianStream(split(seed, i))

@@ -12,7 +12,8 @@ from hmchaos.numbermodels import (FFModel, SteinhausModel,
                                   ff_second_moment, irreducibles_by_degree,
                                   steinhaus_abs_moment,
                                   steinhaus_compensated_first_moment,
-                                  steinhaus_partial_sum, _sieve, _structure)
+                                  steinhaus_partial_sum, _integer_tree, _sieve,
+                                  _structure)
 from hmchaos.rng import Seed, split
 
 
@@ -75,13 +76,24 @@ def test_steinhaus_validation():
             steinhaus_abs_moment(100.0, power, 10, Seed(1))
 
 
-def test_sieve_smallest_prime_factors():
+def test_sieve_lists_the_primes():
     # sizes on both sides of perfect squares, where the marking loop stops
     for n in (1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 960, 961, 962):
-        spf, primes = _sieve(n)
-        for m in range(2, n + 1):
-            assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
-        assert list(primes) == [m for m in range(2, n + 1) if spf[m] == m]
+        primes = _sieve(n)
+        assert list(primes) == [m for m in range(2, n + 1)
+                                if all(m % d for d in range(2, m))]
+
+
+def test_integer_tree_lists_every_integer_once():
+    for n in (1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 960, 961, 962):
+        (parent, factor, levels), norm = _integer_tree(n)
+        primes = _sieve(n)
+        assert sorted(norm.tolist()) == list(range(1, n + 1))
+        assert norm[0] == 1 and levels[0] == 0 and levels[-1] == n
+        assert np.array_equal(norm[1:], norm[parent[1:]] * primes[factor[1:]])
+        # Omega order: row r is its parent times one prime, one level down
+        level = np.searchsorted(levels, np.arange(n), "right") - 1
+        assert np.array_equal(level[parent[1:]], level[1:] - 1)
 
 
 def test_count_irreducibles_known_values():
@@ -116,11 +128,18 @@ def test_gauss_degree_identity():
 
 
 def test_structure_enumerates_every_monic():
-    degrees, tables = _structure(3, 5)
-    for n in range(6):
-        _, _, indptr = tables[n]
-        assert indptr.size - 1 == 3**n
+    for q, top in ((3, 5), (4, 4), (2, 6)):
+        degrees, (parent, factor, levels), norm = _structure(q, top)
+        for n in range(top + 1):
+            assert np.count_nonzero(norm == q**n) == q**n
+        # each row adds an irreducible no earlier than its parent's last one,
+        # so every multiset of irreducibles appears once
+        assert np.all(factor[parent] <= factor)
+        assert np.array_equal(norm[1:], norm[parent[1:]] * q ** degrees[factor[1:]])
+        level = np.searchsorted(levels, np.arange(norm.size), "right") - 1
+        assert np.array_equal(level[parent[1:]], level[1:] - 1)
     # the Mobius-built degrees match the explicitly listed irreducibles
+    degrees = _structure(3, 5)[0]
     listed = [d for d, polys in irreducibles_by_degree(3, 5).items() for _ in polys]
     assert degrees.tolist() == listed
 
@@ -196,8 +215,11 @@ def test_ff_reseeding_preserves_distribution():
 
 
 def test_ff_budget_and_field_validation():
-    with pytest.raises(BudgetError):
-        FFModel(5, 12, Seed(1))
+    # the rows of every degree <= N are budgeted: q^N alone admits (5, 10)
+    # and (2, 23)
+    for q, N in ((5, 12), (5, 10), (2, 23)):
+        with pytest.raises(BudgetError):
+            FFModel(q, N, Seed(1))
     with pytest.raises(PreconditionError):
         FFModel(6, 3, Seed(1))
     with pytest.raises(PreconditionError):
