@@ -25,17 +25,15 @@ from .partitions import (Partition, a_of_partition, diagonal_second_moment,
                          orthogonality_check, partition_count,
                          reconstruct_A_by_largest_part)
 from .rng import GaussianStream, Seed, UnitCircleStream, next_complex_gaussian, split
-from .series import (ComplexSeries, exp_series, multiply, parseval_power_sum,
-                     rankin_bound, smooth_partition_weight)
+from .series import multiply, parseval_power_sum, rankin_bound, smooth_partition_weight
 
 __all__ = [
-    "BudgetError", "ChaosSample", "ComplexSeries", "GaussianStream",
-    "MomentEstimate", "Partition", "PreconditionError", "Seed",
-    "UnitCircleStream", "a_of_partition", "circle_average_moment",
-    "circle_average_sample", "circle_mean_closed_form", "circle_mean_mc",
-    "diagonal_second_moment", "enumerate_partitions", "estimate_moment",
-    "exact_total_mass", "exp_series", "fit_decay_band", "gaussian_abs_moment",
+    "BudgetError", "ChaosSample", "GaussianStream", "MomentEstimate", "Partition",
+    "PreconditionError", "Seed", "UnitCircleStream", "a_of_partition",
+    "circle_average_moment", "circle_average_sample", "circle_mean_closed_form",
+    "circle_mean_mc", "diagonal_second_moment", "enumerate_partitions",
+    "estimate_moment", "exact_total_mass", "fit_decay_band", "gaussian_abs_moment",
     "multiply", "next_complex_gaussian", "orthogonality_check", "partition_count",
-    "parseval_power_sum", "rankin_bound", "reconstruct_A_by_largest_part",
-    "sample_A", "smooth_partition_weight", "split", "theorem_band_factor",
+    "parseval_power_sum", "rankin_bound", "reconstruct_A_by_largest_part", "sample_A",
+    "smooth_partition_weight", "split", "theorem_band_factor",
 ]

@@ -54,6 +54,11 @@ def block_bounds(m: int) -> tuple[int, int]:
     return int(math.ceil(math.e ** (m - 1))), int(math.ceil(math.e**m)) - 1
 
 
+def _check_theta(who: str, theta: float) -> None:
+    if not math.isfinite(theta):
+        raise PreconditionError(f"{who} requires a finite theta, got {theta}")
+
+
 def log_horizon(r: float, K: float) -> int:
     """log K_r: the largest integer with e^{log K_r} <= min(-1/(4 log r), K)."""
     return _int_floor(math.log(min(-1.0 / (4.0 * math.log(r)), K)))
@@ -122,7 +127,7 @@ def ballot_probability_mc(spec: BarrierSpec, block_variances, samples: int,
     if variances.size != spec.n_max:
         raise PreconditionError("need one variance per step")
     lo, hi = VARIANCE_RANGE
-    if np.any(variances < lo) or np.any(variances > hi):
+    if not np.all((lo <= variances) & (variances <= hi)):  # NaN fails too
         raise PreconditionError(f"step variances must lie in [{lo}, {hi}]")
     if samples < 100:
         raise PreconditionError("ballot_probability_mc requires samples >= 100")
@@ -176,6 +181,7 @@ def _event_spec(kind, r, K, A) -> BarrierSpec:
 
 
 def _event_holds(kind, X, r, theta, K, A):
+    _check_theta(f"event {kind}", theta)
     spec = _event_spec(kind, r, K, A)
     sums = _checkpoint_sums_scalar(X, r, theta, spec.n_max)
     return bool(np.all(sums <= spec.levels()))
@@ -220,6 +226,7 @@ def event_probability_mc(kind: str, K: float, r: float, A, theta: float,
     heights = [float(a) for a in (A if np.iterable(A) else [A])]
     if not heights:
         raise PreconditionError("need at least one barrier height")
+    _check_theta("event_probability_mc", theta)
     specs = [_event_spec(kind, r, K, a) for a in heights]
     mc.check_samples(samples)
     flat = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
@@ -359,8 +366,7 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         raise PreconditionError("block_stats requires 0 < r < 1")
     if not K > 0.0:
         raise PreconditionError("block_stats requires K > 0")
-    if not math.isfinite(theta):
-        raise PreconditionError("block_stats requires a finite theta")
+    _check_theta("block_stats", theta)
     if m_max is not None and m_max < 1:
         raise PreconditionError("block_stats requires m_max >= 1")
     log_K_r = log_horizon(r, K)
@@ -373,6 +379,13 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     else:
         anchor = min(1e3 / abs(theta), K_r / math.e)
     M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
+    # budget the widest block, the last, before any is built; every block from
+    # log FIELD_BUDGET + 2 on is over the budget, so that one is checked in
+    # place of a later one, whose e^m may overflow a float (m >= 710)
+    top = min(count, int(math.log(chaos.FIELD_BUDGET)) + 2)
+    if top:
+        top_lo, top_hi = block_bounds(top)
+        chaos.check_field_budget(1, top_hi - top_lo + 1)
     lo = np.empty(count, dtype=int)
     hi = np.empty(count, dtype=int)
     sigma2 = np.empty(count)
@@ -381,8 +394,12 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         lo[m - 1], hi[m - 1] = block_bounds(m)
         k = np.arange(lo[m - 1], hi[m - 1] + 1, dtype=float)
         weights = r ** (2.0 * k) / (2.0 * k)
-        sigma2[m - 1] = np.sum(weights)
-        rho[m - 1] = np.sum(weights * np.cos(theta * k)) / sigma2[m - 1]
+        sigma2[m - 1] = total = np.sum(weights)
+        if not total > 0:  # every weight underflowed: rescale them by the largest
+            log_weights = 2.0 * k * math.log(r) - np.log(2.0 * k)
+            weights = np.exp(log_weights - np.max(log_weights))
+            total = np.sum(weights)
+        rho[m - 1] = np.sum(weights * np.cos(theta * k)) / total
     return WalkBlocks(r=r, theta=theta, K=K, K_r=K_r, log_K_r=log_K_r, M=M,
                       lo=lo, hi=hi, sigma2=sigma2, rho=rho)
 
@@ -414,8 +431,8 @@ class BivariateParams:
     rho: float
 
     def __post_init__(self):
-        if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise PreconditionError("variances must be positive")
+        if not (0 < self.sigma1_sq < math.inf and 0 < self.sigma2_sq < math.inf):
+            raise PreconditionError("variances must be positive and finite")
         if not abs(self.rho) < 1.0:
             raise PreconditionError("|rho| must be < 1 (degenerate pairs rejected)")
 

@@ -33,7 +33,7 @@ from . import mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
 from .rng import GaussianStream, Seed, split
-from .series import FIELD_BUDGET, ComplexSeries, exp_array, exp_width, parseval_power_sum
+from .series import FIELD_BUDGET, exp_array, exp_width, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
 _TAIL_RELATIVE = 1e-9
@@ -83,11 +83,11 @@ class ChaosSample:
 
     N: int
     K: float
-    coeffs: ComplexSeries
+    coeffs: np.ndarray
     seed: Seed
 
     def coefficient(self, n: int) -> complex:
-        return self.coeffs.coefficient(n)
+        return complex(self.coeffs[n])
 
 
 def _input_rows(streams, N: int, K: float, rows: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def sample_A(N: int, K: float, stream: GaussianStream) -> ChaosSample:
     if N < 0 or not K >= 1:
         raise PreconditionError("sample_A requires N >= 0 and K >= 1")
     coeffs = _exp_rows([stream], N, K, lambda row: row)[0]
-    return ChaosSample(N=N, K=float(K), coeffs=ComplexSeries(coeffs), seed=stream.seed)
+    return ChaosSample(N=N, K=float(K), coeffs=coeffs, seed=stream.seed)
 
 
 def _exp_rows(streams, N: int, K: float, statistic) -> list:
@@ -230,7 +230,7 @@ def _circle_degree(K: float, r: float, D: int | None) -> int:
 
 def _circle_averages(streams, K, r, D):
     # one Parseval power sum per row, so each value is its 1-D sum
-    return _exp_rows(streams, D, K, lambda row: parseval_power_sum(ComplexSeries(row), r))
+    return _exp_rows(streams, D, K, lambda row: parseval_power_sum(row, r))
 
 
 def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
@@ -265,8 +265,8 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed,
     counts = list(S_per_N)
     if len(grid) != len(counts):
         raise PreconditionError("N_grid and S_per_N must have equal length")
-    if any(n < 2 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("fit_decay_band requires an increasing grid of N >= 2")
+    if not grid or any(n < 2 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise PreconditionError("fit_decay_band requires a non-empty increasing grid of N >= 2")
     rows = []
     for index, (n, count) in enumerate(zip(grid, counts)):
         child = split(seed, index)
@@ -279,8 +279,9 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed,
 
 def theorem_band_factor(N: int, q: float) -> float:
     """((1-q) sqrt(log N) + 1)^q, the reciprocal of the moment's target scale."""
-    if not N >= 1:
-        raise PreconditionError(f"theorem_band_factor requires N >= 1, got {N}")
+    if not (N >= 1 and 0.0 <= q <= 1.0):
+        raise PreconditionError(f"theorem_band_factor requires N >= 1 and 0 <= q <= 1, "
+                                f"got N = {N}, q = {q}")
     return ((1.0 - q) * math.sqrt(math.log(N)) + 1.0) ** q
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import barrier, chaos, mc, numbermodels, partitions, report, series
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .rng import GaussianStream, Seed, split
 
 MOMENT_COLUMNS = ["N", "q", "samples", "mean", "std_error", "compensated", "seed"]
@@ -46,7 +46,7 @@ def cmd_sample(args):
     stream = GaussianStream(_seed(args))
     K = args.K if args.K is not None else float(max(args.N, 1))
     draw = chaos.sample_A(args.N, K, stream)
-    rows = [(n, float(draw.coeffs.coeffs[n].real), float(draw.coeffs.coeffs[n].imag))
+    rows = [(n, float(draw.coeffs[n].real), float(draw.coeffs[n].imag))
             for n in range(args.N + 1)]
     return ["n", "re", "im"], rows, []
 
@@ -85,6 +85,8 @@ def cmd_decay(args):
 
 
 def cmd_mass(args):
+    if args.N_max > partitions.ENUMERATION_CAP:  # before the tables below the cap
+        raise BudgetError(f"--N-max is capped at {partitions.ENUMERATION_CAP}")
     rows, checks = [], []
     for n in range(1, args.N_max + 1):
         mass = partitions.exact_total_mass(n)
@@ -179,14 +181,22 @@ def cmd_blocks(args):
 
 
 def cmd_bivariate(args):
+    if not args.grid_points >= 1:
+        raise PreconditionError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if not (all(map(math.isfinite, (args.mu1, args.mu2, args.span)))
+            and args.sigma1 > 0 and args.sigma2 > 0):
+        raise PreconditionError("bivariate needs finite --mu1, --mu2, --span and "
+                                "positive --sigma1, --sigma2")
+    side = math.isqrt(args.grid_points)
+    chaos.check_field_budget(2, side * side)  # x1 and x2, before either is drawn
     seed = _seed(args)
     key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     rows, checks = [], []
     for rho in _parse_grid(args.rho_grid):
-        params = barrier.BivariateParams(args.mu1, args.mu2, args.sigma1**2,
-                                         args.sigma2**2, rho)
-        side = int(math.isqrt(args.grid_points))
+        # x * x: x**2 raises OverflowError where the product is inf
+        params = barrier.BivariateParams(args.mu1, args.mu2, args.sigma1 * args.sigma1,
+                                         args.sigma2 * args.sigma2, rho)
         x1 = args.mu1 + args.span * args.sigma1 * (2.0 * rng.random(side * side) - 1.0)
         x2 = args.mu2 + args.span * args.sigma2 * (2.0 * rng.random(side * side) - 1.0)
         gap = float(np.max(barrier.bivariate_density(params, x1, x2)
@@ -268,11 +278,11 @@ def cmd_series_selftest(args):
     rows.append(("exp_engines_agree", args.degree, err, 1e-9, ok))
     checks.append(("exp_engines_agree", ok))
 
-    poly = series.ComplexSeries(stream.draw(17))
+    poly = stream.draw(17)
     r = 0.9
     direct = series.parseval_power_sum(poly, r)
     angles = 2.0 * math.pi * np.arange(4096) / 4096
-    values = np.polyval(poly.coeffs[::-1], r * np.exp(1j * angles))
+    values = np.polyval(poly[::-1], r * np.exp(1j * angles))
     quad = float(np.mean(np.abs(values) ** 2))
     err = abs(direct - quad) / quad
     ok = err <= 1e-9
@@ -296,25 +306,12 @@ def _add_common(parser, samples_default=None):
         parser.add_argument("--samples", type=int, default=samples_default)
 
 
-class _SubParsers:
-    """Records subcommand parsers so config-file defaults can be re-applied."""
-
-    def __init__(self, action):
-        self._action = action
-        self.by_name = {}
-
-    def add_parser(self, name, **kwargs):
-        parser = self._action.add_parser(name, **kwargs)
-        self.by_name[name] = parser
-        return parser
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hmchaos",
         description="Experiments on the random power series exp(sum_k X(k) z^k/sqrt(k)) "
                     "and its number-theoretic relatives")
-    sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="emit one draw of the coefficients A(0..N)")
     p.add_argument("--N", type=int, default=None)
@@ -410,7 +407,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_series_selftest)
 
-    return parser, sub.by_name
+    return parser, sub.choices  # name -> subcommand parser
 
 
 def _apply_config_file(parser, subparsers, args, argv):

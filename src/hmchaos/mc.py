@@ -67,8 +67,8 @@ def _eval_span(task):
 
 
 def _eval_chunk(task):
-    fn, args, seed, index, count, stream_cls = task
-    return np.asarray(fn(stream_cls(split(seed, index)), count, *args))
+    fn, args, seed, index, count = task
+    return np.asarray(fn(GaussianStream(split(seed, index)), count, *args))
 
 
 def _run_tasks(runner, tasks, workers):
@@ -97,8 +97,8 @@ def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1,
 
 
 def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
-               chunk: int = CHUNK_SAMPLES, stream_cls=GaussianStream) -> np.ndarray:
-    """Concatenate fn(stream_cls(split(seed, c)), count_c, *args) over chunks.
+               chunk: int = CHUNK_SAMPLES) -> np.ndarray:
+    """Concatenate fn(GaussianStream(split(seed, c)), count_c, *args) over chunks.
 
     For estimators that vectorize internally: chunk c owns replicates
     [c*chunk, c*chunk + count_c) and draws them all from one child stream.
@@ -108,5 +108,5 @@ def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
     check_samples(samples, 1)
     tasks = []
     for index, start in enumerate(range(0, samples, chunk)):
-        tasks.append((fn, args, seed, index, min(chunk, samples - start), stream_cls))
+        tasks.append((fn, args, seed, index, min(chunk, samples - start)))
     return np.concatenate(_run_tasks(_eval_chunk, tasks, workers))

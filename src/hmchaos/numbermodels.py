@@ -265,10 +265,11 @@ def irreducibles_by_degree(p: int, max_degree: int):
     """
     if _prime_power_base(p) != (p, 1):
         raise PreconditionError("core field arithmetic requires a prime field size")
-    divisions = sum(p**d * sum(count_irreducibles(p, e) for e in range(1, d // 2 + 1))
-                    for d in range(2, max_degree + 1))
-    if divisions > TRIAL_DIVISION_BUDGET:
-        raise BudgetError(f"trial-division budget {TRIAL_DIVISION_BUDGET} exceeded")
+    divisions = 0
+    for d in range(2, max_degree + 1):  # stops at the first degree over the budget
+        divisions += p**d * sum(count_irreducibles(p, e) for e in range(1, d // 2 + 1))
+        if divisions > TRIAL_DIVISION_BUDGET:
+            raise BudgetError(f"trial-division budget {TRIAL_DIVISION_BUDGET} exceeded")
     table = {1: tuple((a, 1) for a in range(p))}
     for d in range(2, max_degree + 1):
         divisors = [g for dd in range(1, d // 2 + 1) for g in table[dd]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -19,8 +18,6 @@ def _cell(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -46,8 +43,6 @@ def build_manifest(config: dict) -> dict:
 def _jsonable(value):
     if isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

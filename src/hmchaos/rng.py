@@ -86,9 +86,6 @@ class GaussianStream(_PhiloxStream):
         self.position += n
         return radius * (np.cos(angle) + 1j * np.sin(angle))
 
-    def next_complex_gaussian(self) -> complex:
-        return complex(self.draw(1)[0])
-
     def draw_real(self, n: int) -> np.ndarray:
         """Return n independent real N(0,1) values (two per complex draw)."""
         m = (n + 1) // 2
@@ -112,4 +109,4 @@ class UnitCircleStream(_PhiloxStream):
 
 def next_complex_gaussian(stream: GaussianStream) -> complex:
     """Return X(position+1) from the stream and advance it by one draw."""
-    return stream.next_complex_gaussian()
+    return complex(stream.draw(1)[0])

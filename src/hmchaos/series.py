@@ -22,8 +22,6 @@ exponentiates a (rows, D+1) stack, each row with the bits of a 1-D call:
   from the chaos input, is redone by the recurrence, or refused past
   RECURRENCE_BUDGET: it is never returned.
 
-Products switch from schoolbook to FFT at FFT_CROSSOVER.
-
 Also here: the Parseval power sum sum_n |c_n|^2 r^{2n} (the circle average
 of |f(r e^{i theta})|^2 for a polynomial), the proportion of S_N whose
 largest cycle is at most m (a coefficient of exp(sum_{k<=m} z^k/k)), and
@@ -39,7 +37,6 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 
-FFT_CROSSOVER = 64        # schoolbook convolution below this length
 # exp: the recurrence below this degree, the circle at or above it. The
 # least degree at which the circle measured faster (BENCH_6.json); it is
 # slower again from about 1500 to 2100, where the size rule doubles M.
@@ -62,44 +59,6 @@ TWIDDLE_RUN = 16
 # checked before it is allocated: 256 MiB as complex128.
 FIELD_BUDGET = 2**24
 _EPS = float(np.finfo(float).eps)
-
-
-class ComplexSeries:
-    """Coefficients c_0..c_D of a truncated power series."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        if c.size == 0:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = c
-
-    @property
-    def degree_bound(self) -> int:
-        return self.coeffs.size - 1
-
-    def coefficient(self, n: int) -> complex:
-        return complex(self.coeffs[n])
-
-    def __repr__(self):
-        return f"ComplexSeries(degree_bound={self.degree_bound})"
-
-
-def _conv(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients 0..degree of the product of coefficient vectors a, b."""
-    a, b = a[: degree + 1], b[: degree + 1]
-    out = np.zeros(degree + 1, dtype=np.complex128)
-    if a.size and b.size:
-        full = a.size + b.size - 1
-        if min(a.size, b.size) < FFT_CROSSOVER:
-            prod = np.convolve(a, b)
-        else:
-            size = 1 << (full - 1).bit_length()
-            prod = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
-        keep = min(full, degree + 1)
-        out[:keep] = prod[:keep]
-    return out
 
 
 def check_recurrence_budget(degree: int) -> None:
@@ -268,7 +227,7 @@ def exp_array(s: np.ndarray, degree: int, engine: str = "auto") -> np.ndarray:
         s = s.astype(float)
     rows = np.atleast_2d(s)
     if rows.shape[1] and rows[:, 0].any():
-        raise PreconditionError("exp_series requires a zero constant term")
+        raise PreconditionError("exp_array requires a zero constant term")
     if engine not in ("auto", "recurrence"):
         raise ValueError(f"unknown exp engine {engine!r}")
     if engine == "auto" and degree >= EXP_LEAF:
@@ -278,21 +237,23 @@ def exp_array(s: np.ndarray, degree: int, engine: str = "auto") -> np.ndarray:
     return out[0] if s.ndim == 1 else out
 
 
-def multiply(a: ComplexSeries, b: ComplexSeries, degree: int) -> ComplexSeries:
-    """Truncated product: coefficient n of a*b for n <= degree."""
-    return ComplexSeries(_conv(a.coeffs, b.coeffs, degree))
+def multiply(a, b, degree: int) -> np.ndarray:
+    """Coefficients 0..degree of the product of coefficient vectors a and b."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 1 or b.ndim != 1 or not a.size or not b.size:
+        raise PreconditionError("multiply requires two non-empty coefficient vectors")
+    out = np.zeros(degree + 1, dtype=np.complex128)
+    prod = np.convolve(a[: degree + 1], b[: degree + 1])[: degree + 1]
+    out[: prod.size] = prod
+    return out
 
 
-def exp_series(s: ComplexSeries, degree: int) -> ComplexSeries:
-    """Formal exponential of s (which must have zero constant term)."""
-    return ComplexSeries(exp_array(s.coeffs, degree))
-
-
-def parseval_power_sum(f: ComplexSeries, r: float) -> float:
+def parseval_power_sum(coeffs, r: float) -> float:
     """sum_n |c_n|^2 r^{2n} = (1/2pi) int |f(r e^{i theta})|^2 dtheta."""
     if not 0.0 < r <= 1.0:
         raise PreconditionError("parseval_power_sum requires 0 < r <= 1")
-    c = f.coeffs
+    c = np.asarray(coeffs)
     weights = np.abs(c) ** 2 * r ** (2.0 * np.arange(c.size))
     return float(np.sum(weights))
 

@@ -13,7 +13,7 @@ from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scal
                              sample_block_increments, two_walk_shape_scale,
                              two_walk_tilted_expectation, upper_log_offset)
 from hmchaos.chaos import circle_mean_closed_form
-from hmchaos.errors import PreconditionError
+from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.rng import GaussianStream, Seed
 
 
@@ -250,6 +250,17 @@ def test_block_covariance_bound_at_pi():
 def test_block_stats_validation():
     with pytest.raises(PreconditionError):
         block_stats(1.0, 0.5, 100.0)
+    with pytest.raises(BudgetError):  # block 18 holds more than FIELD_BUDGET values
+        block_stats(0.98, 0.5, 1e6, m_max=18)
+
+
+def test_block_rho_past_weight_underflow():
+    # at r = 0.98 every weight r^{2k}/(2k) of block 11 underflows to 0
+    blocks = block_stats(0.98, 0.5, 1e6, m_max=11)
+    assert blocks.sigma2[-1] == 0.0
+    assert np.all(np.abs(blocks.rho) <= 1.0)
+    assert blocks.covariance(11) == 0.0
+    assert block_stats(0.98, 0.0, 1e6, m_max=11).rho[-1] == 1.0
 
 
 def test_block_correlation_against_mc_covariance():

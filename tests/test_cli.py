@@ -3,6 +3,7 @@ import io
 import json
 import time
 import tracemalloc
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,12 +118,18 @@ def test_json_format_embeds_manifest(tmp_path):
     assert len(doc["rows"]) == 4
 
 
-def test_blocks_check_passes(tmp_path):
-    code, text = run_csv(tmp_path, "blocks",
-                         ["blocks", "--r", "0.98", "--theta", "0.5",
-                          "--m-max", "8", "--check"])
-    assert code == 0
-    assert text.splitlines()[0] == GOLDEN_HEADERS["blocks"]
+def test_blocks_check_passes(tmp_path, capsys):
+    # from block 11 on every weight r^{2k}/(2k) underflows at r = 0.98: the
+    # covariance 0 meets its bound, and no warning is printed
+    for m_max in ("8", "11"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_csv(tmp_path, "blocks",
+                                 ["blocks", "--r", "0.98", "--theta", "0.5",
+                                  "--m-max", m_max, "--check"])
+        assert code == 0
+        assert text.splitlines()[0] == GOLDEN_HEADERS["blocks"]
+    assert capsys.readouterr().err == ""
 
 
 def test_bivariate_check_passes(tmp_path):
@@ -213,6 +220,15 @@ def test_precondition_violation_exits_3(tmp_path):
     huge_q = str(10**18 + 3)
     assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
     assert main(["ff", "--mode", "counts", "--q", huge_q]) == 3
+    for theta in ("nan", "inf"):  # NaN and inf angles printed p_hat 0.0
+        assert main(["event", "--K", "1000", "--r", "1", "--theta", theta,
+                     "--samples", "100"]) == 3
+    assert main(["ballot", "--variance", "nan", "--samples", "100"]) == 3
+    assert main(["decay", "--n-grid", ",", "--samples-per", ","]) == 3
+    for flags in (["--grid-points", "0"], ["--grid-points", "-5"], ["--sigma1", "1e308"],
+                  ["--sigma2", "-2"], ["--span", "nan"]):
+        assert main(["bivariate"] + flags) == 3
+    assert main(["moment", "--N", "8", "--q", "1e308", "--samples", "4"]) == 3
 
 
 def test_over_budget_draws_exit_3_quickly():
@@ -220,7 +236,9 @@ def test_over_budget_draws_exit_3_quickly():
     # ballot's chunk is checked before its O(n) level and variance setup,
     # and a chaos degree before its N + 1 inputs are drawn; the quadratic
     # recurrence before its first step, and the exp circle before its buffer;
-    # the F_q[t] tree's rows of every degree <= N before it is built
+    # the F_q[t] tree's rows of every degree <= N before it is built; the
+    # trial divisions, the partition cap, the widest block and the
+    # bivariate draws before the first of them
     for argv, limit in ((["event", "--K", "1e7", "--r", "1"], 5.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
                         (["ballot", "--n-grid", "10000000"], 1.0),
@@ -233,7 +251,13 @@ def test_over_budget_draws_exit_3_quickly():
                         (["sample", "--N", "5000000"], 5.0),
                         (["ff", "--mode", "moment", "--q", "2", "--N", "23",
                           "--samples", "3"], 1.0),
-                        (["ff", "--mode", "series", "--q", "2", "--N", "23"], 1.0)):
+                        (["ff", "--mode", "series", "--q", "2", "--N", "23"], 1.0),
+                        (["ff", "--mode", "counts", "--q", "2", "--n-max", "100000"], 1.0),
+                        (["mass", "--N-max", "41"], 1.0),
+                        (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "30"], 1.0),
+                        (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "1000"], 1.0),
+                        (["bivariate", "--grid-points", "100000000"], 1.0),
+                        (["bivariate", "--grid-points", "1000000000"], 1.0)):
         tracemalloc.start()
         start = time.perf_counter()
         code = main(argv)
@@ -378,3 +402,137 @@ def test_fuzz_steinhaus(x, power, samples):
        samples=SAMPLES)
 def test_fuzz_ff(mode, q, N, samples):
     _fuzz_case(["ff", "--mode", mode, "--q", q, "--N", N, "--samples", samples])
+
+
+
+# The other subcommands, with every numeric flag passed as --flag=value so
+# that negative and non-finite values reach the program rather than argparse.
+# Each flag is valid three times in four (None keeps its default), so that
+# runs get past the first check. Sizes that are in budget stay small
+# (degree <= 1500, K <= 3e4, blocks m <= 12, 10^4 grid points, samples <= 8
+# or 300 for the ballot): the budgets bound values, not the kernels'
+# temporaries, which reach 680 MiB for an all-angle event at K = e^12.
+SIZES = st.one_of(st.integers(-3, 12).map(str),
+                  st.sampled_from([str(10**9), str(10**30), str(-10**9), "nan", "1.5"]))
+SMALL_FLOATS = st.one_of(st.floats(-5.0, 3e4).map(repr), FLOATS)
+FUZZ_FAST = settings(FUZZ, max_examples=30)
+
+
+def _mostly(valid, bad):
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else valid)
+
+
+def _grid(items):
+    return st.lists(items, max_size=3).map(",".join)
+
+
+def _fuzz_flags(sub, **flags):
+    argv = [sub] + [f"--{name.replace('_', '-')}={value}" for name, value in flags.items()
+                    if value is not None]
+    _fuzz_case(argv)
+
+
+@FUZZ_FAST
+@given(N=_mostly(st.integers(0, 64).map(str),
+                 st.one_of(SIZES, st.sampled_from(["1500", str(10**9)]))),
+       K=_mostly(st.one_of(st.none(), st.floats(1.0, 100.0).map(repr)), FLOATS))
+def test_fuzz_sample(N, K):
+    _fuzz_flags("sample", N=N, K=K)
+
+
+@FUZZ_FAST
+@given(N=_mostly(st.integers(1, 64).map(str), SIZES),
+       q=_mostly(st.floats(0.0, 1.0).map(repr), FLOATS),
+       samples=_mostly(st.integers(2, 8).map(str), SAMPLES))
+def test_fuzz_moment(N, q, samples):
+    _fuzz_flags("moment", N=N, q=q, samples=samples)
+
+
+@FUZZ_FAST
+@given(grids=_mostly(st.sampled_from([("16", "4"), ("16,32", "3,3"), ("2,8,40", "2,2,2")]),
+                     st.tuples(_grid(st.one_of(st.integers(-3, 40).map(str), SIZES)),
+                               _grid(SAMPLES))),
+       band_from=_mostly(st.none(), SIZES), band_max=_mostly(st.none(), FLOATS))
+def test_fuzz_decay(grids, band_from, band_max):
+    _fuzz_flags("decay", n_grid=grids[0], samples_per=grids[1], band_from=band_from,
+                band_max=band_max)
+
+
+@FUZZ_FAST
+@given(degree=_mostly(st.one_of(st.integers(0, 300).map(str), st.just("1500")), SIZES))
+def test_fuzz_series_selftest(degree):
+    _fuzz_flags("series-selftest", degree=degree)
+
+
+@FUZZ_FAST
+@given(N_max=_mostly(st.integers(0, 12).map(str), SIZES))
+def test_fuzz_mass(N_max):
+    _fuzz_flags("mass", N_max=N_max)
+
+
+@FUZZ_FAST
+@given(a_grid=_mostly(st.sampled_from(["1", "1,2.5"]), _grid(FLOATS)),
+       n_grid=_mostly(st.sampled_from(["16", "4,64"]),
+                      _grid(st.one_of(st.integers(-3, 64).map(str), SIZES))),
+       variance=_mostly(st.floats(0.05, 20.0).map(repr), FLOATS),
+       band_lo=_mostly(st.none(), FLOATS), band_hi=_mostly(st.none(), FLOATS),
+       samples=_mostly(st.integers(100, 300).map(str), SAMPLES))
+def test_fuzz_ballot(a_grid, n_grid, variance, band_lo, band_hi, samples):
+    _fuzz_flags("ballot", a_grid=a_grid, n_grid=n_grid, variance=variance, band_lo=band_lo,
+                band_hi=band_hi, samples=samples)
+
+
+@FUZZ
+@given(event=_mostly(st.sampled_from([("G", "3", "1"), ("G", "400", "1"),
+                                      ("L", "100", "0.98"), ("L", "1000", "0.99")]),
+                     st.tuples(st.sampled_from(["G", "L"]),
+                               st.one_of(SMALL_FLOATS, st.sampled_from(["1e7", "1e300"])),
+                               st.one_of(st.sampled_from(["1", "1.0001", "0.99"]), FLOATS))),
+       all_angles=st.booleans(), A=_mostly(st.sampled_from(["1", "1,2,4"]), _grid(FLOATS)),
+       theta=_mostly(st.floats(-10.0, 10.0).map(repr), FLOATS),
+       samples=_mostly(st.integers(2, 8).map(str), SAMPLES))
+def test_fuzz_event(event, all_angles, A, theta, samples):
+    kind, K, r = event
+    argv = ["event"] + (["--all-angles"] if all_angles else [])
+    _fuzz_case(argv + [f"--kind={kind}", f"--K={K}", f"--r={r}", f"--A={A}",
+                       f"--theta={theta}", f"--samples={samples}"])
+
+
+@FUZZ_FAST
+@given(K=_mostly(st.sampled_from(["3", "8", "20"]),
+                 st.one_of(SMALL_FLOATS, st.sampled_from(["1e9"]))),
+       r=_mostly(st.just("1"), FLOATS), A=_mostly(st.floats(1.0, 4.0).map(repr), FLOATS),
+       samples_left=_mostly(st.integers(2, 8).map(str), SAMPLES),
+       samples_right=_mostly(st.integers(2, 8).map(str), SAMPLES))
+def test_fuzz_com_check(K, r, A, samples_left, samples_right):
+    _fuzz_flags("com-check", K=K, r=r, A=A, samples_left=samples_left,
+                samples_right=samples_right)
+
+
+@FUZZ
+@given(r=_mostly(st.floats(0.5, 0.999).map(repr), FLOATS),
+       theta=_mostly(st.floats(-10.0, 10.0).map(repr), FLOATS),
+       K=_mostly(st.none(), FLOATS),
+       m_max=_mostly(st.integers(1, 12).map(str),
+                     st.one_of(st.integers(-3, 0).map(str),
+                               st.sampled_from(["18", "30", "1000", str(10**9)]))))
+def test_fuzz_blocks(r, theta, K, m_max):
+    _fuzz_flags("blocks", r=r, theta=theta, K=K, m_max=m_max)
+
+
+@FUZZ_FAST
+@given(rho_grid=_mostly(st.none(), _grid(FLOATS)), mu1=_mostly(st.none(), FLOATS),
+       mu2=_mostly(st.none(), FLOATS), sigma1=_mostly(st.none(), FLOATS),
+       sigma2=_mostly(st.none(), FLOATS), span=_mostly(st.none(), FLOATS),
+       grid_points=_mostly(st.integers(1, 10**4).map(str), SIZES))
+def test_fuzz_bivariate(rho_grid, mu1, mu2, sigma1, sigma2, span, grid_points):
+    _fuzz_flags("bivariate", rho_grid=rho_grid, mu1=mu1, mu2=mu2, sigma1=sigma1,
+                sigma2=sigma2, span=span, grid_points=grid_points)
+
+
+@FUZZ_FAST
+@given(q=_mostly(st.sampled_from(["2", "3", "5", "7"]), st.one_of(st.integers(-3, 9).map(str),
+                                                              SIZES)),
+       n_max=_mostly(st.integers(1, 4).map(str), SIZES))
+def test_fuzz_ff_counts(q, n_max):
+    _fuzz_flags("ff", mode="counts", q=q, n_max=n_max)
