@@ -2,9 +2,9 @@
 
 The recurring objects:
 
-* Ballot walks: P(sum_{m<=j} G_m <= A + offset(j) for all j <= n) for
+* Ballot walks: P(sum_{m<=j} G_m <= A + c log j for all j <= n) for
   independent centered Gaussians G_m, estimated by Monte Carlo. The
-  classical scale of this probability is min(1, A/sqrt(n)).
+  classical scale of this probability is min(1, A/sqrt(n)) at c = 0.
 
 * Barrier events on the chaos field: with checkpoints at n = 1, 2, ...
   the partial sums sum_{k<e^n} (Re(X(k) r^k e^{ik theta})/sqrt(k)
@@ -34,8 +34,8 @@ pairwise reduction on the vectorized path) to keep long prefixes accurate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -54,9 +54,12 @@ def block_bounds(m: int) -> tuple[int, int]:
     return int(math.ceil(math.e ** (m - 1))), int(math.ceil(math.e**m)) - 1
 
 
-def _check_theta(who: str, theta: float) -> None:
-    if not math.isfinite(theta):
-        raise PreconditionError(f"{who} requires a finite theta, got {theta}")
+def _check_theta(who: str, theta: float, kmax: int) -> None:
+    """Refuse theta unless theta * k is finite for every k <= kmax."""
+    # inf * 0 and NaN * 0 are NaN, so kmax = 0 still refuses them
+    if not math.isfinite(theta * kmax):
+        raise PreconditionError(f"{who} requires theta * k finite for k <= {kmax}, "
+                                f"got theta = {theta}")
 
 
 def log_horizon(r: float, K: float) -> int:
@@ -68,30 +71,18 @@ def log_horizon(r: float, K: float) -> int:
 # ballot walks
 
 
-def no_offset(j: int) -> float:
-    return 0.0
-
-
-def upper_log_offset(j: int) -> float:
-    return 10.0 * math.log(j)
-
-
-def lower_log_offset(j: int) -> float:
-    return -5.0 * math.log(j)
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
-    """A barrier schedule: stay below height + offset(j) at steps 1..n_max.
+    """A barrier schedule: stay below height + slope * log j at steps 1..n_max.
 
-    The offset must satisfy |offset(j)| <= 10 log j (so offset(1) = 0);
-    named module-level offsets keep the schedule picklable for worker pools.
-    A walk draws rows of n_max steps, so n_max is budgeted like one row.
+    The slope must satisfy |slope| <= 10: event G uses +10, event L -5 and
+    the ballot walks 0. A walk draws rows of n_max steps, so n_max is
+    budgeted like one row.
     """
 
     height: float
     n_max: int
-    offset: Callable[[int], float] = no_offset
+    slope: float = 0.0
 
     def __post_init__(self):
         if not self.height >= 1.0:
@@ -99,12 +90,12 @@ class BarrierSpec:
         if self.n_max < 1:
             raise PreconditionError("n_max must be >= 1")
         chaos.check_field_budget(1, self.n_max)
-        for j in range(1, self.n_max + 1):
-            if abs(self.offset(j)) > 10.0 * math.log(j) + 1e-12:
-                raise PreconditionError(f"|offset({j})| exceeds 10 log {j}")
+        if not abs(self.slope) <= 10.0:  # NaN fails too
+            raise PreconditionError(f"|slope| must be <= 10, got {self.slope}")
 
     def levels(self) -> np.ndarray:
-        return np.array([self.height + self.offset(j) for j in range(1, self.n_max + 1)])
+        return np.array([self.height + self.slope * math.log(j)
+                         for j in range(1, self.n_max + 1)])
 
 
 def _ballot_chunk(stream, count, levels, sigmas):
@@ -133,7 +124,7 @@ def ballot_probability_mc(spec: BarrierSpec, block_variances, samples: int,
         raise PreconditionError("ballot_probability_mc requires samples >= 100")
     values = mc.map_chunks(_ballot_chunk, (spec.levels(), np.sqrt(variances)),
                            seed, samples, workers)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 def ballot_scale(height: float, n: int) -> float:
@@ -170,19 +161,19 @@ def _event_spec(kind, r, K, A) -> BarrierSpec:
             raise PreconditionError("event G requires K >= 3")
         if not 1.0 - _R_TOL <= r <= math.exp(1.0 / K) + _R_TOL:
             raise PreconditionError("event G requires 1 <= r <= e^{1/K}")
-        return BarrierSpec(A, _int_floor(math.log(K)), upper_log_offset)
+        return BarrierSpec(A, _int_floor(math.log(K)), 10.0)
     if kind == "L":
         if not K >= 10:
             raise PreconditionError("event L requires K >= 10")
         if not math.exp(-1.0 / 40.0) - _R_TOL <= r < 1.0:
             raise PreconditionError("event L requires e^{-1/40} <= r < 1")
-        return BarrierSpec(A, log_horizon(r, K), lower_log_offset)
+        return BarrierSpec(A, log_horizon(r, K), -5.0)
     raise PreconditionError("kind must be 'G' or 'L'")
 
 
 def _event_holds(kind, X, r, theta, K, A):
-    _check_theta(f"event {kind}", theta)
     spec = _event_spec(kind, r, K, A)
+    _check_theta(f"event {kind}", theta, block_bounds(spec.n_max)[1])
     sums = _checkpoint_sums_scalar(X, r, theta, spec.n_max)
     return bool(np.all(sums <= spec.levels()))
 
@@ -216,24 +207,25 @@ def _event_chunk(stream, count, r, theta, n_max, levels_list):
     return np.stack(cols, axis=1).reshape(count * len(levels_list))
 
 
-def event_probability_mc(kind: str, K: float, r: float, A, theta: float,
-                         samples: int, seed: Seed, workers: int = 1) -> list[MomentEstimate]:
-    """Empirical probability of event G or L at one or more heights A.
+def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
+                         theta: float, samples: int, seed: Seed,
+                         workers: int = 1) -> list[MomentEstimate]:
+    """Empirical probability of event G or L at each height in A.
 
     All heights share the same draws, so the estimates are monotone in A
     sample by sample (a higher barrier can only keep more paths).
     """
-    heights = [float(a) for a in (A if np.iterable(A) else [A])]
+    heights = [float(a) for a in A]
     if not heights:
         raise PreconditionError("need at least one barrier height")
-    _check_theta("event_probability_mc", theta)
     specs = [_event_spec(kind, r, K, a) for a in heights]
+    _check_theta("event_probability_mc", theta, block_bounds(specs[0].n_max)[1])
     mc.check_samples(samples)
     flat = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
                                         [spec.levels() for spec in specs]),
                          seed, samples, workers)
     values = flat.reshape(-1, len(heights))
-    return [mc.from_values(values[:, i], 1.0, seed) for i in range(len(heights))]
+    return [mc.from_values(values[:, i], seed) for i in range(len(heights))]
 
 
 def _grid_event_chunk(stream, count, r, n_max, levels):
@@ -251,8 +243,9 @@ def _grid_event_chunk(stream, count, r, n_max, levels):
         chaos.check_field_budget(count, grid)
         padded = np.zeros((count, grid), dtype=np.complex128)
         padded[:, 1 : hi + 1] = scaled[:, :hi]
-        values = np.fft.ifft(padded, axis=1).real * grid
-        ok &= values.max(axis=1) - float(np.sum(drift[:hi])) <= levels[n - 1]
+        # in place; scaling by grid > 0 after the max rounds the same values
+        np.fft.ifft(padded, axis=1, out=padded)
+        ok &= padded.real.max(axis=1) * grid - float(np.sum(drift[:hi])) <= levels[n - 1]
     return ok.astype(float)
 
 
@@ -263,7 +256,7 @@ def event_G_all_angles_mc(K: float, r: float, A: float, samples: int, seed: Seed
     mc.check_samples(samples)
     values = mc.map_chunks(_grid_event_chunk, (r, spec.n_max, spec.levels()),
                            seed, samples, workers, chunk=512)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +297,13 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     seed_left, seed_right = split(seed, 0), split(seed, 1)
     left_values = mc.map_chunks(_com_left_chunk, (K, r, spec.n_max, levels),
                                 seed_left, samples_left, workers)
-    left = mc.from_values(left_values, 1.0, seed_left)
+    left = mc.from_values(left_values, seed_left)
     right_values = mc.map_chunks(_com_right_chunk, (r, spec.n_max, levels),
                                  seed_right, samples_right, workers)
-    prob = mc.from_values(right_values, 1.0, seed_right)
+    prob = mc.from_values(right_values, seed_right)
     scale = chaos.circle_mean_closed_form(K, r)
     right = MomentEstimate(scale * prob.mean, scale * prob.std_error,
-                           prob.samples, 1.0, seed_right)
+                           prob.samples, seed_right)
     return left, right
 
 
@@ -329,7 +322,6 @@ class WalkBlocks:
 
     r: float
     theta: float
-    K: float
     K_r: float
     log_K_r: int
     M: int
@@ -366,19 +358,12 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         raise PreconditionError("block_stats requires 0 < r < 1")
     if not K > 0.0:
         raise PreconditionError("block_stats requires K > 0")
-    _check_theta("block_stats", theta)
     if m_max is not None and m_max < 1:
         raise PreconditionError("block_stats requires m_max >= 1")
     log_K_r = log_horizon(r, K)
     count = m_max if m_max is not None else log_K_r
     if count < 0:
         raise PreconditionError("the horizon K_r is below 1: pass m_max")
-    K_r = math.e**log_K_r
-    if theta == 0.0:
-        anchor = K_r / math.e
-    else:
-        anchor = min(1e3 / abs(theta), K_r / math.e)
-    M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
     # budget the widest block, the last, before any is built; every block from
     # log FIELD_BUDGET + 2 on is over the budget, so that one is checked in
     # place of a later one, whose e^m may overflow a float (m >= 710)
@@ -386,6 +371,13 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     if top:
         top_lo, top_hi = block_bounds(top)
         chaos.check_field_budget(1, top_hi - top_lo + 1)
+    _check_theta("block_stats", theta, block_bounds(count)[1])
+    K_r = math.e**log_K_r
+    if theta == 0.0:
+        anchor = K_r / math.e
+    else:
+        anchor = min(1e3 / abs(theta), K_r / math.e)
+    M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
     lo = np.empty(count, dtype=int)
     hi = np.empty(count, dtype=int)
     sigma2 = np.empty(count)
@@ -400,7 +392,7 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
             weights = np.exp(log_weights - np.max(log_weights))
             total = np.sum(weights)
         rho[m - 1] = np.sum(weights * np.cos(theta * k)) / total
-    return WalkBlocks(r=r, theta=theta, K=K, K_r=K_r, log_K_r=log_K_r, M=M,
+    return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       lo=lo, hi=hi, sigma2=sigma2, rho=rho)
 
 
@@ -469,32 +461,30 @@ def _two_walk_chunk(stream, count, r, theta, M, log_K_r, level):
     z0 = x.real * coef
     zt = (x * np.exp(1j * theta * k)).real * coef
     weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
-    if level is None or math.isinf(level):
-        return weight
     s0 = _checkpoints(z0 - drift, M + 1, log_K_r)
     st = _checkpoints(zt - drift, M + 1, log_K_r)
     ok = np.all(s0 <= level, axis=1) & np.all(st <= level, axis=1)
     return np.where(ok, weight, 0.0)
 
 
-def two_walk_tilted_expectation(r: float, theta: float, K: float, level,
+def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
                                 samples: int, seed: Seed,
                                 workers: int = 1) -> MomentEstimate:
     """E[1_E prod_{M<m<=log K_r} exp(2 Z_0(m) + 2 Z_theta(m))] by Monte Carlo.
 
     E is the event that both centered walks, started at e^M, stay below
-    `level` at every block checkpoint; pass level=None (or +inf) for the
-    unconstrained expectation. With no blocks (M >= log K_r) the empty
-    product gives exactly 1.
+    `level` at every block checkpoint; level = inf gives the unconstrained
+    expectation. With no blocks (M >= log K_r) the empty product gives
+    exactly 1.
     """
     mc.check_samples(samples)
     blocks = block_stats(r, theta, K)
     if blocks.M >= blocks.log_K_r:
-        return MomentEstimate(1.0, 0.0, samples, 1.0, seed)
+        return MomentEstimate(1.0, 0.0, samples, seed)
     values = mc.map_chunks(_two_walk_chunk,
                            (r, theta, blocks.M, blocks.log_K_r, level),
                            seed, samples, workers)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 def two_walk_shape_scale(blocks: WalkBlocks, level: float) -> float:

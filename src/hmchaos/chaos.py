@@ -157,7 +157,7 @@ def estimate_moment(N: int, q: float, samples: int, seed: Seed,
         raise PreconditionError("estimate_moment requires 0 <= q <= 1")
     mc.check_samples(samples)
     values = mc.map_replicates(_coefficient, (N, 2.0 * q), seed, samples, workers)
-    return mc.from_values(values, q, seed)
+    return mc.from_values(values, seed)
 
 
 def coefficient_values(N: int, samples: int, seed: Seed, workers: int = 1) -> np.ndarray:
@@ -188,7 +188,7 @@ def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
         raise PreconditionError("circle_mean_mc requires r > 0")
     mc.check_samples(samples)
     values = mc.map_chunks(_sq_modulus_at_radius, (K, r), seed, samples, workers)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 def truncation_degree(K: float, r: float) -> int:
@@ -239,7 +239,7 @@ def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
     D = _circle_degree(K, r, D)
     mc.check_samples(samples)
     values = mc.map_replicates(_circle_averages, (K, r, D), seed, samples, workers)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 @dataclass(frozen=True)

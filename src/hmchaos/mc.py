@@ -32,11 +32,10 @@ class MomentEstimate:
     mean: float
     std_error: float
     samples: int
-    q: float
     seed: Seed
 
 
-def from_values(values: np.ndarray, q: float, seed: Seed) -> MomentEstimate:
+def from_values(values: np.ndarray, seed: Seed) -> MomentEstimate:
     """Mean and standard error (sample sd / sqrt(n)) of replicate values."""
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -44,7 +43,7 @@ def from_values(values: np.ndarray, q: float, seed: Seed) -> MomentEstimate:
         raise PreconditionError("an estimate needs at least 2 samples")
     mean = float(np.sum(values) / n)
     var = float(np.sum((values - mean) ** 2) / (n - 1))
-    return MomentEstimate(mean, math.sqrt(var / n), n, q, seed)
+    return MomentEstimate(mean, math.sqrt(var / n), n, seed)
 
 
 def check_samples(samples: int, least: int = 2) -> None:

@@ -177,7 +177,7 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     values = mc.map_replicates(_replicates, (SteinhausModel, (x,),
                                              methodcaller("partial_sum"), power),
                                seed, samples, workers, stream_cls=UnitCircleStream)
-    return mc.from_values(values, power / 2.0, seed)
+    return mc.from_values(values, seed)
 
 
 def steinhaus_compensated_first_moment(x: float, samples: int, seed: Seed,
@@ -411,7 +411,7 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
     mc.check_samples(samples)
     values = mc.map_replicates(_replicates, (FFModel, (q, N), methodcaller("A", N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)
-    return mc.from_values(values, 1.0, seed)
+    return mc.from_values(values, seed)
 
 
 def ff_X_values(q: int, k: int, samples: int, seed: Seed,

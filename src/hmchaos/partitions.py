@@ -182,4 +182,4 @@ def orthogonality_check(first: Partition, second: Partition, samples: int,
     n = values.size
     mean = complex(np.sum(values) / n)
     spread = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n - 1)))
-    return MomentEstimate(abs(mean), spread / sqrt(n), n, 1.0, seed)
+    return MomentEstimate(abs(mean), spread / sqrt(n), n, seed)

@@ -9,9 +9,8 @@ from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scal
                              ballot_probability_mc, ballot_scale, bivariate_density,
                              block_stats, change_of_measure_check, dominating_density,
                              event_G_all_angles_mc, event_G_holds, event_L_holds,
-                             event_probability_mc, lower_log_offset,
-                             sample_block_increments, two_walk_shape_scale,
-                             two_walk_tilted_expectation, upper_log_offset)
+                             event_probability_mc, sample_block_increments,
+                             two_walk_shape_scale, two_walk_tilted_expectation)
 from hmchaos.chaos import circle_mean_closed_form
 from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.rng import GaussianStream, Seed
@@ -24,10 +23,18 @@ def normal_cdf(x):
 def test_barrier_spec_validation():
     with pytest.raises(PreconditionError):
         BarrierSpec(height=0.5, n_max=4)
-    with pytest.raises(PreconditionError):
-        BarrierSpec(height=2.0, n_max=4, offset=lambda j: 30.0 * math.log(max(j, 1)))
-    spec = BarrierSpec(height=2.0, n_max=4, offset=barrier.upper_log_offset)
-    assert spec.levels()[0] == 2.0
+    for slope in (30.0, -10.5, math.nan):
+        with pytest.raises(PreconditionError):
+            BarrierSpec(height=2.0, n_max=4, slope=slope)
+    for slope in (10.0, -10.0):
+        spec = BarrierSpec(height=2.0, n_max=4, slope=slope)
+        assert spec.levels()[0] == 2.0
+
+
+@pytest.mark.parametrize("slope", [0.0, 10.0, -5.0])
+def test_barrier_levels_are_height_plus_slope_log_step(slope):
+    levels = BarrierSpec(height=1.5, n_max=50, slope=slope).levels()
+    assert levels.tolist() == [1.5 + slope * math.log(j) for j in range(1, 51)]
 
 
 def test_ballot_one_step_far_barrier():
@@ -131,8 +138,8 @@ def test_lower_barrier_implies_upper_barrier():
     for _ in range(100):
         x = rng.draw(21) * 2.0
         sums = _checkpoint_sums_scalar(x, 0.99, 0.4, n_max)
-        lower = bool(np.all(sums <= BarrierSpec(2.0, n_max, lower_log_offset).levels()))
-        upper = bool(np.all(sums <= BarrierSpec(2.0, n_max, upper_log_offset).levels()))
+        lower = bool(np.all(sums <= BarrierSpec(2.0, n_max, -5.0).levels()))
+        upper = bool(np.all(sums <= BarrierSpec(2.0, n_max, 10.0).levels()))
         assert (not lower) or upper
 
 
@@ -145,10 +152,10 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     # within 1e-9 of a level are skipped
     heights = (1.0, 2.0, 4.0)
     if kind == "G":
-        n_max, offset, holds = int(math.log(K)), upper_log_offset, event_G_holds
+        n_max, slope, holds = int(math.log(K)), 10.0, event_G_holds
     else:
-        n_max, offset, holds = barrier.log_horizon(r, K), lower_log_offset, event_L_holds
-    levels_list = [BarrierSpec(a, n_max, offset).levels() for a in heights]
+        n_max, slope, holds = barrier.log_horizon(r, K), -5.0, event_L_holds
+    levels_list = [BarrierSpec(a, n_max, slope).levels() for a in heights]
     count = 300
     _, kmax = barrier.block_bounds(n_max)
     x = 2.5 * GaussianStream(Seed(61)).draw(count * kmax)
@@ -178,7 +185,7 @@ def test_grid_event_fft_matches_direct_angle_loop():
     # white box: the FFT evaluation of the field on the per-checkpoint
     # angle grids must reproduce a direct evaluation angle by angle
     r, n_max, A = 1.0, 3, 1.5
-    levels = BarrierSpec(A, n_max, upper_log_offset).levels()
+    levels = BarrierSpec(A, n_max, 10.0).levels()
     stream = GaussianStream(Seed(2718))
     count = 16
     flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r,
@@ -364,9 +371,16 @@ def test_two_walk_single_block_closed_form():
     # mean is exp(8 sigma^2); heavy lognormal tail, so compare at 5 sigma
     blocks = block_stats(0.97, 0.0, 1000.0)
     assert blocks.M == 1 and blocks.log_K_r == 2
-    est = two_walk_tilted_expectation(0.97, 0.0, 1000.0, None, 400000, Seed(23))
+    est = two_walk_tilted_expectation(0.97, 0.0, 1000.0, math.inf, 400000, Seed(23))
     target = math.exp(8.0 * blocks.sigma2[1])
     assert abs(est.mean - target) <= 5.0 * est.std_error
+
+
+def test_two_walk_level_minus_inf_keeps_no_path():
+    # level = inf is the unconstrained expectation; -inf is a barrier no walk
+    # clears, not a second spelling of "no barrier"
+    est = two_walk_tilted_expectation(0.97, 0.0, 1000.0, -math.inf, 1000, Seed(5))
+    assert (est.mean, est.std_error) == (0.0, 0.0)
 
 
 def test_two_walk_monotone_in_level():

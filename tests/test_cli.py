@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -156,6 +157,21 @@ def test_event_all_angles(tmp_path):
     assert 0.0 <= float(row[6]) <= 1.0
 
 
+def test_event_all_angles_holds_one_grid_block():
+    # 8 replicates on the K = 10^4 grids: the last checkpoint has
+    # ceil(9 e^9) angles, and its padded block is transformed in place, so
+    # the traced peak stays below two (count, grid) complex blocks
+    count, grid = 8, math.ceil(9 * math.e**9)
+    tracemalloc.start()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["event", "--all-angles", "--K", "10000", "--r", "1",
+                     "--samples", str(count), "--workers", "1"])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * count * grid * 16
+
+
 def test_event_lower_kind(tmp_path):
     code, text = run_csv(tmp_path, "eventL",
                          ["event", "--kind", "L", "--K", "100", "--r",
@@ -220,9 +236,13 @@ def test_precondition_violation_exits_3(tmp_path):
     huge_q = str(10**18 + 3)
     assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
     assert main(["ff", "--mode", "counts", "--q", huge_q]) == 3
-    for theta in ("nan", "inf"):  # NaN and inf angles printed p_hat 0.0
+    # NaN, inf and huge angles printed p_hat 0.0; 1e308 * k overflows to inf
+    for theta in ("nan", "inf", "1e308"):
         assert main(["event", "--K", "1000", "--r", "1", "--theta", theta,
                      "--samples", "100"]) == 3
+    # a huge angle made blocks print rho nan and fail bounds that are theorems
+    assert main(["blocks", "--r", "0.98", "--theta", "1e308", "--m-max", "4",
+                 "--check"]) == 3
     assert main(["ballot", "--variance", "nan", "--samples", "100"]) == 3
     assert main(["decay", "--n-grid", ",", "--samples-per", ","]) == 3
     for flags in (["--grid-points", "0"], ["--grid-points", "-5"], ["--sigma1", "1e308"],
@@ -369,10 +389,14 @@ SAMPLES = st.integers(-1, 8).map(str)
 
 
 def _fuzz_case(argv, limit=10.0):
+    # a RuntimeWarning (overflow, invalid value) marks an input that silently
+    # turned into inf or NaN, so it fails the case
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv + ["--workers", "1"])
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
@@ -411,7 +435,8 @@ def test_fuzz_ff(mode, q, N, samples):
 # runs get past the first check. Sizes that are in budget stay small
 # (degree <= 1500, K <= 3e4, blocks m <= 12, 10^4 grid points, samples <= 8
 # or 300 for the ballot): the budgets bound values, not the kernels'
-# temporaries, which reach 680 MiB for an all-angle event at K = e^12.
+# temporaries, which reach 362 MiB (traced) for an all-angle event at K = e^12
+# with 8 samples.
 SIZES = st.one_of(st.integers(-3, 12).map(str),
                   st.sampled_from([str(10**9), str(10**30), str(-10**9), "nan", "1.5"]))
 SMALL_FLOATS = st.one_of(st.floats(-5.0, 3e4).map(repr), FLOATS)

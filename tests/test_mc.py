@@ -95,7 +95,7 @@ def test_batched_coefficients_equal_the_scalar_oracle(N):
     assert coefficient_values(N, samples, seed).tobytes() == oracle.tobytes()
     for q in (0.25, 0.5, 1.0):
         est = estimate_moment(N, q, samples, seed)
-        ref = mc.from_values([abs(v) ** (2.0 * q) for v in oracle], q, seed)
+        ref = mc.from_values([abs(v) ** (2.0 * q) for v in oracle], seed)
         assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
 
 
@@ -125,7 +125,7 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
     assert {size for size, _ in seen} == {exp_width(N), 2 * exp_width(N)}
     scalar = np.array([_scalar_coefficient(N, seed, i) for i in range(samples)])
     assert values.tobytes() == scalar.tobytes()
-    assert est.mean == mc.from_values([abs(v) for v in scalar], 0.5, seed).mean
+    assert est.mean == mc.from_values([abs(v) for v in scalar], seed).mean
     monkeypatch.undo()
     oracle = [exp_array(chaos._input_series(GaussianStream(split(seed, i)), N, float(N)),
                         N, "recurrence")[N] for i in range(samples)]
@@ -138,5 +138,5 @@ def test_batched_circle_averages_equal_the_scalar_oracle():
     oracle = [circle_average_sample(K, r, GaussianStream(split(seed, i)), D)
               for i in range(samples)]
     est = circle_average_moment(K, r, samples, seed, D=D)
-    ref = mc.from_values(oracle, 1.0, seed)
+    ref = mc.from_values(oracle, seed)
     assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
