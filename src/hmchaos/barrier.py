@@ -201,8 +201,13 @@ def _checkpoints(steps, first_block, last_block):
 
 def _event_chunk(stream, count, r, theta, n_max, levels_list):
     """Indicator matrix (one column per barrier level schedule)."""
-    x, k, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
-    sums = _checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, 1, n_max)
+    kmax = block_bounds(n_max)[1]
+    if theta == 0.0:  # the rotation is the identity, so only Re X is read
+        x, _, coef, drift = chaos.field_rows(stream, count, r, 1, kmax, real=True)
+    else:
+        x, k, coef, drift = chaos.field_rows(stream, count, r, 1, kmax)
+        x = (x * np.exp(1j * theta * k)).real
+    sums = _checkpoints(x * coef - drift, 1, n_max)
     cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
     return np.stack(cols, axis=1).reshape(count * len(levels_list))
 
@@ -264,10 +269,10 @@ def event_G_all_angles_mc(K: float, r: float, A: float, samples: int, seed: Seed
 
 
 def _com_left_chunk(stream, count, K, r, n_max, levels):
-    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K))
-    weight = np.exp(2.0 * (x.real @ coef))
+    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K), real=True)
+    weight = np.exp(2.0 * (x @ coef))
     _, kmax = block_bounds(n_max)
-    sums = _checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], 1, n_max)
+    sums = _checkpoints(x[:, :kmax] * coef[:kmax] - drift[:kmax], 1, n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
 
 
@@ -338,10 +343,12 @@ class WalkBlocks:
         return float(self.rho[m - 1] * self.sigma2[m - 1])
 
     def covariance_bound(self, m: int) -> float:
-        """pi/(|theta| e^{m-1}), valid for every block when 0 < r < 1."""
-        if self.theta == 0.0:
+        """pi/(|theta| e^{m-1}) for theta reduced to [-pi, pi], valid for every
+        block when 0 < r < 1 (cos(k theta) depends only on theta mod 2 pi)."""
+        reduced = abs(math.remainder(self.theta, 2.0 * math.pi))
+        if reduced == 0.0:
             return math.inf
-        return math.pi / (abs(self.theta) * math.e ** (m - 1))
+        return math.pi / (reduced * math.e ** (m - 1))
 
     def variance_bounds(self, m: int) -> tuple[float, float]:
         """[1/4, 1/2 + 1/(2 e^{m-1})], valid for blocks with e^m <= K_r."""

@@ -65,15 +65,18 @@ def field_weights(r: float, lo: int, hi: int):
     return k, r**k / np.sqrt(k), r ** (2.0 * k) / k
 
 
-def field_rows(stream, count: int, r: float, lo: int, hi: int):
+def field_rows(stream, count: int, r: float, lo: int, hi: int, real: bool = False):
     """count rows of X(lo..hi) from `stream`, with field_weights(r, lo, hi).
 
     Row i holds draws i*width .. (i+1)*width - 1 of the stream; an empty
     range gives rows of width 0. The block is budgeted before it is drawn.
+    real=True returns only Re X (`draw_re`): the same values and strides as
+    the real part of the complex rows, without computing the imaginary part.
     """
     width = max(hi - lo + 1, 0)
     check_field_budget(count, width)
-    x = stream.draw(count * width).reshape(count, width)
+    draw = stream.draw_re if real else stream.draw
+    x = draw(count * width).reshape(count, width)
     return (x, *field_weights(r, lo, hi))
 
 
@@ -177,8 +180,8 @@ def circle_mean_closed_form(K: float, r: float) -> float:
 
 def _sq_modulus_at_radius(stream, count, K, r):
     # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)); scalar per sample
-    x, _, coef, _ = field_rows(stream, count, r, 1, _int_floor(K))
-    return np.exp(2.0 * (x.real @ coef))
+    x, _, coef, _ = field_rows(stream, count, r, 1, _int_floor(K), real=True)
+    return np.exp(2.0 * (x @ coef))
 
 
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,

@@ -128,6 +128,9 @@ def cmd_event(args):
     if args.all_angles:
         if args.kind != "G":
             raise PreconditionError("--all-angles is defined for the upper event only")
+        if args.theta != 0.0:  # NaN is refused too
+            raise PreconditionError("--all-angles covers every angle and reads no "
+                                    f"--theta, got {args.theta}")
         for i, a in enumerate(heights):
             est = barrier.event_G_all_angles_mc(args.K, args.r, a, args.samples,
                                                 split(_seed(args), i),

@@ -6,6 +6,10 @@ workers a Monte Carlo run uses. The bit source is counter-based (Philox)
 keyed by (root, replicate_index); the Gaussian transform is polar
 Box-Muller on uniform doubles, which has no rejection loop. All arithmetic
 is 64-bit floating point.
+
+`GaussianStream.draw_re(n)` serves kernels that read only Re X: it consumes
+the same uniforms as `draw(n)` and returns the same values as
+`draw(n).real`, bit for bit and with the same stride, but computes no sine.
 """
 
 from __future__ import annotations
@@ -86,14 +90,28 @@ class GaussianStream(_PhiloxStream):
         self.position += n
         return radius * (np.cos(angle) + 1j * np.sin(angle))
 
+    def draw_re(self, n: int) -> np.ndarray:
+        """Return Re X(position+1 .. position+n), advancing like draw(n).
+
+        The values overwrite the radius lane of the (n, 2) buffer of
+        uniforms, so they keep the stride of draw(n).real: numpy's matmul
+        takes a different summation route for a contiguous operand, which
+        moves `x @ coef` in the last bits.
+        """
+        u = self._gen.random(2 * max(n, 0)).reshape(-1, 2)
+        angle = _TWO_PI * u[:, 1]
+        np.cos(angle, out=angle)
+        radius = -u[:, 0]  # draw's ufuncs on the same values, in place
+        np.sqrt(np.negative(np.log1p(radius, out=radius), out=radius), out=radius)
+        np.multiply(radius, angle, out=u[:, 0])
+        self.position += len(u)
+        return u[:, 0]
+
     def draw_real(self, n: int) -> np.ndarray:
         """Return n independent real N(0,1) values (two per complex draw)."""
-        m = (n + 1) // 2
-        z = self.draw(m) * math.sqrt(2.0)
-        out = np.empty(2 * m)
-        out[0::2] = z.real
-        out[1::2] = z.imag
-        return out[:n]
+        z = self.draw((n + 1) // 2).view(np.float64)
+        z *= math.sqrt(2.0)
+        return z[:n]
 
 
 class UnitCircleStream(_PhiloxStream):

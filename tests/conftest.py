@@ -20,6 +20,9 @@ class FixedStream:
         self.position += n
         return out.copy()
 
+    def draw_re(self, n):
+        return self.draw(n).real
+
 
 def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
     """Two-sample Kolmogorov-Smirnov critical value at significance alpha."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedStream
-from hmchaos import barrier
+from hmchaos import barrier, chaos
 from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scalar,
                              ballot_probability_mc, ballot_scale, bivariate_density,
                              block_stats, change_of_measure_check, dominating_density,
@@ -174,6 +174,48 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     assert seen == {True, False}
 
 
+def _event_chunk_complex_route(stream, count, r, theta, n_max, levels_list):
+    x, k, coef, drift = chaos.field_rows(stream, count, r, 1,
+                                         barrier.block_bounds(n_max)[1])
+    sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift,
+                                1, n_max)
+    cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
+    return np.stack(cols, axis=1).reshape(count * len(levels_list))
+
+
+def _com_left_chunk_complex_route(stream, count, K, r, n_max, levels):
+    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, int(K))
+    weight = np.exp(2.0 * (x.real @ coef))
+    _, kmax = barrier.block_bounds(n_max)
+    sums = barrier._checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax],
+                                1, n_max)
+    return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
+
+
+@pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (400.0, 1.0, 1.5),
+                                     (1e4, 0.99, 3.0)])
+def test_real_draw_kernels_match_the_complex_route(K, r, A):
+    # event at theta = 0 and the change of measure's left side read only
+    # Re X; they must reproduce the complex rows' real part bit for bit,
+    # x @ coef included (a contiguous operand takes another matmul route)
+    count, seed = 700, Seed(17)
+    n_max = int(math.log(K))
+    # flat levels low enough that both outcomes occur
+    levels_list = [np.zeros(n_max), np.full(n_max, A)]
+    flags = barrier._event_chunk(GaussianStream(seed), count, r, 0.0, n_max,
+                                 levels_list)
+    ref = _event_chunk_complex_route(GaussianStream(seed), count, r, 0.0, n_max,
+                                     levels_list)
+    assert np.array_equal(flags, ref)
+    assert 0.0 < flags.mean() < 1.0
+    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, n_max,
+                                   levels_list[1])
+    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, n_max,
+                                        levels_list[1])
+    assert np.array_equal(left.view(np.uint64), ref.view(np.uint64))
+    assert np.count_nonzero(left) > 0
+
+
 def test_event_L_probability_band():
     r = math.exp(-1.0 / 40.0)
     est = event_probability_mc("L", 1e4, r, [2.0], 0.0, 100000, Seed(13))[0]
@@ -252,6 +294,19 @@ def test_block_covariance_bound_at_pi():
     blocks = block_stats(0.99, math.pi, 1e6, m_max=6)
     for m in range(1, 7):
         assert abs(blocks.covariance(m)) <= math.e ** -(m - 1) + 1e-12
+
+
+@pytest.mark.parametrize("theta", [2000.0 * math.pi, math.pi + 0.1, -math.pi - 0.1])
+def test_block_covariance_bound_uses_the_reduced_angle(theta):
+    # cos(k theta) depends on theta mod 2 pi only, so the bound does too
+    reduced = abs(math.remainder(theta, 2.0 * math.pi))
+    blocks = block_stats(0.98, theta, 1e6, m_max=4)
+    for m in range(1, 5):
+        assert abs(blocks.covariance(m)) <= blocks.covariance_bound(m)
+        if reduced:
+            assert blocks.covariance_bound(m) == math.pi / (reduced * math.e ** (m - 1))
+    if theta != 2000.0 * math.pi:
+        assert blocks.covariance_bound(1) == pytest.approx(math.pi / (math.pi - 0.1))
 
 
 def test_block_stats_validation():

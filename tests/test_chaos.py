@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import FixedStream
-from hmchaos.chaos import (circle_average_moment, circle_average_sample,
-                           circle_mean_closed_form, circle_mean_mc,
-                           coefficient_values, estimate_moment, fit_decay_band,
-                           gaussian_abs_moment, sample_A, theorem_band_factor,
-                           truncation_degree)
+from hmchaos.chaos import (_sq_modulus_at_radius, circle_average_moment,
+                           circle_average_sample, circle_mean_closed_form,
+                           circle_mean_mc, coefficient_values, estimate_moment,
+                           field_rows, fit_decay_band, gaussian_abs_moment,
+                           sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import GaussianStream, Seed
 from hmchaos.series import exp_array
@@ -138,6 +138,14 @@ def test_circle_mean_mc_matches_closed_form():
     est = circle_mean_mc(8.0, 1.0, 10**5, Seed(202))
     target = circle_mean_closed_form(8.0, 1.0)
     assert abs(est.mean - target) <= 5.0 * est.std_error
+
+
+def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
+    # drawn with draw_re: bit for bit the complex rows' real part, x @ coef included
+    x, _, coef, _ = field_rows(GaussianStream(Seed(8)), 600, 0.9, 1, 20)
+    ref = np.exp(2.0 * (x.real @ coef))
+    values = _sq_modulus_at_radius(GaussianStream(Seed(8)), 600, 20.0, 0.9)
+    assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
 
 
 def test_circle_average_constant_function():

@@ -130,6 +130,12 @@ def test_blocks_check_passes(tmp_path, capsys):
                                   "--m-max", m_max, "--check"])
         assert code == 0
         assert text.splitlines()[0] == GOLDEN_HEADERS["blocks"]
+    # at 2000 pi every cos(k theta) is 1; the bound is a theorem for the
+    # reduced angle, which is next to 0
+    code, _ = run_csv(tmp_path, "blocks", ["blocks", "--r", "0.98", "--theta",
+                                           repr(2000.0 * math.pi), "--m-max", "4",
+                                           "--check"])
+    assert code == 0
     assert capsys.readouterr().err == ""
 
 
@@ -243,6 +249,10 @@ def test_precondition_violation_exits_3(tmp_path):
     # a huge angle made blocks print rho nan and fail bounds that are theorems
     assert main(["blocks", "--r", "0.98", "--theta", "1e308", "--m-max", "4",
                  "--check"]) == 3
+    # the all-angle event reads no --theta, so it refuses one instead of printing it
+    for theta in ("nan", "0.5"):
+        assert main(["event", "--all-angles", "--K", "20", "--r", "1", "--theta", theta,
+                     "--samples", "4"]) == 3
     assert main(["ballot", "--variance", "nan", "--samples", "100"]) == 3
     assert main(["decay", "--n-grid", ",", "--samples-per", ","]) == 3
     for flags in (["--grid-points", "0"], ["--grid-points", "-5"], ["--sigma1", "1e308"],

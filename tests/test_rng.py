@@ -90,6 +90,42 @@ def test_threaded_creation_matches_sequential():
         assert np.array_equal(a, b)
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def test_draw_re_is_the_real_part_of_draw():
+    # bit for bit under any mix of batchings, with draw's stride and position
+    whole = GaussianStream(Seed(9)).draw(300)
+    st = GaussianStream(Seed(9))
+    parts = [st.draw_re(3), st.draw(5).real, st.draw_re(0), st.draw_re(129),
+             st.draw(40).real, st.draw_re(1), st.draw_re(122)]
+    assert st.position == 300
+    assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole.real))
+    assert np.array_equal(st.draw(7), GaussianStream(Seed(9)).draw(307)[300:])
+    re = GaussianStream(Seed(9)).draw_re(300)
+    assert re.strides == whole.real.strides
+    assert GaussianStream(Seed(9)).draw_re(-2).size == 0
+
+
+def _draw_real_by_interleaving(stream, n):
+    m = (n + 1) // 2
+    z = stream.draw(m) * math.sqrt(2.0)
+    out = np.empty(2 * m)
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097])
+def test_draw_real_matches_interleaved_complex_draws(n):
+    st, ref = GaussianStream(Seed(21)), GaussianStream(Seed(21))
+    for _ in range(2):  # a second call starts at the advanced position
+        assert np.array_equal(_bits(st.draw_real(n)),
+                              _bits(_draw_real_by_interleaving(ref, n)))
+        assert st.position == ref.position
+
+
 def test_draw_real_standard_normal():
     st = GaussianStream(Seed(88))
     v = st.draw_real(200001)  # odd length exercises the truncation
