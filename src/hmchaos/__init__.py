@@ -14,7 +14,7 @@ experiment CLI.
 
 __version__ = "0.1.0"
 
-from .chaos import (ChaosSample, circle_average_moment, circle_average_sample,
+from .chaos import (circle_average_moment, circle_average_sample,
                     circle_mean_closed_form, circle_mean_mc, estimate_moment,
                     fit_decay_band, gaussian_abs_moment, sample_A,
                     theorem_band_factor)
@@ -24,16 +24,16 @@ from .partitions import (Partition, a_of_partition, diagonal_second_moment,
                          enumerate_partitions, exact_total_mass,
                          orthogonality_check, partition_count,
                          reconstruct_A_by_largest_part)
-from .rng import GaussianStream, Seed, UnitCircleStream, next_complex_gaussian, split
+from .rng import GaussianStream, Seed, UnitCircleStream, split
 from .series import multiply, parseval_power_sum, rankin_bound, smooth_partition_weight
 
 __all__ = [
-    "BudgetError", "ChaosSample", "GaussianStream", "MomentEstimate", "Partition",
+    "BudgetError", "GaussianStream", "MomentEstimate", "Partition",
     "PreconditionError", "Seed", "UnitCircleStream", "a_of_partition",
     "circle_average_moment", "circle_average_sample", "circle_mean_closed_form",
     "circle_mean_mc", "diagonal_second_moment", "enumerate_partitions",
     "estimate_moment", "exact_total_mass", "fit_decay_band", "gaussian_abs_moment",
-    "multiply", "next_complex_gaussian", "orthogonality_check", "partition_count",
+    "multiply", "orthogonality_check", "partition_count",
     "parseval_power_sum", "rankin_bound", "reconstruct_A_by_largest_part", "sample_A",
     "smooth_partition_weight", "split", "theorem_band_factor",
 ]

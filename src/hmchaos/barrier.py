@@ -62,6 +62,11 @@ def _check_theta(who: str, theta: float, kmax: int) -> None:
                                 f"got theta = {theta}")
 
 
+def _reduced_angle(theta: float) -> float:
+    """|theta| reduced to [0, pi]: cos(k theta) depends only on theta mod 2 pi."""
+    return abs(math.remainder(theta, 2.0 * math.pi))
+
+
 def log_horizon(r: float, K: float) -> int:
     """log K_r: the largest integer with e^{log K_r} <= min(-1/(4 log r), K)."""
     return _int_floor(math.log(min(-1.0 / (4.0 * math.log(r)), K)))
@@ -345,7 +350,7 @@ class WalkBlocks:
     def covariance_bound(self, m: int) -> float:
         """pi/(|theta| e^{m-1}) for theta reduced to [-pi, pi], valid for every
         block when 0 < r < 1 (cos(k theta) depends only on theta mod 2 pi)."""
-        reduced = abs(math.remainder(self.theta, 2.0 * math.pi))
+        reduced = _reduced_angle(self.theta)
         if reduced == 0.0:
             return math.inf
         return math.pi / (reduced * math.e ** (m - 1))
@@ -358,8 +363,9 @@ class WalkBlocks:
 def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> WalkBlocks:
     """Compute the horizon K_r, the split index M, and per-block sigma/rho.
 
-    M is the smallest integer with e^M >= min(1000/|theta|, K_r/e); at
-    theta = 0 only the K_r/e branch applies.
+    M is the smallest integer with e^M >= min(1000/|theta|, K_r/e) for theta
+    reduced to [-pi, pi]; at a reduced angle of 0 only the K_r/e branch
+    applies.
     """
     if not 0.0 < r < 1.0:
         raise PreconditionError("block_stats requires 0 < r < 1")
@@ -380,10 +386,11 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         chaos.check_field_budget(1, top_hi - top_lo + 1)
     _check_theta("block_stats", theta, block_bounds(count)[1])
     K_r = math.e**log_K_r
-    if theta == 0.0:
+    reduced = _reduced_angle(theta)
+    if reduced == 0.0:
         anchor = K_r / math.e
     else:
-        anchor = min(1e3 / abs(theta), K_r / math.e)
+        anchor = min(1e3 / reduced, K_r / math.e)
     M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
     lo = np.empty(count, dtype=int)
     hi = np.empty(count, dtype=int)

@@ -80,19 +80,6 @@ def field_rows(stream, count: int, r: float, lo: int, hi: int, real: bool = Fals
     return (x, *field_weights(r, lo, hi))
 
 
-@dataclass(frozen=True)
-class ChaosSample:
-    """One draw of the coefficients A(0..N) at truncation K."""
-
-    N: int
-    K: float
-    coeffs: np.ndarray
-    seed: Seed
-
-    def coefficient(self, n: int) -> complex:
-        return complex(self.coeffs[n])
-
-
 def _input_rows(streams, N: int, K: float, rows: int) -> np.ndarray:
     """Coefficient vectors of sum_{k<=min(K,N)} X(k) z^k / sqrt(k), one row
     for each of the next `rows` streams (fewer if `streams` runs out).
@@ -109,21 +96,15 @@ def _input_rows(streams, N: int, K: float, rows: int) -> np.ndarray:
     return s[:count]
 
 
-def _input_series(stream, N: int, K: float) -> np.ndarray:
-    """Coefficient vector of sum_{k<=min(K,N)} X(k) z^k / sqrt(k)."""
-    return _input_rows([stream], N, K, 1)[0]
-
-
-def sample_A(N: int, K: float, stream: GaussianStream) -> ChaosSample:
-    """Sample A(0..N) for the degree-K truncated model.
+def sample_A(N: int, K: float, stream: GaussianStream) -> np.ndarray:
+    """One draw of the coefficients A(0..N) of the degree-K truncated model.
 
     Coefficients of degree n <= K depend only on X(1..n), so any K >= N
     yields the untruncated law of A(N).
     """
     if N < 0 or not K >= 1:
         raise PreconditionError("sample_A requires N >= 0 and K >= 1")
-    coeffs = _exp_rows([stream], N, K, lambda row: row)[0]
-    return ChaosSample(N=N, K=float(K), coeffs=coeffs, seed=stream.seed)
+    return _exp_rows([stream], N, K, lambda row: row)[0]
 
 
 def _exp_rows(streams, N: int, K: float, statistic) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import barrier, chaos, mc, numbermodels, partitions, report, series
 from .errors import BudgetError, PreconditionError
-from .rng import GaussianStream, Seed, split
+from .rng import GaussianStream, Seed, UnitCircleStream, split
 
 MOMENT_COLUMNS = ["N", "q", "samples", "mean", "std_error", "compensated", "seed"]
 DEFAULT_BAND = (0.2, 5.0)
@@ -45,9 +45,8 @@ def cmd_sample(args):
     _require(args, "N")
     stream = GaussianStream(_seed(args))
     K = args.K if args.K is not None else float(max(args.N, 1))
-    draw = chaos.sample_A(args.N, K, stream)
-    rows = [(n, float(draw.coeffs[n].real), float(draw.coeffs[n].imag))
-            for n in range(args.N + 1)]
+    coeffs = chaos.sample_A(args.N, K, stream)
+    rows = [(n, float(coeffs[n].real), float(coeffs[n].imag)) for n in range(args.N + 1)]
     return ["n", "re", "im"], rows, []
 
 
@@ -257,7 +256,7 @@ def cmd_ff(args):
                        abs(est.mean - 1.0) <= 4.0 * est.std_error))
     elif args.mode == "series":
         columns = ["q", "N", "max_err_euler", "max_err_exp", "tol", "ok"]
-        model = numbermodels.FFModel(args.q, args.N, _seed(args))
+        model = numbermodels.FFModel(args.q, args.N, UnitCircleStream(_seed(args)))
         direct = np.array([model.A(n) for n in range(args.N + 1)])
         err_euler = float(np.max(np.abs(model.euler_product_series(args.N) - direct)))
         err_exp = float(np.max(np.abs(model.gaussian_exp_series(args.N) - direct)))
@@ -273,7 +272,7 @@ def cmd_series_selftest(args):
     rows, checks = [], []
     series.check_recurrence_budget(args.degree)  # before the inputs are drawn
     stream = GaussianStream(_seed(args))
-    s = chaos._input_series(stream, args.degree, float(args.degree))
+    s = chaos._input_rows([stream], args.degree, float(args.degree), 1)[0]
     slow = series.exp_array(s, args.degree, engine="recurrence")
     fast = series.exp_array(s, args.degree)
     err = float(np.max(np.abs(slow - fast)))

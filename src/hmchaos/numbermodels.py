@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import methodcaller
 
 import numpy as np
@@ -96,7 +95,7 @@ def _tree_values(angles, tree):
 def _replicates(streams, model, size, statistic, power):
     """One value per stream: `statistic` (a methodcaller) of a model drawn
     from it, as |value|**power, or the complex value when power is None."""
-    values = [statistic(model.from_stream(*size, stream)) for stream in streams]
+    values = [statistic(model(*size, stream)) for stream in streams]
     try:
         return values if power is None else [abs(value) ** power for value in values]
     except OverflowError:
@@ -133,23 +132,13 @@ def _integer_tree(n: int):
     return _factor_tree(_sieve(n), n)
 
 
-@dataclass(frozen=True)
 class SteinhausModel:
-    """One seeded instantiation of a Steinhaus multiplicative function."""
+    """A Steinhaus multiplicative function whose prime angles are the next
+    draws of `stream`."""
 
-    x: float
-    angles: np.ndarray
-    seed: Seed
-
-    @classmethod
-    def build(cls, x: float, seed: Seed) -> "SteinhausModel":
-        return cls.from_stream(x, UnitCircleStream(seed))
-
-    @classmethod
-    def from_stream(cls, x: float, stream: UnitCircleStream) -> "SteinhausModel":
-        """The model whose prime angles are the next draws of `stream`."""
-        primes = _sieve(_cutoff(x))
-        return cls(float(x), np.angle(stream.draw(primes.size)), stream.seed)
+    def __init__(self, x: float, stream: UnitCircleStream):
+        self.x = float(x)
+        self.angles = np.angle(stream.draw(_sieve(_cutoff(x)).size))
 
     def f_values(self) -> np.ndarray:
         """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
@@ -160,11 +149,6 @@ class SteinhausModel:
 
     def partial_sum(self) -> complex:
         return complex(np.sum(self.f_values()[1:]))
-
-
-def steinhaus_partial_sum(x: float, seed: Seed) -> complex:
-    """sum_{n<=x} f(n) for one seeded Steinhaus function."""
-    return SteinhausModel.build(x, seed).partial_sum()
 
 
 def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
@@ -287,11 +271,6 @@ def irreducibles_by_degree(p: int, max_degree: int):
     return {d: table[d] for d in range(1, max_degree + 1)}
 
 
-def brute_force_irreducible_count(q: int, n: int) -> int:
-    """Irreducible count by explicit enumeration (prime q only)."""
-    return len(irreducibles_by_degree(q, n)[n])
-
-
 @functools.lru_cache(maxsize=16)
 def _structure(q: int, max_degree: int):
     """Irreducible degrees (global order) and the factor tree of F_q[t].
@@ -317,35 +296,22 @@ def _structure(q: int, max_degree: int):
 
 
 class FFModel:
-    """Seeded random multiplicative function over monic polynomials of F_q[t].
+    """Random multiplicative function over monic polynomials of F_q[t] of
+    degree <= N, whose irreducible angles are the next draws of `stream`.
 
     q is any prime power: only the degree and the unit-modulus value of each
     irreducible enter the model, so no arithmetic over F_q is needed.
     """
 
-    def __init__(self, q: int, N: int, seed: Seed):
-        self._draw(q, N, UnitCircleStream(seed))
-
-    @classmethod
-    def from_stream(cls, q: int, N: int, stream: UnitCircleStream) -> "FFModel":
-        """The model whose irreducible angles are the next draws of `stream`."""
-        model = cls.__new__(cls)
-        model._draw(q, N, stream)
-        return model
-
-    def _draw(self, q, N, stream):
+    def __init__(self, q: int, N: int, stream: UnitCircleStream):
         if N < 0:
             raise PreconditionError("FFModel requires N >= 0")
         # the row budget first: the prime-power test trial-divides up to sqrt(q)
         self.degrees, self._tree, self._norm = _structure(q, N)
         if _prime_power_base(q) is None:
             raise PreconditionError("FFModel requires a prime power q >= 2")
-        self.q, self.N, self.seed = q, N, stream.seed
+        self.q, self.N = q, N
         self.angles = np.angle(stream.draw(self.degrees.size))
-
-    def irreducible_values(self) -> np.ndarray:
-        """f(P) for every irreducible, in the global (degree, lex) order."""
-        return np.exp(1j * self.angles)
 
     @functools.cached_property
     def _values(self):
@@ -377,7 +343,7 @@ class FFModel:
             raise PreconditionError("series degree cannot exceed the model's N")
         coeffs = np.zeros(degree + 1, dtype=np.complex128)
         coeffs[0] = 1.0
-        values = self.irreducible_values()
+        values = np.exp(1j * self.angles)  # f(P), in the global (degree, lex) order
         for i in range(self.degrees.size):
             d = int(self.degrees[i])
             if d > degree:
@@ -393,16 +359,6 @@ class FFModel:
         for k in range(1, degree + 1):
             s[k] = self.X(k) / math.sqrt(k)
         return _series.exp_array(s, degree)
-
-
-def ff_A(q: int, N: int, seed: Seed) -> complex:
-    """One seeded draw of A(N) in the F_q[t] model."""
-    return FFModel(q, N, seed).A(N)
-
-
-def ff_X(q: int, k: int, seed: Seed) -> complex:
-    """One seeded draw of X(k) in the F_q[t] model."""
-    return FFModel(q, k, seed).X(k)
 
 
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,

@@ -123,8 +123,3 @@ class UnitCircleStream(_PhiloxStream):
         angle = _TWO_PI * self._gen.random(n)
         self.position += n
         return np.cos(angle) + 1j * np.sin(angle)
-
-
-def next_complex_gaussian(stream: GaussianStream) -> complex:
-    """Return X(position+1) from the stream and advance it by one draw."""
-    return complex(stream.draw(1)[0])

@@ -55,6 +55,10 @@ CIRCLE_PANEL = 2**13
 # Panel rows between twiddles taken afresh from np.exp; the rows in between
 # multiply by w^m, and that running product gains about an ulp per row.
 TWIDDLE_RUN = 16
+# Longest sum the recurrence hands to one np.dot/np.vecdot call; longer sums
+# add such blocks in order. OpenBLAS splits a dot of more than 10000 terms
+# across its threads, which makes the rounding depend on the thread count.
+DOT_BLOCK = 8192
 # Cap on the values of one (rows, width) block of draws, or of one circle,
 # checked before it is allocated: 256 MiB as complex128.
 FIELD_BUDGET = 2**24
@@ -75,7 +79,9 @@ def _exp_recurrence(rows: np.ndarray, degree: int) -> np.ndarray:
     contiguous slice of every row. One row runs on 1-D views with np.dot.
     More rows run on transposed views with one np.vecdot along axis 0 per
     step: vecdot conjugates its first argument, so with conjugated weights
-    each column's BLAS sum has np.dot's bits.
+    each column's BLAS sum has np.dot's bits. A sum of more than DOT_BLOCK
+    terms adds the dots of its DOT_BLOCK-term blocks in order, so no BLAS
+    call is long enough to be split across threads.
     """
     check_recurrence_budget(degree)
     weights = np.zeros((rows.shape[0], degree + 1), dtype=rows.dtype)  # k*s_k
@@ -88,9 +94,15 @@ def _exp_recurrence(rows: np.ndarray, degree: int) -> np.ndarray:
     else:
         np.conjugate(weights, out=weights)
         w, e, dot = weights[:, 1:].T, rev.T, partial(np.vecdot, axis=0)
-    for n in range(1, degree + 1):
+    for n in range(1, min(degree, DOT_BLOCK) + 1):
         j = degree - n
         e[j] = (e[j] + dot(w[:n], e[j + 1 :])) / n
+    for n in range(DOT_BLOCK + 1, degree + 1):
+        j = degree - n
+        head, tail, total = w[:n], e[j + 1 :], e[j]
+        for a in range(0, n, DOT_BLOCK):
+            total = total + dot(head[a : a + DOT_BLOCK], tail[a : a + DOT_BLOCK])
+        e[j] = total / n
     np.copyto(weights, rev[:, ::-1])  # the weights are spent; their buffer takes E
     return weights
 

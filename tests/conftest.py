@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 
-from hmchaos.rng import Seed
-
 
 class FixedStream:
     """Stand-in stream that replays a preset sequence of complex values."""
@@ -11,7 +9,6 @@ class FixedStream:
     def __init__(self, values):
         self._values = np.asarray(values, dtype=np.complex128)
         self.position = 0
-        self.seed = Seed(0)
 
     def draw(self, n):
         if self.position + n > self._values.size:

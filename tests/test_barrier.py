@@ -309,6 +309,14 @@ def test_block_covariance_bound_uses_the_reduced_angle(theta):
         assert blocks.covariance_bound(1) == pytest.approx(math.pi / (math.pi - 0.1))
 
 
+@pytest.mark.parametrize("theta, twin", [(2000.0 * math.pi, 1e-9), (2.0 * math.pi + 0.5, 0.5),
+                                         (-2.0 * math.pi - 0.5, 0.5)])
+def test_block_split_index_uses_the_reduced_angle(theta, twin):
+    # the pairs agree mod 2 pi (the first up to rounding), so every cos(k theta)
+    # and the split index M agree; the raw angle gave M = 1 and 5 against 6
+    assert block_stats(0.9999, theta, 1e6).M == block_stats(0.9999, twin, 1e6).M == 6
+
+
 def test_block_stats_validation():
     with pytest.raises(PreconditionError):
         block_stats(1.0, 0.5, 100.0)

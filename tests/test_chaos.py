@@ -17,20 +17,20 @@ from hmchaos.series import exp_array
 def test_sample_basics():
     stream = GaussianStream(Seed(100))
     draw = sample_A(16, 16.0, stream)
-    assert draw.coefficient(0) == 1.0
+    assert draw[0] == 1.0
     assert stream.position == 16
 
 
 def test_first_coefficient_is_first_gaussian():
     x1 = 0.25 - 1.5j
     draw = sample_A(1, 1.0, FixedStream([x1]))
-    assert draw.coefficient(1) == pytest.approx(x1)
+    assert draw[1] == pytest.approx(x1)
 
 
 def test_forced_stream_quadratic_coefficient():
     # X(1) = 1, X(2) = 0 makes A(2) = 1/2
     draw = sample_A(2, 2.0, FixedStream([1.0, 0.0]))
-    assert draw.coefficient(2) == pytest.approx(0.5, abs=1e-15)
+    assert draw[2] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_sample_validation():
@@ -46,7 +46,7 @@ def test_coefficients_depend_only_on_prefix():
     # enlarging K beyond N must not change A(0..N)
     small = sample_A(12, 12.0, GaussianStream(Seed(7)))
     large = sample_A(12, 60.0, GaussianStream(Seed(7)))
-    assert np.array_equal(small.coeffs, large.coeffs)
+    assert np.array_equal(small, large)
 
 
 def test_moment_q_zero_is_exactly_one():

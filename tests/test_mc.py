@@ -77,10 +77,14 @@ def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
     assert _SerialPool.sizes == []
 
 
+def _input_row(N, seed, i):
+    # replicate i's input series, drawn from its own stream
+    return chaos._input_rows([GaussianStream(split(seed, i))], N, float(N), 1)[0]
+
+
 def _scalar_coefficient(N, seed, i):
     # the per-replicate oracle: one 1-D exp on replicate i's own stream
-    stream = GaussianStream(split(seed, i))
-    return exp_array(chaos._input_series(stream, N, float(N)), N)[N]
+    return exp_array(_input_row(N, seed, i), N)[N]
 
 
 @pytest.mark.parametrize("N", [64, 400, EXP_LEAF + 48])
@@ -127,8 +131,7 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
     assert values.tobytes() == scalar.tobytes()
     assert est.mean == mc.from_values([abs(v) for v in scalar], seed).mean
     monkeypatch.undo()
-    oracle = [exp_array(chaos._input_series(GaussianStream(split(seed, i)), N, float(N)),
-                        N, "recurrence")[N] for i in range(samples)]
+    oracle = [exp_array(_input_row(N, seed, i), N, "recurrence")[N] for i in range(samples)]
     assert np.max(np.abs(values - oracle)) < 1e-12
 
 

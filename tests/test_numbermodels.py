@@ -5,24 +5,26 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import ks_critical
+from hmchaos import mc
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos.numbermodels import (FFModel, SteinhausModel,
-                                  brute_force_irreducible_count,
-                                  count_irreducibles, ff_A, ff_X, ff_X_values,
-                                  ff_second_moment, irreducibles_by_degree,
+from hmchaos.numbermodels import (FFModel, SteinhausModel, count_irreducibles,
+                                  ff_X_values, ff_second_moment, irreducibles_by_degree,
                                   steinhaus_abs_moment,
-                                  steinhaus_compensated_first_moment,
-                                  steinhaus_partial_sum, _integer_tree, _sieve,
-                                  _structure)
-from hmchaos.rng import Seed, split
+                                  steinhaus_compensated_first_moment, _integer_tree,
+                                  _sieve, _structure)
+from hmchaos.rng import Seed, UnitCircleStream, split
+
+
+def _circle(root):
+    return UnitCircleStream(Seed(root))
 
 
 def test_steinhaus_at_one():
-    assert steinhaus_partial_sum(1.0, Seed(4)) == 1.0
+    assert SteinhausModel(1.0, _circle(4)).partial_sum() == 1.0
 
 
 def test_steinhaus_complete_multiplicativity():
-    model = SteinhausModel.build(300.0, Seed(19))
+    model = SteinhausModel(300.0, _circle(19))
     f = model.f_values()
     assert f[0] == 0.0 and f[1] == 1.0
     assert f[6] == pytest.approx(f[2] * f[3], rel=1e-12)
@@ -63,7 +65,7 @@ def test_steinhaus_worker_count_is_invisible():
 
 def test_steinhaus_validation():
     with pytest.raises(PreconditionError):
-        steinhaus_partial_sum(0.5, Seed(1))
+        SteinhausModel(0.5, _circle(1))
     for x in (math.nan, -math.inf):
         with pytest.raises(PreconditionError):
             steinhaus_abs_moment(x, 2.0, 10, Seed(1))
@@ -115,7 +117,7 @@ def test_count_irreducibles_validation():
 def test_counts_match_brute_force():
     for q, n_max in ((2, 6), (3, 5)):
         for n in range(1, n_max + 1):
-            assert count_irreducibles(q, n) == brute_force_irreducible_count(q, n)
+            assert count_irreducibles(q, n) == len(irreducibles_by_degree(q, n)[n])
 
 
 def test_gauss_degree_identity():
@@ -145,21 +147,20 @@ def test_structure_enumerates_every_monic():
 
 
 def test_ff_A_trivial_degree():
-    assert ff_A(5, 0, Seed(2)) == 1.0
+    assert FFModel(5, 0, _circle(2)).A(0) == 1.0
 
 
 def test_ff_A_degree_one_closed_form():
     # only monic polynomials of degree 1 are the irreducibles t + a
-    model = FFModel(3, 1, Seed(31))
-    values = model.irreducible_values()
+    model = FFModel(3, 1, _circle(31))
+    values = np.exp(1j * model.angles)
     assert model.A(1) == pytest.approx(values.sum() / math.sqrt(3.0))
 
 
 def test_ff_X_degree_one_closed_form():
-    model = FFModel(2, 1, Seed(77))
-    values = model.irreducible_values()
-    assert ff_X(2, 1, Seed(77)) == pytest.approx(
-        (values[0] + values[1]) / math.sqrt(2.0))
+    model = FFModel(2, 1, _circle(77))
+    values = np.exp(1j * model.angles)
+    assert model.X(1) == pytest.approx((values[0] + values[1]) / math.sqrt(2.0))
 
 
 def test_ff_X_mean_zero():
@@ -199,7 +200,7 @@ def test_ff_replicate_validation():
 
 def test_generating_function_routes_agree():
     for q in (2, 3, 5):
-        model = FFModel(q, 6, Seed(123 + q))
+        model = FFModel(q, 6, _circle(123 + q))
         direct = np.array([model.A(n) for n in range(7)])
         euler = model.euler_product_series(6)
         gauss = model.gaussian_exp_series(6)
@@ -208,8 +209,8 @@ def test_generating_function_routes_agree():
 
 
 def test_ff_reseeding_preserves_distribution():
-    a = np.array([abs(ff_A(5, 4, split(Seed(1), i))) for i in range(400)])
-    b = np.array([abs(ff_A(5, 4, split(Seed(2), i))) for i in range(400)])
+    a, b = (np.array([abs(FFModel(5, 4, UnitCircleStream(split(Seed(root), i))).A(4))
+                      for i in range(400)]) for root in (1, 2))
     stat = ks_2samp(a, b).statistic
     assert stat < ks_critical(400, 400, 0.01)
 
@@ -219,26 +220,48 @@ def test_ff_budget_and_field_validation():
     # and (2, 23)
     for q, N in ((5, 12), (5, 10), (2, 23)):
         with pytest.raises(BudgetError):
-            FFModel(q, N, Seed(1))
+            FFModel(q, N, _circle(1))
     with pytest.raises(PreconditionError):
-        FFModel(6, 3, Seed(1))
+        FFModel(6, 3, _circle(1))
     with pytest.raises(PreconditionError):
-        FFModel(6, 0, Seed(1))
+        FFModel(6, 0, _circle(1))
     with pytest.raises(PreconditionError):
-        FFModel(5, -1, Seed(1))
+        FFModel(5, -1, _circle(1))
     # refused before trial division up to sqrt(q)
     with pytest.raises(BudgetError):
-        FFModel(10**18 + 3, 0, Seed(1))
+        FFModel(10**18 + 3, 0, _circle(1))
 
 
 def test_ff_prime_power_via_external_counts():
     # F_4 runs directly: only the Mobius counts (degree -> count) and
     # unit-modulus values enter the model
     q, top = 4, 4
-    model = FFModel(q, top, Seed(404))
+    model = FFModel(q, top, _circle(404))
     direct = np.array([model.A(n) for n in range(top + 1)])
     assert direct[0] == 1.0
     assert np.max(np.abs(model.euler_product_series(top) - direct)) < 1e-9
     assert np.max(np.abs(model.gaussian_exp_series(top) - direct)) < 1e-9
     with pytest.raises(PreconditionError):
-        FFModel(6, 2, Seed(1))
+        FFModel(6, 2, _circle(1))
+
+
+
+def test_replicate_i_is_the_model_on_its_own_stream():
+    # replicate i of each estimator is the model built directly on
+    # UnitCircleStream(split(seed, i)), bit for bit; the samples cross a span
+    samples, seed = mc.REPLICATE_SPAN + 3, Seed(90)
+
+    def models(model, *size):
+        return [model(*size, UnitCircleStream(split(seed, i))) for i in range(samples)]
+
+    def same(est, values):
+        ref = mc.from_values(values, seed)
+        return (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+    sums = [m.partial_sum() for m in models(SteinhausModel, 30.0)]
+    assert same(steinhaus_abs_moment(30.0, 1.5, samples, seed),
+                [abs(v) ** 1.5 for v in sums])
+    coeffs = [m.A(4) for m in models(FFModel, 3, 4)]
+    assert same(ff_second_moment(3, 4, samples, seed), [abs(v) ** 2 for v in coeffs])
+    oracle = np.array([m.X(3) for m in models(FFModel, 3, 3)])
+    assert ff_X_values(3, 3, samples, seed).tobytes() == oracle.tobytes()

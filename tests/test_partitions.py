@@ -86,7 +86,7 @@ def test_partition_sum_equals_sampler():
         x_map, values = _draw_x_map(500 + n, n)
         by_partitions = sum(a_of_partition(p, x_map) for p in enumerate_partitions(n))
         draw = sample_A(n, float(n), FixedStream(values))
-        assert abs(by_partitions - draw.coefficient(n)) < 1e-10
+        assert abs(by_partitions - draw[n]) < 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 6, 10])
@@ -110,7 +110,7 @@ def test_reconstruct_by_largest_part_sums_to_A():
     x_map, values = _draw_x_map(77, 10)
     bands, smooth_rest, total = reconstruct_A_by_largest_part(10, 3, x_map)
     assert len(bands) == 3
-    direct = sample_A(10, 10.0, FixedStream(values)).coefficient(10)
+    direct = sample_A(10, 10.0, FixedStream(values))[10]
     assert abs(total - direct) < 1e-10
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import ks_critical
-from hmchaos.rng import GaussianStream, Seed, next_complex_gaussian, split
+from hmchaos.rng import GaussianStream, Seed, split
 
 S_BIG = 10**6
 S_MED = 10**5
@@ -24,13 +24,6 @@ def test_chunking_never_changes_values():
     parts = np.concatenate([st.draw(3), st.draw(5), st.draw(40), st.draw(16)])
     assert np.array_equal(whole, parts)
     assert st.position == 64
-
-
-def test_next_complex_gaussian_matches_draw():
-    st = GaussianStream(Seed(4))
-    first = next_complex_gaussian(st)
-    assert st.position == 1
-    assert first == GaussianStream(Seed(4)).draw(1)[0]
 
 
 def test_moments_on_a_million_draws():

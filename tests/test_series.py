@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -158,7 +162,7 @@ def test_engines_agree_at_moderate_degree():
         assert np.max(np.abs(slow - fast)) < 1e-9
 
 
-def test_relaxed_engine_is_the_recurrence_below_the_leaf():
+def test_auto_engine_is_the_recurrence_below_the_leaf():
     s = chaos_series(7, EXP_LEAF)
     for values in (s, s.real.copy()):
         for degree in range(EXP_LEAF):
@@ -168,12 +172,44 @@ def test_relaxed_engine_is_the_recurrence_below_the_leaf():
 
 
 @pytest.mark.parametrize("degree", [3 * EXP_LEAF + 5, 16384])
-def test_relaxed_engine_above_the_leaf(degree):
+def test_auto_engine_above_the_leaf(degree):
     s = chaos_series(degree, degree)
     for values in (s, s.real.copy()):
         fast = exp_array(values, degree)
         assert fast.dtype == values.dtype
         assert np.max(np.abs(fast - exp_array(values, degree, "recurrence"))) < 1e-12
+
+
+_RECURRENCE_BYTES = """
+import hashlib
+import numpy as np
+from hmchaos.rng import GaussianStream, Seed
+from hmchaos.series import exp_array
+degree = 12000
+stack = GaussianStream(Seed(5)).draw(3 * (degree + 1)).reshape(3, degree + 1)
+stack[:, 0] = 0.0
+stack /= np.sqrt(np.maximum(np.arange(degree + 1), 1))
+for values in (stack, stack.real.copy()):
+    for rows in (values[0], values):
+        out = exp_array(rows, degree, "recurrence")
+        print(out.dtype, out.shape, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_recurrence_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10000 terms across its threads; at
+    # degree 12000 the recurrence's sums run past DOT_BLOCK, so it adds
+    # shorter dots and gives the same bytes with one thread and with two
+    assert series.DOT_BLOCK < 12000
+    src = str(Path(series.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        outputs.append(subprocess.run([sys.executable, "-c", _RECURRENCE_BYTES], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])
