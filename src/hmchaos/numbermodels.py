@@ -23,8 +23,8 @@ Omega order: each row is its parent row times one prime, and one
 gather-multiply per level gives f on every row. The integer tree grows
 from a boolean prime sieve (floor(x) <= 10^6); the F_q[t] tree from the
 Mobius counts, for any prime power q (sum_{n<=N} q^n <= 10^7 rows). Trees
-are cached and shared read-only. Irreducibles found by budgeted trial
-division over prime fields check the counts.
+are cached and shared read-only. Irreducibles sieved over prime fields
+(budgeted) check the counts.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ ENUMERATION_BUDGET = 10**7
 # Cap on floor(x), checked before the sieve allocates: building the integer
 # tree for 10**6 peaks at 46 MiB (tracemalloc), so 10**7 would need about 460 MiB.
 SIEVE_BUDGET = 10**6
-# Cap on the trial divisions of the brute-force irreducible lists (admits
-# q = 3 up to degree 8 and q = 5 up to degree 6) and of the prime-power test
+# Cap on the trial divisions that listing the irreducibles by brute force
+# would take (admits p = 2 up to degree 13, 3 up to 9, 5 up to 6); the sieve
+# marks fewer than 1/p as many products. Also caps the prime-power test
 # (q <= TRIAL_DIVISION_BUDGET**2).
 TRIAL_DIVISION_BUDGET = 10**6
 
@@ -226,26 +227,14 @@ def count_irreducibles(q: int, n: int) -> int:
     return total // n
 
 
-def _poly_mod(f, g, p):
-    """Remainder of f modulo the monic polynomial g."""
-    out = list(f)
-    dg = len(g) - 1
-    for i in range(len(out) - 1, dg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(dg):
-                out[i - dg + j] = (out[i - dg + j] - c * g[j]) % p
-    return tuple(out[:dg])
-
-
 @functools.lru_cache(maxsize=32)
 def irreducibles_by_degree(p: int, max_degree: int):
     """Monic irreducibles over F_p for every degree <= max_degree.
 
-    Trial division against lower-degree irreducibles, budgeted before any
-    enumeration; lexicographic order on the ascending coefficient tuples
-    within each degree.
+    A sieve over F_p[t], budgeted before any allocation: each degree-d
+    product g * h of a listed irreducible g of degree e <= d/2 and any monic
+    h of degree d - e is marked, and the unmarked codes sum c_i p^i are the
+    irreducibles, in lexicographic order on the ascending coefficient tuples.
     """
     if _prime_power_base(p) != (p, 1):
         raise PreconditionError("core field arithmetic requires a prime field size")
@@ -255,19 +244,20 @@ def irreducibles_by_degree(p: int, max_degree: int):
         if divisions > TRIAL_DIVISION_BUDGET:
             raise BudgetError(f"trial-division budget {TRIAL_DIVISION_BUDGET} exceeded")
     table = {1: tuple((a, 1) for a in range(p))}
-    for d in range(2, max_degree + 1):
-        divisors = [g for dd in range(1, d // 2 + 1) for g in table[dd]]
-        found = []
-        for code in range(p**d):
-            lower = []
-            c = code
-            for _ in range(d):
-                lower.append(c % p)
-                c //= p
-            f = tuple(lower) + (1,)
-            if all(any(_poly_mod(f, g, p)) for g in divisors):
-                found.append(f)
-        table[d] = tuple(found)
+    for d in range(2, max_degree + 1):  # the budget keeps p <= 100 and p^d < 2^31 here
+        place = p ** np.arange(d, dtype=np.int32)
+        composite = np.zeros(p**d, dtype=bool)
+        for e in range(1, d // 2 + 1):
+            h = np.arange(p ** (d - e), dtype=np.int32)[:, None] // place[:d - e] % p
+            for g in table[e]:  # one g at a time, in int32, keeps the blocks small
+                # g * (h + t^(d-e)) below t^d: g's coefficients times h, shifted
+                low = np.zeros((h.shape[0], d), dtype=np.int32)
+                for i, c in enumerate(g):
+                    low[:, i:i + d - e] += c * h
+                low[:, d - e:] += g[:e]
+                composite[(low % p) @ place] = True
+        codes = np.flatnonzero(~composite)
+        table[d] = tuple(tuple(row) + (1,) for row in (codes[:, None] // place % p).tolist())
     return {d: table[d] for d in range(1, max_degree + 1)}
 
 

@@ -14,9 +14,10 @@ sampled values of a(lambda) are floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 
 import numpy as np
 
@@ -28,16 +29,16 @@ from .rng import Seed
 ENUMERATION_CAP = 40  # p(40) = 37338; this module is an oracle, not the sampler
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition as a nonincreasing tuple of positive parts."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+        if self.parts and min(self.parts) < 1:
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if not all(map(operator.ge, self.parts, self.parts[1:])):
             raise ValueError("parts must be nonincreasing")
 
     @classmethod
@@ -63,25 +64,31 @@ class Partition:
 def enumerate_partitions(total: int, max_part: int | None = None):
     """Yield each partition of `total` with parts <= max_part exactly once.
 
-    Order is deterministic: the largest part increases, and recursively so
-    within each branch, e.g. for total=4: 1+1+1+1, 2+1+1, 2+2, 3+1, 4.
+    Order is lexicographic on the part tuples: the largest part increases,
+    and recursively so within each branch, e.g. for total=4: 1+1+1+1, 2+1+1,
+    2+2, 3+1, 4.
     """
     if total < 0:
         raise PreconditionError("enumerate_partitions requires total >= 0")
     if total > ENUMERATION_CAP:
         raise BudgetError(f"partition enumeration is capped at total <= {ENUMERATION_CAP}")
-    cap = total if max_part is None else min(max_part, total)
-
-    def rec(remaining, largest_allowed):
-        if remaining == 0:
-            yield ()
+    cap = total if max_part is None else min(operator.index(max_part), total)
+    if total > 0 and cap < 1:  # no part fits
+        return
+    parts = [1] * total
+    while True:
+        yield Partition(tuple(parts))
+        # grow the rightmost part (not the last) that stays <= the part
+        # before it (or cap) by one unit from the parts after it, which
+        # restart as ones: the lexicographic successor
+        i, rest = len(parts) - 2, parts[-1] if parts else 0
+        while i >= 0 and parts[i] == (parts[i - 1] if i else cap):
+            rest += parts[i]
+            i -= 1
+        if i < 0:
             return
-        for head in range(1, min(largest_allowed, remaining) + 1):
-            for tail in rec(remaining - head, head):
-                yield (head,) + tail
-
-    for parts in rec(total, cap):
-        yield Partition(parts)
+        parts[i] += 1
+        parts[i + 1:] = [1] * (rest - 1)
 
 
 def partition_count(total: int) -> int:
@@ -122,10 +129,26 @@ def diagonal_second_moment(partition: Partition) -> Fraction:
     return value
 
 
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """z_lambda = prod_k m_k! k^{m_k}, so a class of cycle type lambda in S_n
+    has n!/z_lambda permutations: n! times the diagonal weight."""
+    z, i = prod(parts), 0
+    while i < len(parts):  # equal parts are adjacent
+        m = parts.count(parts[i])
+        z *= factorial(m)
+        i += m
+    return z
+
+
 def exact_total_mass(total: int) -> Fraction:
-    """sum over partitions of `total` of the diagonal weights; equals 1."""
-    return sum((diagonal_second_moment(p) for p in enumerate_partitions(total)),
-               Fraction(0))
+    """sum over partitions of `total` of the diagonal weights; equals 1.
+
+    Sums the integer class sizes total!/z_lambda of S_total and divides once
+    by total!.
+    """
+    order = factorial(min(max(total, 0), ENUMERATION_CAP))  # the enumeration refuses the rest
+    return Fraction(sum(order // _centralizer_order(p.parts)
+                        for p in enumerate_partitions(total)), order)
 
 
 def reconstruct_A_by_largest_part(total: int, depth: int, X):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +470,41 @@ def test_two_walk_ratio_stays_below_recorded_constant():
                                                   Seed(11))
                 ratio = est.mean / two_walk_shape_scale(blocks, level)
                 assert 0.0 < ratio <= 1.0
+
+
+_REDUCTION_BYTES = """
+import hashlib
+from hmchaos import barrier, chaos, cli
+from hmchaos.rng import Seed
+# com-check, block m = 10 and circle_mean_mc reduce more than 10000 terms,
+# where OpenBLAS would split a dot across its threads
+for argv in (["com-check", "--K", "20000", "--r", "1", "--A", "2", "--samples-left", "64",
+              "--samples-right", "64", "--seed", "3"],
+             ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "8"],
+             ["moment", "--N", "2048", "--q", "1", "--samples", "4", "--seed", "3"]):
+    cli.main(argv)
+blocks = barrier.block_stats(0.98, 0.5, 1e6, m_max=10)
+for m in (8, 10):
+    pairs = barrier.sample_block_increments(blocks, m, 64, Seed(3))
+    print(m, hashlib.sha256(pairs.tobytes()).hexdigest())
+est = chaos.circle_mean_mc(20000.0, 1.0, 64, Seed(3))
+print(est.mean.hex(), est.std_error.hex())
+"""
+
+
+def test_field_reductions_do_not_depend_on_the_blas_thread_count():
+    # com-check's left side and circle_mean_mc reduce x @ coef over K terms,
+    # block increments over a block (13923 terms at m = 10), and a circle
+    # row of moment --N 2048 its RMS by einsum; every x is a stride-16 view,
+    # which numpy's own matmul loop reduces, not BLAS
+    blocks = block_stats(0.98, 0.5, 1e6, m_max=10)
+    assert blocks.hi[9] - blocks.lo[9] + 1 > 10000
+    src = str(Path(barrier.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        outputs.append(subprocess.run([sys.executable, "-c", _REDUCTION_BYTES], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert len(outputs[0].splitlines()) == 16
+    assert outputs[0] == outputs[1]

@@ -39,6 +39,15 @@ def test_mass_table_is_exact(tmp_path):
     assert lines[25].startswith("25,1958,")  # p(25) = 1958
 
 
+def test_mass_table_runs_to_its_cap(tmp_path):
+    code, text = run_csv(tmp_path, "mass40", ["mass", "--N-max", "40", "--check"])
+    lines = text.strip().splitlines()
+    assert code == 0
+    assert len(lines) == 41
+    assert all(line.endswith(",1") for line in lines[1:])
+    assert lines[40].startswith("40,37338,")  # p(40) = 37338
+
+
 def test_moment_runs_and_reproduces(tmp_path):
     argv = ["moment", "--N", "16", "--q", "1", "--samples", "400", "--seed", "7"]
     code1, text1 = run_csv(tmp_path, "m1", argv)
@@ -500,7 +509,7 @@ def test_fuzz_series_selftest(degree):
 
 
 @FUZZ_FAST
-@given(N_max=_mostly(st.integers(0, 12).map(str), SIZES))
+@given(N_max=_mostly(st.integers(0, 40).map(str), SIZES))
 def test_fuzz_mass(N_max):
     _fuzz_flags("mass", N_max=N_max)
 

@@ -120,6 +120,65 @@ def test_counts_match_brute_force():
             assert count_irreducibles(q, n) == len(irreducibles_by_degree(q, n)[n])
 
 
+def _poly_mod(f, g, p):
+    """Remainder of f modulo the monic polynomial g (ascending coefficients)."""
+    out = list(f)
+    dg = len(g) - 1
+    for i in range(len(out) - 1, dg - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(dg):
+                out[i - dg + j] = (out[i - dg + j] - c * g[j]) % p
+    return tuple(out[:dg])
+
+
+def _trial_division_irreducibles(p, max_degree):
+    # the oracle: every monic f of degree d, in code order sum c_i p^i, kept
+    # when no listed irreducible of degree <= d/2 divides it
+    table = {1: tuple((a, 1) for a in range(p))}
+    for d in range(2, max_degree + 1):
+        divisors = [g for e in range(1, d // 2 + 1) for g in table[e]]
+        found = []
+        for code in range(p**d):
+            f = tuple(code // p**i % p for i in range(d)) + (1,)
+            if all(any(_poly_mod(f, g, p)) for g in divisors):
+                found.append(f)
+        table[d] = tuple(found)
+    return {d: table[d] for d in range(1, max_degree + 1)}
+
+
+@pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_sieve_equals_trial_division(p, d):
+    sieved = irreducibles_by_degree(p, d)
+    assert sieved == _trial_division_irreducibles(p, d)
+    assert all(type(c) is int for polys in sieved.values() for f in polys for c in f)
+
+
+@pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_no_product_of_irreducibles_is_listed(p, d):
+    table = irreducibles_by_degree(p, d)
+    listed = {f for polys in table.values() for f in polys}
+    for e in range(1, d // 2 + 1):
+        for g in table[e]:
+            for k in range(e, d - e + 1):
+                for h in table[k]:
+                    product = tuple(int(c) for c in np.convolve(g, h) % p)
+                    assert product[-1] == 1 and len(product) == e + k + 1
+                    assert product not in listed
+
+
+ADMITTED = [(2, 13), (3, 9), (5, 6), (7, 5), (11, 4), (97, 2), (101, 1)]
+
+
+@pytest.mark.parametrize("p, d", ADMITTED)
+def test_irreducible_budget_boundary(p, d):
+    assert [len(polys) for polys in irreducibles_by_degree(p, d).values()] == \
+        [count_irreducibles(p, n) for n in range(1, d + 1)]
+    with pytest.raises(BudgetError, match=r"^trial-division budget 1000000 exceeded$"):
+        irreducibles_by_degree(p, d + 1)
+
+
 def test_gauss_degree_identity():
     # sum over d | n of d * |P_d| = q^n
     for q in (2, 3, 5):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from conftest import FixedStream
 from hmchaos.chaos import sample_A
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos.partitions import (Partition, a_of_partition, diagonal_second_moment,
-                                enumerate_partitions, exact_total_mass,
-                                orthogonality_check, partition_count,
+from hmchaos.partitions import (Partition, _centralizer_order, a_of_partition,
+                                diagonal_second_moment, enumerate_partitions,
+                                exact_total_mass, orthogonality_check, partition_count,
                                 reconstruct_A_by_largest_part)
 from hmchaos.rng import GaussianStream, Seed
 
@@ -41,6 +42,38 @@ def test_enumeration_cap():
         list(enumerate_partitions(41))
 
 
+def _recursive_partitions(total, max_part=None):
+    # the recursive enumerator, kept as the order's oracle
+    cap = total if max_part is None else min(max_part, total)
+
+    def rec(remaining, largest_allowed):
+        if remaining == 0:
+            yield ()
+            return
+        for head in range(1, min(largest_allowed, remaining) + 1):
+            for tail in rec(remaining - head, head):
+                yield (head,) + tail
+
+    return list(rec(total, cap))
+
+
+def test_enumeration_matches_the_recursive_order():
+    for total in range(17):
+        for max_part in [None, *range(total + 1)]:
+            got = [p.parts for p in enumerate_partitions(total, max_part)]
+            assert got == _recursive_partitions(total, max_part), (total, max_part)
+    assert [p.parts for p in enumerate_partitions(0, max_part=0)] == [()]
+    assert list(enumerate_partitions(3, max_part=0)) == []
+
+
+def test_enumeration_stays_lazy():
+    # a generator function, so callers (and the benchmark's counting hook)
+    # see each partition as it is made
+    assert inspect.isgeneratorfunction(enumerate_partitions)
+    first = next(enumerate_partitions(40))
+    assert first.parts == (1,) * 40
+
+
 def test_partition_views_agree():
     p = Partition.of(3, 1, 3, 2)
     assert p.parts == (3, 3, 2, 1)
@@ -66,6 +99,22 @@ def test_diagonal_second_moment_values():
     assert diagonal_second_moment(Partition((7,))) == Fraction(1, 7)
     assert diagonal_second_moment(Partition((2, 1))) == Fraction(1, 2)
     assert diagonal_second_moment(Partition((1, 1, 1))) == Fraction(1, 6)
+
+
+def test_class_sizes_are_n_factorial_times_the_diagonal_weight():
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            size, rest = divmod(math.factorial(n), _centralizer_order(p.parts))
+            assert rest == 0
+            assert size == math.factorial(n) * diagonal_second_moment(p)
+
+
+def test_exact_total_mass_refuses_like_the_enumeration():
+    with pytest.raises(PreconditionError):
+        exact_total_mass(-1)
+    for total in (41, 10**9):
+        with pytest.raises(BudgetError):
+            exact_total_mass(total)
 
 
 def test_exact_total_mass_small():
