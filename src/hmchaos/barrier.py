@@ -106,7 +106,8 @@ class BarrierSpec:
 def _ballot_chunk(stream, count, levels, sigmas):
     n = sigmas.size
     chaos.check_field_budget(count, n)
-    steps = stream.draw_real(count * n).reshape(count, n) * sigmas
+    steps = stream.draw_real(count * n).reshape(count, n)
+    steps *= sigmas
     walks = np.cumsum(steps, axis=1)
     return np.all(walks <= levels, axis=1).astype(float)
 
@@ -212,7 +213,9 @@ def _event_chunk(stream, count, r, theta, n_max, levels_list):
     else:
         x, k, coef, drift = chaos.field_rows(stream, count, r, 1, kmax)
         x = (x * np.exp(1j * theta * k)).real
-    sums = _checkpoints(x * coef - drift, 1, n_max)
+    steps = x * coef
+    steps -= drift  # in place: a second count x kmax temporary raises peak RSS
+    sums = _checkpoints(steps, 1, n_max)
     cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
     return np.stack(cols, axis=1).reshape(count * len(levels_list))
 
@@ -277,7 +280,9 @@ def _com_left_chunk(stream, count, K, r, n_max, levels):
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K), real=True)
     weight = np.exp(2.0 * (x @ coef))
     _, kmax = block_bounds(n_max)
-    sums = _checkpoints(x[:, :kmax] * coef[:kmax] - drift[:kmax], 1, n_max)
+    steps = x[:, :kmax] * coef[:kmax]
+    steps -= drift[:kmax]
+    sums = _checkpoints(steps, 1, n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
 
 
@@ -285,8 +290,10 @@ def _com_right_chunk(stream, count, r, n_max, levels):
     _, kmax = block_bounds(n_max)
     chaos.check_field_budget(count, kmax)
     _, coef, _ = chaos.field_weights(r, 1, kmax)
-    y = stream.draw_real(count * kmax).reshape(count, kmax) * math.sqrt(0.5)
-    sums = _checkpoints(y * coef, 1, n_max)
+    y = stream.draw_real(count * kmax).reshape(count, kmax)
+    y *= math.sqrt(0.5)
+    y *= coef
+    sums = _checkpoints(y, 1, n_max)
     return np.all(sums <= levels, axis=1).astype(float)
 
 

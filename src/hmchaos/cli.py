@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -308,7 +309,7 @@ def _add_common(parser, samples_default=None):
         parser.add_argument("--samples", type=int, default=samples_default)
 
 
-def build_parser():
+def _new_parser():
     parser = argparse.ArgumentParser(
         prog="hmchaos",
         description="Experiments on the random power series exp(sum_k X(k) z^k/sqrt(k)) "
@@ -412,7 +413,17 @@ def build_parser():
     return parser, sub.choices  # name -> subcommand parser
 
 
-def _apply_config_file(parser, subparsers, args, argv):
+@functools.cache
+def build_parser():
+    """The (parser, subcommand parsers) pair, built once per process.
+
+    Parsing leaves it unchanged; a config file changes defaults, so a
+    --config run parses with a parser of its own.
+    """
+    return _new_parser()
+
+
+def _apply_config_file(args, argv):
     """Config-file values become defaults; explicit flags keep precedence."""
     import json
     from pathlib import Path
@@ -422,16 +433,17 @@ def _apply_config_file(parser, subparsers, args, argv):
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    parser, subparsers = _new_parser()
     subparsers[args.command].set_defaults(**overrides)
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = _apply_config_file(parser, subparsers, args, argv)
+            args = _apply_config_file(args, argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (OSError, ValueError) as exc:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,23 @@ def test_real_draw_kernels_match_the_complex_route(K, r, A):
                                         levels_list[1])
     assert np.array_equal(left.view(np.uint64), ref.view(np.uint64))
     assert np.count_nonzero(left) > 0
+
+
+def test_event_chunk_peak_stays_near_its_draw():
+    # K = 1000: 4096 rows of kmax = 403 draws at theta = 0 (the draw_re path);
+    # the draw's (n, 2) buffer is 1x the bound's unit and the steps 0.5x, so
+    # any second row-sized temporary lifts the peak past 1.6x
+    count, n_max = 4096, 6
+    kmax = barrier.block_bounds(n_max)[1]
+    assert kmax == 403
+    levels = [BarrierSpec(2.0, n_max, 10.0).levels()]
+    tracemalloc.start()
+    try:
+        barrier._event_chunk(GaussianStream(Seed(5)), count, 1.0, 0.0, n_max, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * count * kmax * 16
 
 
 def test_event_L_probability_band():

@@ -81,6 +81,12 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert main(["moment", "--config", str(config), "--N", "8",
                  "--out", str(out_flag)]) == 0
     assert out_flag.read_text().splitlines()[1].split(",")[0] == "8"
+    # the config file's defaults do not outlive its run
+    out_plain = tmp_path / "plain.csv"
+    assert main(["moment", "--N", "8", "--out", str(out_plain)]) == 0
+    assert out_plain.read_text().splitlines()[1].split(",")[2] == "1000"
+    manifest = json.loads((tmp_path / "plain.csv.manifest.json").read_text())
+    assert manifest["seed"] == "42"
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import ks_critical
-from hmchaos.rng import GaussianStream, Seed, split
+from hmchaos import rng
+from hmchaos.rng import GaussianStream, Seed, UnitCircleStream, split
 
 S_BIG = 10**6
 S_MED = 10**5
@@ -125,6 +126,118 @@ def test_draw_real_standard_normal():
     assert v.size == 200001
     assert abs(np.mean(v)) <= 4.0 / math.sqrt(v.size)
     assert abs(np.var(v) - 1.0) <= 0.02
+
+
+# The unblocked formulas, kept as the oracle of the blocked fill: each reads
+# the stream's own uniform source and advances its position.
+
+
+def _oracle_draw(stream, n):
+    if n <= 0:
+        return np.empty(0, dtype=np.complex128)
+    u = stream._gen.random(2 * n)
+    radius = np.sqrt(-np.log1p(-u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    stream.position += n
+    return radius * (np.cos(angle) + 1j * np.sin(angle))
+
+
+def _oracle_draw_re(stream, n):
+    u = stream._gen.random(2 * max(n, 0)).reshape(-1, 2)
+    angle = 2.0 * math.pi * u[:, 1]
+    np.cos(angle, out=angle)
+    radius = -u[:, 0]
+    np.sqrt(np.negative(np.log1p(radius, out=radius), out=radius), out=radius)
+    np.multiply(radius, angle, out=u[:, 0])
+    stream.position += len(u)
+    return u[:, 0]
+
+
+def _oracle_draw_real(stream, n):
+    z = _oracle_draw(stream, (n + 1) // 2).view(np.float64)
+    z *= math.sqrt(2.0)
+    return z[:n]
+
+
+def _oracle_unit_circle(stream, n):
+    if n <= 0:
+        return np.empty(0, dtype=np.complex128)
+    angle = 2.0 * math.pi * stream._gen.random(n)
+    stream.position += n
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+B = rng.DRAW_BLOCK
+FILL_SIZES = [0, 1, 2, B - 1, B, B + 1, 3 * B + 5]
+
+
+@pytest.mark.parametrize("n", FILL_SIZES)
+def test_blocked_fill_matches_the_unblocked_formulas(n):
+    for draw, oracle, cls in ((GaussianStream.draw, _oracle_draw, GaussianStream),
+                              (GaussianStream.draw_re, _oracle_draw_re, GaussianStream),
+                              (GaussianStream.draw_real, _oracle_draw_real, GaussianStream),
+                              (UnitCircleStream.draw, _oracle_unit_circle, UnitCircleStream)):
+        st, ref = cls(Seed(606, 2)), cls(Seed(606, 2))
+        for m in (n, 2 * n + 1):  # the second call starts mid-stream; 2n + 1 is odd
+            assert _same_bytes(draw(st, m), oracle(ref, m))
+            assert st.position == ref.position
+
+
+def test_draws_split_across_a_block_boundary_equal_one_draw():
+    whole = GaussianStream(Seed(4)).draw(2 * B + 6)
+    st = GaussianStream(Seed(4))
+    head = np.concatenate([st.draw(B - 1), st.draw(2)])
+    assert _same_bytes(head, whole[: B + 1])
+    assert _same_bytes(st.draw_re(B + 5), whole[B + 1 :].real)
+    assert st.position == 2 * B + 6
+
+
+@pytest.mark.parametrize("n", FILL_SIZES[1:])
+def test_draw_re_keeps_the_stride_of_the_real_part(n):
+    assert GaussianStream(Seed(8)).draw_re(n).strides == (16,)
+
+
+@pytest.mark.parametrize("n", [1, 7, 10])
+def test_fill_does_not_depend_on_the_block_size(n, monkeypatch):
+    expected = GaussianStream(Seed(12)).draw(n)
+    expected_re = GaussianStream(Seed(12)).draw_re(n)
+    monkeypatch.setattr(rng, "DRAW_BLOCK", 3)
+    assert _same_bytes(GaussianStream(Seed(12)).draw(n), expected)
+    assert _same_bytes(GaussianStream(Seed(12)).draw_re(n), expected_re)
+
+
+class _FixedUniforms:
+    """Stands in for a stream's uniform source, handing out given values."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._used = 0
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else size
+        values = self._values[self._used : self._used + n]
+        self._used += n
+        if out is None:
+            return values.copy()
+        out[...] = values.reshape(out.shape)
+        return out
+
+
+def test_a_zero_radius_uniform_gives_the_oracle_value():
+    # u1 = 0 gives radius 0; the angle uniforms put cos and sin in all four
+    # sign patterns, and 0 gives the angle 0
+    u = [[0.0, a] for a in (0.0, 0.1, 0.3, 0.6, 0.9)] + [[0.5, 0.2]]
+    streams = [GaussianStream(Seed(1)) for _ in range(3)]
+    for st in streams:
+        st._gen = _FixedUniforms(np.ravel(u))
+    x = streams[0].draw(6)
+    assert np.array_equal(x, _oracle_draw(streams[1], 6))  # -0.0 == +0.0
+    assert np.count_nonzero(x == 0) == 5
+    assert _same_bytes(streams[2].draw_re(6), x.real)
 
 
 def test_seed_validation():
