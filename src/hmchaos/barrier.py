@@ -2,9 +2,10 @@
 
 The recurring objects:
 
-* Ballot walks: P(sum_{m<=j} G_m <= A + c log j for all j <= n) for
-  independent centered Gaussians G_m, estimated by Monte Carlo. The
-  classical scale of this probability is min(1, A/sqrt(n)) at c = 0.
+* Ballot walks: P(sum_{m<=j} G_m <= A for all j <= n) for independent
+  centered Gaussians G_m, estimated by Monte Carlo at several heights A
+  from one set of walks. The classical scale of this probability is
+  min(1, A/sqrt(n)).
 
 * Barrier events on the chaos field: with checkpoints at n = 1, 2, ...
   the partial sums sum_{k<e^n} (Re(X(k) r^k e^{ik theta})/sqrt(k)
@@ -103,34 +104,54 @@ class BarrierSpec:
                          for j in range(1, self.n_max + 1)])
 
 
+def _height_specs(A, make) -> list[BarrierSpec]:
+    """make(height) for each height in A; there must be at least one."""
+    specs = [make(float(a)) for a in A]
+    if not specs:
+        raise PreconditionError("need at least one barrier height")
+    return specs
+
+
+def _survival(walks, levels):
+    """(rows, heights) indicators that a row of walks stays at or below a
+    row of levels at every step."""
+    return np.all(walks[:, None, :] <= np.asarray(levels), axis=2).astype(float)
+
+
+def _per_height(values, seed) -> list[MomentEstimate]:
+    """One estimate per column of a (samples, heights) indicator array."""
+    return [mc.from_values(values[:, i], seed) for i in range(values.shape[1])]
+
+
 def _ballot_chunk(stream, count, levels, sigmas):
     n = sigmas.size
     chaos.check_field_budget(count, n)
     steps = stream.draw_real(count * n).reshape(count, n)
     steps *= sigmas
-    walks = np.cumsum(steps, axis=1)
-    return np.all(walks <= levels, axis=1).astype(float)
+    return _survival(np.cumsum(steps, axis=1), levels)
 
 
-def ballot_probability_mc(spec: BarrierSpec, block_variances, samples: int,
-                          seed: Seed, workers: int = 1) -> MomentEstimate:
-    """Monte Carlo estimate of the barrier-survival probability.
+def ballot_probability_mc(A: Sequence[float], block_variances, samples: int,
+                          seed: Seed, workers: int = 1) -> list[MomentEstimate]:
+    """Monte Carlo estimates of the barrier-survival probability at each height in A.
 
-    Each step m is an independent centered Gaussian with the given
-    variance; variances must lie in [1/20, 20], the range in which the
-    min(1, A/sqrt(n)) scale is guaranteed.
+    The walk takes one step per variance: step m is an independent centered
+    Gaussian with variance block_variances[m - 1]. Variances must lie in
+    [1/20, 20], the range in which the min(1, A/sqrt(n)) scale is
+    guaranteed. All heights share the same draws, so the estimates are
+    monotone in A sample by sample.
     """
     variances = np.asarray(block_variances, dtype=float)
-    if variances.size != spec.n_max:
-        raise PreconditionError("need one variance per step")
+    specs = _height_specs(A, lambda a: BarrierSpec(a, variances.size))
     lo, hi = VARIANCE_RANGE
     if not np.all((lo <= variances) & (variances <= hi)):  # NaN fails too
         raise PreconditionError(f"step variances must lie in [{lo}, {hi}]")
     if samples < 100:
         raise PreconditionError("ballot_probability_mc requires samples >= 100")
-    values = mc.map_chunks(_ballot_chunk, (spec.levels(), np.sqrt(variances)),
+    values = mc.map_chunks(_ballot_chunk, ([s.levels() for s in specs],
+                                           np.sqrt(variances)),
                            seed, samples, workers)
-    return mc.from_values(values, seed)
+    return _per_height(values, seed)
 
 
 def ballot_scale(height: float, n: int) -> float:
@@ -206,7 +227,7 @@ def _checkpoints(steps, first_block, last_block):
 
 
 def _event_chunk(stream, count, r, theta, n_max, levels_list):
-    """Indicator matrix (one column per barrier level schedule)."""
+    """Indicators, one column per barrier level schedule."""
     kmax = block_bounds(n_max)[1]
     if theta == 0.0:  # the rotation is the identity, so only Re X is read
         x, _, coef, drift = chaos.field_rows(stream, count, r, 1, kmax, real=True)
@@ -215,9 +236,7 @@ def _event_chunk(stream, count, r, theta, n_max, levels_list):
         x = (x * np.exp(1j * theta * k)).real
     steps = x * coef
     steps -= drift  # in place: a second count x kmax temporary raises peak RSS
-    sums = _checkpoints(steps, 1, n_max)
-    cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
-    return np.stack(cols, axis=1).reshape(count * len(levels_list))
+    return _survival(_checkpoints(steps, 1, n_max), levels_list)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -228,28 +247,27 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     All heights share the same draws, so the estimates are monotone in A
     sample by sample (a higher barrier can only keep more paths).
     """
-    heights = [float(a) for a in A]
-    if not heights:
-        raise PreconditionError("need at least one barrier height")
-    specs = [_event_spec(kind, r, K, a) for a in heights]
+    specs = _height_specs(A, lambda a: _event_spec(kind, r, K, a))
     _check_theta("event_probability_mc", theta, block_bounds(specs[0].n_max)[1])
     mc.check_samples(samples)
-    flat = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
-                                        [spec.levels() for spec in specs]),
-                         seed, samples, workers)
-    values = flat.reshape(-1, len(heights))
-    return [mc.from_values(values[:, i], seed) for i in range(len(heights))]
+    values = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
+                                          [spec.levels() for spec in specs]),
+                           seed, samples, workers)
+    return _per_height(values, seed)
 
 
-def _grid_event_chunk(stream, count, r, n_max, levels):
-    """Indicator of the all-angle event on the per-checkpoint angle grids.
+def _grid_event_chunk(stream, count, r, n_max, levels_list):
+    """Indicators of the all-angle event on the per-checkpoint angle grids,
+    one column per barrier level schedule.
 
     Checkpoint n uses ceil(n e^n) uniform angles; the field values on the
-    grid come from one inverse FFT per checkpoint.
+    grid come from one inverse FFT per checkpoint, whose maximum every
+    schedule's level is compared with.
     """
+    levels = np.asarray(levels_list)
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
     scaled = x * coef
-    ok = np.ones(count, dtype=bool)
+    ok = np.ones((count, len(levels)), dtype=bool)
     for n in range(1, n_max + 1):
         _, hi = block_bounds(n)
         grid = int(math.ceil(n * math.e**n))
@@ -258,18 +276,25 @@ def _grid_event_chunk(stream, count, r, n_max, levels):
         padded[:, 1 : hi + 1] = scaled[:, :hi]
         # in place; scaling by grid > 0 after the max rounds the same values
         np.fft.ifft(padded, axis=1, out=padded)
-        ok &= padded.real.max(axis=1) * grid - float(np.sum(drift[:hi])) <= levels[n - 1]
+        peak = padded.real.max(axis=1) * grid - float(np.sum(drift[:hi]))
+        ok &= peak[:, None] <= levels[:, n - 1]
     return ok.astype(float)
 
 
-def event_G_all_angles_mc(K: float, r: float, A: float, samples: int, seed: Seed,
-                          workers: int = 1) -> MomentEstimate:
-    """Empirical probability that the upper barrier holds for every grid angle."""
-    spec = _event_spec("G", r, K, A)
+def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
+                          seed: Seed, workers: int = 1) -> list[MomentEstimate]:
+    """Empirical probability that the upper barrier holds for every grid angle,
+    at each height in A.
+
+    All heights share the same draws, so the estimates are monotone in A
+    sample by sample.
+    """
+    specs = _height_specs(A, lambda a: _event_spec("G", r, K, a))
     mc.check_samples(samples)
-    values = mc.map_chunks(_grid_event_chunk, (r, spec.n_max, spec.levels()),
+    values = mc.map_chunks(_grid_event_chunk,
+                           (r, specs[0].n_max, [spec.levels() for spec in specs]),
                            seed, samples, workers, chunk=512)
-    return mc.from_values(values, seed)
+    return _per_height(values, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +446,15 @@ def _increment_chunk(stream, count, r, theta, lo, hi):
     x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
     z0 = x.real @ coef
     zt = (x * np.exp(1j * theta * k)).real @ coef
-    return np.stack([z0, zt], axis=1).reshape(2 * count)
+    return np.stack([z0, zt], axis=1)
 
 
 def sample_block_increments(blocks: WalkBlocks, m: int, samples: int, seed: Seed,
                             workers: int = 1) -> np.ndarray:
     """Draws of the pair (Z_0(m), Z_theta(m)), shape (samples, 2)."""
     lo, hi = int(blocks.lo[m - 1]), int(blocks.hi[m - 1])
-    flat = mc.map_chunks(_increment_chunk, (blocks.r, blocks.theta, lo, hi),
+    return mc.map_chunks(_increment_chunk, (blocks.r, blocks.theta, lo, hi),
                          seed, samples, workers)
-    return flat.reshape(samples, 2)
 
 
 @dataclass(frozen=True)

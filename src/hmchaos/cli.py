@@ -98,24 +98,26 @@ def cmd_mass(args):
 def cmd_ballot(args):
     a_grid = _parse_grid(args.a_grid)
     n_grid = _parse_grid(args.n_grid, int)
+    if not a_grid or not n_grid:
+        raise PreconditionError("ballot needs at least one height in --a-grid and "
+                                "one walk length in --n-grid")
     for n in n_grid:  # each chunk's (rows, n) draw, before any O(n) setup
         chaos.check_field_budget(min(args.samples, mc.CHUNK_SAMPLES), n)
     rows, checks = [], []
     root = _seed(args)
     for j, n in enumerate(n_grid):
-        per_n = []
-        for i, a in enumerate(a_grid):
-            spec = barrier.BarrierSpec(height=a, n_max=n)
-            est = barrier.ballot_probability_mc(
-                spec, [args.variance] * n, args.samples,
-                split(root, j * len(a_grid) + i), workers=args.workers)
+        # one set of draws per n serves every height
+        ests = barrier.ballot_probability_mc(a_grid, [args.variance] * n, args.samples,
+                                             split(root, j * len(a_grid)),
+                                             workers=args.workers)
+        for a, est in zip(a_grid, ests):
             ratio = est.mean / barrier.ballot_scale(a, n)
             in_band = args.band_lo <= ratio <= args.band_hi
             rows.append((a, n, est.samples, est.mean, est.std_error, ratio,
                          args.band_lo, args.band_hi, in_band))
             checks.append((f"band_a{a}_n{n}", in_band))
-            per_n.append(est.mean)
-        monotone = all(x <= y for x, y in zip(per_n, per_n[1:]))
+        by_height = [p for _, p in sorted((a, est.mean) for a, est in zip(a_grid, ests))]
+        monotone = all(x <= y for x, y in zip(by_height, by_height[1:]))
         checks.append((f"monotone_in_a_n{n}", monotone))
     return ["a", "n", "samples", "p_hat", "std_error", "ratio", "band_lo",
             "band_hi", "in_band"], rows, checks
@@ -124,26 +126,22 @@ def cmd_ballot(args):
 def cmd_event(args):
     _require(args, "K", "r")
     heights = _parse_grid(args.A)
-    rows = []
     if args.all_angles:
         if args.kind != "G":
             raise PreconditionError("--all-angles is defined for the upper event only")
         if args.theta != 0.0:  # NaN is refused too
             raise PreconditionError("--all-angles covers every angle and reads no "
                                     f"--theta, got {args.theta}")
-        for i, a in enumerate(heights):
-            est = barrier.event_G_all_angles_mc(args.K, args.r, a, args.samples,
-                                                split(_seed(args), i),
-                                                workers=args.workers)
-            rows.append((args.kind + "-grid", args.K, args.r, args.theta, a,
-                         est.samples, est.mean, est.std_error))
+        kind = args.kind + "-grid"
+        ests = barrier.event_G_all_angles_mc(args.K, args.r, heights, args.samples,
+                                             split(_seed(args), 0), workers=args.workers)
     else:
+        kind = args.kind
         ests = barrier.event_probability_mc(args.kind, args.K, args.r, heights,
                                             args.theta, args.samples, _seed(args),
                                             workers=args.workers)
-        for a, est in zip(heights, ests):
-            rows.append((args.kind, args.K, args.r, args.theta, a, est.samples,
-                         est.mean, est.std_error))
+    rows = [(kind, args.K, args.r, args.theta, a, est.samples, est.mean, est.std_error)
+            for a, est in zip(heights, ests)]
     return ["kind", "K", "r", "theta", "A", "samples", "p_hat", "std_error"], rows, []
 
 

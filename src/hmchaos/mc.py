@@ -67,7 +67,11 @@ def _eval_span(task):
 
 def _eval_chunk(task):
     fn, args, seed, index, count = task
-    return np.asarray(fn(GaussianStream(split(seed, index)), count, *args))
+    values = np.asarray(fn(GaussianStream(split(seed, index)), count, *args))
+    if values.shape[:1] != (count,):
+        raise RuntimeError(f"{fn.__name__} returned {values.shape} values for "
+                           f"{count} replicates")
+    return values
 
 
 def _run_tasks(runner, tasks, workers):
@@ -101,6 +105,9 @@ def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
 
     For estimators that vectorize internally: chunk c owns replicates
     [c*chunk, c*chunk + count_c) and draws them all from one child stream.
+    fn returns an array whose first axis has one entry per replicate, so a
+    kernel that yields several values per replicate returns
+    (count_c, values) and the result is (samples, values).
     The chunk size is fixed per call site, never derived from the worker
     count, so results are worker-count independent.
     """

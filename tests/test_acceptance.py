@@ -87,9 +87,8 @@ def test_c06_ballot_band():
     for n in (16, 64, 256):
         survival = []
         for i, a in enumerate((1.0, 2.0, 4.0)):
-            spec = barrier.BarrierSpec(height=a, n_max=n)
-            est = barrier.ballot_probability_mc(spec, [1.0] * n, 100000,
-                                                split(SEED, 600 + 10 * n + i))
+            est = barrier.ballot_probability_mc([a], [1.0] * n, 100000,
+                                                split(SEED, 600 + 10 * n + i))[0]
             ratio = est.mean / barrier.ballot_scale(a, n)
             ok &= 0.2 <= ratio <= 5.0
             survival.append(est.mean)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedStream
-from hmchaos import barrier, chaos
+from hmchaos import barrier, chaos, mc
 from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scalar,
                              ballot_probability_mc, ballot_scale, bivariate_density,
                              block_stats, change_of_measure_check, dominating_density,
@@ -43,42 +43,40 @@ def test_barrier_levels_are_height_plus_slope_log_step(slope):
 
 
 def test_ballot_one_step_far_barrier():
-    spec = BarrierSpec(height=10.0, n_max=1)
-    est = ballot_probability_mc(spec, [0.5], 10000, Seed(1))
+    est = ballot_probability_mc([10.0], [0.5], 10000, Seed(1))[0]
     exact = normal_cdf(10.0 / math.sqrt(0.5))
     assert abs(est.mean - exact) <= max(4.0 * est.std_error, 1e-3)
 
 
 def test_ballot_one_step_exact_normal():
-    spec = BarrierSpec(height=1.0, n_max=1)
-    est = ballot_probability_mc(spec, [0.5], 200000, Seed(3))
+    est = ballot_probability_mc([1.0], [0.5], 200000, Seed(3))[0]
     exact = normal_cdf(math.sqrt(2.0))  # ~0.9214
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 def test_ballot_rejects_bad_input():
-    spec = BarrierSpec(height=1.0, n_max=2)
     with pytest.raises(PreconditionError):
-        ballot_probability_mc(spec, [0.01, 1.0], 1000, Seed(1))
+        ballot_probability_mc([1.0], [0.01, 1.0], 1000, Seed(1))
     with pytest.raises(PreconditionError):
-        ballot_probability_mc(spec, [1.0, 25.0], 1000, Seed(1))
+        ballot_probability_mc([1.0], [1.0, 25.0], 1000, Seed(1))
     with pytest.raises(PreconditionError):
-        ballot_probability_mc(spec, [1.0, 1.0], 50, Seed(1))
+        ballot_probability_mc([1.0], [1.0, 1.0], 50, Seed(1))
+    for heights, variances in (([], [1.0, 1.0]), ([2.0, 0.5], [1.0, 1.0]),
+                               ([1.0], [])):
+        with pytest.raises(PreconditionError):
+            ballot_probability_mc(heights, variances, 1000, Seed(1))
 
 
 def test_ballot_band_small_grid():
     for a in (1.0, 2.0):
         previous = -1.0
         for n in (16, 64):
-            spec = BarrierSpec(height=a, n_max=n)
-            est = ballot_probability_mc(spec, [1.0] * n, 20000, Seed(900 + n))
+            est = ballot_probability_mc([a], [1.0] * n, 20000, Seed(900 + n))[0]
             ratio = est.mean / ballot_scale(a, n)
             assert 0.2 <= ratio <= 5.0
         # survival grows with the barrier height at fixed n
-        lo = ballot_probability_mc(BarrierSpec(height=a, n_max=64), [1.0] * 64,
-                                   20000, Seed(42)).mean
-        hi = ballot_probability_mc(BarrierSpec(height=a + 1.0, n_max=64), [1.0] * 64,
-                                   20000, Seed(42)).mean
+        lo = ballot_probability_mc([a], [1.0] * 64, 20000, Seed(42))[0].mean
+        hi = ballot_probability_mc([a + 1.0], [1.0] * 64, 20000, Seed(42))[0].mean
         assert lo <= hi
 
 
@@ -164,8 +162,8 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     count = 300
     _, kmax = barrier.block_bounds(n_max)
     x = 2.5 * GaussianStream(Seed(61)).draw(count * kmax)
-    flags = barrier._event_chunk(FixedStream(x), count, r, theta, n_max,
-                                 levels_list).reshape(count, len(heights))
+    flags = barrier._event_chunk(FixedStream(x), count, r, theta, n_max, levels_list)
+    assert flags.shape == (count, len(heights))
     x = x.reshape(count, kmax)
     seen = set()
     for i in range(count):
@@ -185,7 +183,7 @@ def _event_chunk_complex_route(stream, count, r, theta, n_max, levels_list):
     sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift,
                                 1, n_max)
     cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
-    return np.stack(cols, axis=1).reshape(count * len(levels_list))
+    return np.stack(cols, axis=1)
 
 
 def _com_left_chunk_complex_route(stream, count, K, r, n_max, levels):
@@ -247,18 +245,20 @@ def test_event_L_probability_band():
 
 def test_grid_event_fft_matches_direct_angle_loop():
     # white box: the FFT evaluation of the field on the per-checkpoint
-    # angle grids must reproduce a direct evaluation angle by angle
-    r, n_max, A = 1.0, 3, 1.5
-    levels = BarrierSpec(A, n_max, 10.0).levels()
+    # angle grids must reproduce a direct evaluation angle by angle, at
+    # every height
+    r, n_max, heights = 1.0, 3, (1.0, 1.5, 3.0)
+    levels_list = [BarrierSpec(a, n_max, 10.0).levels() for a in heights]
     stream = GaussianStream(Seed(2718))
     count = 16
     flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r,
-                                      n_max, levels)
+                                      n_max, levels_list)
+    assert flags.shape == (count, len(heights))
     _, kmax = barrier.block_bounds(n_max)
     x = stream.draw(count * kmax).reshape(count, kmax)
     k = np.arange(1, kmax + 1, dtype=float)
     for i in range(count):
-        ok = True
+        ok = np.ones(len(heights), dtype=bool)
         for n in range(1, n_max + 1):
             _, hi = barrier.block_bounds(n)
             grid = int(math.ceil(n * math.e**n))
@@ -270,13 +270,52 @@ def test_grid_event_fft_matches_direct_angle_loop():
                     (x[i, :hi] * np.exp(1j * theta * k[:hi])).real
                     * r ** k[:hi] / np.sqrt(k[:hi])))
                 best = max(best, value)
-            ok &= best - tilt <= levels[n - 1]
-        assert flags[i] == float(ok)
+            ok &= [best - tilt <= levels[n - 1] for levels in levels_list]
+        assert flags[i].tolist() == ok.astype(float).tolist()
+
+
+def _bits(est):
+    return est.mean.hex(), est.std_error.hex(), est.samples, est.seed
+
+
+def test_multi_height_estimates_equal_one_height_calls():
+    # one set of draws serves every height: estimate i of a multi-height call
+    # is the one-height call at height i on the same seed, bit for bit;
+    # the samples span several chunks, so the chunk seeds line up too
+    heights = (4.0, 1.0, 2.5)
+    seed = Seed(123)
+    ballots = ballot_probability_mc(heights, [1.0] * 64, 2 * mc.CHUNK_SAMPLES + 50, seed)
+    grids = event_G_all_angles_mc(math.e**4, 1.0, heights, 1100, seed)
+    for i, a in enumerate(heights):
+        one = ballot_probability_mc([a], [1.0] * 64, 2 * mc.CHUNK_SAMPLES + 50, seed)
+        assert _bits(ballots[i]) == _bits(one[0])
+        one = event_G_all_angles_mc(math.e**4, 1.0, [a], 1100, seed)
+        assert _bits(grids[i]) == _bits(one[0])
+    assert 0.0 < ballots[1].mean < ballots[2].mean < ballots[0].mean < 1.0
+
+
+def test_indicators_are_nondecreasing_in_height():
+    # replicate by replicate, a higher barrier keeps every path a lower one
+    # keeps; the draws are scaled up so that the all-angle event fails too
+    heights = (1.0, 1.5, 2.5, 4.0)
+    count, n = 2000, 64
+    flags = barrier._ballot_chunk(GaussianStream(Seed(8)), count,
+                                  [np.full(n, a) for a in heights], np.ones(n))
+    n_max = 3
+    kmax = barrier.block_bounds(n_max)[1]
+    x = 2.5 * GaussianStream(Seed(9)).draw(count * kmax)
+    levels_list = [BarrierSpec(a, n_max, 10.0).levels() for a in heights]
+    grid = barrier._grid_event_chunk(FixedStream(x), count, 1.0, n_max, levels_list)
+    event = barrier._event_chunk(FixedStream(x), count, 1.0, 0.7, n_max, levels_list)
+    for values in (flags, grid, event):
+        assert values.shape == (count, len(heights))
+        assert np.all(np.diff(values, axis=1) >= 0.0)
+        assert 0.0 < values[:, 0].mean() < values[:, -1].mean()
 
 
 def test_all_angle_event_is_rarer_than_single_angle():
     K, A = math.e**4, 1.0
-    grid = event_G_all_angles_mc(K, 1.0, A, 4000, Seed(21))
+    grid = event_G_all_angles_mc(K, 1.0, [A], 4000, Seed(21))[0]
     single = event_probability_mc("G", K, 1.0, [A], 0.0, 4000, Seed(21))[0]
     slack = 4.0 * math.hypot(grid.std_error, single.std_error)
     assert grid.mean <= single.mean + slack

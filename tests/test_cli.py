@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -111,6 +112,56 @@ def test_worker_count_does_not_change_output(tmp_path):
     _, text1 = run_csv(tmp_path, "w1", base + ["--workers", "1"])
     _, text2 = run_csv(tmp_path, "w2", base + ["--workers", "3"])
     assert text1 == text2
+
+
+def test_multi_height_runs_do_not_depend_on_the_worker_count(tmp_path):
+    # several chunks per call, every height from one set of draws
+    for name, argv in (("ballot", ["ballot", "--a-grid", "1,2,4", "--n-grid", "16,64",
+                                   "--samples", "9000", "--seed", "6"]),
+                       ("grid", ["event", "--all-angles", "--K", "60", "--r", "1",
+                                 "--A", "1,2,4", "--samples", "1100", "--seed", "6"])):
+        code1, text1 = run_csv(tmp_path, name + "1", argv + ["--workers", "1"])
+        code2, text2 = run_csv(tmp_path, name + "2", argv + ["--workers", "2"])
+        assert code1 == code2 == 0
+        assert text1 == text2
+        assert len(text1.splitlines()) == 1 + (6 if name == "ballot" else 3)
+
+
+def test_one_height_runs_keep_their_bytes(tmp_path):
+    # sha256 of these CSVs before the heights shared their draws: a
+    # one-height run reads the seeds it read then
+    for name, argv, digest in (
+            ("ballot", ["ballot", "--a-grid", "2", "--n-grid", "16,64", "--samples", "500",
+                        "--seed", "9"],
+             "907d6adb4e6ad68cd52886042d2326ead9f7e6d5b5a95e65bf022d18dd535bff"),
+            ("grid", ["event", "--all-angles", "--K", "20", "--r", "1", "--A", "2",
+                      "--samples", "500", "--seed", "4"],
+             "84edb7a49b50c2d991c94de36ceb6da10fde066e1a7710808f4967ab30287950")):
+        code, text = run_csv(tmp_path, name, argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_ballot_monotone_check_reads_heights_in_ascending_order(tmp_path):
+    # the grid is typed high to low; survival still grows with the height
+    code, text = run_csv(tmp_path, "ballot",
+                         ["ballot", "--a-grid", "4,2,1", "--n-grid", "16",
+                          "--samples", "2000", "--seed", "3", "--check"])
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["4.0", "2.0", "1.0"]
+    assert float(rows[0][3]) >= float(rows[1][3]) >= float(rows[2][3])
+
+
+def test_empty_grids_exit_3(capsys):
+    for argv in (["ballot", "--a-grid", ""], ["ballot", "--n-grid", ""],
+                 ["ballot", "--a-grid", ","], ["event", "--K", "20", "--r", "1", "--A", ""],
+                 ["event", "--all-angles", "--K", "20", "--r", "1", "--A", ""]):
+        capsys.readouterr()
+        assert main(argv + ["--samples", "100", "--check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one" in captured.err
 
 
 def test_manifest_sidecar_written(tmp_path):

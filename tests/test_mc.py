@@ -37,6 +37,20 @@ def test_kernel_returning_the_wrong_count_raises():
         mc.map_replicates(_one_short, (), Seed(3), 10)
 
 
+def _pairs(stream, count, width):
+    return np.zeros((count + width - 2, 2))  # the right first axis at width 2 only
+
+
+def test_chunk_kernels_return_one_row_per_replicate():
+    samples = mc.CHUNK_SAMPLES + 5
+    assert mc.map_chunks(_pairs, (2,), Seed(3), samples).shape == (samples, 2)
+    for width in (1, 3):
+        with pytest.raises(RuntimeError):
+            mc.map_chunks(_pairs, (width,), Seed(3), samples)
+    with pytest.raises(RuntimeError):  # a scalar has no replicate axis
+        mc.map_chunks(lambda stream, count: 0.0, (), Seed(3), 4)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
 
