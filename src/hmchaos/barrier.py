@@ -74,48 +74,38 @@ def log_horizon(r: float, K: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ballot walks
+# barrier levels and survival
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
-    """A barrier schedule: stay below height + slope * log j at steps 1..n_max.
+def _heights(A, samples: int = 1) -> np.ndarray:
+    """The barrier heights A as a 1-D float array: at least one, each >= 1.
 
-    The slope must satisfy |slope| <= 10: event G uses +10, event L -5 and
-    the ballot walks 0. A walk draws rows of n_max steps, so n_max is
-    budgeted like one row.
+    The (samples, heights) indicators an estimator returns are budgeted
+    here, before anything is drawn.
     """
-
-    height: float
-    n_max: int
-    slope: float = 0.0
-
-    def __post_init__(self):
-        if not self.height >= 1.0:
-            raise PreconditionError("barrier height must be >= 1")
-        if self.n_max < 1:
-            raise PreconditionError("n_max must be >= 1")
-        chaos.check_field_budget(1, self.n_max)
-        if not abs(self.slope) <= 10.0:  # NaN fails too
-            raise PreconditionError(f"|slope| must be <= 10, got {self.slope}")
-
-    def levels(self) -> np.ndarray:
-        return np.array([self.height + self.slope * math.log(j)
-                         for j in range(1, self.n_max + 1)])
-
-
-def _height_specs(A, make) -> list[BarrierSpec]:
-    """make(height) for each height in A; there must be at least one."""
-    specs = [make(float(a)) for a in A]
-    if not specs:
+    heights = np.asarray(A, dtype=float)
+    if heights.ndim != 1 or heights.size == 0:
         raise PreconditionError("need at least one barrier height")
-    return specs
+    if not np.all(heights >= 1.0):  # NaN fails too
+        raise PreconditionError("barrier height must be >= 1")
+    chaos.check_field_budget(samples, heights.size)
+    return heights
 
 
-def _survival(walks, levels):
-    """(rows, heights) indicators that a row of walks stays at or below a
-    row of levels at every step."""
-    return np.all(walks[:, None, :] <= np.asarray(levels), axis=2).astype(float)
+def _levels(heights, n_max, slope):
+    """(heights, n_max) levels height + slope * log j at checkpoints j = 1..n_max."""
+    chaos.check_field_budget(heights.size, n_max)
+    logs = np.array([math.log(j) for j in range(1, n_max + 1)])
+    return heights[:, None] + slope * logs
+
+
+def _survival(paths, levels):
+    """(rows, heights) flags that a row of paths stays at or below a row of
+    levels at every checkpoint, folded in one checkpoint at a time."""
+    ok = np.ones((paths.shape[0], levels.shape[0]), dtype=bool)
+    for j in range(paths.shape[1]):
+        ok &= paths[:, j, None] <= levels[:, j]
+    return ok
 
 
 def _per_height(values, seed) -> list[MomentEstimate]:
@@ -123,12 +113,18 @@ def _per_height(values, seed) -> list[MomentEstimate]:
     return [mc.from_values(values[:, i], seed) for i in range(values.shape[1])]
 
 
-def _ballot_chunk(stream, count, levels, sigmas):
+# ---------------------------------------------------------------------------
+# ballot walks
+
+
+def _ballot_chunk(stream, count, heights, sigmas):
+    # the barrier is flat, so a walk survives iff its maximum does
     n = sigmas.size
     chaos.check_field_budget(count, n)
     steps = stream.draw_real(count * n).reshape(count, n)
     steps *= sigmas
-    return _survival(np.cumsum(steps, axis=1), levels)
+    peak = np.cumsum(steps, axis=1).max(axis=1, keepdims=True)
+    return _survival(peak, heights[:, None]).astype(float)
 
 
 def ballot_probability_mc(A: Sequence[float], block_variances, samples: int,
@@ -142,14 +138,15 @@ def ballot_probability_mc(A: Sequence[float], block_variances, samples: int,
     monotone in A sample by sample.
     """
     variances = np.asarray(block_variances, dtype=float)
-    specs = _height_specs(A, lambda a: BarrierSpec(a, variances.size))
+    heights = _heights(A, samples)
+    if variances.size == 0:
+        raise PreconditionError("need at least one step variance")
     lo, hi = VARIANCE_RANGE
     if not np.all((lo <= variances) & (variances <= hi)):  # NaN fails too
         raise PreconditionError(f"step variances must lie in [{lo}, {hi}]")
     if samples < 100:
         raise PreconditionError("ballot_probability_mc requires samples >= 100")
-    values = mc.map_chunks(_ballot_chunk, ([s.levels() for s in specs],
-                                           np.sqrt(variances)),
+    values = mc.map_chunks(_ballot_chunk, (heights, np.sqrt(variances)),
                            seed, samples, workers)
     return _per_height(values, seed)
 
@@ -180,39 +177,31 @@ def _checkpoint_sums_scalar(X, r, theta, n_max):
     return sums
 
 
-def _event_spec(kind, r, K, A) -> BarrierSpec:
-    """The barrier of event G (A + 10 log n, n <= log K) or L (A - 5 log n,
+def _event_barrier(kind, r, K) -> tuple[int, float]:
+    """(n_max, slope) of event G (A + 10 log n, n <= log K) or L (A - 5 log n,
     n <= log K_r), after validating (r, K) for it."""
     if kind == "G":
         if not K >= 3:
             raise PreconditionError("event G requires K >= 3")
         if not 1.0 - _R_TOL <= r <= math.exp(1.0 / K) + _R_TOL:
             raise PreconditionError("event G requires 1 <= r <= e^{1/K}")
-        return BarrierSpec(A, _int_floor(math.log(K)), 10.0)
+        return _int_floor(math.log(K)), 10.0
     if kind == "L":
         if not K >= 10:
             raise PreconditionError("event L requires K >= 10")
         if not math.exp(-1.0 / 40.0) - _R_TOL <= r < 1.0:
             raise PreconditionError("event L requires e^{-1/40} <= r < 1")
-        return BarrierSpec(A, log_horizon(r, K), -5.0)
+        return log_horizon(r, K), -5.0
     raise PreconditionError("kind must be 'G' or 'L'")
 
 
-def _event_holds(kind, X, r, theta, K, A):
-    spec = _event_spec(kind, r, K, A)
-    _check_theta(f"event {kind}", theta, block_bounds(spec.n_max)[1])
-    sums = _checkpoint_sums_scalar(X, r, theta, spec.n_max)
-    return bool(np.all(sums <= spec.levels()))
-
-
-def event_G_holds(X, r: float, theta: float, K: float, A: float) -> bool:
-    """Upper barrier event: all checkpoints n <= log K stay below A + 10 log n."""
-    return _event_holds("G", X, r, theta, K, A)
-
-
-def event_L_holds(X, r: float, theta: float, K: float, A: float) -> bool:
-    """Lower-variant event: checkpoints n <= log K_r stay below A - 5 log n."""
-    return _event_holds("L", X, r, theta, K, A)
+def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> bool:
+    """Whether X(1..) lies in event G (every checkpoint n <= log K stays below
+    A + 10 log n) or L (every n <= log K_r below A - 5 log n), by fsum."""
+    n_max, slope = _event_barrier(kind, r, K)
+    levels = _levels(_heights([A]), n_max, slope)[0]
+    _check_theta(f"event {kind}", theta, block_bounds(n_max)[1])
+    return bool(np.all(_checkpoint_sums_scalar(X, r, theta, n_max) <= levels))
 
 
 def _checkpoints(steps, first_block, last_block):
@@ -226,8 +215,9 @@ def _checkpoints(steps, first_block, last_block):
     return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
 
 
-def _event_chunk(stream, count, r, theta, n_max, levels_list):
-    """Indicators, one column per barrier level schedule."""
+def _event_chunk(stream, count, r, theta, levels):
+    """Indicators, one column per row of levels."""
+    n_max = levels.shape[1]
     kmax = block_bounds(n_max)[1]
     if theta == 0.0:  # the rotation is the identity, so only Re X is read
         x, _, coef, drift = chaos.field_rows(stream, count, r, 1, kmax, real=True)
@@ -236,7 +226,7 @@ def _event_chunk(stream, count, r, theta, n_max, levels_list):
         x = (x * np.exp(1j * theta * k)).real
     steps = x * coef
     steps -= drift  # in place: a second count x kmax temporary raises peak RSS
-    return _survival(_checkpoints(steps, 1, n_max), levels_list)
+    return _survival(_checkpoints(steps, 1, n_max), levels).astype(float)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -247,27 +237,27 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     All heights share the same draws, so the estimates are monotone in A
     sample by sample (a higher barrier can only keep more paths).
     """
-    specs = _height_specs(A, lambda a: _event_spec(kind, r, K, a))
-    _check_theta("event_probability_mc", theta, block_bounds(specs[0].n_max)[1])
+    heights = _heights(A, samples)
+    n_max, slope = _event_barrier(kind, r, K)
+    _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
     mc.check_samples(samples)
-    values = mc.map_chunks(_event_chunk, (r, theta, specs[0].n_max,
-                                          [spec.levels() for spec in specs]),
+    values = mc.map_chunks(_event_chunk, (r, theta, _levels(heights, n_max, slope)),
                            seed, samples, workers)
     return _per_height(values, seed)
 
 
-def _grid_event_chunk(stream, count, r, n_max, levels_list):
+def _grid_event_chunk(stream, count, r, levels):
     """Indicators of the all-angle event on the per-checkpoint angle grids,
-    one column per barrier level schedule.
+    one column per row of levels.
 
     Checkpoint n uses ceil(n e^n) uniform angles; the field values on the
-    grid come from one inverse FFT per checkpoint, whose maximum every
-    schedule's level is compared with.
+    grid come from one inverse FFT per checkpoint, whose maximum is the
+    walk's value there.
     """
-    levels = np.asarray(levels_list)
+    n_max = levels.shape[1]
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
     scaled = x * coef
-    ok = np.ones((count, len(levels)), dtype=bool)
+    peaks = np.empty((count, n_max))
     for n in range(1, n_max + 1):
         _, hi = block_bounds(n)
         grid = int(math.ceil(n * math.e**n))
@@ -276,9 +266,8 @@ def _grid_event_chunk(stream, count, r, n_max, levels_list):
         padded[:, 1 : hi + 1] = scaled[:, :hi]
         # in place; scaling by grid > 0 after the max rounds the same values
         np.fft.ifft(padded, axis=1, out=padded)
-        peak = padded.real.max(axis=1) * grid - float(np.sum(drift[:hi]))
-        ok &= peak[:, None] <= levels[:, n - 1]
-    return ok.astype(float)
+        peaks[:, n - 1] = padded.real.max(axis=1) * grid - float(np.sum(drift[:hi]))
+    return _survival(peaks, levels).astype(float)
 
 
 def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
@@ -289,10 +278,10 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     All heights share the same draws, so the estimates are monotone in A
     sample by sample.
     """
-    specs = _height_specs(A, lambda a: _event_spec("G", r, K, a))
+    heights = _heights(A, samples)
+    n_max, slope = _event_barrier("G", r, K)
     mc.check_samples(samples)
-    values = mc.map_chunks(_grid_event_chunk,
-                           (r, specs[0].n_max, [spec.levels() for spec in specs]),
+    values = mc.map_chunks(_grid_event_chunk, (r, _levels(heights, n_max, slope)),
                            seed, samples, workers, chunk=512)
     return _per_height(values, seed)
 
@@ -301,25 +290,26 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
 # change of measure
 
 
-def _com_left_chunk(stream, count, K, r, n_max, levels):
+def _com_left_chunk(stream, count, K, r, levels):
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K), real=True)
     weight = np.exp(2.0 * (x @ coef))
+    n_max = levels.shape[1]
     _, kmax = block_bounds(n_max)
     steps = x[:, :kmax] * coef[:kmax]
     steps -= drift[:kmax]
-    sums = _checkpoints(steps, 1, n_max)
-    return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
+    ok = _survival(_checkpoints(steps, 1, n_max), levels)[:, 0]
+    return np.where(ok, weight, 0.0)
 
 
-def _com_right_chunk(stream, count, r, n_max, levels):
+def _com_right_chunk(stream, count, r, levels):
+    n_max = levels.shape[1]
     _, kmax = block_bounds(n_max)
     chaos.check_field_budget(count, kmax)
     _, coef, _ = chaos.field_weights(r, 1, kmax)
     y = stream.draw_real(count * kmax).reshape(count, kmax)
     y *= math.sqrt(0.5)
     y *= coef
-    sums = _checkpoints(y, 1, n_max)
-    return np.all(sums <= levels, axis=1).astype(float)
+    return _survival(_checkpoints(y, 1, n_max), levels)[:, 0].astype(float)
 
 
 def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
@@ -332,15 +322,15 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     y_k r^k/sqrt(k) (Var y_k = 1/2) respects the A + 10 log n barrier.
     The two are equal in expectation and serve as each other's oracle.
     """
-    spec = _event_spec("G", r, K, A)
+    n_max, slope = _event_barrier("G", r, K)
+    levels = _levels(_heights([A]), n_max, slope)
     mc.check_samples(samples_left)
     mc.check_samples(samples_right)
-    levels = spec.levels()
     seed_left, seed_right = split(seed, 0), split(seed, 1)
-    left_values = mc.map_chunks(_com_left_chunk, (K, r, spec.n_max, levels),
+    left_values = mc.map_chunks(_com_left_chunk, (K, r, levels),
                                 seed_left, samples_left, workers)
     left = mc.from_values(left_values, seed_left)
-    right_values = mc.map_chunks(_com_right_chunk, (r, spec.n_max, levels),
+    right_values = mc.map_chunks(_com_right_chunk, (r, levels),
                                  seed_right, samples_right, workers)
     prob = mc.from_values(right_values, seed_right)
     scale = chaos.circle_mean_closed_form(K, r)

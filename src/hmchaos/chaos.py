@@ -236,14 +236,12 @@ class DecayRow:
     seed: Seed
 
 
-def fit_decay_band(N_grid, S_per_N, seed: Seed,
-                   workers: int = 1) -> tuple[list[DecayRow], float]:
+def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1) -> list[DecayRow]:
     """First-moment table E|A(N)| with the (log N)^{1/4}-compensated column.
 
-    Returns the per-N rows and the max/min ratio of the compensated column
-    over the whole grid. The decay constants are not pinned by theory, so
-    the ratio is reported for banding rather than compared to a constant
-    here.
+    The decay constants are not pinned by theory, so the callers band the
+    compensated column over the N they choose rather than compare it with a
+    constant here.
     """
     grid = list(N_grid)
     counts = list(S_per_N)
@@ -257,8 +255,7 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed,
         est = estimate_moment(n, 0.5, count, child, workers=workers)
         comp = est.mean * math.log(n) ** 0.25
         rows.append(DecayRow(n, count, est.mean, est.std_error, comp, child))
-    comps = [row.compensated for row in rows]
-    return rows, max(comps) / min(comps)
+    return rows
 
 
 def theorem_band_factor(N: int, q: float) -> float:

@@ -71,7 +71,7 @@ def cmd_moment(args):
 def cmd_decay(args):
     grid = _parse_grid(args.n_grid, int)
     counts = _parse_grid(args.samples_per, int)
-    rows_data, _ = chaos.fit_decay_band(grid, counts, _seed(args), workers=args.workers)
+    rows_data = chaos.fit_decay_band(grid, counts, _seed(args), workers=args.workers)
     rows = [(row.N, 0.5, row.samples, row.mean, row.std_error, row.compensated,
              str(row.seed)) for row in rows_data]
     checks = []

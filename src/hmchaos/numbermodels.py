@@ -165,18 +165,6 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     return mc.from_values(values, seed)
 
 
-def steinhaus_compensated_first_moment(x: float, samples: int, seed: Seed,
-                                       workers: int = 1) -> tuple[MomentEstimate, float]:
-    """E|S(x)| estimate and the recorded value E|S(x)| (log log x)^{1/4}/sqrt(x).
-
-    Informational: desk-scale x cannot resolve the asymptotic decay, so the
-    compensated value is reported, not gated.
-    """
-    est = steinhaus_abs_moment(x, 1.0, samples, seed, workers)
-    comp = est.mean * math.log(math.log(x)) ** 0.25 / math.sqrt(x)
-    return est, comp
-
-
 # ---------------------------------------------------------------------------
 # prime-field polynomial arithmetic (tuples of ints, ascending coefficients)
 

@@ -44,7 +44,7 @@ def test_c02_mc_second_moment():
 def test_c03_first_moment_decay():
     grid = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
     counts = [20000, 16000, 12000, 8000, 5000, 3500, 2200, 1400, 800, 500]
-    rows, _ = chaos.fit_decay_band(grid, counts, split(SEED, 3))
+    rows = chaos.fit_decay_band(grid, counts, split(SEED, 3))
     monotone = True
     for prev, cur in zip(rows, rows[1:]):
         slack = 2.0 * math.hypot(prev.std_error, cur.std_error)

@@ -10,12 +10,12 @@ import pytest
 
 from conftest import FixedStream
 from hmchaos import barrier, chaos, mc
-from hmchaos.barrier import (BarrierSpec, BivariateParams, _checkpoint_sums_scalar,
+from hmchaos.barrier import (BivariateParams, _checkpoint_sums_scalar, _levels,
                              ballot_probability_mc, ballot_scale, bivariate_density,
                              block_stats, change_of_measure_check, dominating_density,
-                             event_G_all_angles_mc, event_G_holds, event_L_holds,
-                             event_probability_mc, sample_block_increments,
-                             two_walk_shape_scale, two_walk_tilted_expectation)
+                             event_G_all_angles_mc, event_holds, event_probability_mc,
+                             sample_block_increments, two_walk_shape_scale,
+                             two_walk_tilted_expectation)
 from hmchaos.chaos import circle_mean_closed_form
 from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.rng import GaussianStream, Seed
@@ -25,21 +25,62 @@ def normal_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def test_barrier_spec_validation():
-    with pytest.raises(PreconditionError):
-        BarrierSpec(height=0.5, n_max=4)
-    for slope in (30.0, -10.5, math.nan):
+def test_barrier_heights_validation():
+    for heights in ([], [0.5], [2.0, math.nan], [[2.0]], 2.0):
         with pytest.raises(PreconditionError):
-            BarrierSpec(height=2.0, n_max=4, slope=slope)
-    for slope in (10.0, -10.0):
-        spec = BarrierSpec(height=2.0, n_max=4, slope=slope)
-        assert spec.levels()[0] == 2.0
+            barrier._heights(heights)
+    heights = barrier._heights((2, 1.0))
+    assert heights.dtype == float and heights.tolist() == [2.0, 1.0]
+    for slope in (10.0, -5.0):
+        assert _levels(heights, 4, slope)[:, 0].tolist() == [2.0, 1.0]
+    # the (samples, heights) indicators are budgeted before any draw
+    barrier._heights([1.0] * 167, 100000)
+    with pytest.raises(BudgetError):
+        barrier._heights([1.0] * 168, 100000)
 
 
 @pytest.mark.parametrize("slope", [0.0, 10.0, -5.0])
 def test_barrier_levels_are_height_plus_slope_log_step(slope):
-    levels = BarrierSpec(height=1.5, n_max=50, slope=slope).levels()
-    assert levels.tolist() == [1.5 + slope * math.log(j) for j in range(1, 51)]
+    levels = _levels(np.array([1.5, 3.0]), 50, slope)
+    assert levels.shape == (2, 50)
+    for height, row in zip((1.5, 3.0), levels):
+        assert row.tolist() == [height + slope * math.log(j) for j in range(1, 51)]
+
+
+def _survival_by_broadcast(paths, levels):
+    # the all-steps test as one (rows, heights, steps) broadcast: the oracle
+    # for _survival, which never holds that block
+    return np.all(paths[:, None, :] <= levels, axis=2)
+
+
+def test_survival_matches_the_broadcast_oracle():
+    # ties (a path value equal to its level) survive, and both outcomes occur
+    rows, heights, steps = 500, 7, 12
+    paths = GaussianStream(Seed(71)).draw_real(rows * steps).reshape(rows, steps)
+    levels = _levels(np.linspace(1.0, 4.0, heights), steps, -0.5) - 2.0
+    paths[::7, 3] = levels[2, 3]   # ties with height 2 at step 4
+    paths[1::5] = levels[0]        # every step ties with height 0
+    ok = barrier._survival(paths, levels)
+    ref = _survival_by_broadcast(paths, levels)
+    assert ok.dtype == ref.dtype and ok.shape == (rows, heights)
+    assert ok.tobytes() == ref.tobytes()
+    assert np.all(ok[1::5, 0])
+    assert 0 < np.count_nonzero(ok) < ok.size
+    assert all(0 < np.count_nonzero(ok[:, i]) < rows for i in range(1, heights))
+
+
+def test_ballot_maximum_is_the_all_steps_test():
+    # the flat ballot barrier tests each walk's maximum; the all-steps
+    # broadcast on the same walks gives the same flags
+    count, n = 3000, 40
+    heights = np.array([1.0, 1.5, 2.0, 4.0])
+    sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
+    flags = barrier._ballot_chunk(GaussianStream(Seed(12)), count, heights, sigmas)
+    steps = GaussianStream(Seed(12)).draw_real(count * n).reshape(count, n) * sigmas
+    walks = np.cumsum(steps, axis=1)
+    ref = _survival_by_broadcast(walks, _levels(heights, n, 0.0)).astype(float)
+    assert flags.tobytes() == ref.tobytes()
+    assert 0.0 < flags[:, 0].mean() < flags[:, -1].mean() < 1.0
 
 
 def test_ballot_one_step_far_barrier():
@@ -81,33 +122,33 @@ def test_ballot_band_small_grid():
 
 
 def test_event_G_zero_sample_holds():
-    assert event_G_holds(np.zeros(64, dtype=complex), 1.0, 0.0, 20.0, 1.5)
+    assert event_holds("G", np.zeros(64, dtype=complex), 1.0, 0.0, 20.0, 1.5)
 
 
 def test_event_G_threshold_crossing():
     # K just above e so the only checkpoint is n=1 over k in {1, 2}
     x = np.zeros(8, dtype=complex)
     x[0] = 100.0
-    assert not event_G_holds(x, 1.0, 0.0, 3.0, 1.0)
+    assert not event_holds("G", x, 1.0, 0.0, 3.0, 1.0)
 
 
 def test_event_G_validation():
     x = np.zeros(64, dtype=complex)
     with pytest.raises(PreconditionError):
-        event_G_holds(x, 0.9, 0.0, 20.0, 1.5)
+        event_holds("G", x, 0.9, 0.0, 20.0, 1.5)
     with pytest.raises(PreconditionError):
-        event_G_holds(x, 1.0, 0.0, 2.0, 1.5)
+        event_holds("G", x, 1.0, 0.0, 2.0, 1.5)
     with pytest.raises(PreconditionError):
-        event_G_holds(x, 1.0, 0.0, 20.0, 0.5)
+        event_holds("G", x, 1.0, 0.0, 20.0, 0.5)
     with pytest.raises(PreconditionError):
-        event_G_holds(np.zeros(2, dtype=complex), 1.0, 0.0, 20.0, 1.5)
+        event_holds("G", np.zeros(2, dtype=complex), 1.0, 0.0, 20.0, 1.5)
 
 
 def test_event_indicator_monotone_in_height():
     rng = GaussianStream(Seed(404))
     for _ in range(50):
         x = rng.draw(8) * 3.0
-        flags = [event_G_holds(x, 1.0, 0.3, 7.0, a) for a in (1.0, 2.0, 4.0)]
+        flags = [event_holds("G", x, 1.0, 0.3, 7.0, a) for a in (1.0, 2.0, 4.0)]
         assert all(not a or b for a, b in zip(flags, flags[1:]))
 
 
@@ -120,18 +161,18 @@ def test_event_failure_probability_nonincreasing_in_height():
 
 
 def test_event_L_zero_sample_holds():
-    assert event_L_holds(np.zeros(16, dtype=complex), math.exp(-1.0 / 40.0),
-                         0.0, 100.0, 2.0)
+    assert event_holds("L", np.zeros(16, dtype=complex), math.exp(-1.0 / 40.0),
+                       0.0, 100.0, 2.0)
 
 
 def test_event_L_validation():
     x = np.zeros(16, dtype=complex)
     with pytest.raises(PreconditionError):
-        event_L_holds(x, 0.9, 0.0, 100.0, 2.0)  # r below e^{-1/40}
+        event_holds("L", x, 0.9, 0.0, 100.0, 2.0)  # r below e^{-1/40}
     with pytest.raises(PreconditionError):
-        event_L_holds(x, 1.0, 0.0, 100.0, 2.0)  # r must stay below 1
+        event_holds("L", x, 1.0, 0.0, 100.0, 2.0)  # r must stay below 1
     with pytest.raises(PreconditionError):
-        event_L_holds(x, math.exp(-1.0 / 40.0), 0.0, 5.0, 2.0)  # K too small
+        event_holds("L", x, math.exp(-1.0 / 40.0), 0.0, 5.0, 2.0)  # K too small
 
 
 def test_lower_barrier_implies_upper_barrier():
@@ -141,8 +182,8 @@ def test_lower_barrier_implies_upper_barrier():
     for _ in range(100):
         x = rng.draw(21) * 2.0
         sums = _checkpoint_sums_scalar(x, 0.99, 0.4, n_max)
-        lower = bool(np.all(sums <= BarrierSpec(2.0, n_max, -5.0).levels()))
-        upper = bool(np.all(sums <= BarrierSpec(2.0, n_max, 10.0).levels()))
+        lower = bool(np.all(sums <= _levels(np.array([2.0]), n_max, -5.0)))
+        upper = bool(np.all(sums <= _levels(np.array([2.0]), n_max, 10.0)))
         assert (not lower) or upper
 
 
@@ -155,14 +196,14 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     # within 1e-9 of a level are skipped
     heights = (1.0, 2.0, 4.0)
     if kind == "G":
-        n_max, slope, holds = int(math.log(K)), 10.0, event_G_holds
+        n_max, slope = int(math.log(K)), 10.0
     else:
-        n_max, slope, holds = barrier.log_horizon(r, K), -5.0, event_L_holds
-    levels_list = [BarrierSpec(a, n_max, slope).levels() for a in heights]
+        n_max, slope = barrier.log_horizon(r, K), -5.0
+    levels_list = _levels(np.array(heights), n_max, slope)
     count = 300
     _, kmax = barrier.block_bounds(n_max)
     x = 2.5 * GaussianStream(Seed(61)).draw(count * kmax)
-    flags = barrier._event_chunk(FixedStream(x), count, r, theta, n_max, levels_list)
+    flags = barrier._event_chunk(FixedStream(x), count, r, theta, levels_list)
     assert flags.shape == (count, len(heights))
     x = x.reshape(count, kmax)
     seen = set()
@@ -171,13 +212,14 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
         for j, a in enumerate(heights):
             if np.min(np.abs(sums - levels_list[j])) < 1e-9:
                 continue
-            expected = holds(x[i], r, theta, K, a)
+            expected = event_holds(kind, x[i], r, theta, K, a)
             assert flags[i, j] == float(expected)
             seen.add(expected)
     assert seen == {True, False}
 
 
-def _event_chunk_complex_route(stream, count, r, theta, n_max, levels_list):
+def _event_chunk_complex_route(stream, count, r, theta, levels_list):
+    n_max = levels_list.shape[1]
     x, k, coef, drift = chaos.field_rows(stream, count, r, 1,
                                          barrier.block_bounds(n_max)[1])
     sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift,
@@ -186,7 +228,8 @@ def _event_chunk_complex_route(stream, count, r, theta, n_max, levels_list):
     return np.stack(cols, axis=1)
 
 
-def _com_left_chunk_complex_route(stream, count, K, r, n_max, levels):
+def _com_left_chunk_complex_route(stream, count, K, r, levels):
+    n_max = levels.size
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, int(K))
     weight = np.exp(2.0 * (x.real @ coef))
     _, kmax = barrier.block_bounds(n_max)
@@ -204,17 +247,13 @@ def test_real_draw_kernels_match_the_complex_route(K, r, A):
     count, seed = 700, Seed(17)
     n_max = int(math.log(K))
     # flat levels low enough that both outcomes occur
-    levels_list = [np.zeros(n_max), np.full(n_max, A)]
-    flags = barrier._event_chunk(GaussianStream(seed), count, r, 0.0, n_max,
-                                 levels_list)
-    ref = _event_chunk_complex_route(GaussianStream(seed), count, r, 0.0, n_max,
-                                     levels_list)
+    levels_list = np.array([np.zeros(n_max), np.full(n_max, A)])
+    flags = barrier._event_chunk(GaussianStream(seed), count, r, 0.0, levels_list)
+    ref = _event_chunk_complex_route(GaussianStream(seed), count, r, 0.0, levels_list)
     assert np.array_equal(flags, ref)
     assert 0.0 < flags.mean() < 1.0
-    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, n_max,
-                                   levels_list[1])
-    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, n_max,
-                                        levels_list[1])
+    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, levels_list[1:])
+    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, levels_list[1])
     assert np.array_equal(left.view(np.uint64), ref.view(np.uint64))
     assert np.count_nonzero(left) > 0
 
@@ -226,10 +265,10 @@ def test_event_chunk_peak_stays_near_its_draw():
     count, n_max = 4096, 6
     kmax = barrier.block_bounds(n_max)[1]
     assert kmax == 403
-    levels = [BarrierSpec(2.0, n_max, 10.0).levels()]
+    levels = _levels(np.array([2.0]), n_max, 10.0)
     tracemalloc.start()
     try:
-        barrier._event_chunk(GaussianStream(Seed(5)), count, 1.0, 0.0, n_max, levels)
+        barrier._event_chunk(GaussianStream(Seed(5)), count, 1.0, 0.0, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,11 +287,10 @@ def test_grid_event_fft_matches_direct_angle_loop():
     # angle grids must reproduce a direct evaluation angle by angle, at
     # every height
     r, n_max, heights = 1.0, 3, (1.0, 1.5, 3.0)
-    levels_list = [BarrierSpec(a, n_max, 10.0).levels() for a in heights]
+    levels_list = _levels(np.array(heights), n_max, 10.0)
     stream = GaussianStream(Seed(2718))
     count = 16
-    flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r,
-                                      n_max, levels_list)
+    flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r, levels_list)
     assert flags.shape == (count, len(heights))
     _, kmax = barrier.block_bounds(n_max)
     x = stream.draw(count * kmax).reshape(count, kmax)
@@ -299,14 +337,14 @@ def test_indicators_are_nondecreasing_in_height():
     # keeps; the draws are scaled up so that the all-angle event fails too
     heights = (1.0, 1.5, 2.5, 4.0)
     count, n = 2000, 64
-    flags = barrier._ballot_chunk(GaussianStream(Seed(8)), count,
-                                  [np.full(n, a) for a in heights], np.ones(n))
+    flags = barrier._ballot_chunk(GaussianStream(Seed(8)), count, np.array(heights),
+                                  np.ones(n))
     n_max = 3
     kmax = barrier.block_bounds(n_max)[1]
     x = 2.5 * GaussianStream(Seed(9)).draw(count * kmax)
-    levels_list = [BarrierSpec(a, n_max, 10.0).levels() for a in heights]
-    grid = barrier._grid_event_chunk(FixedStream(x), count, 1.0, n_max, levels_list)
-    event = barrier._event_chunk(FixedStream(x), count, 1.0, 0.7, n_max, levels_list)
+    levels_list = _levels(np.array(heights), n_max, 10.0)
+    grid = barrier._grid_event_chunk(FixedStream(x), count, 1.0, levels_list)
+    event = barrier._event_chunk(FixedStream(x), count, 1.0, 0.7, levels_list)
     for values in (flags, grid, event):
         assert values.shape == (count, len(heights))
         assert np.all(np.diff(values, axis=1) >= 0.0)

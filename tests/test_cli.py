@@ -365,6 +365,30 @@ def test_over_budget_draws_exit_3_quickly():
         assert peak < 16 * 2**20
 
 
+def test_many_barrier_heights_run_within_their_budget(tmp_path, capsys):
+    # survival is folded one checkpoint at a time into (rows, heights) flags,
+    # and the ballot tests each walk's maximum, so 300 heights hold no
+    # (rows, heights, steps) block; the (samples, heights) indicators are
+    # budgeted before any draw (167 heights at the default 100000 samples)
+    heights = ",".join(str(1.0 + i / 10) for i in range(300))
+    tracemalloc.start()
+    try:
+        code = main(["ballot", "--a-grid", heights, "--n-grid", "256", "--samples", "4096",
+                     "--seed", "5", "--out", str(tmp_path / "ballot.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    capsys.readouterr()
+    heights = ",".join(str(1.0 + i / 100) for i in range(3000))
+    start = time.perf_counter()
+    assert main(["event", "--K", "1000", "--r", "1", "--A", heights,
+                 "--samples", "100000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "100000 x 3000 block exceeds the budget" in capsys.readouterr().err
+
+
 def test_bad_configuration_exits_2(tmp_path):
     assert main(["moment"]) == 2  # --N is required
     assert main(["decay", "--n-grid", "abc", "--samples-per", "10"]) == 2
@@ -391,6 +415,24 @@ def test_steinhaus_run(tmp_path):
     lines = text.splitlines()
     assert lines[0] == GOLDEN_HEADERS["steinhaus"]
     assert lines[1].split(",")[5] == "30.0"
+
+
+def test_steinhaus_compensated_column(tmp_path):
+    # informational: desk-scale x cannot resolve the decay, so the
+    # compensated values E|S(x)| (log log x)^{1/4}/sqrt(x) are recorded and
+    # only sanity-bounded; at x <= e the double log is not positive
+    for x, samples in (("1000", "400"), ("10000", "200"), ("2", "100")):
+        code, text = run_csv(tmp_path, "st" + x,
+                             ["steinhaus", "--x", x, "--power", "1", "--samples",
+                              samples, "--seed", "8"])
+        assert code == 0
+        row = text.splitlines()[1].split(",")
+        mean, comp = float(row[3]), float(row[6])
+        assert 0.0 < mean < float(x)
+        if x == "2":
+            assert math.isnan(comp)
+        else:
+            assert 0.05 < comp < 5.0
 
 
 def test_ff_counts_check(tmp_path):

@@ -9,9 +9,8 @@ from hmchaos import mc
 from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.numbermodels import (FFModel, SteinhausModel, count_irreducibles,
                                   ff_X_values, ff_second_moment, irreducibles_by_degree,
-                                  steinhaus_abs_moment,
-                                  steinhaus_compensated_first_moment, _integer_tree,
-                                  _sieve, _structure)
+                                  steinhaus_abs_moment, _integer_tree, _sieve,
+                                  _structure)
 from hmchaos.rng import Seed, UnitCircleStream, split
 
 
@@ -46,15 +45,6 @@ def test_steinhaus_complete_multiplicativity():
 def test_steinhaus_variance_matches_cutoff():
     est = steinhaus_abs_moment(100.0, 2.0, 10000, Seed(42))
     assert abs(est.mean - 100.0) <= 4.0 * est.std_error
-
-
-def test_steinhaus_compensated_first_moment_records():
-    # informational: desk-scale x cannot resolve the decay, so the
-    # compensated values are recorded and only sanity-bounded
-    for x, samples in ((1000.0, 400), (10000.0, 200)):
-        est, comp = steinhaus_compensated_first_moment(x, samples, Seed(8))
-        assert 0.0 < est.mean < x
-        assert 0.05 < comp < 5.0
 
 
 def test_steinhaus_worker_count_is_invisible():
