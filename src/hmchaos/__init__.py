@@ -25,7 +25,7 @@ from .partitions import (Partition, a_of_partition, diagonal_second_moment,
                          orthogonality_check, partition_count,
                          reconstruct_A_by_largest_part)
 from .rng import GaussianStream, Seed, UnitCircleStream, split
-from .series import multiply, parseval_power_sum, rankin_bound, smooth_partition_weight
+from .series import parseval_power_sum, rankin_bound, smooth_partition_weight
 
 __all__ = [
     "BudgetError", "GaussianStream", "MomentEstimate", "Partition",
@@ -33,7 +33,7 @@ __all__ = [
     "circle_average_moment", "circle_average_sample", "circle_mean_closed_form",
     "circle_mean_mc", "diagonal_second_moment", "enumerate_partitions",
     "estimate_moment", "exact_total_mass", "fit_decay_band", "gaussian_abs_moment",
-    "multiply", "orthogonality_check", "partition_count",
-    "parseval_power_sum", "rankin_bound", "reconstruct_A_by_largest_part", "sample_A",
-    "smooth_partition_weight", "split", "theorem_band_factor",
+    "orthogonality_check", "partition_count", "parseval_power_sum", "rankin_bound",
+    "reconstruct_A_by_largest_part", "sample_A", "smooth_partition_weight", "split",
+    "theorem_band_factor",
 ]

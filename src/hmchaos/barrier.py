@@ -124,7 +124,7 @@ def _ballot_chunk(stream, count, heights, sigmas):
     steps = stream.draw_real(count * n).reshape(count, n)
     steps *= sigmas
     peak = np.cumsum(steps, axis=1).max(axis=1, keepdims=True)
-    return _survival(peak, heights[:, None]).astype(float)
+    return _survival(peak, heights[:, None])
 
 
 def ballot_probability_mc(A: Sequence[float], block_variances, samples: int,
@@ -218,15 +218,14 @@ def _checkpoints(steps, first_block, last_block):
 def _event_chunk(stream, count, r, theta, levels):
     """Indicators, one column per row of levels."""
     n_max = levels.shape[1]
-    kmax = block_bounds(n_max)[1]
-    if theta == 0.0:  # the rotation is the identity, so only Re X is read
-        x, _, coef, drift = chaos.field_rows(stream, count, r, 1, kmax, real=True)
-    else:
-        x, k, coef, drift = chaos.field_rows(stream, count, r, 1, kmax)
-        x = (x * np.exp(1j * theta * k)).real
-    steps = x * coef
+    # at theta = 0 the rotation is the identity, so only Re X is drawn
+    x, k, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1],
+                                         real=theta == 0.0)
+    if theta != 0.0:
+        x *= np.exp(1j * theta * k)  # in place: no second complex array
+    steps = x.real * coef  # a real array's .real is the array itself
     steps -= drift  # in place: a second count x kmax temporary raises peak RSS
-    return _survival(_checkpoints(steps, 1, n_max), levels).astype(float)
+    return _survival(_checkpoints(steps, 1, n_max), levels)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -267,7 +266,7 @@ def _grid_event_chunk(stream, count, r, levels):
         # in place; scaling by grid > 0 after the max rounds the same values
         np.fft.ifft(padded, axis=1, out=padded)
         peaks[:, n - 1] = padded.real.max(axis=1) * grid - float(np.sum(drift[:hi]))
-    return _survival(peaks, levels).astype(float)
+    return _survival(peaks, levels)
 
 
 def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
@@ -309,7 +308,7 @@ def _com_right_chunk(stream, count, r, levels):
     y = stream.draw_real(count * kmax).reshape(count, kmax)
     y *= math.sqrt(0.5)
     y *= coef
-    return _survival(_checkpoints(y, 1, n_max), levels)[:, 0].astype(float)
+    return _survival(_checkpoints(y, 1, n_max), levels)[:, 0]
 
 
 def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
@@ -435,8 +434,8 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
 def _increment_chunk(stream, count, r, theta, lo, hi):
     x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
     z0 = x.real @ coef
-    zt = (x * np.exp(1j * theta * k)).real @ coef
-    return np.stack([z0, zt], axis=1)
+    x *= np.exp(1j * theta * k)
+    return np.stack([z0, x.real @ coef], axis=1)
 
 
 def sample_block_increments(blocks: WalkBlocks, m: int, samples: int, seed: Seed,
@@ -490,15 +489,20 @@ def dominating_density(p: BivariateParams, x1, x2):
 # the two-walk tilted expectation
 
 
-def _two_walk_chunk(stream, count, r, theta, M, log_K_r, level):
+def _two_walk_chunk(stream, count, r, theta, M, levels):
+    """Tilted weights, zeroed where either walk leaves the one row of levels
+    (one column per checkpoint M+1..log K_r)."""
+    log_K_r = M + levels.shape[1]
     x, k, coef, drift = chaos.field_rows(stream, count, r, block_bounds(M + 1)[0],
                                          block_bounds(log_K_r)[1])
     z0 = x.real * coef
-    zt = (x * np.exp(1j * theta * k)).real * coef
+    x *= np.exp(1j * theta * k)
+    zt = x.real * coef
     weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
-    s0 = _checkpoints(z0 - drift, M + 1, log_K_r)
-    st = _checkpoints(zt - drift, M + 1, log_K_r)
-    ok = np.all(s0 <= level, axis=1) & np.all(st <= level, axis=1)
+    ok = np.ones(count, dtype=bool)
+    for z in (z0, zt):
+        z -= drift
+        ok &= _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
     return np.where(ok, weight, 0.0)
 
 
@@ -516,8 +520,8 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
     blocks = block_stats(r, theta, K)
     if blocks.M >= blocks.log_K_r:
         return MomentEstimate(1.0, 0.0, samples, seed)
-    values = mc.map_chunks(_two_walk_chunk,
-                           (r, theta, blocks.M, blocks.log_K_r, level),
+    levels = np.full((1, blocks.log_K_r - blocks.M), level, dtype=float)
+    values = mc.map_chunks(_two_walk_chunk, (r, theta, blocks.M, levels),
                            seed, samples, workers)
     return mc.from_values(values, seed)
 

@@ -123,13 +123,12 @@ def _exp_rows(streams, N: int, K: float, statistic) -> list:
 
 
 def _coefficient(streams, N, power):
-    """A(N) of the untruncated model for each stream, as |A(N)|**power, or
-    the complex value when power is None.
+    """|A(N)|**power of the untruncated model for each stream.
 
     abs runs value by value: np.abs over the array rounds differently.
     """
     values = _exp_rows(streams, N, float(N), itemgetter(N))
-    return values if power is None else [abs(value) ** power for value in values]
+    return [abs(value) ** power for value in values]
 
 
 def estimate_moment(N: int, q: float, samples: int, seed: Seed,
@@ -142,13 +141,6 @@ def estimate_moment(N: int, q: float, samples: int, seed: Seed,
     mc.check_samples(samples)
     values = mc.map_replicates(_coefficient, (N, 2.0 * q), seed, samples, workers)
     return mc.from_values(values, seed)
-
-
-def coefficient_values(N: int, samples: int, seed: Seed, workers: int = 1) -> np.ndarray:
-    """Raw replicate values of A(N) (complex), for distribution checks."""
-    if N < 0:
-        raise PreconditionError("coefficient_values requires N >= 0")
-    return mc.map_replicates(_coefficient, (N, None), seed, samples, workers)
 
 
 def circle_mean_closed_form(K: float, r: float) -> float:

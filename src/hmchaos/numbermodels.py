@@ -95,10 +95,10 @@ def _tree_values(angles, tree):
 
 def _replicates(streams, model, size, statistic, power):
     """One value per stream: `statistic` (a methodcaller) of a model drawn
-    from it, as |value|**power, or the complex value when power is None."""
+    from it, as |value|**power."""
     values = [statistic(model(*size, stream)) for stream in streams]
     try:
-        return values if power is None else [abs(value) ** power for value in values]
+        return [abs(value) ** power for value in values]
     except OverflowError:
         raise PreconditionError(f"|value|**{power} overflows a float") from None
 
@@ -346,10 +346,3 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
     values = mc.map_replicates(_replicates, (FFModel, (q, N), methodcaller("A", N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, seed)
-
-
-def ff_X_values(q: int, k: int, samples: int, seed: Seed,
-                workers: int = 1) -> np.ndarray:
-    """Replicate draws of X(k), for mean/variance sanity checks."""
-    return mc.map_replicates(_replicates, (FFModel, (q, k), methodcaller("X", k), None),
-                             seed, samples, workers, stream_cls=UnitCircleStream)

@@ -59,7 +59,8 @@ def write_plot(out: str, columns: list[str], rows: list[tuple]) -> None:
 
 def write_table(out: str | None, fmt: str, columns: list[str], rows: list[tuple],
                 manifest: dict) -> None:
-    """Write one experiment table; CSV gets a sidecar manifest when given a path."""
+    """Write one experiment table; CSV gets a sidecar manifest when given a
+    path to a regular file (none beside a device such as /dev/null)."""
     if fmt == "csv":
         text = ",".join(columns) + "\n"
         text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
@@ -68,8 +69,9 @@ def write_table(out: str | None, fmt: str, columns: list[str], rows: list[tuple]
         else:
             path = Path(out)
             path.write_text(text)
-            sidecar = path.with_name(path.name + ".manifest.json")
-            sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            if path.is_file():
+                sidecar = path.with_name(path.name + ".manifest.json")
+                sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     elif fmt == "json":
         doc = {
             "manifest": manifest,

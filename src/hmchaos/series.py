@@ -249,18 +249,6 @@ def exp_array(s: np.ndarray, degree: int, engine: str = "auto") -> np.ndarray:
     return out[0] if s.ndim == 1 else out
 
 
-def multiply(a, b, degree: int) -> np.ndarray:
-    """Coefficients 0..degree of the product of coefficient vectors a and b."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 1 or b.ndim != 1 or not a.size or not b.size:
-        raise PreconditionError("multiply requires two non-empty coefficient vectors")
-    out = np.zeros(degree + 1, dtype=np.complex128)
-    prod = np.convolve(a[: degree + 1], b[: degree + 1])[: degree + 1]
-    out[: prod.size] = prod
-    return out
-
-
 def parseval_power_sum(coeffs, r: float) -> float:
     """sum_n |c_n|^2 r^{2n} = (1/2pi) int |f(r e^{i theta})|^2 dtheta."""
     if not 0.0 < r <= 1.0:

@@ -78,7 +78,7 @@ def test_ballot_maximum_is_the_all_steps_test():
     flags = barrier._ballot_chunk(GaussianStream(Seed(12)), count, heights, sigmas)
     steps = GaussianStream(Seed(12)).draw_real(count * n).reshape(count, n) * sigmas
     walks = np.cumsum(steps, axis=1)
-    ref = _survival_by_broadcast(walks, _levels(heights, n, 0.0)).astype(float)
+    ref = _survival_by_broadcast(walks, _levels(heights, n, 0.0))
     assert flags.tobytes() == ref.tobytes()
     assert 0.0 < flags[:, 0].mean() < flags[:, -1].mean() < 1.0
 
@@ -213,7 +213,7 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
             if np.min(np.abs(sums - levels_list[j])) < 1e-9:
                 continue
             expected = event_holds(kind, x[i], r, theta, K, a)
-            assert flags[i, j] == float(expected)
+            assert flags[i, j] == expected
             seen.add(expected)
     assert seen == {True, False}
 
@@ -224,7 +224,7 @@ def _event_chunk_complex_route(stream, count, r, theta, levels_list):
                                          barrier.block_bounds(n_max)[1])
     sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift,
                                 1, n_max)
-    cols = [np.all(sums <= levels, axis=1).astype(float) for levels in levels_list]
+    cols = [np.all(sums <= levels, axis=1) for levels in levels_list]
     return np.stack(cols, axis=1)
 
 
@@ -258,21 +258,114 @@ def test_real_draw_kernels_match_the_complex_route(K, r, A):
     assert np.count_nonzero(left) > 0
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_event_chunk_peak_stays_near_its_draw():
-    # K = 1000: 4096 rows of kmax = 403 draws at theta = 0 (the draw_re path);
-    # the draw's (n, 2) buffer is 1x the bound's unit and the steps 0.5x, so
-    # any second row-sized temporary lifts the peak past 1.6x
+    # K = 1000: 4096 rows of kmax = 403 draws at theta = 0 (the draw_re path)
+    # and at theta = 0.7 (rotated in place); the draw's (n, 2) buffer is 1x
+    # the bound's unit and the steps 0.5x, so any second row-sized temporary
+    # lifts the peak past 1.6x
     count, n_max = 4096, 6
     kmax = barrier.block_bounds(n_max)[1]
     assert kmax == 403
     levels = _levels(np.array([2.0]), n_max, 10.0)
-    tracemalloc.start()
-    try:
-        barrier._event_chunk(GaussianStream(Seed(5)), count, 1.0, 0.0, levels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * count * kmax * 16
+    for theta in (0.0, 0.7):
+        peak = _traced_peak(barrier._event_chunk, GaussianStream(Seed(5)), count, 1.0,
+                            theta, levels)
+        assert peak < 1.6 * count * kmax * 16
+
+
+def _increment_chunk_by_copy(stream, count, r, theta, lo, hi):
+    # the rotation as a whole-array product, the route the kernels replaced
+    x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
+    return np.stack([x.real @ coef, (x * np.exp(1j * theta * k)).real @ coef], axis=1)
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.5, 1e-3])
+def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
+    # the kernels rotate the draw in place; its real part must keep the
+    # bytes of (x * e^{ik theta}).real and stay a stride-16 view, so that
+    # x.real @ coef keeps numpy's own matmul loop (not BLAS)
+    count, kmax = 512, 403
+    x, k, coef, _ = chaos.field_rows(GaussianStream(Seed(41)), count, 1.0, 1, kmax)
+    ref = (x * np.exp(1j * theta * k)).real
+    x *= np.exp(1j * theta * k)
+    assert x.real.strides == ref.strides == (kmax * 16, 16)
+    assert x.real.tobytes() == ref.tobytes()
+    assert (x.real @ coef).tobytes() == (ref @ coef).tobytes()
+    pairs = barrier._increment_chunk(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
+    ref = _increment_chunk_by_copy(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
+    assert pairs.tobytes() == ref.tobytes()
+    levels_list = _levels(np.array([1.0, 2.0]), 6, 10.0)
+    flags = barrier._event_chunk(GaussianStream(Seed(43)), 300, 1.0, theta, levels_list)
+    ref = _event_chunk_complex_route(GaussianStream(Seed(43)), 300, 1.0, theta, levels_list)
+    assert flags.tobytes() == ref.tobytes()
+
+
+def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
+    # both walks tested against a flat level at every checkpoint by np.all
+    x, k, coef, drift = chaos.field_rows(stream, count, r, barrier.block_bounds(M + 1)[0],
+                                         barrier.block_bounds(log_K_r)[1])
+    z0 = x.real * coef
+    zt = (x * np.exp(1j * theta * k)).real * coef
+    weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
+    s0 = barrier._checkpoints(z0 - drift, M + 1, log_K_r)
+    st = barrier._checkpoints(zt - drift, M + 1, log_K_r)
+    ok = np.all(s0 <= level, axis=1) & np.all(st <= level, axis=1)
+    return np.where(ok, weight, 0.0)
+
+
+@pytest.mark.parametrize("level", [2.0, math.inf, -math.inf])
+def test_two_walk_chunk_is_the_all_checkpoints_test(level):
+    # one row of flat levels through _survival, at a finite level and at +-inf;
+    # the draws are scaled up so that both outcomes occur at level 2
+    r, theta, count = 0.99999, 1.0, 64
+    blocks = block_stats(r, theta, 1e6)
+    M, log_K_r = blocks.M, blocks.log_K_r
+    assert log_K_r - M == 3
+    width = barrier.block_bounds(log_K_r)[1] - barrier.block_bounds(M + 1)[0] + 1
+    x = 3.0 * GaussianStream(Seed(44)).draw(count * width)
+    levels = np.full((1, log_K_r - M), level)
+    values = barrier._two_walk_chunk(FixedStream(x), count, r, theta, M, levels)
+    ref = _two_walk_chunk_all_steps(FixedStream(x), count, r, theta, M, log_K_r, level)
+    assert values.tobytes() == ref.tobytes()
+    kept = np.count_nonzero(values)
+    assert kept == {2.0: kept, math.inf: count, -math.inf: 0}[level]
+    if level == 2.0:
+        assert 0 < kept < count
+
+
+def test_block_increments_peak_near_their_draw():
+    # the rotation runs in place on the draw, and the two reductions over
+    # it hold nothing else row-sized
+    lo, hi = barrier.block_bounds(10)
+    peak = _traced_peak(barrier._increment_chunk, GaussianStream(Seed(5)), 256, 0.98,
+                        0.5, lo, hi)
+    assert peak < 1.3 * 256 * (hi - lo + 1) * 16
+
+
+def test_indicator_kernels_return_bools():
+    # map_chunks concatenates the kernels' flags as they are: one byte each
+    heights = np.array([1.0, 2.0])
+    levels = _levels(heights, 3, 10.0)
+    seed, count = Seed(45), 64
+    kernels = [
+        barrier._ballot_chunk(GaussianStream(seed), count, heights, np.ones(16)),
+        barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.0, levels),
+        barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.7, levels),
+        barrier._grid_event_chunk(GaussianStream(seed), count, 1.0, levels),
+        barrier._com_right_chunk(GaussianStream(seed), count, 1.0, levels[:1]),
+        mc.map_chunks(barrier._event_chunk, (1.0, 0.7, levels), seed, 5000),
+    ]
+    for flags in kernels:
+        assert flags.dtype == bool
 
 
 def test_event_L_probability_band():
@@ -309,7 +402,7 @@ def test_grid_event_fft_matches_direct_angle_loop():
                     * r ** k[:hi] / np.sqrt(k[:hi])))
                 best = max(best, value)
             ok &= [best - tilt <= levels[n - 1] for levels in levels_list]
-        assert flags[i].tolist() == ok.astype(float).tolist()
+        assert flags[i].tolist() == ok.tolist()
 
 
 def _bits(est):
@@ -347,7 +440,7 @@ def test_indicators_are_nondecreasing_in_height():
     event = barrier._event_chunk(FixedStream(x), count, 1.0, 0.7, levels_list)
     for values in (flags, grid, event):
         assert values.shape == (count, len(heights))
-        assert np.all(np.diff(values, axis=1) >= 0.0)
+        assert np.all(values[:, :-1] <= values[:, 1:])  # np.diff of bools is !=
         assert 0.0 < values[:, 0].mean() < values[:, -1].mean()
 
 

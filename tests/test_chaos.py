@@ -6,11 +6,11 @@ import pytest
 from conftest import FixedStream
 from hmchaos.chaos import (_sq_modulus_at_radius, circle_average_moment,
                            circle_average_sample, circle_mean_closed_form,
-                           circle_mean_mc, coefficient_values, estimate_moment,
+                           circle_mean_mc, estimate_moment,
                            field_rows, fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError
-from hmchaos.rng import GaussianStream, Seed
+from hmchaos.rng import GaussianStream, Seed, split
 from hmchaos.series import exp_array
 
 
@@ -76,13 +76,19 @@ def test_moment_validation():
     with pytest.raises(PreconditionError):
         estimate_moment(-3, 0.5, 100, Seed(1))
     with pytest.raises(PreconditionError):
-        coefficient_values(-1, 100, Seed(1))
+        sample_A(-1, 100.0, GaussianStream(Seed(1)))
     with pytest.raises(PreconditionError):
-        coefficient_values(8, 0, Seed(1))
+        estimate_moment(8, 0.5, 0, Seed(1))
+
+
+def _coefficients(N, samples, seed):
+    # A(N) of replicate i, drawn from its own stream split(seed, i)
+    return np.array([sample_A(N, float(N), GaussianStream(split(seed, i)))[N]
+                     for i in range(samples)])
 
 
 def test_mean_coefficient_vanishes():
-    values = coefficient_values(16, 20000, Seed(63))
+    values = _coefficients(16, 20000, Seed(63))
     n = values.size
     se = np.hypot(np.std(values.real), np.std(values.imag)) / math.sqrt(n)
     assert abs(np.mean(values)) <= 4.0 * se
@@ -90,7 +96,7 @@ def test_mean_coefficient_vanishes():
 
 def test_holder_between_moments():
     # E|A|^{2q} <= (E|A|^2)^q up to propagated MC error, shared draws
-    values = np.abs(coefficient_values(64, 8000, Seed(17)))
+    values = np.abs(_coefficients(64, 8000, Seed(17)))
     n = values.size
     q = 0.5
     low = values ** (2.0 * q)

@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,17 @@ def test_manifest_sidecar_written(tmp_path):
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["seed"] == "5"
     assert "config_sha256" in manifest and "numpy_version" in manifest
+
+
+def test_no_manifest_sidecar_beside_a_device():
+    # the CSV goes to the device; a sidecar would be a new regular file in /dev
+    sidecar = Path(os.devnull + ".manifest.json")
+    sidecar.unlink(missing_ok=True)  # left by a build that wrote one
+    code = main(["mass", "--N-max", "4", "--out", os.devnull])
+    appeared = sidecar.exists()
+    sidecar.unlink(missing_ok=True)
+    assert code == 0
+    assert not appeared
 
 
 def test_json_format_embeds_manifest(tmp_path):
@@ -387,6 +400,23 @@ def test_many_barrier_heights_run_within_their_budget(tmp_path, capsys):
                  "--samples", "100000"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "100000 x 3000 block exceeds the budget" in capsys.readouterr().err
+
+
+def test_event_at_the_height_budget_holds_one_byte_per_indicator(capsys):
+    # 167 heights at 100000 samples is inside the budget; the kernels return
+    # bool flags, so the gathered (samples, heights) indicators take 16.7 MB
+    # and each height's column is cast to float on its own
+    heights = ",".join(str(1.0 + i / 10) for i in range(167))
+    tracemalloc.start()
+    try:
+        code = main(["event", "--K", "20", "--r", "1", "--A", heights,
+                     "--samples", "100000", "--seed", "7"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 168
+    assert peak < 64 * 2**20
 
 
 def test_bad_configuration_exits_2(tmp_path):

@@ -1,11 +1,13 @@
 """The replicate-span contract of mc.map_replicates and its batched kernels."""
 
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
 from hmchaos import chaos, mc, series
 from hmchaos.chaos import (EXP_BLOCK, circle_average_moment, circle_average_sample,
-                           coefficient_values, estimate_moment)
+                           estimate_moment)
 from hmchaos.rng import GaussianStream, Seed, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
@@ -96,6 +98,11 @@ def _input_row(N, seed, i):
     return chaos._input_rows([GaussianStream(split(seed, i))], N, float(N), 1)[0]
 
 
+def _coefficients(N, samples, seed):
+    # A(N) of every replicate, through the batched kernel of estimate_moment
+    return mc.map_replicates(chaos._exp_rows, (N, float(N), itemgetter(N)), seed, samples)
+
+
 def _scalar_coefficient(N, seed, i):
     # the per-replicate oracle: one 1-D exp on replicate i's own stream
     return exp_array(_input_row(N, seed, i), N)[N]
@@ -110,7 +117,7 @@ def test_batched_coefficients_equal_the_scalar_oracle(N):
     samples = mc.REPLICATE_SPAN + 9
     seed = Seed(N)
     oracle = np.array([_scalar_coefficient(N, seed, i) for i in range(samples)])
-    assert coefficient_values(N, samples, seed).tobytes() == oracle.tobytes()
+    assert _coefficients(N, samples, seed).tobytes() == oracle.tobytes()
     for q in (0.25, 0.5, 1.0):
         est = estimate_moment(N, q, samples, seed)
         ref = mc.from_values([abs(v) ** (2.0 * q) for v in oracle], seed)
@@ -136,7 +143,7 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
     monkeypatch.setattr(series, "_circle_row", spy)
     monkeypatch.setattr(series, "RECURRENCE_REDO", 0)
     monkeypatch.setattr(series, "RECURRENCE_BUDGET", 0)
-    values = coefficient_values(N, samples, seed)
+    values = _coefficients(N, samples, seed)
     est = estimate_moment(N, 0.5, samples, seed)
     retried = sum(err > series.EXP_TOLERANCE for _, err in seen)
     assert 0 < retried < len(seen) // 4

@@ -8,7 +8,7 @@ from conftest import ks_critical
 from hmchaos import mc
 from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.numbermodels import (FFModel, SteinhausModel, count_irreducibles,
-                                  ff_X_values, ff_second_moment, irreducibles_by_degree,
+                                  ff_second_moment, irreducibles_by_degree,
                                   steinhaus_abs_moment, _integer_tree, _sieve,
                                   _structure)
 from hmchaos.rng import Seed, UnitCircleStream, split
@@ -212,14 +212,20 @@ def test_ff_X_degree_one_closed_form():
     assert model.X(1) == pytest.approx((values[0] + values[1]) / math.sqrt(2.0))
 
 
+def _ff_X(q, k, samples, seed):
+    # X(k) of replicate i: the model on its own stream split(seed, i)
+    return np.array([FFModel(q, k, UnitCircleStream(split(seed, i))).X(k)
+                     for i in range(samples)])
+
+
 def test_ff_X_mean_zero():
-    values = ff_X_values(5, 3, 10000, Seed(50))
+    values = _ff_X(5, 3, 10000, Seed(50))
     se = np.hypot(np.std(values.real), np.std(values.imag)) / math.sqrt(values.size)
     assert abs(np.mean(values)) <= 4.0 * se
 
 
 def test_ff_X_variance_near_one():
-    values = ff_X_values(7, 3, 10000, Seed(50))
+    values = _ff_X(7, 3, 10000, Seed(50))
     variance = float(np.mean(np.abs(values - values.mean()) ** 2))
     assert abs(variance - 1.0) <= 0.05
 
@@ -242,9 +248,9 @@ def test_ff_replicate_validation():
     with pytest.raises(PreconditionError):
         ff_second_moment(7, -1, 10, Seed(1))
     with pytest.raises(PreconditionError):
-        ff_X_values(7, 0, 10, Seed(1))
+        FFModel(7, 0, _circle(1)).X(0)
     with pytest.raises(PreconditionError):
-        ff_X_values(7, -1, 10, Seed(1))
+        FFModel(7, -1, _circle(1))
 
 
 def test_generating_function_routes_agree():
@@ -312,5 +318,3 @@ def test_replicate_i_is_the_model_on_its_own_stream():
                 [abs(v) ** 1.5 for v in sums])
     coeffs = [m.A(4) for m in models(FFModel, 3, 4)]
     assert same(ff_second_moment(3, 4, samples, seed), [abs(v) ** 2 for v in coeffs])
-    oracle = np.array([m.X(3) for m in models(FFModel, 3, 3)])
-    assert ff_X_values(3, 3, samples, seed).tobytes() == oracle.tobytes()
