@@ -20,15 +20,14 @@ from .chaos import (circle_average_moment, circle_average_sample,
                     theorem_band_factor)
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .partitions import (Partition, a_of_partition, diagonal_second_moment,
-                         enumerate_partitions, exact_total_mass,
-                         orthogonality_check, partition_count,
+from .partitions import (a_of_partition, diagonal_second_moment, enumerate_partitions,
+                         exact_total_mass, orthogonality_check, partition_count,
                          reconstruct_A_by_largest_part)
 from .rng import GaussianStream, Seed, UnitCircleStream, split
 from .series import parseval_power_sum, rankin_bound, smooth_partition_weight
 
 __all__ = [
-    "BudgetError", "GaussianStream", "MomentEstimate", "Partition",
+    "BudgetError", "GaussianStream", "MomentEstimate",
     "PreconditionError", "Seed", "UnitCircleStream", "a_of_partition",
     "circle_average_moment", "circle_average_sample", "circle_mean_closed_form",
     "circle_mean_mc", "diagonal_second_moment", "enumerate_partitions",

@@ -98,9 +98,6 @@ def cmd_mass(args):
 def cmd_ballot(args):
     a_grid = _parse_grid(args.a_grid)
     n_grid = _parse_grid(args.n_grid, int)
-    if not a_grid or not n_grid:
-        raise PreconditionError("ballot needs at least one height in --a-grid and "
-                                "one walk length in --n-grid")
     for n in n_grid:  # each chunk's (rows, n) draw, before any O(n) setup
         chaos.check_field_budget(min(args.samples, mc.CHUNK_SAMPLES), n)
     rows, checks = [], []
@@ -455,6 +452,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    if not rows:  # an empty grid: a header-only table would pass any --check
+        print("precondition violated: the table needs at least one row",
+              file=sys.stderr)
+        return 3
     config = {k: v for k, v in vars(args).items() if k not in ("func", "_derived")}
     manifest = report.build_manifest(config)
     manifest["checks"] = {name: bool(ok) for name, ok in checks}

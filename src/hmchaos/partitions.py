@@ -15,9 +15,8 @@ sampled values of a(lambda) are floating point.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -29,36 +28,33 @@ from .rng import Seed
 ENUMERATION_CAP = 40  # p(40) = 37338; this module is an oracle, not the sampler
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """An integer partition as a nonincreasing tuple of positive parts."""
+def _checked(parts) -> tuple[int, ...]:
+    """`parts` as a partition tuple: ints (not bools), each >= 1, nonincreasing."""
+    parts = tuple(parts)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
+        raise PreconditionError("partition parts must be ints")
+    if not all(map(operator.ge, parts, parts[1:])):
+        raise PreconditionError("partition parts must be nonincreasing")
+    if parts and parts[-1] < 1:
+        raise PreconditionError("partition parts must be positive")
+    return parts
 
-    parts: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.parts and min(self.parts) < 1:
-            raise ValueError("parts must be positive")
-        if not all(map(operator.ge, self.parts, self.parts[1:])):
-            raise ValueError("parts must be nonincreasing")
+def _multiplicities(parts: tuple[int, ...]):
+    """Yield (k, m_k) for each distinct part k of a partition tuple, largest first."""
+    i = 0
+    while i < len(parts):  # equal parts are adjacent
+        m = parts.count(parts[i])
+        yield parts[i], m
+        i += m
 
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(sorted(parts, reverse=True)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
+def _check_total(total: int) -> None:
+    """The enumeration's range, 0 <= total <= ENUMERATION_CAP."""
+    if total < 0:
+        raise PreconditionError("a partition total must be >= 0")
+    if total > ENUMERATION_CAP:
+        raise BudgetError(f"partition enumeration is capped at total <= {ENUMERATION_CAP}")
 
 
 def enumerate_partitions(total: int, max_part: int | None = None):
@@ -68,16 +64,13 @@ def enumerate_partitions(total: int, max_part: int | None = None):
     and recursively so within each branch, e.g. for total=4: 1+1+1+1, 2+1+1,
     2+2, 3+1, 4.
     """
-    if total < 0:
-        raise PreconditionError("enumerate_partitions requires total >= 0")
-    if total > ENUMERATION_CAP:
-        raise BudgetError(f"partition enumeration is capped at total <= {ENUMERATION_CAP}")
+    _check_total(total)
     cap = total if max_part is None else min(operator.index(max_part), total)
     if total > 0 and cap < 1:  # no part fits
         return
     parts = [1] * total
     while True:
-        yield Partition(tuple(parts))
+        yield tuple(parts)
         # grow the rightmost part (not the last) that stays <= the part
         # before it (or cap) by one unit from the parts after it, which
         # restart as ones: the lexicographic successor
@@ -111,33 +104,42 @@ def partition_count(total: int) -> int:
     return p[total]
 
 
-def a_of_partition(partition: Partition, X) -> complex:
-    """a(lambda) = prod_k (X(k)/sqrt(k))^{m_k} / m_k! for given X values."""
-    value = complex(1.0)
-    for k, m in partition.multiplicities.items():
+def _a_values(x, parts: tuple[int, ...]) -> np.ndarray:
+    """a(lambda) for each row of x, whose column k - 1 holds X(k)."""
+    value = np.ones(len(x), dtype=np.complex128)
+    for k, m in _multiplicities(parts):
+        value *= (x[:, k - 1] / sqrt(k)) ** m / factorial(m)
+    return value
+
+
+def _x_row(X, ks) -> np.ndarray:
+    """One row holding X(k) in column k - 1 for each k in ks (zero elsewhere)."""
+    row = np.zeros((1, max(ks, default=0)), dtype=np.complex128)
+    for k in ks:
         if k not in X:
             raise PreconditionError(f"X({k}) is required but missing")
-        value *= (complex(X[k]) / sqrt(k)) ** m / factorial(m)
-    return value
+        row[0, k - 1] = X[k]
+    return row
 
 
-def diagonal_second_moment(partition: Partition) -> Fraction:
-    """E[|a(lambda)|^2] = prod_k 1/(m_k! k^{m_k}), exactly."""
-    value = Fraction(1)
-    for k, m in partition.multiplicities.items():
-        value /= factorial(m) * k**m
-    return value
+def a_of_partition(parts, X) -> complex:
+    """a(lambda) = prod_k (X(k)/sqrt(k))^{m_k} / m_k! for given X values."""
+    parts = _checked(parts)
+    return complex(_a_values(_x_row(X, parts), parts)[0])
 
 
 def _centralizer_order(parts: tuple[int, ...]) -> int:
     """z_lambda = prod_k m_k! k^{m_k}, so a class of cycle type lambda in S_n
     has n!/z_lambda permutations: n! times the diagonal weight."""
-    z, i = prod(parts), 0
-    while i < len(parts):  # equal parts are adjacent
-        m = parts.count(parts[i])
-        z *= factorial(m)
-        i += m
+    z = 1
+    for k, m in _multiplicities(parts):
+        z *= factorial(m) * k**m
     return z
+
+
+def diagonal_second_moment(parts) -> Fraction:
+    """E[|a(lambda)|^2] = 1/z_lambda = prod_k 1/(m_k! k^{m_k}), exactly."""
+    return Fraction(1, _centralizer_order(_checked(parts)))
 
 
 def exact_total_mass(total: int) -> Fraction:
@@ -146,9 +148,10 @@ def exact_total_mass(total: int) -> Fraction:
     Sums the integer class sizes total!/z_lambda of S_total and divides once
     by total!.
     """
-    order = factorial(min(max(total, 0), ENUMERATION_CAP))  # the enumeration refuses the rest
-    return Fraction(sum(order // _centralizer_order(p.parts)
-                        for p in enumerate_partitions(total)), order)
+    _check_total(total)
+    order = factorial(total)
+    return Fraction(sum(order // _centralizer_order(p) for p in enumerate_partitions(total)),
+                    order)
 
 
 def reconstruct_A_by_largest_part(total: int, depth: int, X):
@@ -161,34 +164,23 @@ def reconstruct_A_by_largest_part(total: int, depth: int, X):
     """
     if depth < 1:
         raise PreconditionError("reconstruct_A_by_largest_part requires depth >= 1")
-    bands = [complex(0.0)] * depth
-    smooth_rest = complex(0.0)
-    for partition in enumerate_partitions(total):
-        value = a_of_partition(partition, X)
-        largest = partition.largest
-        if largest <= total / 2**depth:
-            smooth_rest += value
-            continue
-        for j in range(1, depth + 1):
-            if total / 2**j < largest <= total / 2 ** (j - 1):
-                bands[j - 1] += value
-                break
+    sums = [complex(0.0)] * (depth + 1)  # bands 1..depth, then the smooth rest
+    x = _x_row(X, range(1, total + 1))
+    for parts in enumerate_partitions(total):
+        # band j holds 2^{j-1} <= total/largest < 2^j; the empty partition is smooth
+        j = (total // parts[0]).bit_length() if parts else depth + 1
+        sums[min(j, depth + 1) - 1] += complex(_a_values(x, parts)[0])
+    bands, smooth_rest = sums[:depth], sums[depth]
     return bands, smooth_rest, sum(bands, smooth_rest)
 
 
 def _paired_product(stream, count, parts_a, parts_b):
     x = chaos.field_rows(stream, count, 1.0, 1, max(parts_a + parts_b))[0]
-    va = np.ones(count, dtype=np.complex128)
-    for k, m in Partition(parts_a).multiplicities.items():
-        va *= (x[:, k - 1] / sqrt(k)) ** m / factorial(m)
-    vb = np.ones(count, dtype=np.complex128)
-    for k, m in Partition(parts_b).multiplicities.items():
-        vb *= (x[:, k - 1] / sqrt(k)) ** m / factorial(m)
-    return va * np.conj(vb)
+    return _a_values(x, parts_a) * np.conj(_a_values(x, parts_b))
 
 
-def orthogonality_check(first: Partition, second: Partition, samples: int,
-                        seed: Seed, workers: int = 1) -> MomentEstimate:
+def orthogonality_check(first, second, samples: int, seed: Seed,
+                        workers: int = 1) -> MomentEstimate:
     """Monte Carlo estimate of E[a(first) conj(a(second))] for first != second.
 
     The returned mean is the modulus of the complex sample mean; the
@@ -196,12 +188,12 @@ def orthogonality_check(first: Partition, second: Partition, samples: int,
     distinct partitions the expectation is exactly 0, so the mean should
     sit within a few standard errors of 0.
     """
+    first, second = _checked(first), _checked(second)
     if first == second:
         raise PreconditionError("orthogonality_check requires distinct partitions "
                                 "(use diagonal_second_moment for the diagonal)")
     mc.check_samples(samples)
-    values = mc.map_chunks(_paired_product, (first.parts, second.parts), seed,
-                           samples, workers)
+    values = mc.map_chunks(_paired_product, (first, second), seed, samples, workers)
     n = values.size
     mean = complex(np.sum(values) / n)
     spread = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n - 1)))

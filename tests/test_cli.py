@@ -156,11 +156,17 @@ def test_ballot_monotone_check_reads_heights_in_ascending_order(tmp_path):
 
 
 def test_empty_grids_exit_3(capsys):
-    for argv in (["ballot", "--a-grid", ""], ["ballot", "--n-grid", ""],
-                 ["ballot", "--a-grid", ","], ["event", "--K", "20", "--r", "1", "--A", ""],
-                 ["event", "--all-angles", "--K", "20", "--r", "1", "--A", ""]):
+    for argv in (["ballot", "--a-grid", "", "--samples", "100"],
+                 ["ballot", "--n-grid", "", "--samples", "100"],
+                 ["ballot", "--a-grid", ",", "--samples", "100"],
+                 ["event", "--K", "20", "--r", "1", "--A", "", "--samples", "100"],
+                 ["event", "--all-angles", "--K", "20", "--r", "1", "--A", "",
+                  "--samples", "100"],
+                 ["bivariate", "--rho-grid", ","], ["mass", "--N-max", "0"],
+                 ["ff", "--mode", "counts", "--q", "3", "--n-max", "0"],
+                 ["blocks", "--r", "0.98", "--theta", "0.5", "--K", "1"]):
         capsys.readouterr()
-        assert main(argv + ["--samples", "100", "--check"]) == 3
+        assert main(argv + ["--check"]) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "at least one" in captured.err

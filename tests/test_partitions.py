@@ -8,7 +8,8 @@ import pytest
 from conftest import FixedStream
 from hmchaos.chaos import sample_A
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos.partitions import (Partition, _centralizer_order, a_of_partition,
+from hmchaos import partitions
+from hmchaos.partitions import (_centralizer_order, _multiplicities, a_of_partition,
                                 diagonal_second_moment, enumerate_partitions,
                                 exact_total_mass, orthogonality_check, partition_count,
                                 reconstruct_A_by_largest_part)
@@ -16,9 +17,7 @@ from hmchaos.rng import GaussianStream, Seed
 
 
 def test_enumerate_empty_partition():
-    only = list(enumerate_partitions(0))
-    assert only == [Partition(())]
-    assert only[0].total == 0
+    assert list(enumerate_partitions(0)) == [()]
 
 
 def test_enumerate_counts():
@@ -28,12 +27,12 @@ def test_enumerate_counts():
 
 
 def test_enumerate_bounded_parts():
-    got = {p.parts for p in enumerate_partitions(4, max_part=2)}
+    got = set(enumerate_partitions(4, max_part=2))
     assert got == {(2, 2), (2, 1, 1), (1, 1, 1, 1)}
 
 
 def test_enumeration_order_is_stable():
-    order = [p.parts for p in enumerate_partitions(4)]
+    order = list(enumerate_partitions(4))
     assert order == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
 
 
@@ -60,9 +59,9 @@ def _recursive_partitions(total, max_part=None):
 def test_enumeration_matches_the_recursive_order():
     for total in range(17):
         for max_part in [None, *range(total + 1)]:
-            got = [p.parts for p in enumerate_partitions(total, max_part)]
+            got = list(enumerate_partitions(total, max_part))
             assert got == _recursive_partitions(total, max_part), (total, max_part)
-    assert [p.parts for p in enumerate_partitions(0, max_part=0)] == [()]
+    assert list(enumerate_partitions(0, max_part=0)) == [()]
     assert list(enumerate_partitions(3, max_part=0)) == []
 
 
@@ -71,40 +70,57 @@ def test_enumeration_stays_lazy():
     # see each partition as it is made
     assert inspect.isgeneratorfunction(enumerate_partitions)
     first = next(enumerate_partitions(40))
-    assert first.parts == (1,) * 40
+    assert first == (1,) * 40
 
 
 def test_partition_views_agree():
-    p = Partition.of(3, 1, 3, 2)
-    assert p.parts == (3, 3, 2, 1)
-    assert p.multiplicities == {3: 2, 2: 1, 1: 1}
-    assert p.total == 9
-    assert sum(k * m for k, m in p.multiplicities.items()) == p.total
+    # the one multiplicity walk, largest part first
+    pairs = list(_multiplicities((3, 3, 2, 1)))
+    assert pairs == [(3, 2), (2, 1), (1, 1)]
+    assert sum(k * m for k, m in pairs) == 9
+    assert list(_multiplicities(())) == []
 
 
 def test_a_of_partition_values():
-    assert a_of_partition(Partition(()), {}) == 1.0
+    assert a_of_partition((), {}) == 1.0
     x = 0.4 + 0.9j
-    assert a_of_partition(Partition((1, 1)), {1: x}) == pytest.approx(x**2 / 2.0)
+    assert a_of_partition((1, 1), {1: x}) == pytest.approx(x**2 / 2.0)
     y = -1.2 + 0.3j
-    assert a_of_partition(Partition((2,)), {2: y}) == pytest.approx(y / math.sqrt(2.0))
+    assert a_of_partition((2,), {2: y}) == pytest.approx(y / math.sqrt(2.0))
 
 
 def test_a_of_partition_missing_value():
     with pytest.raises(PreconditionError):
-        a_of_partition(Partition((2, 1)), {1: 1.0})
+        a_of_partition((2, 1), {1: 1.0})
 
 
 def test_diagonal_second_moment_values():
-    assert diagonal_second_moment(Partition((7,))) == Fraction(1, 7)
-    assert diagonal_second_moment(Partition((2, 1))) == Fraction(1, 2)
-    assert diagonal_second_moment(Partition((1, 1, 1))) == Fraction(1, 6)
+    assert diagonal_second_moment((7,)) == Fraction(1, 7)
+    assert diagonal_second_moment((2, 1)) == Fraction(1, 2)
+    assert diagonal_second_moment((1, 1, 1)) == Fraction(1, 6)
+    assert diagonal_second_moment(()) == Fraction(1)
+
+
+@pytest.mark.parametrize("parts", [(2.5,), (True,), (2, 1.0), (1, 2), (1, 3), (0,),
+                                   (2, -1)])
+def test_entry_points_refuse_non_partitions(parts, monkeypatch):
+    # ints only (bools refused), each >= 1, nonincreasing; a float part used
+    # to make the exact moment a float
+    monkeypatch.setattr(partitions.mc, "map_chunks", None)  # any draw would fail
+    with pytest.raises(PreconditionError):
+        diagonal_second_moment(parts)
+    with pytest.raises(PreconditionError):
+        a_of_partition(parts, {1: 1, 2: 1})
+    with pytest.raises(PreconditionError):
+        orthogonality_check((2,), parts, 100, Seed(1))
+    with pytest.raises(ValueError):  # callers catching ValueError still work
+        diagonal_second_moment(parts)
 
 
 def test_class_sizes_are_n_factorial_times_the_diagonal_weight():
     for n in range(13):
         for p in enumerate_partitions(n):
-            size, rest = divmod(math.factorial(n), _centralizer_order(p.parts))
+            size, rest = divmod(math.factorial(n), _centralizer_order(p))
             assert rest == 0
             assert size == math.factorial(n) * diagonal_second_moment(p)
 
@@ -142,14 +158,10 @@ def test_partition_sum_equals_sampler():
 def test_partition_sum_second_moment_mc(n):
     # mean over draws of |sum_lambda a(lambda)|^2 should be 1
     samples = 10000
-    parts = list(enumerate_partitions(n))
     x = GaussianStream(Seed(321 + n)).draw(samples * n).reshape(samples, n)
     total = np.zeros(samples, dtype=complex)
-    for p in parts:
-        term = np.ones(samples, dtype=complex)
-        for k, m in p.multiplicities.items():
-            term *= (x[:, k - 1] / math.sqrt(k)) ** m / math.factorial(m)
-        total += term
+    for p in enumerate_partitions(n):
+        total += partitions._a_values(x, p)
     sq = np.abs(total) ** 2
     se = np.std(sq, ddof=1) / math.sqrt(samples)
     assert abs(np.mean(sq) - 1.0) <= 4.0 * se
@@ -171,6 +183,27 @@ def test_reconstruct_single_part():
     assert total == pytest.approx(x_map[1])
 
 
+def test_bands_match_the_float_definition():
+    # band j holds total/2^j < largest <= total/2^{j-1}; the rest is smooth
+    for total in range(21):
+        x_map, _ = _draw_x_map(900 + total, max(total, 1))
+        for depth in range(1, 7):
+            bands = [complex(0.0)] * depth
+            smooth_rest = complex(0.0)
+            for p in enumerate_partitions(total):
+                value = a_of_partition(p, x_map)
+                largest = p[0] if p else 0
+                if largest <= total / 2**depth:
+                    smooth_rest += value
+                    continue
+                for j in range(1, depth + 1):
+                    if total / 2**j < largest <= total / 2 ** (j - 1):
+                        bands[j - 1] += value
+                        break
+            got_bands, got_rest, _ = reconstruct_A_by_largest_part(total, depth, x_map)
+            assert (got_bands, got_rest) == (bands, smooth_rest), (total, depth)
+
+
 def test_smooth_rest_second_moment_matches_bounded_weight():
     # E|A~_J(N)|^2 equals the bounded-largest-part weight; N=12, J=2
     from hmchaos.series import smooth_partition_weight
@@ -179,10 +212,7 @@ def test_smooth_rest_second_moment_matches_bounded_weight():
     x = GaussianStream(Seed(555)).draw(samples * n).reshape(samples, n)
     values = np.zeros(samples, dtype=complex)
     for p in enumerate_partitions(n, max_part=n // 2**depth):
-        term = np.ones(samples, dtype=complex)
-        for k, m in p.multiplicities.items():
-            term *= (x[:, k - 1] / math.sqrt(k)) ** m / math.factorial(m)
-        values += term
+        values += partitions._a_values(x, p)
     sq = np.abs(values) ** 2
     se = np.std(sq, ddof=1) / math.sqrt(samples)
     target = smooth_partition_weight(n, n // 2**depth)
@@ -193,11 +223,10 @@ def test_orthogonality_distinct_partitions():
     for pair, samples in ((((2,), (1, 1)), 10**5),
                           (((1,), (2,)), 10**4),
                           (((3, 1), (2, 2)), 10**5)):
-        est = orthogonality_check(Partition(pair[0]), Partition(pair[1]),
-                                  samples, Seed(9000 + samples))
+        est = orthogonality_check(pair[0], pair[1], samples, Seed(9000 + samples))
         assert est.mean <= 4.0 * est.std_error
 
 
 def test_orthogonality_rejects_diagonal():
     with pytest.raises(PreconditionError):
-        orthogonality_check(Partition((2, 1)), Partition((2, 1)), 100, Seed(1))
+        orthogonality_check((2, 1), (2, 1), 100, Seed(1))
