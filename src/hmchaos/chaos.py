@@ -80,13 +80,18 @@ def field_rows(stream, count: int, r: float, lo: int, hi: int, real: bool = Fals
     return (x, *field_weights(r, lo, hi))
 
 
-def _input_rows(streams, N: int, K: float, rows: int) -> np.ndarray:
+def _input_rows(streams, N: int, K: float) -> np.ndarray:
     """Coefficient vectors of sum_{k<=min(K,N)} X(k) z^k / sqrt(k), one row
-    for each of the next `rows` streams (fewer if `streams` runs out).
+    for each of the next EXP_BLOCK // exp_width(N) streams (at least one;
+    fewer if `streams` runs out): one block of exp_array's inputs.
 
-    The N + 1 coefficients of a row are budgeted before anything is drawn.
+    N < 0 is refused, and the N + 1 coefficients of a row are budgeted
+    (exp_width refuses a width above FIELD_BUDGET), before anything is drawn.
     """
+    if N < 0:
+        raise PreconditionError(f"the exp degree must be >= 0, got {N}")
     check_field_budget(1, N + 1)
+    rows = max(1, EXP_BLOCK // exp_width(N))
     m = N if K >= N else _int_floor(K)  # K = inf is the untruncated model
     s = np.zeros((rows, N + 1), dtype=np.complex128)
     scale = np.sqrt(np.arange(1, m + 1))
@@ -108,16 +113,11 @@ def sample_A(N: int, K: float, stream: GaussianStream) -> np.ndarray:
 
 
 def _exp_rows(streams, N: int, K: float, statistic) -> list:
-    """statistic(row) for each row of exp of the streams' input series.
-
-    The rows run to degree N in blocks of EXP_BLOCK // exp_width(N) streams
-    (at least one), one exp_array call per block; exp_width refuses a width
-    above FIELD_BUDGET before anything is drawn.
-    """
+    """statistic(row) for each row of exp of the streams' input series to
+    degree N, one exp_array call per _input_rows block."""
     streams = iter(streams)
-    rows = max(1, EXP_BLOCK // exp_width(N))
     values = []
-    while len(block := _input_rows(streams, N, K, rows)):
+    while len(block := _input_rows(streams, N, K)):
         values += map(statistic, exp_array(block, N))
     return values
 
@@ -167,7 +167,7 @@ def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
     return mc.from_values(values, seed)
 
 
-def truncation_degree(K: float, r: float) -> int:
+def truncation_degree(r: float) -> int:
     """Smallest degree D with r^{2D}/(1-r^2) below the relative tail target.
 
     The expected Parseval tail past D is at most sum_{n>D} r^{2n}, in units
@@ -201,7 +201,7 @@ def _circle_degree(K: float, r: float, D: int | None) -> int:
         return D
     if r == 1.0:
         raise PreconditionError("r = 1 needs an explicit truncation degree D")
-    return truncation_degree(K, r)
+    return truncation_degree(r)
 
 
 def _circle_averages(streams, K, r, D):

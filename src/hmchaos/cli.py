@@ -29,10 +29,6 @@ def _parse_grid(text, cast=float):
     return [cast(part) for part in text.split(",") if part]
 
 
-def _seed(args) -> Seed:
-    return Seed(args.seed)
-
-
 def _require(args, *names):
     # required values may come from flags or a config file, so they are
     # validated here rather than by argparse
@@ -44,7 +40,7 @@ def _require(args, *names):
 
 def cmd_sample(args):
     _require(args, "N")
-    stream = GaussianStream(_seed(args))
+    stream = GaussianStream(Seed(args.seed))
     K = args.K if args.K is not None else float(max(args.N, 1))
     coeffs = chaos.sample_A(args.N, K, stream)
     rows = [(n, float(coeffs[n].real), float(coeffs[n].imag)) for n in range(args.N + 1)]
@@ -54,7 +50,7 @@ def cmd_sample(args):
 def cmd_moment(args):
     _require(args, "N")
     band = chaos.theorem_band_factor(args.N, args.q)  # refuses N < 1 before sampling
-    est = chaos.estimate_moment(args.N, args.q, args.samples, _seed(args),
+    est = chaos.estimate_moment(args.N, args.q, args.samples, Seed(args.seed),
                                 workers=args.workers)
     comp = est.mean * band
     rows = [(args.N, args.q, est.samples, est.mean, est.std_error, comp, str(est.seed))]
@@ -71,7 +67,7 @@ def cmd_moment(args):
 def cmd_decay(args):
     grid = _parse_grid(args.n_grid, int)
     counts = _parse_grid(args.samples_per, int)
-    rows_data = chaos.fit_decay_band(grid, counts, _seed(args), workers=args.workers)
+    rows_data = chaos.fit_decay_band(grid, counts, Seed(args.seed), workers=args.workers)
     rows = [(row.N, 0.5, row.samples, row.mean, row.std_error, row.compensated,
              str(row.seed)) for row in rows_data]
     checks = []
@@ -101,7 +97,7 @@ def cmd_ballot(args):
     for n in n_grid:  # each chunk's (rows, n) draw, before any O(n) setup
         chaos.check_field_budget(min(args.samples, mc.CHUNK_SAMPLES), n)
     rows, checks = [], []
-    root = _seed(args)
+    root = Seed(args.seed)
     for j, n in enumerate(n_grid):
         # one set of draws per n serves every height
         ests = barrier.ballot_probability_mc(a_grid, [args.variance] * n, args.samples,
@@ -131,11 +127,11 @@ def cmd_event(args):
                                     f"--theta, got {args.theta}")
         kind = args.kind + "-grid"
         ests = barrier.event_G_all_angles_mc(args.K, args.r, heights, args.samples,
-                                             split(_seed(args), 0), workers=args.workers)
+                                             split(Seed(args.seed), 0), workers=args.workers)
     else:
         kind = args.kind
         ests = barrier.event_probability_mc(args.kind, args.K, args.r, heights,
-                                            args.theta, args.samples, _seed(args),
+                                            args.theta, args.samples, Seed(args.seed),
                                             workers=args.workers)
     rows = [(kind, args.K, args.r, args.theta, a, est.samples, est.mean, est.std_error)
             for a, est in zip(heights, ests)]
@@ -145,7 +141,7 @@ def cmd_event(args):
 def cmd_com_check(args):
     left, right = barrier.change_of_measure_check(
         args.K, args.r, args.A, args.samples_left, args.samples_right,
-        _seed(args), workers=args.workers)
+        Seed(args.seed), workers=args.workers)
     combined = math.hypot(left.std_error, right.std_error)
     ok = abs(left.mean - right.mean) <= 5.0 * combined
     rows = [(args.K, args.r, args.A, left.samples, right.samples, left.mean,
@@ -187,7 +183,7 @@ def cmd_bivariate(args):
                                 "positive --sigma1, --sigma2")
     side = math.isqrt(args.grid_points)
     chaos.check_field_budget(2, side * side)  # x1 and x2, before either is drawn
-    seed = _seed(args)
+    seed = Seed(args.seed)
     key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     rows, checks = [], []
@@ -216,7 +212,7 @@ def cmd_bivariate(args):
 
 def cmd_steinhaus(args):
     est = numbermodels.steinhaus_abs_moment(args.x, args.power, args.samples,
-                                            _seed(args), workers=args.workers)
+                                            Seed(args.seed), workers=args.workers)
     target = float(math.floor(args.x)) if args.power == 2.0 else float("nan")
     comp = (est.mean * math.log(math.log(args.x)) ** 0.25 / math.sqrt(args.x)
             if args.power == 1.0 and args.x > math.e else float("nan"))
@@ -245,14 +241,14 @@ def cmd_ff(args):
     elif args.mode == "moment":
         columns = ["q", "N", "samples", "mean", "std_error", "seed"]
         est = numbermodels.ff_second_moment(args.q, args.N, args.samples,
-                                            _seed(args), workers=args.workers)
+                                            Seed(args.seed), workers=args.workers)
         rows.append((args.q, args.N, est.samples, est.mean, est.std_error,
                      str(est.seed)))
         checks.append(("second_moment_within_4se",
                        abs(est.mean - 1.0) <= 4.0 * est.std_error))
     elif args.mode == "series":
         columns = ["q", "N", "max_err_euler", "max_err_exp", "tol", "ok"]
-        model = numbermodels.FFModel(args.q, args.N, UnitCircleStream(_seed(args)))
+        model = numbermodels.FFModel(args.q, args.N, UnitCircleStream(Seed(args.seed)))
         direct = np.array([model.A(n) for n in range(args.N + 1)])
         err_euler = float(np.max(np.abs(model.euler_product_series(args.N) - direct)))
         err_exp = float(np.max(np.abs(model.gaussian_exp_series(args.N) - direct)))
@@ -267,8 +263,8 @@ def cmd_ff(args):
 def cmd_series_selftest(args):
     rows, checks = [], []
     series.check_recurrence_budget(args.degree)  # before the inputs are drawn
-    stream = GaussianStream(_seed(args))
-    s = chaos._input_rows([stream], args.degree, float(args.degree), 1)[0]
+    stream = GaussianStream(Seed(args.seed))
+    s = chaos._input_rows([stream], args.degree, float(args.degree))[0]
     slow = series.exp_array(s, args.degree, engine="recurrence")
     fast = series.exp_array(s, args.degree)
     err = float(np.max(np.abs(slow - fast)))
@@ -295,7 +291,7 @@ def _add_common(parser, samples_default=None):
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--config", default=None,
-                        help="JSON file of option defaults; explicit flags win")
+                        help="JSON option values, parsed as flags; explicit flags win")
     parser.add_argument("--plot", default=None,
                         help="also write a plain two-column plot file here")
     parser.add_argument("--check", action="store_true",
@@ -304,7 +300,9 @@ def _add_common(parser, samples_default=None):
         parser.add_argument("--samples", type=int, default=samples_default)
 
 
-def _new_parser():
+@functools.cache
+def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hmchaos",
         description="Experiments on the random power series exp(sum_k X(k) z^k/sqrt(k)) "
@@ -405,68 +403,55 @@ def _new_parser():
     _add_common(p)
     p.set_defaults(func=cmd_series_selftest)
 
-    return parser, sub.choices  # name -> subcommand parser
+    return parser
 
 
-@functools.cache
-def build_parser():
-    """The (parser, subcommand parsers) pair, built once per process.
-
-    Parsing leaves it unchanged; a config file changes defaults, so a
-    --config run parses with a parser of its own.
-    """
-    return _new_parser()
-
-
-def _apply_config_file(args, argv):
-    """Config-file values become defaults; explicit flags keep precedence."""
+def _config_flags(path, known):
+    """The JSON object in `path` as flag text, one --dest-with-hyphens=value per
+    key: true gives the bare switch, and false and null keep the default."""
     import json
     from pathlib import Path
 
-    overrides = json.loads(Path(args.config).read_text())
-    known = set(vars(args)) - {"func"}
-    unknown = set(overrides) - known
+    values = json.loads(Path(path).read_text())
+    if not isinstance(values, dict):
+        raise ValueError(f"a config file holds one JSON object, got {type(values).__name__}")
+    unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    parser, subparsers = _new_parser()
-    subparsers[args.command].set_defaults(**overrides)
-    return parser.parse_args(argv)
+    return [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+            for key, value in values.items() if value is not False and value is not None]
 
 
 def main(argv=None) -> int:
-    parser, _ = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            args = _apply_config_file(args, argv)
+        if args.config:  # the file's flags come first, so explicit flags win
+            flags = _config_flags(args.config, set(vars(args)) - {"func", "command"})
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        columns, rows, checks = args.func(args)
+        if not rows:  # an empty grid: a header-only table would pass any --check
+            raise PreconditionError("the table needs at least one row")
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "_derived")}
+        manifest = report.build_manifest(config)
+        manifest["checks"] = {name: bool(ok) for name, ok in checks}
+        derived = getattr(args, "_derived", None)
+        if derived:
+            manifest["derived"] = derived
+        report.write_table(args.out, args.format, columns, rows, manifest)
+        if args.plot:
+            report.write_plot(args.plot, columns, rows)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        columns, rows, checks = args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if not rows:  # an empty grid: a header-only table would pass any --check
-        print("precondition violated: the table needs at least one row",
-              file=sys.stderr)
-        return 3
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "_derived")}
-    manifest = report.build_manifest(config)
-    manifest["checks"] = {name: bool(ok) for name, ok in checks}
-    derived = getattr(args, "_derived", None)
-    if derived:
-        manifest["derived"] = derived
-    report.write_table(args.out, args.format, columns, rows, manifest)
-    if args.plot:
-        report.write_plot(args.plot, columns, rows)
-    if args.check and not all(ok for _, ok in checks):
-        failed = [name for name, ok in checks if not ok]
+    failed = [name for name, ok in checks if not ok]
+    if args.check and failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
         return 4
     return 0

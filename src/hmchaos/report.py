@@ -21,20 +21,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def config_digest(config: dict) -> str:
-    payload = json.dumps({k: str(v) for k, v in sorted(config.items())})
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def build_manifest(config: dict) -> dict:
     import numpy
 
     from . import __version__
 
+    config = {k: str(v) for k, v in sorted(config.items())}
     return {
-        "config": {k: str(v) for k, v in sorted(config.items())},
-        "config_sha256": config_digest(config),
-        "seed": str(config.get("seed", "")),
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config).encode()).hexdigest(),
+        "seed": config.get("seed", ""),
         "package_version": __version__,
         "numpy_version": numpy.__version__,
     }
@@ -59,29 +55,24 @@ def write_plot(out: str, columns: list[str], rows: list[tuple]) -> None:
 
 def write_table(out: str | None, fmt: str, columns: list[str], rows: list[tuple],
                 manifest: dict) -> None:
-    """Write one experiment table; CSV gets a sidecar manifest when given a
-    path to a regular file (none beside a device such as /dev/null)."""
+    """Write one experiment table as CSV or JSON, to `out` or to stdout. CSV
+    gets a sidecar manifest when `out` is a regular file (none beside a
+    device such as /dev/null); JSON embeds the manifest."""
     if fmt == "csv":
         text = ",".join(columns) + "\n"
         text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            path = Path(out)
-            path.write_text(text)
-            if path.is_file():
-                sidecar = path.with_name(path.name + ".manifest.json")
-                sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    elif fmt == "json":
+    else:
         doc = {
             "manifest": manifest,
             "columns": columns,
             "rows": [[_jsonable(v) for v in row] for row in rows],
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            Path(out).write_text(text)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    if out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
+    path.write_text(text)
+    if fmt == "csv" and path.is_file():
+        sidecar = path.with_name(path.name + ".manifest.json")
+        sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

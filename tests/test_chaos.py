@@ -165,9 +165,18 @@ def test_circle_average_needs_degree_at_radius_one():
     assert value > 0.0
 
 
+def test_negative_degree_is_refused():
+    # D = -1 divided by a zero exp width; D = -3 reached numpy's negative dimensions
+    for D in (-1, -3):
+        with pytest.raises(PreconditionError):
+            circle_average_sample(8.0, 0.9, FixedStream([0.0] * 8), D=D)
+        with pytest.raises(PreconditionError):
+            circle_average_moment(8.0, 0.9, 10, Seed(1), D=D)
+
+
 def test_truncation_degree_controls_tail():
     r = 0.9
-    D = truncation_degree(8.0, r)
+    D = truncation_degree(r)
     assert r ** (2 * D) / (1 - r * r) <= 1e-9
 
 

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -12,7 +14,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmchaos.cli import main
+import hmchaos
+from hmchaos.cli import build_parser, main
 
 GOLDEN_HEADERS = {
     "moment": "N,q,samples,mean,std_error,compensated,seed",
@@ -90,6 +93,63 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert out_plain.read_text().splitlines()[1].split(",")[2] == "1000"
     manifest = json.loads((tmp_path / "plain.csv.manifest.json").read_text())
     assert manifest["seed"] == "42"
+
+
+def _config(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def test_config_values_parse_as_flag_text(tmp_path, capsys):
+    # {"q": 1} printed q as 1 where --q 1 prints 1.0
+    flags = ["moment", "--N", "8", "--q", "1", "--samples", "50", "--seed", "3"]
+    _, by_flags = run_csv(tmp_path, "flags", flags)
+    cfg = _config(tmp_path, {"N": 8, "q": 1, "samples": 50, "seed": 3})
+    code, by_config = run_csv(tmp_path, "config", ["moment", "--config", cfg])
+    assert code == 0
+    assert by_config == by_flags
+    # an explicit flag still beats the file
+    _, text = run_csv(tmp_path, "explicit", ["moment", "--config", cfg, "--q", "0.5"])
+    assert text.splitlines()[1].split(",")[1] == "0.5"
+    # a number for the string-valued --A raised AttributeError in the grid parser
+    cfg = _config(tmp_path, {"K": 20, "r": 1, "A": 2, "samples": 100})
+    code, text = run_csv(tmp_path, "event", ["event", "--config", cfg])
+    assert code == 0
+    assert text.splitlines()[1].split(",")[4] == "2.0"
+    # true sets a switch, false and null keep the default, and any other value
+    # of a switch is refused ("no" turned the gate on)
+    ballot = {"a_grid": "1", "n_grid": "16", "samples": 2000, "band_lo": 4.999}
+    for check, expected in ((True, 4), (False, 0), (None, 0), ("no", 2)):
+        cfg = _config(tmp_path, {**ballot, "check": check, "out": None})
+        capsys.readouterr()
+        assert main(["ballot", "--config", cfg]) == expected, check
+        out = capsys.readouterr().out
+        assert out.startswith(GOLDEN_HEADERS["ballot"]) == (expected != 2)
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    # python -m hmchaos.cli calls main() with no argv, as the console script does
+    cfg = _config(tmp_path, {"N": 8, "q": 1, "samples": 50, "seed": 3})
+    path = os.pathsep.join(filter(None, [str(Path(hmchaos.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hmchaos.cli", "moment", "--config", cfg],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["moment", "--N", "8", "--q", "1", "--samples", "50", "--seed", "3"]) == 0
+    assert proc.stdout == out.getvalue()
+
+
+def test_help_exits_0_for_every_subcommand(capsys):
+    assert build_parser() is build_parser()
+    for argv in ([], ["sample"], ["moment"], ["decay"], ["mass"], ["ballot"], ["event"],
+                 ["com-check"], ["blocks"], ["bivariate"], ["steinhaus"], ["ff"],
+                 ["series-selftest"]):
+        assert main(argv + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hmchaos")
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -322,7 +382,8 @@ def test_precondition_violation_exits_3(tmp_path):
         assert main(["blocks", "--r", "0.98", "--theta", theta]) == 3
     for power in ("nan", "inf", "1e308"):  # 1e308: |S|**power overflows
         assert main(["steinhaus", "--power", power, "--samples", "10"]) == 3
-    assert main(["series-selftest", "--degree", "-1"]) == 3
+    for degree in ("-1", "-2", "-3"):  # -2 and -3 reached numpy's negative dimensions
+        assert main(["series-selftest", "--degree", degree]) == 3
     assert main(["moment", "--N", "0", "--q", "0.5", "--samples", "2"]) == 3
     huge_q = str(10**18 + 3)
     assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
@@ -425,12 +486,32 @@ def test_event_at_the_height_budget_holds_one_byte_per_indicator(capsys):
     assert peak < 64 * 2**20
 
 
-def test_bad_configuration_exits_2(tmp_path):
+def test_bad_configuration_exits_2(tmp_path, capsys):
     assert main(["moment"]) == 2  # --N is required
     assert main(["decay", "--n-grid", "abc", "--samples-per", "10"]) == 2
     assert main(["bivariate", "--seed", "-1"]) == 2
     for argv in (["sample", "--N", "4"], ["moment", "--N", "4"], ["decay"]):
         assert main(argv + ["--engine", "auto"]) == 2
+    # config values that argparse refuses as flags, and files that hold no
+    # JSON object; each raised a traceback (for "xml", in write_table)
+    for values in ({"N": 8.0}, {"N": True}, {"N": "8", "samples": 2.5}, [{"a": 1}], 5,
+                   [], "x", None, {"N": 8, "format": "xml"}, {"N": 8, "seed": 1e3}):
+        capsys.readouterr()
+        assert main(["moment", "--config", _config(tmp_path, values)]) == 2, values
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+    (tmp_path / "cfg.json").write_text("{")
+    assert main(["moment", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert main(["moment", "--config", str(tmp_path / "missing.json")]) == 2
+    # unwritable outputs raised OSError tracebacks
+    missing = tmp_path / "missing"
+    for flags in (["--out", str(tmp_path)], ["--out", str(missing / "x.csv")],
+                  ["--format", "json", "--out", str(missing / "x.json")],
+                  ["--plot", str(missing / "x")]):
+        capsys.readouterr()
+        assert main(["mass", "--N-max", "4"] + flags) == 2, flags
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_failed_check_exits_4(tmp_path):
@@ -715,3 +796,51 @@ def test_fuzz_bivariate(rho_grid, mu1, mu2, sigma1, sigma2, span, grid_points):
        n_max=_mostly(st.integers(1, 4).map(str), SIZES))
 def test_fuzz_ff_counts(q, n_max):
     _fuzz_flags("ff", mode="counts", q=q, n_max=n_max)
+
+
+# Config-file fuzz: keys are the subcommand's option names plus unknown ones,
+# values are JSON of every type, and some files hold no JSON object at all.
+# Every file runs or exits 2/3/4 with no traceback; the values parse as flag
+# text, so argparse checks their types and choices. The run happens in a
+# scratch directory, since a string value may name an --out or --plot file.
+# Event runs take --samples=8 after the file, as a null or absent samples
+# would run the default 100000 replicates; it also covers precedence.
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 64),
+                         st.sampled_from([1e3, 8.0, 0.5, -1.0, 1e308, math.nan, math.inf]),
+                         st.sampled_from(["", "x", "1", "1,2", "..", "-1", "nan", "csv",
+                                          "json", "xml", "G", "L"]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=2), st.dictionaries(st.sampled_from(["a", "N"]), inner,
+                                                 max_size=2)), max_leaves=4)
+
+
+def _config_files(sub, base):
+    dests = sorted(set(vars(build_parser().parse_args([sub]))) - {"func", "command"})
+    keys = _mostly(st.sampled_from(dests),
+                   st.sampled_from(["bogus", "engine", "all-angles", "n_grid"]))
+    values = _mostly(st.one_of(st.none(), st.booleans(), st.integers(0, 12)), JSON_VALUES)
+    objects = st.dictionaries(keys, values, max_size=3).map(lambda d: {**base, **d})
+    return st.one_of(objects, st.sampled_from([[], 5, "x", None, [{"a": 1}]]))
+
+
+def _fuzz_config(tmp_path_factory, sub, values, flags=()):
+    scratch = tmp_path_factory.mktemp("config")
+    (scratch / "cfg.json").write_text(json.dumps(values))
+    cwd = os.getcwd()
+    os.chdir(scratch)
+    try:
+        _fuzz_case([sub, "--config", "cfg.json", *flags])
+    finally:
+        os.chdir(cwd)
+
+
+@FUZZ_FAST
+@given(values=_config_files("moment", {"N": 8}))
+def test_fuzz_moment_config(tmp_path_factory, values):
+    _fuzz_config(tmp_path_factory, "moment", values)
+
+
+@FUZZ_FAST
+@given(values=_config_files("event", {"K": 20, "r": 1}))
+def test_fuzz_event_config(tmp_path_factory, values):
+    _fuzz_config(tmp_path_factory, "event", values, ["--samples=8"])

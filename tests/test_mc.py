@@ -95,7 +95,7 @@ def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
 
 def _input_row(N, seed, i):
     # replicate i's input series, drawn from its own stream
-    return chaos._input_rows([GaussianStream(split(seed, i))], N, float(N), 1)[0]
+    return chaos._input_rows([GaussianStream(split(seed, i))], N, float(N))[0]
 
 
 def _coefficients(N, samples, seed):
