@@ -177,31 +177,31 @@ def _checkpoint_sums_scalar(X, r, theta, n_max):
     return sums
 
 
-def _event_barrier(kind, r, K) -> tuple[int, float]:
-    """(n_max, slope) of event G (A + 10 log n, n <= log K) or L (A - 5 log n,
-    n <= log K_r), after validating (r, K) for it."""
+def _event_levels(kind, r, K, heights) -> np.ndarray:
+    """The (heights, n_max) levels of event G (A + 10 log n, n <= log K) or L
+    (A - 5 log n, n <= log K_r) at each height A, validating (r, K) for the
+    event before the heights."""
     if kind == "G":
         if not K >= 3:
             raise PreconditionError("event G requires K >= 3")
         if not 1.0 - _R_TOL <= r <= math.exp(1.0 / K) + _R_TOL:
             raise PreconditionError("event G requires 1 <= r <= e^{1/K}")
-        return _int_floor(math.log(K)), 10.0
+        return _levels(_heights(heights), _int_floor(math.log(K)), 10.0)
     if kind == "L":
         if not K >= 10:
             raise PreconditionError("event L requires K >= 10")
         if not math.exp(-1.0 / 40.0) - _R_TOL <= r < 1.0:
             raise PreconditionError("event L requires e^{-1/40} <= r < 1")
-        return log_horizon(r, K), -5.0
+        return _levels(_heights(heights), log_horizon(r, K), -5.0)
     raise PreconditionError("kind must be 'G' or 'L'")
 
 
 def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> bool:
     """Whether X(1..) lies in event G (every checkpoint n <= log K stays below
     A + 10 log n) or L (every n <= log K_r below A - 5 log n), by fsum."""
-    n_max, slope = _event_barrier(kind, r, K)
-    levels = _levels(_heights([A]), n_max, slope)[0]
-    _check_theta(f"event {kind}", theta, block_bounds(n_max)[1])
-    return bool(np.all(_checkpoint_sums_scalar(X, r, theta, n_max) <= levels))
+    levels = _event_levels(kind, r, K, [A])[0]
+    _check_theta(f"event {kind}", theta, block_bounds(levels.size)[1])
+    return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
 def _checkpoints(steps, first_block, last_block):
@@ -236,12 +236,10 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     All heights share the same draws, so the estimates are monotone in A
     sample by sample (a higher barrier can only keep more paths).
     """
-    heights = _heights(A, samples)
-    n_max, slope = _event_barrier(kind, r, K)
-    _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
+    levels = _event_levels(kind, r, K, _heights(A, samples))
+    _check_theta("event_probability_mc", theta, block_bounds(levels.shape[1])[1])
     mc.check_samples(samples)
-    values = mc.map_chunks(_event_chunk, (r, theta, _levels(heights, n_max, slope)),
-                           seed, samples, workers)
+    values = mc.map_chunks(_event_chunk, (r, theta, levels), seed, samples, workers)
     return _per_height(values, seed)
 
 
@@ -277,11 +275,10 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     All heights share the same draws, so the estimates are monotone in A
     sample by sample.
     """
-    heights = _heights(A, samples)
-    n_max, slope = _event_barrier("G", r, K)
+    levels = _event_levels("G", r, K, _heights(A, samples))
     mc.check_samples(samples)
-    values = mc.map_chunks(_grid_event_chunk, (r, _levels(heights, n_max, slope)),
-                           seed, samples, workers, chunk=512)
+    values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,
+                           chunk=512)
     return _per_height(values, seed)
 
 
@@ -321,8 +318,7 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     y_k r^k/sqrt(k) (Var y_k = 1/2) respects the A + 10 log n barrier.
     The two are equal in expectation and serve as each other's oracle.
     """
-    n_max, slope = _event_barrier("G", r, K)
-    levels = _levels(_heights([A]), n_max, slope)
+    levels = _event_levels("G", r, K, [A])
     mc.check_samples(samples_left)
     mc.check_samples(samples_right)
     seed_left, seed_right = split(seed, 0), split(seed, 1)
@@ -347,7 +343,7 @@ class WalkBlocks:
     """Deterministic per-block statistics of the two walk increments.
 
     Arrays are indexed by block number m = 1..m_max: block m covers the
-    integers k in [lo[m-1], hi[m-1]] and carries variance sigma2[m-1] and
+    integers k in block_bounds(m) and carries variance sigma2[m-1] and
     correlation rho[m-1] between the straight and angle-rotated increments.
     """
 
@@ -356,8 +352,6 @@ class WalkBlocks:
     K_r: float
     log_K_r: int
     M: int
-    lo: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
 
@@ -413,13 +407,11 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     else:
         anchor = min(1e3 / reduced, K_r / math.e)
     M = max(1, -_int_floor(-math.log(anchor)))  # the guarded ceil of log(anchor)
-    lo = np.empty(count, dtype=int)
-    hi = np.empty(count, dtype=int)
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        lo[m - 1], hi[m - 1] = block_bounds(m)
-        k = np.arange(lo[m - 1], hi[m - 1] + 1, dtype=float)
+        lo, hi = block_bounds(m)
+        k = np.arange(lo, hi + 1, dtype=float)
         weights = r ** (2.0 * k) / (2.0 * k)
         sigma2[m - 1] = total = np.sum(weights)
         if not total > 0:  # every weight underflowed: rescale them by the largest
@@ -428,7 +420,7 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
             total = np.sum(weights)
         rho[m - 1] = np.sum(weights * np.cos(theta * k)) / total
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
-                      lo=lo, hi=hi, sigma2=sigma2, rho=rho)
+                      sigma2=sigma2, rho=rho)
 
 
 def _increment_chunk(stream, count, r, theta, lo, hi):
@@ -441,8 +433,9 @@ def _increment_chunk(stream, count, r, theta, lo, hi):
 def sample_block_increments(blocks: WalkBlocks, m: int, samples: int, seed: Seed,
                             workers: int = 1) -> np.ndarray:
     """Draws of the pair (Z_0(m), Z_theta(m)), shape (samples, 2)."""
-    lo, hi = int(blocks.lo[m - 1]), int(blocks.hi[m - 1])
-    return mc.map_chunks(_increment_chunk, (blocks.r, blocks.theta, lo, hi),
+    if not 1 <= m <= blocks.m_max:
+        raise PreconditionError(f"block m must lie in 1..{blocks.m_max}, got {m}")
+    return mc.map_chunks(_increment_chunk, (blocks.r, blocks.theta, *block_bounds(m)),
                          seed, samples, workers)
 
 
@@ -463,11 +456,16 @@ class BivariateParams:
             raise PreconditionError("|rho| must be < 1 (degenerate pairs rejected)")
 
 
+def _standardized(p: BivariateParams, x1, x2):
+    """The standard deviations s1, s2 and the standardized points u, v."""
+    s1, s2 = math.sqrt(p.sigma1_sq), math.sqrt(p.sigma2_sq)
+    return (s1, s2, (np.asarray(x1, dtype=float) - p.mu1) / s1,
+            (np.asarray(x2, dtype=float) - p.mu2) / s2)
+
+
 def bivariate_density(p: BivariateParams, x1, x2):
     """Density of the correlated normal pair at (x1, x2)."""
-    s1, s2 = math.sqrt(p.sigma1_sq), math.sqrt(p.sigma2_sq)
-    u = (np.asarray(x1, dtype=float) - p.mu1) / s1
-    v = (np.asarray(x2, dtype=float) - p.mu2) / s2
+    s1, s2, u, v = _standardized(p, x1, x2)
     norm = 1.0 / (2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - p.rho**2))
     quad = (u * u - 2.0 * p.rho * u * v + v * v) / (2.0 * (1.0 - p.rho**2))
     return norm * np.exp(-quad)
@@ -476,10 +474,8 @@ def bivariate_density(p: BivariateParams, x1, x2):
 def dominating_density(p: BivariateParams, x1, x2):
     """Pointwise majorant: sqrt((1+|rho|)/(1-|rho|)) times the density of an
     independent pair with variances inflated by (1+|rho|)."""
-    s1, s2 = math.sqrt(p.sigma1_sq), math.sqrt(p.sigma2_sq)
+    s1, s2, u, v = _standardized(p, x1, x2)
     a = abs(p.rho)
-    u = (np.asarray(x1, dtype=float) - p.mu1) / s1
-    v = (np.asarray(x2, dtype=float) - p.mu2) / s2
     prefactor = math.sqrt((1.0 + a) / (1.0 - a))
     norm = 1.0 / (2.0 * math.pi * s1 * s2 * (1.0 + a))
     return prefactor * norm * np.exp(-(u * u + v * v) / (2.0 * (1.0 + a)))
@@ -495,14 +491,15 @@ def _two_walk_chunk(stream, count, r, theta, M, levels):
     log_K_r = M + levels.shape[1]
     x, k, coef, drift = chaos.field_rows(stream, count, r, block_bounds(M + 1)[0],
                                          block_bounds(log_K_r)[1])
-    z0 = x.real * coef
+    z = x.real * coef  # the straight walk's steps, then the rotated walk's
+    total = np.sum(z, axis=1)
+    z -= drift
+    ok = _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
     x *= np.exp(1j * theta * k)
-    zt = x.real * coef
-    weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
-    ok = np.ones(count, dtype=bool)
-    for z in (z0, zt):
-        z -= drift
-        ok &= _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
+    np.multiply(x.real, coef, out=z)
+    weight = np.exp(2.0 * (total + np.sum(z, axis=1)))
+    z -= drift
+    ok &= _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
     return np.where(ok, weight, 0.0)
 
 
@@ -529,8 +526,8 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
 def two_walk_shape_scale(blocks: WalkBlocks, level: float) -> float:
     """(K_r^2/e^{2M}) ((1 + max(0, level))/sqrt(1 + log(K_r/e^M)))^2.
 
-    The shape against which the tilted expectation is banded in the
-    experiment outputs; the implied constant is recorded, not asserted.
+    The shape of the tilted expectation's upper bound, up to a constant
+    that is not pinned here.
     """
     gap = blocks.log_K_r - blocks.M
     return (blocks.K_r**2 / math.e ** (2 * blocks.M)

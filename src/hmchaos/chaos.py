@@ -8,11 +8,10 @@ so A(n) for n <= K is a polynomial in the X's with E[|A(n)|^2] = 1. This
 module samples A(N), estimates the moments E[|A(N)|^{2q}] for 0 <= q <= 1,
 evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 = exp(sum_{k<=K} r^{2k}/k), computes per-sample circle averages through
-the Parseval power sum, and tabulates the (log N)^{1/4}-compensated first
-moment over a grid of N. The moment and circle-average kernels take a
-span of replicates at a time and stack them into blocks of at most
-EXP_BLOCK values of exp_array's working width, one exp_array call per
-block.
+the Parseval power sum, and estimates the first moment over a grid of N.
+The moment and circle-average kernels take a span of replicates at a time
+and stack them into blocks of at most EXP_BLOCK values of exp_array's
+working width, one exp_array call per block.
 
 It is also the one home of the field that the barrier and partition
 kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
@@ -23,7 +22,6 @@ against FIELD_BUDGET.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
@@ -218,22 +216,13 @@ def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
     return mc.from_values(values, seed)
 
 
-@dataclass(frozen=True)
-class DecayRow:
-    N: int
-    samples: int
-    mean: float
-    std_error: float
-    compensated: float
-    seed: Seed
-
-
-def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1) -> list[DecayRow]:
-    """First-moment table E|A(N)| with the (log N)^{1/4}-compensated column.
+def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1) -> list[MomentEstimate]:
+    """Estimates of the first moment E|A(N)|, one per N of the grid; the
+    estimate at grid index i runs on split(seed, i).
 
     The decay constants are not pinned by theory, so the callers band the
-    compensated column over the N they choose rather than compare it with a
-    constant here.
+    (log N)^{1/4}-compensated means over the N they choose rather than
+    compare them with a constant here.
     """
     grid = list(N_grid)
     counts = list(S_per_N)
@@ -241,13 +230,8 @@ def fit_decay_band(N_grid, S_per_N, seed: Seed, workers: int = 1) -> list[DecayR
         raise PreconditionError("N_grid and S_per_N must have equal length")
     if not grid or any(n < 2 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise PreconditionError("fit_decay_band requires a non-empty increasing grid of N >= 2")
-    rows = []
-    for index, (n, count) in enumerate(zip(grid, counts)):
-        child = split(seed, index)
-        est = estimate_moment(n, 0.5, count, child, workers=workers)
-        comp = est.mean * math.log(n) ** 0.25
-        rows.append(DecayRow(n, count, est.mean, est.std_error, comp, child))
-    return rows
+    return [estimate_moment(n, 0.5, count, split(seed, index), workers=workers)
+            for index, (n, count) in enumerate(zip(grid, counts))]
 
 
 def theorem_band_factor(N: int, q: float) -> float:

@@ -67,16 +67,18 @@ def cmd_moment(args):
 def cmd_decay(args):
     grid = _parse_grid(args.n_grid, int)
     counts = _parse_grid(args.samples_per, int)
-    rows_data = chaos.fit_decay_band(grid, counts, Seed(args.seed), workers=args.workers)
-    rows = [(row.N, 0.5, row.samples, row.mean, row.std_error, row.compensated,
-             str(row.seed)) for row in rows_data]
+    ests = list(zip(grid, chaos.fit_decay_band(grid, counts, Seed(args.seed),
+                                               workers=args.workers)))
+    comps = [est.mean * math.log(n) ** 0.25 for n, est in ests]
+    rows = [(n, 0.5, est.samples, est.mean, est.std_error, comp, str(est.seed))
+            for (n, est), comp in zip(ests, comps)]
     checks = []
-    for prev, cur in zip(rows_data, rows_data[1:]):
+    for (n0, prev), (n1, cur) in zip(ests, ests[1:]):
         slack = 2.0 * math.hypot(prev.std_error, cur.std_error)
-        checks.append((f"monotone_{prev.N}_to_{cur.N}", cur.mean <= prev.mean + slack))
-    comps = [row.compensated for row in rows_data if row.N >= args.band_from]
-    if comps:
-        checks.append(("compensated_band", max(comps) / min(comps) <= args.band_max))
+        checks.append((f"monotone_{n0}_to_{n1}", cur.mean <= prev.mean + slack))
+    banded = [comp for n, comp in zip(grid, comps) if n >= args.band_from]
+    if banded:
+        checks.append(("compensated_band", max(banded) / min(banded) <= args.band_max))
     return MOMENT_COLUMNS, rows, checks
 
 
@@ -165,8 +167,8 @@ def cmd_blocks(args):
         in_horizon = math.e**m <= blocks.K_r
         sigma_ok = (not in_horizon) or (lo - tol <= sigma2 <= hi + tol)
         cov_ok = abs(cov) <= bound + tol
-        rows.append((m, int(blocks.lo[m - 1]), int(blocks.hi[m - 1]), sigma2, rho,
-                     cov, bound, in_horizon, sigma_ok, cov_ok))
+        rows.append((m, *barrier.block_bounds(m), sigma2, rho, cov, bound, in_horizon,
+                     sigma_ok, cov_ok))
         if in_horizon:
             checks.append((f"variance_range_m{m}", sigma_ok))
         checks.append((f"covariance_bound_m{m}", cov_ok))
@@ -246,7 +248,7 @@ def cmd_ff(args):
                      str(est.seed)))
         checks.append(("second_moment_within_4se",
                        abs(est.mean - 1.0) <= 4.0 * est.std_error))
-    elif args.mode == "series":
+    else:  # "series"; argparse's choices refuse any other mode
         columns = ["q", "N", "max_err_euler", "max_err_exp", "tol", "ok"]
         model = numbermodels.FFModel(args.q, args.N, UnitCircleStream(Seed(args.seed)))
         direct = np.array([model.A(n) for n in range(args.N + 1)])
@@ -255,8 +257,6 @@ def cmd_ff(args):
         ok = max(err_euler, err_exp) <= 1e-9
         rows.append((args.q, args.N, err_euler, err_exp, 1e-9, ok))
         checks.append(("series_identity", ok))
-    else:
-        raise PreconditionError(f"unknown ff mode {args.mode!r}")
     return columns, rows, checks
 
 
@@ -439,6 +439,7 @@ def main(argv=None) -> int:
         derived = getattr(args, "_derived", None)
         if derived:
             manifest["derived"] = derived
+        report.check_destinations(args.out, args.format, args.plot)
         report.write_table(args.out, args.format, columns, rows, manifest)
         if args.plot:
             report.write_plot(args.plot, columns, rows)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import methodcaller
 
 import numpy as np
 
@@ -82,23 +81,28 @@ def _factor_tree(norms, bound: int):
         np.concatenate(norm)
 
 
-def _tree_values(angles, tree):
-    """f on every row of a factor tree, for f(prime i) = exp(i angles[i])."""
+def _tree_values(angles, tree, values):
+    """f on every row of a factor tree, for f(prime i) = exp(i angles[i]), in `values`."""
     parent, factor, levels = tree
     primes = np.exp(1j * angles)
-    values = np.empty(parent.size, dtype=np.complex128)
     values[0] = 1.0
     for a, b in zip(levels[1:-1], levels[2:]):
-        values[a:b] = values[parent[a:b]] * primes[factor[a:b]]
+        np.multiply(values[parent[a:b]], primes[factor[a:b]], out=values[a:b])
     return values
 
 
-def _replicates(streams, model, size, statistic, power):
-    """One value per stream: `statistic` (a methodcaller) of a model drawn
-    from it, as |value|**power."""
-    values = [statistic(model(*size, stream)) for stream in streams]
+def _replicates(streams, row_data, size, power):
+    """|scale * sum of f over the rows|**power of row_data(*size) = (tree, prime
+    count, rows, scale), for f drawn from each stream. The replicates share one
+    tree buffer: one freed per replicate may go back to the system and fault in again."""
+    tree, primes, rows, scale = row_data(*size)
+    values = np.empty(tree[0].size, dtype=np.complex128)
+    sums = []
+    for stream in streams:
+        _tree_values(np.angle(stream.draw(primes)), tree, values)
+        sums.append(complex(scale * np.sum(values[rows])))
     try:
-        return [abs(value) ** power for value in values]
+        return [abs(value) ** power for value in sums]
     except OverflowError:
         raise PreconditionError(f"|value|**{power} overflows a float") from None
 
@@ -145,11 +149,19 @@ class SteinhausModel:
         """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
         tree, norm = _integer_tree(_cutoff(self.x))
         f = np.zeros(norm.size + 1, dtype=np.complex128)
-        f[norm] = _tree_values(self.angles, tree)
+        f[norm] = _tree_values(self.angles, tree, np.empty(norm.size, dtype=np.complex128))
         return f
 
     def partial_sum(self) -> complex:
         return complex(np.sum(self.f_values()[1:]))
+
+
+@functools.lru_cache(maxsize=16)
+def _steinhaus_rows(x: float):
+    """Row data of S(x): every row of the integer tree, in the order of n."""
+    n = _cutoff(x)
+    tree, norm = _integer_tree(n)
+    return tree, _sieve(n).size, np.argsort(norm), 1.0
 
 
 def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
@@ -159,8 +171,7 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     if not math.isfinite(power):
         raise PreconditionError("the moment power must be finite")
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicates, (SteinhausModel, (x,),
-                                             methodcaller("partial_sum"), power),
+    values = mc.map_replicates(_replicates, (_steinhaus_rows, (x,), power),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, seed)
 
@@ -257,8 +268,12 @@ def _structure(q: int, max_degree: int):
     norm q^n are the monic polynomials of degree n, each once as a multiset
     of irreducibles. Only the degrees enter the tree, so the Mobius counts
     build it for any prime power q. Its rows, sum_{n<=N} q^n, are budgeted
-    before anything is built. Built once and shared read-only.
+    before anything is built: after N >= 0 and q >= 2 (the budget loop ends
+    only for q >= 2), and before the prime-power test, which trial-divides
+    up to sqrt(q). Built once and shared read-only.
     """
+    if max_degree < 0:
+        raise PreconditionError("FFModel requires N >= 0")
     if not q >= 2:
         raise PreconditionError("FFModel requires a prime power q >= 2")
     rows = 0
@@ -267,6 +282,8 @@ def _structure(q: int, max_degree: int):
         if rows > ENUMERATION_BUDGET:
             raise BudgetError(f"enumeration budget sum_(n<=N) q^n <= {ENUMERATION_BUDGET} "
                               "exceeded")
+    if _prime_power_base(q) is None:
+        raise PreconditionError("FFModel requires a prime power q >= 2")
     counts = [count_irreducibles(q, d) for d in range(1, max_degree + 1)]
     degrees = np.repeat(np.arange(1, max_degree + 1, dtype=np.int64), counts)
     powers = np.array([q**n for n in range(max_degree + 1)], dtype=np.int64)
@@ -282,18 +299,14 @@ class FFModel:
     """
 
     def __init__(self, q: int, N: int, stream: UnitCircleStream):
-        if N < 0:
-            raise PreconditionError("FFModel requires N >= 0")
-        # the row budget first: the prime-power test trial-divides up to sqrt(q)
         self.degrees, self._tree, self._norm = _structure(q, N)
-        if _prime_power_base(q) is None:
-            raise PreconditionError("FFModel requires a prime power q >= 2")
         self.q, self.N = q, N
         self.angles = np.angle(stream.draw(self.degrees.size))
 
     @functools.cached_property
     def _values(self):
-        return _tree_values(self.angles, self._tree)
+        return _tree_values(self.angles, self._tree,
+                            np.empty(self._norm.size, dtype=np.complex128))
 
     def A(self, n: int) -> complex:
         """q^{-n/2} sum over monic F of degree n of f(F), by direct enumeration."""
@@ -339,10 +352,17 @@ class FFModel:
         return _series.exp_array(s, degree)
 
 
+@functools.lru_cache(maxsize=16)
+def _ff_rows(q: int, N: int):
+    """Row data of A(N) over F_q[t]: the rows of norm q^N, scaled by q^{-N/2}."""
+    degrees, tree, norm = _structure(q, N)
+    return tree, degrees.size, np.flatnonzero(norm == q**N), q ** (-N / 2.0)
+
+
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicates, (FFModel, (q, N), methodcaller("A", N), 2),
+    values = mc.map_replicates(_replicates, (_ff_rows, (q, N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)
     return mc.from_values(values, seed)

@@ -7,8 +7,10 @@ a re-run with the same configuration reproduces the bytes exactly.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +47,25 @@ def _jsonable(value):
 _PLOT_Y_PREFERENCE = ("mean", "p_hat", "total_mass", "sigma2", "max_err")
 
 
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".manifest.json")
+
+
+def check_destinations(out: str | None, fmt: str, plot: str | None) -> None:
+    """Raise the OSError a write would raise for a table, sidecar or plot path
+    that is a directory or lies in a missing one, before any is written."""
+    paths = [] if out is None else [Path(out)]
+    if paths and fmt == "csv":
+        paths.append(_sidecar(paths[0]))
+    if plot:
+        paths.append(Path(plot))
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def write_plot(out: str, columns: list[str], rows: list[tuple]) -> None:
     """Plain two-column plot file: first column vs the main estimate column."""
     y_index = next((columns.index(name) for name in _PLOT_Y_PREFERENCE
@@ -74,5 +95,4 @@ def write_table(out: str | None, fmt: str, columns: list[str], rows: list[tuple]
     path = Path(out)
     path.write_text(text)
     if fmt == "csv" and path.is_file():
-        sidecar = path.with_name(path.name + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _sidecar(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -351,6 +351,19 @@ def test_block_increments_peak_near_their_draw():
     assert peak < 1.3 * 256 * (hi - lo + 1) * 16
 
 
+def test_two_walk_chunk_peak_near_its_draw():
+    # the draw is 1x the bound's unit and one real step array, shared by
+    # both walks, 0.5x; a second step array would lift the peak to 2x
+    r, theta, count = 0.99999, 1.0, 64
+    blocks = block_stats(r, theta, 1e6)
+    M, log_K_r = blocks.M, blocks.log_K_r
+    width = barrier.block_bounds(log_K_r)[1] - barrier.block_bounds(M + 1)[0] + 1
+    levels = np.full((1, log_K_r - M), 2.0)
+    peak = _traced_peak(barrier._two_walk_chunk, GaussianStream(Seed(5)), count, r, theta,
+                        M, levels)
+    assert peak < 1.6 * count * width * 16
+
+
 def test_indicator_kernels_return_bools():
     # map_chunks concatenates the kernels' flags as they are: one byte each
     heights = np.array([1.0, 2.0])
@@ -514,6 +527,12 @@ def test_block_stats_validation():
         block_stats(1.0, 0.5, 100.0)
     with pytest.raises(BudgetError):  # block 18 holds more than FIELD_BUDGET values
         block_stats(0.98, 0.5, 1e6, m_max=18)
+    # increments come from the blocks the statistics cover: m = 0 took the
+    # last block through a negative index
+    blocks = block_stats(0.98, 0.5, 1e6, m_max=4)
+    for m in (0, 5):
+        with pytest.raises(PreconditionError):
+            sample_block_increments(blocks, m, 8, Seed(1))
 
 
 def test_block_rho_past_weight_underflow():
@@ -686,7 +705,8 @@ def test_field_reductions_do_not_depend_on_the_blas_thread_count():
     # row of moment --N 2048 its RMS by einsum; every x is a stride-16 view,
     # which numpy's own matmul loop reduces, not BLAS
     blocks = block_stats(0.98, 0.5, 1e6, m_max=10)
-    assert blocks.hi[9] - blocks.lo[9] + 1 > 10000
+    lo, hi = barrier.block_bounds(10)
+    assert hi - lo + 1 > 10000
     src = str(Path(barrier.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []

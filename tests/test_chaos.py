@@ -200,9 +200,9 @@ def test_circle_average_against_quadrature():
 
 
 def test_decay_band_runs_and_validates():
-    rows = fit_decay_band([4, 8], [200, 200], Seed(1))
-    assert len(rows) == 2
-    assert rows[0].compensated == pytest.approx(rows[0].mean * math.log(4) ** 0.25)
+    ests = fit_decay_band([4, 8], [200, 200], Seed(1))
+    assert ests == [estimate_moment(n, 0.5, 200, split(Seed(1), i))
+                    for i, n in enumerate([4, 8])]
     with pytest.raises(PreconditionError):
         fit_decay_band([8, 4], [10, 10], Seed(1))
     with pytest.raises(PreconditionError):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hmchaos
 from hmchaos.cli import build_parser, main
+from hmchaos.rng import Seed, split
 
 GOLDEN_HEADERS = {
     "moment": "N,q,samples,mean,std_error,compensated,seed",
@@ -338,7 +339,14 @@ def test_decay_check_small_grid(tmp_path):
                          ["decay", "--n-grid", "16,32", "--samples-per",
                           "2500,2500", "--seed", "14", "--check"])
     assert code == 0
-    assert text.splitlines()[0] == GOLDEN_HEADERS["moment"]
+    lines = text.splitlines()
+    assert lines[0] == GOLDEN_HEADERS["moment"]
+    # row i is the first moment at N on split(seed, i), compensated by (log N)^{1/4}
+    for i, line in enumerate(lines[1:]):
+        n, _, _, mean, _, compensated, seed = line.split(",")
+        assert float(compensated) == float(mean) * math.log(int(n)) ** 0.25
+        assert seed == str(split(Seed(14), i))
+    assert len(lines) == 3
 
 
 def test_com_check_command(tmp_path):
@@ -504,14 +512,21 @@ def test_bad_configuration_exits_2(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text("{")
     assert main(["moment", "--config", str(tmp_path / "cfg.json")]) == 2
     assert main(["moment", "--config", str(tmp_path / "missing.json")]) == 2
-    # unwritable outputs raised OSError tracebacks
+    # unwritable outputs raised OSError tracebacks; a refused run writes
+    # nothing, neither to stdout nor a table or sidecar before the plot
     missing = tmp_path / "missing"
+    table = tmp_path / "a.csv"
     for flags in (["--out", str(tmp_path)], ["--out", str(missing / "x.csv")],
                   ["--format", "json", "--out", str(missing / "x.json")],
-                  ["--plot", str(missing / "x")]):
+                  ["--plot", str(missing / "x")],
+                  ["--out", str(table), "--plot", str(missing / "x")]):
         capsys.readouterr()
         assert main(["mass", "--N-max", "4"] + flags) == 2, flags
-        assert "configuration error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+    assert not table.exists()
+    assert not (tmp_path / "a.csv.manifest.json").exists()
 
 
 def test_failed_check_exits_4(tmp_path):

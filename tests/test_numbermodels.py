@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import ks_critical
-from hmchaos import mc
+from hmchaos import mc, numbermodels
 from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.numbermodels import (FFModel, SteinhausModel, count_irreducibles,
                                   ff_second_moment, irreducibles_by_degree,
@@ -318,3 +318,19 @@ def test_replicate_i_is_the_model_on_its_own_stream():
                 [abs(v) ** 1.5 for v in sums])
     coeffs = [m.A(4) for m in models(FFModel, 3, 4)]
     assert same(ff_second_moment(3, 4, samples, seed), [abs(v) ** 2 for v in coeffs])
+
+
+def test_ff_span_fills_one_tree_buffer(monkeypatch):
+    # the replicates of a span take turns in one buffer of f on the tree,
+    # rather than allocating one each
+    buffers = []
+    fill = numbermodels._tree_values
+
+    def recording(angles, tree, values):
+        buffers.append(values)
+        return fill(angles, tree, values)
+
+    monkeypatch.setattr(numbermodels, "_tree_values", recording)
+    ff_second_moment(7, 3, 20, Seed(91))
+    assert len(buffers) == 20
+    assert all(values is buffers[0] for values in buffers)
