@@ -514,6 +514,8 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
     exactly 1.
     """
     mc.check_samples(samples)
+    if math.isnan(level):
+        raise PreconditionError("the barrier level must not be NaN")
     blocks = block_stats(r, theta, K)
     if blocks.M >= blocks.log_K_r:
         return MomentEstimate(1.0, 0.0, samples, seed)

@@ -90,7 +90,7 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
         raise PreconditionError(f"the exp degree must be >= 0, got {N}")
     check_field_budget(1, N + 1)
     rows = max(1, EXP_BLOCK // exp_width(N))
-    m = N if K >= N else _int_floor(K)  # K = inf is the untruncated model
+    m = N if K >= N else max(_int_floor(K), 0)  # K = inf is the untruncated model
     s = np.zeros((rows, N + 1), dtype=np.complex128)
     scale = np.sqrt(np.arange(1, m + 1))
     count = 0

@@ -81,13 +81,12 @@ def _factor_tree(norms, bound: int):
         np.concatenate(norm)
 
 
-def _tree_values(angles, tree, values):
-    """f on every row of a factor tree, for f(prime i) = exp(i angles[i]), in `values`."""
+def _tree_values(prime_values, tree, values):
+    """f on every row of a factor tree, for f(prime i) = prime_values[i], in `values`."""
     parent, factor, levels = tree
-    primes = np.exp(1j * angles)
     values[0] = 1.0
     for a, b in zip(levels[1:-1], levels[2:]):
-        np.multiply(values[parent[a:b]], primes[factor[a:b]], out=values[a:b])
+        np.multiply(values[parent[a:b]], prime_values[factor[a:b]], out=values[a:b])
     return values
 
 
@@ -97,10 +96,8 @@ def _replicates(streams, row_data, size, power):
     tree buffer: one freed per replicate may go back to the system and fault in again."""
     tree, primes, rows, scale = row_data(*size)
     values = np.empty(tree[0].size, dtype=np.complex128)
-    sums = []
-    for stream in streams:
-        _tree_values(np.angle(stream.draw(primes)), tree, values)
-        sums.append(complex(scale * np.sum(values[rows])))
+    sums = [complex(scale * np.sum(_tree_values(stream.draw(primes), tree, values)[rows]))
+            for stream in streams]
     try:
         return [abs(value) ** power for value in sums]
     except OverflowError:
@@ -138,18 +135,18 @@ def _integer_tree(n: int):
 
 
 class SteinhausModel:
-    """A Steinhaus multiplicative function whose prime angles are the next
-    draws of `stream`."""
+    """A Steinhaus multiplicative function whose values f(p) at the primes
+    are the next draws of `stream`, in `prime_values`."""
 
     def __init__(self, x: float, stream: UnitCircleStream):
         self.x = float(x)
-        self.angles = np.angle(stream.draw(_sieve(_cutoff(x)).size))
+        self.prime_values = stream.draw(_sieve(_cutoff(x)).size)
 
     def f_values(self) -> np.ndarray:
         """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
         tree, norm = _integer_tree(_cutoff(self.x))
         f = np.zeros(norm.size + 1, dtype=np.complex128)
-        f[norm] = _tree_values(self.angles, tree, np.empty(norm.size, dtype=np.complex128))
+        f[norm] = _tree_values(self.prime_values, tree, np.empty(norm.size, complex))
         return f
 
     def partial_sum(self) -> complex:
@@ -292,7 +289,7 @@ def _structure(q: int, max_degree: int):
 
 class FFModel:
     """Random multiplicative function over monic polynomials of F_q[t] of
-    degree <= N, whose irreducible angles are the next draws of `stream`.
+    degree <= N: prime_values[i] = f(P_i), deg P_i = degrees[i], drawn from `stream`.
 
     q is any prime power: only the degree and the unit-modulus value of each
     irreducible enter the model, so no arithmetic over F_q is needed.
@@ -301,12 +298,11 @@ class FFModel:
     def __init__(self, q: int, N: int, stream: UnitCircleStream):
         self.degrees, self._tree, self._norm = _structure(q, N)
         self.q, self.N = q, N
-        self.angles = np.angle(stream.draw(self.degrees.size))
+        self.prime_values = stream.draw(self.degrees.size)
 
     @functools.cached_property
     def _values(self):
-        return _tree_values(self.angles, self._tree,
-                            np.empty(self._norm.size, dtype=np.complex128))
+        return _tree_values(self.prime_values, self._tree, np.empty(self._norm.size, complex))
 
     def A(self, n: int) -> complex:
         """q^{-n/2} sum over monic F of degree n of f(F), by direct enumeration."""
@@ -321,7 +317,7 @@ class FFModel:
             raise PreconditionError("X(k) needs 1 <= k <= N")
         mask = k % self.degrees == 0
         rep = k // self.degrees[mask]
-        total = np.sum(np.exp(1j * rep * self.angles[mask]) / rep)
+        total = np.sum(self.prime_values[mask] ** rep / rep)
         return complex(math.sqrt(k) / self.q ** (k / 2.0) * total)
 
     def euler_product_series(self, degree: int) -> np.ndarray:
@@ -330,16 +326,16 @@ class FFModel:
         Each irreducible factor is folded in by the in-place geometric
         recurrence c[n] += u * c[n - d], exact for truncated series.
         """
+        if degree < 0:
+            raise PreconditionError("series degree must be >= 0")
         if degree > self.N:
             raise PreconditionError("series degree cannot exceed the model's N")
         coeffs = np.zeros(degree + 1, dtype=np.complex128)
         coeffs[0] = 1.0
-        values = np.exp(1j * self.angles)  # f(P), in the global (degree, lex) order
-        for i in range(self.degrees.size):
-            d = int(self.degrees[i])
+        for d, value in zip(self.degrees.tolist(), self.prime_values):
             if d > degree:
                 break
-            u = values[i] * self.q ** (-d / 2.0)
+            u = value * self.q ** (-d / 2.0)
             for n in range(d, degree + 1):
                 coeffs[n] += u * coeffs[n - d]
         return coeffs

@@ -282,7 +282,7 @@ def rankin_bound(total: int, max_part: int, r: float) -> float:
     An upper bound for smooth_partition_weight(total, max_part) for every
     r > 0, because the generating function has nonnegative coefficients.
     """
-    if total < 1 or max_part < 1 or r <= 0:
+    if total < 1 or max_part < 1 or not 0 < r < math.inf:
         raise PreconditionError("rankin_bound needs total >= 1, max_part >= 1, r > 0")
     k = np.arange(1, max_part + 1, dtype=float)
     return float(r ** (-total) * math.exp(float(np.sum(r ** k / k))))

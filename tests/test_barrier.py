@@ -657,6 +657,14 @@ def test_two_walk_level_minus_inf_keeps_no_path():
     assert (est.mean, est.std_error) == (0.0, 0.0)
 
 
+def test_two_walk_refuses_nan_level():
+    # every comparison with NaN fails, so a NaN level zeroed every walk
+    with pytest.raises(PreconditionError):
+        two_walk_tilted_expectation(0.97, 0.0, 1000.0, math.nan, 100, Seed(5))
+    assert two_walk_tilted_expectation(0.97, 0.0, 1000.0, math.inf, 100, Seed(5)).mean > 0
+    assert two_walk_tilted_expectation(0.97, 0.0, 1000.0, -math.inf, 100, Seed(5)).mean == 0
+
+
 def test_two_walk_monotone_in_level():
     # identical draws (same seed), so tightening the barrier can only shrink it
     values = [two_walk_tilted_expectation(0.97, 0.0, 1000.0, level, 50000,

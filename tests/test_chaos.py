@@ -158,6 +158,15 @@ def test_circle_average_constant_function():
     assert circle_average_sample(0.5, 0.9, FixedStream([])) == pytest.approx(1.0)
 
 
+def test_negative_truncation_is_the_constant_function():
+    # K = -5 failed to broadcast X(1..floor(K)) into the input rows
+    for K in (-5.0, -0.5, 0.5):
+        assert circle_average_sample(K, 0.5, FixedStream([])) == 1.0
+        assert circle_average_moment(K, 0.5, 10, Seed(1)).mean == 1.0
+        assert circle_mean_closed_form(K, 0.5) == 1.0
+        assert circle_mean_mc(K, 0.5, 10, Seed(1)).mean == 1.0
+
+
 def test_circle_average_needs_degree_at_radius_one():
     with pytest.raises(PreconditionError):
         circle_average_sample(8.0, 1.0, FixedStream([0.0] * 8))

@@ -32,7 +32,7 @@ def test_steinhaus_complete_multiplicativity():
     assert np.allclose(np.abs(f[1:]), 1.0)
     # the definitional product prod f(p)^e, with n factored by trial division
     primes = [p for p in range(2, 301) if all(p % d for d in range(2, p))]
-    f_p = dict(zip(primes, np.exp(1j * model.angles)))
+    f_p = dict(zip(primes, model.prime_values))
     for n in range(1, 301):
         expected, rest = 1.0 + 0.0j, n
         for p in primes:
@@ -202,14 +202,36 @@ def test_ff_A_trivial_degree():
 def test_ff_A_degree_one_closed_form():
     # only monic polynomials of degree 1 are the irreducibles t + a
     model = FFModel(3, 1, _circle(31))
-    values = np.exp(1j * model.angles)
+    values = model.prime_values
     assert model.A(1) == pytest.approx(values.sum() / math.sqrt(3.0))
 
 
 def test_ff_X_degree_one_closed_form():
     model = FFModel(2, 1, _circle(77))
-    values = np.exp(1j * model.angles)
+    values = model.prime_values
     assert model.X(1) == pytest.approx((values[0] + values[1]) / math.sqrt(2.0))
+
+
+def test_models_keep_the_stream_draws():
+    # f on the primes is the stream's draws, bit for bit
+    model = FFModel(3, 4, _circle(12))
+    drawn = _circle(12).draw(model.degrees.size)
+    assert model.prime_values.tobytes() == drawn.tobytes()
+    model = SteinhausModel(100.0, _circle(13))
+    drawn = _circle(13).draw(25)  # the 25 primes up to 100
+    assert model.prime_values.tobytes() == drawn.tobytes()
+
+
+def test_ff_X_matches_the_angle_definition():
+    # f(P)^(k/d) against exp(i (k/d) arg f(P)), at k with divisors d > 1
+    for q, N in ((2, 8), (3, 6), (5, 4), (7, 4)):
+        model = FFModel(q, N, _circle(40 + q))
+        for k in range(4, N + 1):
+            mask = k % model.degrees == 0
+            rep = k // model.degrees[mask]
+            total = np.sum(np.exp(1j * rep * np.angle(model.prime_values[mask])) / rep)
+            expected = math.sqrt(k) / q ** (k / 2.0) * total
+            assert abs(model.X(k) - expected) <= 1e-12 * abs(expected)
 
 
 def _ff_X(q, k, samples, seed):
@@ -251,6 +273,15 @@ def test_ff_replicate_validation():
         FFModel(7, 0, _circle(1)).X(0)
     with pytest.raises(PreconditionError):
         FFModel(7, -1, _circle(1))
+
+
+def test_euler_product_series_degree_validation():
+    # degree -1 reached numpy's IndexError
+    model = FFModel(3, 2, _circle(1))
+    for degree in (-1, 3):
+        with pytest.raises(PreconditionError):
+            model.euler_product_series(degree)
+    assert model.euler_product_series(0).tolist() == [1.0]
 
 
 def test_generating_function_routes_agree():
@@ -326,9 +357,9 @@ def test_ff_span_fills_one_tree_buffer(monkeypatch):
     buffers = []
     fill = numbermodels._tree_values
 
-    def recording(angles, tree, values):
+    def recording(prime_values, tree, values):
         buffers.append(values)
-        return fill(angles, tree, values)
+        return fill(prime_values, tree, values)
 
     monkeypatch.setattr(numbermodels, "_tree_values", recording)
     ff_second_moment(7, 3, 20, Seed(91))

@@ -438,6 +438,13 @@ def test_rankin_trivial_value():
     assert rankin_bound(1, 1, 1.0) == pytest.approx(math.e, rel=1e-15)
 
 
+def test_rankin_refuses_non_finite_radius():
+    # r = inf and NaN returned nan
+    for r in (math.inf, math.nan, 0.0):
+        with pytest.raises(PreconditionError):
+            rankin_bound(3, 2, r)
+
+
 def test_rankin_dominates_smooth_weight_on_grid():
     for total in range(1, 31):
         for max_part in range(1, total + 1):
