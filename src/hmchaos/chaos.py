@@ -11,7 +11,9 @@ evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 the Parseval power sum, and estimates the first moment over a grid of N.
 The moment and circle-average kernels take a span of replicates at a time
 and stack them into blocks of at most EXP_BLOCK values of exp_array's
-working width, one exp_array call per block.
+working width, one exp_array call per block. Each block's inputs are drawn
+at once: every stream writes its uniforms into its row, then one
+Box-Muller pass and one division by sqrt(k) run over the block.
 
 It is also the one home of the field that the barrier and partition
 kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
@@ -30,7 +32,7 @@ import numpy as np
 from . import mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import GaussianStream, Seed, split
+from .rng import GaussianStream, Seed, box_muller, split
 from .series import FIELD_BUDGET, exp_array, exp_width, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
@@ -83,8 +85,12 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
     for each of the next EXP_BLOCK // exp_width(N) streams (at least one;
     fewer if `streams` runs out): one block of exp_array's inputs.
 
-    N < 0 is refused, and the N + 1 coefficients of a row are budgeted
-    (exp_width refuses a width above FIELD_BUDGET), before anything is drawn.
+    Each stream writes its uniforms straight into its row, in order, and is
+    dropped; one box_muller pass then turns the block into draws and one
+    in-place division scales them, with the bits of `stream.draw(m) / scale`
+    row by row. N < 0 is refused, and the N + 1 coefficients of a row are
+    budgeted (exp_width refuses a width above FIELD_BUDGET), before anything
+    is drawn.
     """
     if N < 0:
         raise PreconditionError(f"the exp degree must be >= 0, got {N}")
@@ -92,11 +98,14 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
     rows = max(1, EXP_BLOCK // exp_width(N))
     m = N if K >= N else max(_int_floor(K), 0)  # K = inf is the untruncated model
     s = np.zeros((rows, N + 1), dtype=np.complex128)
-    scale = np.sqrt(np.arange(1, m + 1))
+    pairs = s.view(np.float64).reshape(rows, N + 1, 2)[:, 1 : m + 1]
     count = 0
     for count, stream in enumerate(islice(streams, rows), 1):
-        s[count - 1, 1 : m + 1] = stream.draw(m) / scale
-    return s[:count]
+        stream.fill_uniforms(pairs[count - 1])
+    box_muller(pairs[:count])
+    s = s[:count]
+    s[:, 1 : m + 1] /= np.sqrt(np.arange(1, m + 1))
+    return s
 
 
 def sample_A(N: int, K: float, stream: GaussianStream) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import barrier, chaos, mc, numbermodels, partitions, report, series
 from .errors import BudgetError, PreconditionError
-from .rng import GaussianStream, Seed, UnitCircleStream, split
+from .rng import GaussianStream, Seed, UnitCircleStream, _philox, split
 
 MOMENT_COLUMNS = ["N", "q", "samples", "mean", "std_error", "compensated", "seed"]
 DEFAULT_BAND = (0.2, 5.0)
@@ -185,9 +185,7 @@ def cmd_bivariate(args):
                                 "positive --sigma1, --sigma2")
     side = math.isqrt(args.grid_points)
     chaos.check_field_budget(2, side * side)  # x1 and x2, before either is drawn
-    seed = Seed(args.seed)
-    key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _philox(Seed(args.seed))
     rows, checks = [], []
     for rho in _parse_grid(args.rho_grid):
         # x * x: x**2 raises OverflowError where the product is inf

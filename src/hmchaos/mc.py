@@ -4,7 +4,11 @@ Replicate i of an estimator is a pure function of split(seed, i), and work
 is cut into fixed-size spans of replicate indices, so the per-replicate
 values are identical for any worker count. A span reaches its kernel as
 one lazy iterator of streams, so the kernel may stack its replicates into
-one batch, as long as each value depends only on its own stream.
+one batch, as long as each value depends only on its own stream: chaos's
+kernels let each stream write its uniforms into its row of an exp input
+block and drop it, then run one Box-Muller pass over the block, with the
+bits each stream's own draw would give. A stream is Philox keyed directly
+by its seed, so creating one per replicate reads no OS entropy.
 Reductions run over the gathered array in replicate order with numpy's
 pairwise summation, making every estimate reproducible bit for bit.
 """

@@ -177,6 +177,14 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
 # prime-field polynomial arithmetic (tuples of ints, ascending coefficients)
 
 
+def _require_ints(**values) -> None:
+    """Refuse a field size or degree that is not an int (bools too): a float
+    slips through the range checks and matches no degree, or fails in range()."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
+
+
 def _prime_power_base(q: int):
     """Return (p, e) with q = p^e, or None when q is not a prime power."""
     if q < 2:
@@ -214,6 +222,7 @@ def _mobius(n: int) -> int:
 
 def count_irreducibles(q: int, n: int) -> int:
     """#(monic irreducibles of degree n over F_q) = (1/n) sum_{d|n} mu(d) q^{n/d}."""
+    _require_ints(q=q, n=n)
     if _prime_power_base(q) is None:
         raise PreconditionError("q must be a prime power >= 2")
     if n < 1:
@@ -223,7 +232,7 @@ def count_irreducibles(q: int, n: int) -> int:
     return total // n
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)  # typed: 3.0 must not hit 3's entry
 def irreducibles_by_degree(p: int, max_degree: int):
     """Monic irreducibles over F_p for every degree <= max_degree.
 
@@ -232,6 +241,7 @@ def irreducibles_by_degree(p: int, max_degree: int):
     h of degree d - e is marked, and the unmarked codes sum c_i p^i are the
     irreducibles, in lexicographic order on the ascending coefficient tuples.
     """
+    _require_ints(p=p, max_degree=max_degree)
     if _prime_power_base(p) != (p, 1):
         raise PreconditionError("core field arithmetic requires a prime field size")
     divisions = 0
@@ -296,6 +306,7 @@ class FFModel:
     """
 
     def __init__(self, q: int, N: int, stream: UnitCircleStream):
+        _require_ints(q=q, N=N)
         self.degrees, self._tree, self._norm = _structure(q, N)
         self.q, self.N = q, N
         self.prime_values = stream.draw(self.degrees.size)
@@ -306,6 +317,7 @@ class FFModel:
 
     def A(self, n: int) -> complex:
         """q^{-n/2} sum over monic F of degree n of f(F), by direct enumeration."""
+        _require_ints(n=n)
         if not 0 <= n <= self.N:
             raise PreconditionError("A(n) needs 0 <= n <= N")
         rows = self._values[self._norm == self.q**n]
@@ -313,6 +325,7 @@ class FFModel:
 
     def X(self, k: int) -> complex:
         """(sqrt(k)/q^{k/2}) sum_{deg(P) | k} f(P)^{k/deg P} / (k/deg P)."""
+        _require_ints(k=k)
         if not 1 <= k <= self.N:
             raise PreconditionError("X(k) needs 1 <= k <= N")
         mask = k % self.degrees == 0
@@ -326,6 +339,7 @@ class FFModel:
         Each irreducible factor is folded in by the in-place geometric
         recurrence c[n] += u * c[n - d], exact for truncated series.
         """
+        _require_ints(degree=degree)
         if degree < 0:
             raise PreconditionError("series degree must be >= 0")
         if degree > self.N:
@@ -342,6 +356,7 @@ class FFModel:
 
     def gaussian_exp_series(self, degree: int) -> np.ndarray:
         """Coefficients of exp(sum_{k<=degree} X(k) z^k / sqrt(k))."""
+        _require_ints(degree=degree)
         s = np.zeros(degree + 1, dtype=np.complex128)
         for k in range(1, degree + 1):
             s[k] = self.X(k) / math.sqrt(k)
@@ -358,6 +373,7 @@ def _ff_rows(q: int, N: int):
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
+    _require_ints(q=q, N=N)
     mc.check_samples(samples)
     values = mc.map_replicates(_replicates, (_ff_rows, (q, N), 2),
                                seed, samples, workers, stream_cls=UnitCircleStream)

@@ -3,18 +3,26 @@
 A stream is a pure function of its Seed: draw k returns the same value no
 matter how draws are batched, which thread created the stream, or how many
 workers a Monte Carlo run uses. The bit source is counter-based (Philox)
-keyed by (root, replicate_index); the Gaussian transform is polar
+keyed by (root, replicate_index): the key is handed to Philox as it is,
+through a one-method seed sequence, so creating a stream reads no OS
+entropy and builds no SeedSequence. The Gaussian transform is polar
 Box-Muller on uniform doubles, which has no rejection loop. All arithmetic
 is 64-bit floating point.
 
-A Gaussian draw fills an (n, 2) float64 buffer of (Re X, Im X) pairs,
-DRAW_BLOCK pairs at a time: each block's uniforms are transformed in place
-through block-sized contiguous temporaries, so a large draw stays in cache
-and builds no complex temporary. The values do not depend on DRAW_BLOCK.
-Each part is the product radius * cos or radius * sin, so at a radius
-uniform of exactly 0 (probability 2^-53 per value) a part is a zero with
-the sign of its cosine or sine (the complex product radius * (cos + i sin)
-would give +0.0 in some of those cases).
+A Gaussian draw is two steps: fill_uniforms writes the stream's uniform
+pairs (u1, u2) into a float64 buffer, and box_muller turns each pair into
+(Re X, Im X) in place. box_muller takes a (rows, m, 2) block and works
+through it in tiles of at most DRAW_BLOCK pairs through tile-sized
+contiguous temporaries, so a large draw stays in cache and builds no
+complex temporary. draw(n) is its one-row case, with each tile's uniforms
+filled just before the tile is transformed; a caller that stacks many
+streams' draws (chaos's exp input blocks) fills every row and transforms
+the block once. The values depend neither on DRAW_BLOCK nor on the block's
+shape: every tile runs the same ufuncs on the same inputs. Each part is
+the product radius * cos or radius * sin, so at a radius uniform of
+exactly 0 (probability 2^-53 per value) a part is a zero with the sign of
+its cosine or sine (the complex product radius * (cos + i sin) would give
++0.0 in some of those cases).
 
 `GaussianStream.draw_re(n)` serves kernels that read only Re X: it consumes
 the same uniforms as `draw(n)` and returns the same values as
@@ -24,6 +32,7 @@ computes no sine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,14 +80,82 @@ def split(seed: Seed, replicate: int) -> Seed:
     return Seed(child_root, int(replicate) & _MASK64)
 
 
+@functools.cache
+def _key_sequence():
+    """The seed-sequence type that hands Philox a key as it is.
+
+    Philox takes its key from generate_state(2, uint64) of the seed
+    sequence it is given, so no SeedSequence is built and no OS entropy is
+    read. numpy accepts only ISeedSequence subclasses there; subclassing
+    loads numpy.random, so the class is built on first use and importing
+    hmchaos does not load it.
+    """
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+        def __reduce__(self):  # pickles by the cached class, not the local name
+            return _philox_key, (self.key,)
+
+    return KeySequence
+
+
+def _philox_key(key):
+    """The seed sequence that gives Philox the uint64 pair `key` as its key."""
+    return _key_sequence()(key)
+
+
+def _philox(seed: Seed):
+    """The uniform source of seed's streams: a Generator on Philox keyed by
+    (root, replicate_index)."""
+    key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key(key)))
+
+
+def box_muller(pairs: np.ndarray, imag: bool = True, fill=None) -> None:
+    """Turn uniform pairs (u1, u2) into (Re X, Im X) in place.
+
+    `pairs` is a (rows, m, 2) float64 view whose rows each hold m contiguous
+    pairs. It is transformed in tiles of at most DRAW_BLOCK pairs (whole rows
+    when m <= DRAW_BLOCK, else pieces of one row); fill(tile), when given,
+    writes a tile's uniforms just before its transform. With imag=False
+    lane 1 keeps its uniforms and no sine is computed.
+    """
+    rows, m = pairs.shape[:2]
+    if not rows * m:
+        return
+    width = min(m, DRAW_BLOCK)
+    step = max(1, DRAW_BLOCK // m)  # rows per tile
+    shape = (min(rows, step), width)
+    angle, radius, sine = np.empty(shape), np.empty(shape), np.empty(shape if imag else 0)
+    # log1p, sin and cos run on contiguous temporaries, which measured
+    # faster than in place on the stride-16 lanes
+    for i in range(0, rows, step):
+        for j in range(0, m, width):
+            tile = pairs[i : i + step, j : j + width]
+            if fill is not None:
+                fill(tile)
+            a, r = angle[: len(tile), : tile.shape[1]], radius[: len(tile), : tile.shape[1]]
+            np.multiply(tile[..., 1], _TWO_PI, out=a)
+            np.negative(tile[..., 0], out=r)
+            np.sqrt(np.negative(np.log1p(r, out=r), out=r), out=r)
+            if imag:
+                s = sine[: len(tile), : tile.shape[1]]
+                np.multiply(np.sin(a, out=s), r, out=tile[..., 1])
+            np.multiply(np.cos(a, out=a), r, out=tile[..., 0])
+
+
 class _PhiloxStream:
     """Common machinery: a seeded counter-based uniform source."""
 
     def __init__(self, seed: Seed):
         self.seed = seed
         self.position = 0
-        key = np.array([seed.root, seed.replicate_index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = _philox(seed)
 
 
 class GaussianStream(_PhiloxStream):
@@ -91,28 +168,17 @@ class GaussianStream(_PhiloxStream):
     replays it exactly.
     """
 
-    def _fill(self, n: int, imag: bool = True) -> np.ndarray:
-        """The next n draws as an (n, 2) buffer of (Re X, Im X).
+    def fill_uniforms(self, pairs: np.ndarray) -> None:
+        """Write the uniform pairs of the next draws into `pairs`, a
+        C-contiguous float64 array of shape (..., 2), advancing position by
+        one draw per pair; box_muller turns them into the draws."""
+        self._gen.random(out=pairs)
+        self.position += pairs.size // 2
 
-        With imag=False lane 1 keeps raw uniforms and no sine is computed.
-        """
+    def _fill(self, n: int, imag: bool = True) -> np.ndarray:
+        """The next n draws as an (n, 2) buffer of (Re X, Im X)."""
         buf = np.empty((max(n, 0), 2))
-        m = min(len(buf), DRAW_BLOCK)
-        angle, radius, sine = np.empty(m), np.empty(m), np.empty(m if imag else 0)
-        # log1p, sin and cos run on contiguous temporaries, which measured
-        # faster than in place on the stride-16 lanes
-        for start in range(0, len(buf), DRAW_BLOCK):
-            block = buf[start : start + DRAW_BLOCK]
-            a, r = angle[: len(block)], radius[: len(block)]
-            self._gen.random(out=block.reshape(-1))
-            np.multiply(block[:, 1], _TWO_PI, out=a)
-            np.negative(block[:, 0], out=r)
-            np.sqrt(np.negative(np.log1p(r, out=r), out=r), out=r)
-            if imag:
-                s = sine[: len(block)]
-                np.multiply(np.sin(a, out=s), r, out=block[:, 1])
-            np.multiply(np.cos(a, out=a), r, out=block[:, 0])
-        self.position += len(buf)
+        box_muller(buf[None], imag, fill=self.fill_uniforms)
         return buf
 
     def draw(self, n: int) -> np.ndarray:

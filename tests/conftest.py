@@ -20,6 +20,13 @@ class FixedStream:
     def draw_re(self, n):
         return self.draw(n).real
 
+    def fill_uniforms(self, pairs):
+        # the uniforms that rng.box_muller maps back to the next values, to a
+        # few ulps: |x|^2 = -log1p(-u1) and arg x = 2 pi u2
+        x = self.draw(pairs.size // 2).reshape(pairs.shape[:-1])
+        pairs[..., 0] = -np.expm1(-np.abs(x) ** 2)
+        pairs[..., 1] = np.angle(x) / (2.0 * math.pi) % 1.0
+
 
 def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
     """Two-sample Kolmogorov-Smirnov critical value at significance alpha."""

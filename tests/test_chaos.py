@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import FixedStream
-from hmchaos.chaos import (_sq_modulus_at_radius, circle_average_moment,
+from hmchaos import rng
+from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
                            circle_average_sample, circle_mean_closed_form,
                            circle_mean_mc, estimate_moment,
                            field_rows, fit_decay_band, gaussian_abs_moment,
@@ -152,6 +153,46 @@ def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
     ref = np.exp(2.0 * (x.real @ coef))
     values = _sq_modulus_at_radius(GaussianStream(Seed(8)), 600, 20.0, 0.9)
     assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
+
+
+def _rows_by_draw(seed, first, count, N, m):
+    # the per-stream route: row i is X(1..m) / sqrt(k) of stream first + i
+    s = np.zeros((count, N + 1), dtype=np.complex128)
+    for i in range(count):
+        s[i, 1 : m + 1] = GaussianStream(split(seed, first + i)).draw(m) / np.sqrt(
+            np.arange(1, m + 1))
+    return s
+
+
+def _block_fill_cases():
+    # (N, K, streams): a ragged last block at N = 64 (504 rows a block), N = 0
+    # and 1, K < N, and rows of more than DRAW_BLOCK pairs
+    return [(64, 64.0, 1100), (0, 0.0, 5), (1, 1.0, 3), (1, 0.5, 2), (10, 4.5, 7),
+            (12, 3.0, 1), (rng.DRAW_BLOCK + 7, math.inf, 2)]
+
+
+@pytest.mark.parametrize("N, K, samples", _block_fill_cases())
+def test_block_fill_is_per_stream_draw(N, K, samples):
+    seed = Seed(2718)
+    m = N if K >= N else max(math.floor(K), 0)
+    streams = (GaussianStream(split(seed, i)) for i in range(samples))
+    done = 0
+    while done < samples:
+        block = _input_rows(streams, N, K)
+        assert block.tobytes() == _rows_by_draw(seed, done, len(block), N, m).tobytes()
+        done += len(block)
+    assert done == samples and len(_input_rows(streams, N, K)) == 0
+
+
+def test_block_fill_does_not_depend_on_the_tile_size(monkeypatch):
+    # tiles of 5 pairs: several rows' tiles, and rows split into ragged pieces
+    seed = Seed(31)
+    expected = [_input_rows((GaussianStream(split(seed, i)) for i in range(9)), N, N)
+                for N in (2, 7, 12)]
+    monkeypatch.setattr(rng, "DRAW_BLOCK", 5)
+    for N, block in zip((2, 7, 12), expected):
+        streams = (GaussianStream(split(seed, i)) for i in range(9))
+        assert _input_rows(streams, N, N).tobytes() == block.tobytes()
 
 
 def test_circle_average_constant_function():

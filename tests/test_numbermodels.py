@@ -275,6 +275,46 @@ def test_ff_replicate_validation():
         FFModel(7, -1, _circle(1))
 
 
+def test_ff_degrees_must_be_ints():
+    # a float degree passed the range check and matched no row or degree: 0j
+    model = FFModel(3, 3, _circle(1))
+    for n in (1.5, True):
+        with pytest.raises(PreconditionError):
+            model.A(n)
+    for k in (2.5, True):
+        with pytest.raises(PreconditionError):
+            model.X(k)
+    for degree in (1.5, True):
+        with pytest.raises(PreconditionError):
+            model.euler_product_series(degree)
+        with pytest.raises(PreconditionError):
+            model.gaussian_exp_series(degree)
+
+
+def test_ff_second_moment_sizes_must_be_ints():
+    # a float N raised TypeError from range() in _structure; True ran as N = 1
+    for q, N in ((3, 2.5), (3.0, 2), (3, True)):
+        with pytest.raises(PreconditionError):
+            ff_second_moment(q, N, 10, Seed(1))
+
+
+def test_ff_model_sizes_must_be_ints():
+    # q = 3.0 raised TypeError from the prime-power test; N = True ran as 1
+    FFModel(3, 2, _circle(1))  # cached (3, 2) must not admit (3.0, 2)
+    for q, N in ((3.0, 2), (3, 2.0), (True, 2), (3, True)):
+        with pytest.raises(PreconditionError):
+            FFModel(q, N, _circle(1))
+
+
+def test_irreducible_counts_and_lists_sizes_must_be_ints():
+    irreducibles_by_degree(3, 2)  # cached (3, 2) must not admit (3, 2.0)
+    for q, n in ((3.0, 2), (3, 2.0), (3, True)):
+        with pytest.raises(PreconditionError):
+            count_irreducibles(q, n)
+        with pytest.raises(PreconditionError):
+            irreducibles_by_degree(q, n)
+
+
 def test_euler_product_series_degree_validation():
     # degree -1 reached numpy's IndexError
     model = FFModel(3, 2, _circle(1))

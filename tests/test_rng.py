@@ -1,4 +1,5 @@
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,6 +239,49 @@ def test_a_zero_radius_uniform_gives_the_oracle_value():
     assert np.array_equal(x, _oracle_draw(streams[1], 6))  # -0.0 == +0.0
     assert np.count_nonzero(x == 0) == 5
     assert _same_bytes(streams[2].draw_re(6), x.real)
+
+
+KEY_WORDS = [0, 1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("root", KEY_WORDS)
+@pytest.mark.parametrize("index", KEY_WORDS)
+def test_stream_state_is_philox_keyed_by_the_seed(root, index):
+    # the key reaches Philox as it is: same state as Philox(key=...), same draws
+    philox = np.random.Philox(key=np.array([root, index], dtype=np.uint64))
+    for cls in (GaussianStream, UnitCircleStream):
+        st = cls(Seed(root, index))
+        state, expected = st._gen.bit_generator.state, philox.state
+        assert state.keys() == expected.keys()
+        for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert state[name] == expected[name]
+        assert np.array_equal(state["buffer"], expected["buffer"])
+        for word in ("counter", "key"):
+            assert np.array_equal(state["state"][word], expected["state"][word])
+        assert np.array_equal(st._gen.random(1000),
+                              np.random.Generator(np.random.Philox(
+                                  key=np.array([root, index], dtype=np.uint64))).random(1000))
+
+
+def test_a_stream_pickles_and_replays():
+    st = GaussianStream(Seed(41, 2))
+    st.draw(5)
+    copy = pickle.loads(pickle.dumps(st))
+    assert _same_bytes(copy.draw(9), st.draw(9))
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (5, 3), (3, B + 2), (2 * B // 3 + 1, 3)])
+def test_box_muller_on_a_block_is_per_row_draws(shape):
+    # rows of uniforms filled one stream at a time and transformed at once,
+    # in row tiles or in pieces of a row wider than a tile
+    rows, m = shape
+    pairs = np.empty((rows, m + 2, 2))[:, 1 : m + 1]  # rows are not contiguous
+    for i in range(rows):
+        GaussianStream(Seed(3, i)).fill_uniforms(pairs[i])
+    rng.box_muller(pairs)
+    for i in range(rows):
+        expected = GaussianStream(Seed(3, i)).draw(m)
+        assert _same_bytes(pairs[i].copy().view(np.complex128).reshape(-1), expected)
 
 
 def test_seed_validation():

@@ -3,6 +3,7 @@
 Usage (from the root of a checkout):
 
     python3 tools/bench_digest.py > digests.txt
+    python3 tools/bench_digest.py > tools/bench_digests.txt   # rewrite the ledger
 
 Runs each job of perfbench/jobs.py through `hmchaos.cli.main` in process,
 at benchmark seeds 1 and 2 (job seeds from `jobs.job_seed`, as the benchmark
@@ -12,11 +13,18 @@ worker count and argv. Two checkouts print the same lines exactly when
 every run exits the same way and writes the same bytes, so comparing a
 change with its parent is one diff of two outputs (copy this file into the
 parent's checkout to run it there). perfbench/ is imported, never changed.
+
+The first line is the fingerprint the bytes depend on (numpy's version,
+its SIMD baseline and the dispatch targets this CPU runs, and the OpenBLAS
+core type): tools/bench_digests.txt is the checked-in ledger, and
+tests/test_bench_digests.py compares a fresh run with it on a machine of
+the same fingerprint.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
@@ -26,6 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402
+import numpy as np  # noqa: E402
+from numpy._core._multiarray_umath import (  # noqa: E402
+    __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
 
 import hmchaos.cli  # noqa: E402
 
@@ -41,7 +52,31 @@ def digest(argv) -> str:
     return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
 
 
-def main() -> None:
+def _blas_core() -> str:
+    """The kernel family OpenBLAS picked at load time ("unknown" off Linux)."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return "unknown"
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line}):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def fingerprint() -> str:
+    """The ledger's header line: what the digests' last bits depend on."""
+    dispatched = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return (f"# numpy {np.__version__}; SIMD baseline {' '.join(__cpu_baseline__)}, "
+            f"dispatched {' '.join(dispatched) or 'none'}; BLAS core {_blas_core()}")
+
+
+def digest_lines():
+    """One digest line per benchmark run, in the ledger's order."""
     if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"bench_digest: imported hmchaos from {hmchaos.__file__}")
     for workload, job_list in jobs.WORKLOADS.items():
@@ -49,8 +84,13 @@ def main() -> None:
             for seed in SEEDS:
                 for workers in WORKERS:
                     argv = job.argv(jobs.job_seed(seed, workload, index), workers)
-                    print(digest(argv), workload, seed, workers, " ".join(argv),
-                          flush=True)
+                    yield " ".join([digest(argv), workload, str(seed), str(workers), *argv])
+
+
+def main() -> None:
+    print(fingerprint(), flush=True)
+    for line in digest_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
