@@ -164,14 +164,13 @@ def _rows_by_draw(seed, first, count, N, m):
     return s
 
 
-def _block_fill_cases():
-    # (N, K, streams): a ragged last block at N = 64 (504 rows a block), N = 0
-    # and 1, K < N, and rows of more than DRAW_BLOCK pairs
-    return [(64, 64.0, 1100), (0, 0.0, 5), (1, 1.0, 3), (1, 0.5, 2), (10, 4.5, 7),
-            (12, 3.0, 1), (rng.DRAW_BLOCK + 7, math.inf, 2)]
+# (N, K, streams): a ragged last block at N = 64 (504 rows a block), N = 0
+# and 1, K < N, and rows of more than DRAW_BLOCK pairs
+BLOCK_FILL_CASES = [(64, 64.0, 1100), (0, 0.0, 5), (1, 1.0, 3), (1, 0.5, 2), (10, 4.5, 7),
+                    (12, 3.0, 1), (rng.DRAW_BLOCK + 7, math.inf, 2)]
 
 
-@pytest.mark.parametrize("N, K, samples", _block_fill_cases())
+@pytest.mark.parametrize("N, K, samples", BLOCK_FILL_CASES)
 def test_block_fill_is_per_stream_draw(N, K, samples):
     seed = Seed(2718)
     m = N if K >= N else max(math.floor(K), 0)
