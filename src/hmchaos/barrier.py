@@ -117,13 +117,19 @@ def _per_height(values, seed) -> list[MomentEstimate]:
 # ballot walks
 
 
-def _ballot_chunk(stream, count, heights, sigmas):
-    # the barrier is flat, so a walk survives iff its maximum does
+def _walks(stream, count, sigmas):
+    """count walks of independent centered Gaussian steps with standard
+    deviations sigmas, at every step: a (count, sigmas.size) array."""
     n = sigmas.size
     chaos.check_field_budget(count, n)
     steps = stream.draw_real(count * n).reshape(count, n)
     steps *= sigmas
-    peak = np.cumsum(steps, axis=1).max(axis=1, keepdims=True)
+    return np.cumsum(steps, axis=1)
+
+
+def _ballot_chunk(stream, count, heights, sigmas):
+    # the barrier is flat, so a walk survives iff its maximum does
+    peak = _walks(stream, count, sigmas).max(axis=1, keepdims=True)
     return _survival(peak, heights[:, None])
 
 
@@ -297,15 +303,20 @@ def _com_left_chunk(stream, count, K, r, levels):
     return np.where(ok, weight, 0.0)
 
 
-def _com_right_chunk(stream, count, r, levels):
-    n_max = levels.shape[1]
+def _block_variances(r: float, n_max: int) -> np.ndarray:
+    """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
+    of the centered walk's block sums (half the drift, summed pairwise per block)."""
     _, kmax = block_bounds(n_max)
-    chaos.check_field_budget(count, kmax)
-    _, coef, _ = chaos.field_weights(r, 1, kmax)
-    y = stream.draw_real(count * kmax).reshape(count, kmax)
-    y *= math.sqrt(0.5)
-    y *= coef
-    return _survival(_checkpoints(y, 1, n_max), levels)[:, 0]
+    chaos.check_field_budget(1, kmax)
+    _, _, drift = chaos.field_weights(r, 1, kmax)
+    starts = [block_bounds(m)[0] - 1 for m in range(1, n_max + 1)]
+    return np.add.reduceat(drift, starts) / 2.0
+
+
+def _com_right_chunk(stream, count, sigmas, levels):
+    # the barrier reads the walk only at block ends, and its block sums are
+    # independent N(0, sigma_m^2): one draw per block, not one per k
+    return _survival(_walks(stream, count, sigmas), levels)[:, 0]
 
 
 def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
@@ -315,8 +326,9 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
 
     Left: E[1_G |F_K(r)|^2] by direct Monte Carlo. Right: exp(sum_{k<=K}
     r^{2k}/k) times the Monte Carlo probability that the centered walk
-    y_k r^k/sqrt(k) (Var y_k = 1/2) respects the A + 10 log n barrier.
-    The two are equal in expectation and serve as each other's oracle.
+    y_k r^k/sqrt(k) (Var y_k = 1/2) respects the A + 10 log n barrier,
+    drawn as its block sums, one per checkpoint. The two are equal in
+    expectation and serve as each other's oracle.
     """
     levels = _event_levels("G", r, K, [A])
     mc.check_samples(samples_left)
@@ -325,7 +337,9 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     left_values = mc.map_chunks(_com_left_chunk, (K, r, levels),
                                 seed_left, samples_left, workers)
     left = mc.from_values(left_values, seed_left)
-    right_values = mc.map_chunks(_com_right_chunk, (r, levels),
+    # after the left side, whose count x floor(K) rows bound K first
+    sigmas = np.sqrt(_block_variances(r, levels.shape[1]))
+    right_values = mc.map_chunks(_com_right_chunk, (sigmas, levels),
                                  seed_right, samples_right, workers)
     prob = mc.from_values(right_values, seed_right)
     scale = chaos.circle_mean_closed_form(K, r)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -374,7 +375,8 @@ def test_indicator_kernels_return_bools():
         barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.0, levels),
         barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.7, levels),
         barrier._grid_event_chunk(GaussianStream(seed), count, 1.0, levels),
-        barrier._com_right_chunk(GaussianStream(seed), count, 1.0, levels[:1]),
+        barrier._com_right_chunk(GaussianStream(seed), count,
+                                 np.sqrt(barrier._block_variances(1.0, 3)), levels[:1]),
         mc.map_chunks(barrier._event_chunk, (1.0, 0.7, levels), seed, 5000),
     ]
     for flags in kernels:
@@ -463,6 +465,55 @@ def test_all_angle_event_is_rarer_than_single_angle():
     single = event_probability_mc("G", K, 1.0, [A], 0.0, 4000, Seed(21))[0]
     slack = 4.0 * math.hypot(grid.std_error, single.std_error)
     assert grid.mean <= single.mean + slack
+
+
+def _com_right_chunk_per_k_route(stream, count, r, levels):
+    # the reference route: the centered walk drawn one step y_k r^k/sqrt(k)
+    # per k, Var y_k = 1/2, and summed into its block sums at the checkpoints
+    n_max = levels.shape[1]
+    _, kmax = barrier.block_bounds(n_max)
+    _, coef, _ = chaos.field_weights(r, 1, kmax)
+    y = stream.draw_real(count * kmax).reshape(count, kmax)
+    y *= math.sqrt(0.5)
+    y *= coef
+    return barrier._survival(barrier._checkpoints(y, 1, n_max), levels)[:, 0]
+
+
+@pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (math.e**4, 1.0, 1.5),
+                                     (400.0, math.exp(1.0 / 400.0), 3.0)])
+def test_com_right_block_walk_matches_the_per_k_route(K, r, A):
+    levels = barrier._event_levels("G", r, K, [A])
+    sigmas = np.sqrt(barrier._block_variances(r, levels.shape[1]))
+    block = mc.from_values(mc.map_chunks(barrier._com_right_chunk, (sigmas, levels),
+                                         Seed(71), 200000), Seed(71))
+    per_k = mc.from_values(mc.map_chunks(_com_right_chunk_per_k_route, (r, levels),
+                                         Seed(72), 200000), Seed(72))
+    for est in (block, per_k):
+        assert 0.0 < est.mean < 1.0
+    assert abs(block.mean - per_k.mean) <= 4.0 * math.hypot(block.std_error,
+                                                            per_k.std_error)
+
+
+def _harmonic(n):
+    return sum(Fraction(1, k) for k in range(1, n + 1))
+
+
+def test_block_variances_are_the_block_sums():
+    # sigma_m^2 = sum_{k in block m} r^{2k}/(2k): at r = 1 half a difference
+    # of harmonic numbers, exactly; elsewhere the correctly rounded fsum
+    exact = barrier._block_variances(1.0, 8)
+    r = math.exp(1.0 / 400.0)
+    tilted = barrier._block_variances(r, 8)
+    assert exact.shape == tilted.shape == (8,)
+    for m in range(1, 9):
+        lo, hi = barrier.block_bounds(m)
+        target = float((_harmonic(hi) - _harmonic(lo - 1)) / 2)
+        assert abs(exact[m - 1] - target) <= 1e-15 * target
+        target = math.fsum(r ** (2 * k) / (2 * k) for k in range(lo, hi + 1))
+        assert abs(tilted[m - 1] - target) <= 1e-15 * target
+    # the drift they are summed from is budgeted before it is built
+    with pytest.raises(BudgetError):
+        barrier._block_variances(1.0, 17)
 
 
 def test_change_of_measure_two_routes_agree():

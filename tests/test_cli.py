@@ -360,6 +360,19 @@ def test_com_check_command(tmp_path):
                       "right_mean,right_se,combined_se,agree_5se")
 
 
+def test_com_check_right_side_holds_one_value_per_block(tmp_path):
+    # the right side holds count x n_max block sums, 4096 x 11 values for a full
+    # chunk at K = 1e5; one value per k would be 4096 x 59874, over the budget
+    argv = ["com-check", "--K", "1e5", "--r", "1", "--A", "2", "--samples-left", "64",
+            "--samples-right", "100000", "--seed", "3"]
+    texts = []
+    for workers in ("1", "2"):
+        code, text = run_csv(tmp_path, f"com{workers}", argv + ["--workers", workers])
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
 def test_precondition_violation_exits_3(tmp_path):
     code = main(["event", "--kind", "G", "--K", "2", "--r", "1.0", "--A", "1.5",
                  "--samples", "200"])
