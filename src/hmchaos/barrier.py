@@ -28,8 +28,11 @@ The recurring objects:
 
 Blocks use the exact integer ranges ceil(e^{m-1}) <= k <= ceil(e^m) - 1,
 so block m covers precisely the integers k < e^m not covered before.
-Checkpoint sums are accumulated block-by-block (fsum on the scalar path,
-pairwise reduction on the vectorized path) to keep long prefixes accurate.
+A walk read only at block ends (one-angle events, the centered walk of
+the change of measure, the two tilted walks) is drawn as its block sums,
+independent N(0, sigma_m^2), with the drift moved onto the levels. The
+other kernels draw the field per k and sum it block by block (fsum on the
+scalar path, pairwise on the vectorized one).
 """
 
 from __future__ import annotations
@@ -210,28 +213,30 @@ def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> boo
     return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
-def _checkpoints(steps, first_block, last_block):
-    """Walk values at the ends of blocks first_block..last_block.
-
-    Column 0 of `steps` is k = ceil(e^{first_block - 1}); each block is
-    summed pairwise, then the block sums are accumulated.
-    """
-    base = block_bounds(first_block)[0]
-    starts = [block_bounds(m)[0] - base for m in range(first_block, last_block + 1)]
+def _checkpoints(steps, last_block):
+    """Walk values at the ends of blocks 1..last_block (column 0 of `steps` at
+    k = 1): each block is summed pairwise, then the block sums are accumulated."""
+    starts = [block_bounds(m)[0] - 1 for m in range(1, last_block + 1)]
     return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
 
 
-def _event_chunk(stream, count, r, theta, levels):
-    """Indicators, one column per row of levels."""
-    n_max = levels.shape[1]
-    # at theta = 0 the rotation is the identity, so only Re X is drawn
-    x, k, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1],
-                                         real=theta == 0.0)
-    if theta != 0.0:
-        x *= np.exp(1j * theta * k)  # in place: no second complex array
-    steps = x.real * coef  # a real array's .real is the array itself
-    steps -= drift  # in place: a second count x kmax temporary raises peak RSS
-    return _survival(_checkpoints(steps, 1, n_max), levels)
+def _block_variances(r: float, n_max: int) -> np.ndarray:
+    """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
+    of the centered walk's block sums (half the drift, summed pairwise per block)."""
+    _, kmax = block_bounds(n_max)
+    chaos.check_field_budget(1, kmax)
+    # field_weights' drift r^{2k}/k, computed in place: one row besides k
+    k = np.arange(1, kmax + 1, dtype=float)
+    drift = np.multiply(k, 2.0)
+    np.power(r, drift, out=drift)
+    drift /= k
+    starts = [block_bounds(m)[0] - 1 for m in range(1, n_max + 1)]
+    return np.add.reduceat(drift, starts) / 2.0
+
+
+def _event_chunk(stream, count, sigmas, levels):
+    """Indicators, one column per row of levels (raised by the block drift)."""
+    return _survival(_walks(stream, count, sigmas), levels)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -239,13 +244,19 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
                          workers: int = 1) -> list[MomentEstimate]:
     """Empirical probability of event G or L at each height in A.
 
-    All heights share the same draws, so the estimates are monotone in A
-    sample by sample (a higher barrier can only keep more paths).
+    The walk is drawn as its block sums; Re(X(k) e^{ik theta}) has the law
+    of Re X(k), so theta is checked but not read. All heights share the same
+    draws, so the estimates are monotone in A sample by sample (a higher
+    barrier can only keep more paths).
     """
     levels = _event_levels(kind, r, K, _heights(A, samples))
-    _check_theta("event_probability_mc", theta, block_bounds(levels.shape[1])[1])
+    n_max = levels.shape[1]
+    _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
     mc.check_samples(samples)
-    values = mc.map_chunks(_event_chunk, (r, theta, levels), seed, samples, workers)
+    variances = _block_variances(r, n_max)
+    levels += 2.0 * np.cumsum(variances)  # the drift moves to the levels
+    values = mc.map_chunks(_event_chunk, (np.sqrt(variances), levels), seed, samples,
+                           workers)
     return _per_height(values, seed)
 
 
@@ -299,24 +310,12 @@ def _com_left_chunk(stream, count, K, r, levels):
     _, kmax = block_bounds(n_max)
     steps = x[:, :kmax] * coef[:kmax]
     steps -= drift[:kmax]
-    ok = _survival(_checkpoints(steps, 1, n_max), levels)[:, 0]
+    ok = _survival(_checkpoints(steps, n_max), levels)[:, 0]
     return np.where(ok, weight, 0.0)
 
 
-def _block_variances(r: float, n_max: int) -> np.ndarray:
-    """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
-    of the centered walk's block sums (half the drift, summed pairwise per block)."""
-    _, kmax = block_bounds(n_max)
-    chaos.check_field_budget(1, kmax)
-    _, _, drift = chaos.field_weights(r, 1, kmax)
-    starts = [block_bounds(m)[0] - 1 for m in range(1, n_max + 1)]
-    return np.add.reduceat(drift, starts) / 2.0
-
-
 def _com_right_chunk(stream, count, sigmas, levels):
-    # the barrier reads the walk only at block ends, and its block sums are
-    # independent N(0, sigma_m^2): one draw per block, not one per k
-    return _survival(_walks(stream, count, sigmas), levels)[:, 0]
+    return _event_chunk(stream, count, sigmas, levels)[:, 0]
 
 
 def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
@@ -499,21 +498,19 @@ def dominating_density(p: BivariateParams, x1, x2):
 # the two-walk tilted expectation
 
 
-def _two_walk_chunk(stream, count, r, theta, M, levels):
+def _two_walk_chunk(stream, count, sigmas, rho, levels):
     """Tilted weights, zeroed where either walk leaves the one row of levels
-    (one column per checkpoint M+1..log K_r)."""
-    log_K_r = M + levels.shape[1]
-    x, k, coef, drift = chaos.field_rows(stream, count, r, block_bounds(M + 1)[0],
-                                         block_bounds(log_K_r)[1])
-    z = x.real * coef  # the straight walk's steps, then the rotated walk's
-    total = np.sum(z, axis=1)
-    z -= drift
-    ok = _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
-    x *= np.exp(1j * theta * k)
-    np.multiply(x.real, coef, out=z)
-    weight = np.exp(2.0 * (total + np.sum(z, axis=1)))
-    z -= drift
-    ok &= _survival(_checkpoints(z, M + 1, log_K_r), levels)[:, 0]
+    (one column per block M+1..log K_r). Block m's pair (Z_0, Z_theta) is
+    sigma_m (g, rho_m g + sqrt(1 - rho_m^2) g') for independent N(0, 1) g, g'."""
+    n = sigmas.size
+    chaos.check_field_budget(count, 2 * n)
+    z = stream.draw_real(2 * count * n).reshape(count, 2, n)
+    z *= sigmas
+    z[:, 1] *= np.sqrt(1.0 - rho**2)
+    z[:, 1] += rho * z[:, 0]
+    walks = np.cumsum(z, axis=2)
+    weight = np.exp(2.0 * (walks[:, 0, -1] + walks[:, 1, -1]))
+    ok = _survival(walks[:, 0], levels)[:, 0] & _survival(walks[:, 1], levels)[:, 0]
     return np.where(ok, weight, 0.0)
 
 
@@ -533,8 +530,9 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
     blocks = block_stats(r, theta, K)
     if blocks.M >= blocks.log_K_r:
         return MomentEstimate(1.0, 0.0, samples, seed)
-    levels = np.full((1, blocks.log_K_r - blocks.M), level, dtype=float)
-    values = mc.map_chunks(_two_walk_chunk, (r, theta, blocks.M, levels),
+    sigma2, rho = blocks.sigma2[blocks.M :], blocks.rho[blocks.M :]
+    levels = level + 2.0 * np.cumsum(sigma2)[None, :]  # the drift moves to the level
+    values = mc.map_chunks(_two_walk_chunk, (np.sqrt(sigma2), rho, levels),
                            seed, samples, workers)
     return mc.from_values(values, seed)
 

@@ -17,7 +17,8 @@ class FixedStream:
         self.position += n
         return out.copy()
 
-    def draw_re(self, n):
+    def draw_real(self, n):
+        # the next n values' real parts, one preset value per real draw
         return self.draw(n).real
 
     def fill_uniforms(self, pairs):

@@ -192,26 +192,29 @@ def test_lower_barrier_implies_upper_barrier():
     ("G", 400.0, 1.0, 0.0), ("G", 400.0, 1.0, 0.7),
     ("L", 1e4, 0.99, 0.0), ("L", 1e4, 0.99, 1.3)])
 def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
-    # the vectorized kernel and the fsum oracle read the same draws, scaled
-    # up so that both outcomes occur; samples whose checkpoint sum sits
-    # within 1e-9 of a level are skipped
+    # the kernel walks the block sums against levels raised by the block
+    # drift; the fsum oracle gets the same walk with each block sum on the
+    # block's first k (rotated back by theta) and subtracts the drift per k.
+    # The draws are scaled up so that both outcomes occur; samples whose
+    # checkpoint sum sits within 1e-9 of a level are skipped
     heights = (1.0, 2.0, 4.0)
-    if kind == "G":
-        n_max, slope = int(math.log(K)), 10.0
-    else:
-        n_max, slope = barrier.log_horizon(r, K), -5.0
-    levels_list = _levels(np.array(heights), n_max, slope)
+    levels = barrier._event_levels(kind, r, K, heights)
+    n_max = levels.shape[1]
+    sigmas = np.sqrt(barrier._block_variances(r, n_max))
     count = 300
-    _, kmax = barrier.block_bounds(n_max)
-    x = 2.5 * GaussianStream(Seed(61)).draw(count * kmax)
-    flags = barrier._event_chunk(FixedStream(x), count, r, theta, levels_list)
+    g = 2.5 * GaussianStream(Seed(61)).draw_real(count * n_max)
+    flags = barrier._event_chunk(FixedStream(g), count, sigmas,
+                                 levels + 2.0 * np.cumsum(sigmas**2))
     assert flags.shape == (count, len(heights))
-    x = x.reshape(count, kmax)
+    k = np.array([barrier.block_bounds(m)[0] for m in range(1, n_max + 1)], dtype=float)
+    x = np.zeros((count, barrier.block_bounds(n_max)[1]), dtype=complex)
+    x[:, k.astype(int) - 1] = (g.reshape(count, n_max) * sigmas * np.sqrt(k) / r**k
+                               * np.exp(-1j * theta * k))
     seen = set()
     for i in range(count):
         sums = _checkpoint_sums_scalar(x[i], r, theta, n_max)
         for j, a in enumerate(heights):
-            if np.min(np.abs(sums - levels_list[j])) < 1e-9:
+            if np.min(np.abs(sums - levels[j])) < 1e-9:
                 continue
             expected = event_holds(kind, x[i], r, theta, K, a)
             assert flags[i, j] == expected
@@ -223,8 +226,7 @@ def _event_chunk_complex_route(stream, count, r, theta, levels_list):
     n_max = levels_list.shape[1]
     x, k, coef, drift = chaos.field_rows(stream, count, r, 1,
                                          barrier.block_bounds(n_max)[1])
-    sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift,
-                                1, n_max)
+    sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, n_max)
     cols = [np.all(sums <= levels, axis=1) for levels in levels_list]
     return np.stack(cols, axis=1)
 
@@ -234,29 +236,38 @@ def _com_left_chunk_complex_route(stream, count, K, r, levels):
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, int(K))
     weight = np.exp(2.0 * (x.real @ coef))
     _, kmax = barrier.block_bounds(n_max)
-    sums = barrier._checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax],
-                                1, n_max)
+    sums = barrier._checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
 
 
 @pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (400.0, 1.0, 1.5),
                                      (1e4, 0.99, 3.0)])
 def test_real_draw_kernels_match_the_complex_route(K, r, A):
-    # event at theta = 0 and the change of measure's left side read only
-    # Re X; they must reproduce the complex rows' real part bit for bit,
-    # x @ coef included (a contiguous operand takes another matmul route)
+    # the change of measure's left side reads only Re X; it must reproduce
+    # the complex rows' real part bit for bit, x @ coef included (a
+    # contiguous operand takes another matmul route)
     count, seed = 700, Seed(17)
-    n_max = int(math.log(K))
-    # flat levels low enough that both outcomes occur
-    levels_list = np.array([np.zeros(n_max), np.full(n_max, A)])
-    flags = barrier._event_chunk(GaussianStream(seed), count, r, 0.0, levels_list)
-    ref = _event_chunk_complex_route(GaussianStream(seed), count, r, 0.0, levels_list)
-    assert np.array_equal(flags, ref)
-    assert 0.0 < flags.mean() < 1.0
-    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, levels_list[1:])
-    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, levels_list[1])
+    levels = np.full((1, int(math.log(K))), A)
+    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, levels)
+    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, levels[0])
     assert np.array_equal(left.view(np.uint64), ref.view(np.uint64))
     assert np.count_nonzero(left) > 0
+
+
+@pytest.mark.parametrize("kind, K, r, theta, samples", [("G", 400.0, 1.0, 0.7, 100000),
+                                                        ("L", 1e4, 0.99, 1.3, 400000)])
+def test_event_block_walk_matches_the_per_k_route(kind, K, r, theta, samples):
+    # the block walk against the rotated field drawn one X(k) per k, within
+    # 4 sigma combined at every height
+    heights = (1.0, 1.25)
+    block = event_probability_mc(kind, K, r, heights, theta, samples, Seed(81))
+    levels = barrier._event_levels(kind, r, K, heights)
+    values = mc.map_chunks(_event_chunk_complex_route, (r, theta, levels), Seed(82), samples)
+    for i, est in enumerate(block):
+        per_k = mc.from_values(values[:, i], Seed(82))
+        assert 0.0 < per_k.mean < 1.0
+        assert abs(est.mean - per_k.mean) <= 4.0 * math.hypot(est.std_error,
+                                                               per_k.std_error)
 
 
 def _traced_peak(fn, *args):
@@ -269,30 +280,27 @@ def _traced_peak(fn, *args):
 
 
 def test_event_chunk_peak_stays_near_its_draw():
-    # K = 1000: 4096 rows of kmax = 403 draws at theta = 0 (the draw_re path)
-    # and at theta = 0.7 (rotated in place); the draw's (n, 2) buffer is 1x
-    # the bound's unit and the steps 0.5x, so any second row-sized temporary
-    # lifts the peak past 1.6x
+    # K = 1000: 4096 rows of n_max = 6 block sums, in units of one real per
+    # block (8 B): the draw and the walk are 1x each and the draw's
+    # Box-Muller temporaries about 0.5x; a draw per k, 4096 x 403 complex
+    # values, would be 134x
     count, n_max = 4096, 6
-    kmax = barrier.block_bounds(n_max)[1]
-    assert kmax == 403
     levels = _levels(np.array([2.0]), n_max, 10.0)
-    for theta in (0.0, 0.7):
-        peak = _traced_peak(barrier._event_chunk, GaussianStream(Seed(5)), count, 1.0,
-                            theta, levels)
-        assert peak < 1.6 * count * kmax * 16
+    sigmas = np.sqrt(barrier._block_variances(1.0, n_max))
+    peak = _traced_peak(barrier._event_chunk, GaussianStream(Seed(5)), count, sigmas, levels)
+    assert peak < 4.0 * count * n_max * 8
 
 
 def _increment_chunk_by_copy(stream, count, r, theta, lo, hi):
-    # the rotation as a whole-array product, the route the kernels replaced
+    # the rotation as a whole-array product, the route the kernel replaced
     x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
     return np.stack([x.real @ coef, (x * np.exp(1j * theta * k)).real @ coef], axis=1)
 
 
 @pytest.mark.parametrize("theta", [0.7, 2.5, 1e-3])
 def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
-    # the kernels rotate the draw in place; its real part must keep the
-    # bytes of (x * e^{ik theta}).real and stay a stride-16 view, so that
+    # the block increments rotate the draw in place; its real part must keep
+    # the bytes of (x * e^{ik theta}).real and stay a stride-16 view, so that
     # x.real @ coef keeps numpy's own matmul loop (not BLAS)
     count, kmax = 512, 403
     x, k, coef, _ = chaos.field_rows(GaussianStream(Seed(41)), count, 1.0, 1, kmax)
@@ -304,43 +312,71 @@ def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
     pairs = barrier._increment_chunk(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
     ref = _increment_chunk_by_copy(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
     assert pairs.tobytes() == ref.tobytes()
-    levels_list = _levels(np.array([1.0, 2.0]), 6, 10.0)
-    flags = barrier._event_chunk(GaussianStream(Seed(43)), 300, 1.0, theta, levels_list)
-    ref = _event_chunk_complex_route(GaussianStream(Seed(43)), 300, 1.0, theta, levels_list)
-    assert flags.tobytes() == ref.tobytes()
 
 
 def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
-    # both walks tested against a flat level at every checkpoint by np.all
-    x, k, coef, drift = chaos.field_rows(stream, count, r, barrier.block_bounds(M + 1)[0],
+    # the reference route: both walks drawn one X(k) per k from e^M on, their
+    # drift subtracted per k, and tested against the flat level by np.all
+    lo = barrier.block_bounds(M + 1)[0]
+    x, k, coef, drift = chaos.field_rows(stream, count, r, lo,
                                          barrier.block_bounds(log_K_r)[1])
     z0 = x.real * coef
     zt = (x * np.exp(1j * theta * k)).real * coef
     weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
-    s0 = barrier._checkpoints(z0 - drift, M + 1, log_K_r)
-    st = barrier._checkpoints(zt - drift, M + 1, log_K_r)
+    starts = [barrier.block_bounds(m)[0] - lo for m in range(M + 1, log_K_r + 1)]
+    s0 = np.cumsum(np.add.reduceat(z0 - drift, starts, axis=1), axis=1)
+    st = np.cumsum(np.add.reduceat(zt - drift, starts, axis=1), axis=1)
     ok = np.all(s0 <= level, axis=1) & np.all(st <= level, axis=1)
     return np.where(ok, weight, 0.0)
 
 
 @pytest.mark.parametrize("level", [2.0, math.inf, -math.inf])
 def test_two_walk_chunk_is_the_all_checkpoints_test(level):
-    # one row of flat levels through _survival, at a finite level and at +-inf;
-    # the draws are scaled up so that both outcomes occur at level 2
+    # the kernel's survival fold against the raised levels is np.all over
+    # every checkpoint of the same block pairs with the drift subtracted, at
+    # a finite level and at +-inf; the draws are scaled up so that both
+    # outcomes occur at level 2
     r, theta, count = 0.99999, 1.0, 64
     blocks = block_stats(r, theta, 1e6)
-    M, log_K_r = blocks.M, blocks.log_K_r
-    assert log_K_r - M == 3
-    width = barrier.block_bounds(log_K_r)[1] - barrier.block_bounds(M + 1)[0] + 1
-    x = 3.0 * GaussianStream(Seed(44)).draw(count * width)
-    levels = np.full((1, log_K_r - M), level)
-    values = barrier._two_walk_chunk(FixedStream(x), count, r, theta, M, levels)
-    ref = _two_walk_chunk_all_steps(FixedStream(x), count, r, theta, M, log_K_r, level)
-    assert values.tobytes() == ref.tobytes()
+    n = blocks.log_K_r - blocks.M
+    assert n == 3
+    sigmas, rho = np.sqrt(blocks.sigma2[blocks.M :]), blocks.rho[blocks.M :]
+    drift = np.cumsum(2.0 * sigmas**2)
+    g = 3.0 * GaussianStream(Seed(44)).draw_real(2 * count * n)
+    values = barrier._two_walk_chunk(FixedStream(g), count, sigmas, rho,
+                                     (level + drift)[None, :])
+    g = g.reshape(count, 2, n)
+    s0 = np.cumsum(sigmas * g[:, 0], axis=1)
+    st = np.cumsum(sigmas * (rho * g[:, 0] + np.sqrt(1.0 - rho**2) * g[:, 1]), axis=1)
+    ok = np.all(s0 - drift <= level, axis=1) & np.all(st - drift <= level, axis=1)
+    ref = np.where(ok, np.exp(2.0 * (s0[:, -1] + st[:, -1])), 0.0)
+    assert np.array_equal(values > 0, ok)
+    assert np.allclose(values, ref, rtol=1e-12, atol=0.0)
     kept = np.count_nonzero(values)
     assert kept == {2.0: kept, math.inf: count, -math.inf: 0}[level]
     if level == 2.0:
         assert 0 < kept < count
+
+
+@pytest.mark.parametrize("r, theta, level", [(0.99, 0.5, 1.0), (0.97, 1.5, 2.0),
+                                             (0.99, math.pi, 2.0)])
+def test_two_walk_block_pairs_match_the_per_k_route(r, theta, level):
+    # the block pairs against both walks drawn one X(k) per k, within 4 sigma
+    blocks = block_stats(r, theta, 1e6)
+    assert blocks.M < blocks.log_K_r
+    block = two_walk_tilted_expectation(r, theta, 1e6, level, 200000, Seed(91))
+    values = mc.map_chunks(_two_walk_chunk_all_steps,
+                           (r, theta, blocks.M, blocks.log_K_r, level), Seed(92), 200000)
+    per_k = mc.from_values(values, Seed(92))
+    assert abs(block.mean - per_k.mean) <= 4.0 * math.hypot(block.std_error,
+                                                            per_k.std_error)
+
+
+def test_two_walk_runs_where_the_per_k_draw_was_over_budget():
+    # 3 blocks past M = 7 hold 20930 values of k: a 4096 x 20930 draw per
+    # chunk was refused; the block pairs hold 4096 x 2 x 3
+    est = two_walk_tilted_expectation(0.99999, 1.0, 1e6, 2.0, 20000, Seed(11))
+    assert est.samples == 20000 and est.mean > 0.0 and est.std_error > 0.0
 
 
 def test_block_increments_peak_near_their_draw():
@@ -353,16 +389,19 @@ def test_block_increments_peak_near_their_draw():
 
 
 def test_two_walk_chunk_peak_near_its_draw():
-    # the draw is 1x the bound's unit and one real step array, shared by
-    # both walks, 0.5x; a second step array would lift the peak to 2x
-    r, theta, count = 0.99999, 1.0, 64
+    # 4096 rows of 3 blocks past M, in units of one real per row and block
+    # (8 B): the pair draw is 2x, its Box-Muller temporaries about 1x and
+    # the two walks 2x, since the pairs are mixed in place; a draw per k,
+    # 4096 x 20930 complex values, would be over 13000x
+    r, theta, count = 0.99999, 1.0, 4096
     blocks = block_stats(r, theta, 1e6)
-    M, log_K_r = blocks.M, blocks.log_K_r
-    width = barrier.block_bounds(log_K_r)[1] - barrier.block_bounds(M + 1)[0] + 1
-    levels = np.full((1, log_K_r - M), 2.0)
-    peak = _traced_peak(barrier._two_walk_chunk, GaussianStream(Seed(5)), count, r, theta,
-                        M, levels)
-    assert peak < 1.6 * count * width * 16
+    n = blocks.log_K_r - blocks.M
+    assert n == 3
+    sigmas = np.sqrt(blocks.sigma2[blocks.M :])
+    levels = 2.0 + 2.0 * np.cumsum(sigmas**2)[None, :]
+    peak = _traced_peak(barrier._two_walk_chunk, GaussianStream(Seed(5)), count, sigmas,
+                        blocks.rho[blocks.M :], levels)
+    assert peak < 6.0 * count * n * 8
 
 
 def test_indicator_kernels_return_bools():
@@ -370,14 +409,13 @@ def test_indicator_kernels_return_bools():
     heights = np.array([1.0, 2.0])
     levels = _levels(heights, 3, 10.0)
     seed, count = Seed(45), 64
+    sigmas = np.sqrt(barrier._block_variances(1.0, 3))
     kernels = [
         barrier._ballot_chunk(GaussianStream(seed), count, heights, np.ones(16)),
-        barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.0, levels),
-        barrier._event_chunk(GaussianStream(seed), count, 1.0, 0.7, levels),
+        barrier._event_chunk(GaussianStream(seed), count, sigmas, levels),
         barrier._grid_event_chunk(GaussianStream(seed), count, 1.0, levels),
-        barrier._com_right_chunk(GaussianStream(seed), count,
-                                 np.sqrt(barrier._block_variances(1.0, 3)), levels[:1]),
-        mc.map_chunks(barrier._event_chunk, (1.0, 0.7, levels), seed, 5000),
+        barrier._com_right_chunk(GaussianStream(seed), count, sigmas, levels[:1]),
+        mc.map_chunks(barrier._event_chunk, (sigmas, levels), seed, 5000),
     ]
     for flags in kernels:
         assert flags.dtype == bool
@@ -452,7 +490,8 @@ def test_indicators_are_nondecreasing_in_height():
     x = 2.5 * GaussianStream(Seed(9)).draw(count * kmax)
     levels_list = _levels(np.array(heights), n_max, 10.0)
     grid = barrier._grid_event_chunk(FixedStream(x), count, 1.0, levels_list)
-    event = barrier._event_chunk(FixedStream(x), count, 1.0, 0.7, levels_list)
+    event = barrier._event_chunk(FixedStream(x), count,
+                                 np.sqrt(barrier._block_variances(1.0, n_max)), levels_list)
     for values in (flags, grid, event):
         assert values.shape == (count, len(heights))
         assert np.all(values[:, :-1] <= values[:, 1:])  # np.diff of bools is !=
@@ -476,7 +515,7 @@ def _com_right_chunk_per_k_route(stream, count, r, levels):
     y = stream.draw_real(count * kmax).reshape(count, kmax)
     y *= math.sqrt(0.5)
     y *= coef
-    return barrier._survival(barrier._checkpoints(y, 1, n_max), levels)[:, 0]
+    return barrier._survival(barrier._checkpoints(y, n_max), levels)[:, 0]
 
 
 @pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (math.e**4, 1.0, 1.5),

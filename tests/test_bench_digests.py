@@ -1,5 +1,5 @@
-"""The byte ledger: every benchmark job's output digest, against
-tools/bench_digests.txt.
+"""The byte ledger: the output digest of every benchmark job and of the
+README's stdout-only example commands, against tools/bench_digests.txt.
 
 The digests' last bits depend on numpy's SIMD dispatch and on the OpenBLAS
 core type, so the ledger holds only on the fingerprint in its first line;

@@ -373,6 +373,36 @@ def test_com_check_right_side_holds_one_value_per_block(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_event_holds_one_value_per_block(tmp_path):
+    # a chunk holds 4096 x 13 block sums at K = 1e6 and the drift row its 13
+    # block variances are summed from; one value per k, 4096 x 442413, was
+    # over the budget
+    argv = ["event", "--kind", "G", "--K", "1e6", "--r", "1", "--samples", "4096",
+            "--seed", "3"]
+    texts = []
+    for workers in ("1", "2"):
+        code, text = run_csv(tmp_path, f"event{workers}", argv + ["--workers", workers])
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
+def test_single_angle_event_reads_no_theta(tmp_path):
+    # Re(X(k) e^{ik theta}) has the law of Re X(k), so every angle prints the
+    # bytes of theta = 0 but for the theta column, which echoes the flag
+    for argv in (["event", "--kind", "G", "--K", "400", "--r", "1"],
+                 ["event", "--kind", "L", "--K", "1e4", "--r", "0.99"]):
+        tables = set()
+        for theta in ("0", "0.7", "-2.5"):
+            code, text = run_csv(tmp_path, "event", argv + ["--theta", theta, "--A", "1,2",
+                                                           "--samples", "3000", "--seed", "8"])
+            assert code == 0
+            rows = [line.split(",") for line in text.splitlines()]
+            assert {row[3] for row in rows[1:]} == {str(float(theta))}
+            tables.add(tuple(tuple(row[:3] + row[4:]) for row in rows))
+        assert len(tables) == 1
+
+
 def test_precondition_violation_exits_3(tmp_path):
     code = main(["event", "--kind", "G", "--K", "2", "--r", "1.0", "--A", "1.5",
                  "--samples", "200"])
@@ -436,7 +466,7 @@ def test_over_budget_draws_exit_3_quickly():
     # the F_q[t] tree's rows of every degree <= N before it is built; the
     # trial divisions, the partition cap, the widest block and the
     # bivariate draws before the first of them
-    for argv, limit in ((["event", "--K", "1e7", "--r", "1"], 5.0),
+    for argv, limit in ((["event", "--K", "1e8", "--r", "1"], 5.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
                         (["ballot", "--n-grid", "10000000"], 1.0),
                         (["moment", "--N", "100000000"], 5.0),

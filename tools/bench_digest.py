@@ -9,10 +9,13 @@ Runs each job of perfbench/jobs.py through `hmchaos.cli.main` in process,
 at benchmark seeds 1 and 2 (job seeds from `jobs.job_seed`, as the benchmark
 derives them) and at --workers 1 and 2, and prints one line per run: the
 sha256 of its exit code and standard output, then the workload, seed,
-worker count and argv. Two checkouts print the same lines exactly when
-every run exits the same way and writes the same bytes, so comparing a
-change with its parent is one diff of two outputs (copy this file into the
-parent's checkout to run it there). perfbench/ is imported, never changed.
+worker count and argv. Then it runs the example commands of README.md as
+written (workload `readme`, seed and worker count `-`), leaving out those
+that write files (`--out`, `--plot`), so that the commands users copy are
+pinned too. Two checkouts print the same lines exactly when every run exits
+the same way and writes the same bytes, so comparing a change with its
+parent is one diff of two outputs (copy this file into the parent's
+checkout to run it there). perfbench/ is imported, never changed.
 
 The first line is the fingerprint the bytes depend on (numpy's version,
 its SIMD baseline and the dispatch targets this CPU runs, and the OpenBLAS
@@ -27,6 +30,7 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -75,8 +79,22 @@ def fingerprint() -> str:
             f"dispatched {' '.join(dispatched) or 'none'}; BLAS core {_blas_core()}")
 
 
+def readme_commands():
+    """The argv of each `hmchaos` line in README.md's Examples block that
+    writes no file (no --out or --plot)."""
+    text = (ROOT / "README.md").read_text()
+    if "Examples:\n\n```sh\n" not in text:
+        raise SystemExit("bench_digest: README.md has no Examples block")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        program, *argv = shlex.split(line) or [None]
+        if program == "hmchaos" and not {"--out", "--plot"} & set(argv):
+            yield argv
+
+
 def digest_lines():
-    """One digest line per benchmark run, in the ledger's order."""
+    """One digest line per benchmark run and README command, in the ledger's
+    order."""
     if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"bench_digest: imported hmchaos from {hmchaos.__file__}")
     for workload, job_list in jobs.WORKLOADS.items():
@@ -85,6 +103,8 @@ def digest_lines():
                 for workers in WORKERS:
                     argv = job.argv(jobs.job_seed(seed, workload, index), workers)
                     yield " ".join([digest(argv), workload, str(seed), str(workers), *argv])
+    for argv in readme_commands():
+        yield " ".join([digest(argv), "readme", "-", "-", *argv])
 
 
 def main() -> None:
