@@ -31,8 +31,8 @@ so block m covers precisely the integers k < e^m not covered before.
 A walk read only at block ends (one-angle events, the centered walk of
 the change of measure, the two tilted walks) is drawn as its block sums,
 independent N(0, sigma_m^2), with the drift moved onto the levels. The
-other kernels draw the field per k and sum it block by block (fsum on the
-scalar path, pairwise on the vectorized one).
+change of measure's left side, which also reads the walk at K, draws it
+one real step per k; the other kernels draw complex X(k) per k.
 """
 
 from __future__ import annotations
@@ -120,19 +120,9 @@ def _per_height(values, seed) -> list[MomentEstimate]:
 # ballot walks
 
 
-def _walks(stream, count, sigmas):
-    """count walks of independent centered Gaussian steps with standard
-    deviations sigmas, at every step: a (count, sigmas.size) array."""
-    n = sigmas.size
-    chaos.check_field_budget(count, n)
-    steps = stream.draw_real(count * n).reshape(count, n)
-    steps *= sigmas
-    return np.cumsum(steps, axis=1)
-
-
 def _ballot_chunk(stream, count, heights, sigmas):
     # the barrier is flat, so a walk survives iff its maximum does
-    peak = _walks(stream, count, sigmas).max(axis=1, keepdims=True)
+    peak = chaos._walks(stream, count, sigmas).max(axis=1, keepdims=True)
     return _survival(peak, heights[:, None])
 
 
@@ -213,30 +203,27 @@ def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> boo
     return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
-def _checkpoints(steps, last_block):
-    """Walk values at the ends of blocks 1..last_block (column 0 of `steps` at
-    k = 1): each block is summed pairwise, then the block sums are accumulated."""
-    starts = [block_bounds(m)[0] - 1 for m in range(1, last_block + 1)]
-    return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
+def _block_weights(r: float, m: int):
+    """2k and the weights r^{2k}/(2k) over block m, built in place: two rows."""
+    lo, hi = block_bounds(m)
+    two_k = np.arange(lo, hi + 1, dtype=float)
+    two_k *= 2.0
+    weights = np.power(r, two_k)
+    weights /= two_k
+    return two_k, weights
 
 
 def _block_variances(r: float, n_max: int) -> np.ndarray:
     """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
-    of the centered walk's block sums (half the drift, summed pairwise per block)."""
-    _, kmax = block_bounds(n_max)
-    chaos.check_field_budget(1, kmax)
-    # field_weights' drift r^{2k}/k, computed in place: one row besides k
-    k = np.arange(1, kmax + 1, dtype=float)
-    drift = np.multiply(k, 2.0)
-    np.power(r, drift, out=drift)
-    drift /= k
-    starts = [block_bounds(m)[0] - 1 for m in range(1, n_max + 1)]
-    return np.add.reduceat(drift, starts) / 2.0
+    of the centered walk's block sums (half the drift), one block at a time."""
+    lo, hi = block_bounds(n_max)
+    chaos.check_field_budget(1, hi - lo + 1)  # the widest block, the last
+    return np.array([np.sum(_block_weights(r, m)[1]) for m in range(1, n_max + 1)])
 
 
 def _event_chunk(stream, count, sigmas, levels):
     """Indicators, one column per row of levels (raised by the block drift)."""
-    return _survival(_walks(stream, count, sigmas), levels)
+    return _survival(chaos._walks(stream, count, sigmas), levels)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -304,14 +291,14 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
 
 
 def _com_left_chunk(stream, count, K, r, levels):
-    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, _int_floor(K), real=True)
-    weight = np.exp(2.0 * (x @ coef))
-    n_max = levels.shape[1]
-    _, kmax = block_bounds(n_max)
-    steps = x[:, :kmax] * coef[:kmax]
-    steps -= drift[:kmax]
-    ok = _survival(_checkpoints(steps, n_max), levels)[:, 0]
-    return np.where(ok, weight, 0.0)
+    """|F_K(r)|^2 = exp(2 walk[K]), zeroed where walk - drift leaves the levels."""
+    kmax = _int_floor(K)
+    chaos.check_field_budget(count, kmax)  # before the drift row is built
+    _, _, drift = chaos.field_weights(r, 1, kmax)
+    walk = chaos._walks(stream, count, np.sqrt(drift / 2.0))
+    ends = [block_bounds(m)[1] - 1 for m in range(1, levels.shape[1] + 1)]
+    ok = _survival(walk[:, ends] - np.cumsum(drift)[ends], levels)[:, 0]
+    return np.where(ok, np.exp(2.0 * walk[:, -1]), 0.0)
 
 
 def _com_right_chunk(stream, count, sigmas, levels):
@@ -423,15 +410,13 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        lo, hi = block_bounds(m)
-        k = np.arange(lo, hi + 1, dtype=float)
-        weights = r ** (2.0 * k) / (2.0 * k)
+        two_k, weights = _block_weights(r, m)
         sigma2[m - 1] = total = np.sum(weights)
         if not total > 0:  # every weight underflowed: rescale them by the largest
-            log_weights = 2.0 * k * math.log(r) - np.log(2.0 * k)
+            log_weights = two_k * math.log(r) - np.log(two_k)
             weights = np.exp(log_weights - np.max(log_weights))
             total = np.sum(weights)
-        rho[m - 1] = np.sum(weights * np.cos(theta * k)) / total
+        rho[m - 1] = np.sum(weights * np.cos(theta * (two_k / 2.0))) / total
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
 

@@ -18,7 +18,8 @@ Box-Muller pass and one division by sqrt(k) run over the block.
 It is also the one home of the field that the barrier and partition
 kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
 r^k/sqrt(k) and drift r^{2k}/k, after checking the (rows, width) block
-against FIELD_BUDGET.
+against FIELD_BUDGET. _walks draws real Gaussian walks, such as the real
+walk sum_k Re X(k) r^k/sqrt(k), whose steps are N(0, r^{2k}/(2k)): half the drift.
 """
 
 from __future__ import annotations
@@ -65,19 +66,26 @@ def field_weights(r: float, lo: int, hi: int):
     return k, r**k / np.sqrt(k), r ** (2.0 * k) / k
 
 
-def field_rows(stream, count: int, r: float, lo: int, hi: int, real: bool = False):
+def field_rows(stream, count: int, r: float, lo: int, hi: int):
     """count rows of X(lo..hi) from `stream`, with field_weights(r, lo, hi).
 
     Row i holds draws i*width .. (i+1)*width - 1 of the stream; an empty
     range gives rows of width 0. The block is budgeted before it is drawn.
-    real=True returns only Re X (`draw_re`): the same values and strides as
-    the real part of the complex rows, without computing the imaginary part.
     """
     width = max(hi - lo + 1, 0)
     check_field_budget(count, width)
-    draw = stream.draw_re if real else stream.draw
-    x = draw(count * width).reshape(count, width)
+    x = stream.draw(count * width).reshape(count, width)
     return (x, *field_weights(r, lo, hi))
+
+
+def _walks(stream, count, sigmas):
+    """count walks of independent centered Gaussian steps with standard
+    deviations sigmas, at every step: a (count, sigmas.size) array."""
+    n = sigmas.size
+    check_field_budget(count, n)
+    steps = stream.draw_real(count * n).reshape(count, n)
+    steps *= sigmas
+    return np.cumsum(steps, axis=1)
 
 
 def _input_rows(streams, N: int, K: float) -> np.ndarray:
@@ -159,9 +167,13 @@ def circle_mean_closed_form(K: float, r: float) -> float:
 
 
 def _sq_modulus_at_radius(stream, count, K, r):
-    # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)); scalar per sample
-    x, _, coef, _ = field_rows(stream, count, r, 1, _int_floor(K), real=True)
-    return np.exp(2.0 * (x @ coef))
+    # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)): twice the real walk's end
+    kmax = _int_floor(K)
+    if kmax < 1:  # the empty sum
+        return np.ones(count)
+    check_field_budget(count, kmax)  # before the drift row is built
+    _, _, drift = field_weights(r, 1, kmax)
+    return np.exp(2.0 * _walks(stream, count, np.sqrt(drift / 2.0))[:, -1])
 
 
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,

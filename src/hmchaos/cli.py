@@ -146,6 +146,9 @@ def cmd_com_check(args):
         Seed(args.seed), workers=args.workers)
     combined = math.hypot(left.std_error, right.std_error)
     ok = abs(left.mean - right.mean) <= 5.0 * combined
+    # (sum w)^2 / sum w^2 of the left side's weights, from their mean and SE
+    n, m, se = left.samples, left.mean, left.std_error
+    args._derived = {"left_ess": n * m * m / (m * m + (n - 1) * se * se) if m else 0.0}
     rows = [(args.K, args.r, args.A, left.samples, right.samples, left.mean,
              left.std_error, right.mean, right.std_error, combined, ok)]
     return ["K", "r", "A", "samples_left", "samples_right", "left_mean", "left_se",

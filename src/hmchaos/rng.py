@@ -23,11 +23,6 @@ the product radius * cos or radius * sin, so at a radius uniform of
 exactly 0 (probability 2^-53 per value) a part is a zero with the sign of
 its cosine or sine (the complex product radius * (cos + i sin) would give
 +0.0 in some of those cases).
-
-`GaussianStream.draw_re(n)` serves kernels that read only Re X: it consumes
-the same uniforms as `draw(n)` and returns the same values as
-`draw(n).real`, bit for bit (zeros included) and with the same stride, but
-computes no sine.
 """
 
 from __future__ import annotations
@@ -116,14 +111,13 @@ def _philox(seed: Seed):
     return np.random.Generator(np.random.Philox(_philox_key(key)))
 
 
-def box_muller(pairs: np.ndarray, imag: bool = True, fill=None) -> None:
+def box_muller(pairs: np.ndarray, fill=None) -> None:
     """Turn uniform pairs (u1, u2) into (Re X, Im X) in place.
 
     `pairs` is a (rows, m, 2) float64 view whose rows each hold m contiguous
     pairs. It is transformed in tiles of at most DRAW_BLOCK pairs (whole rows
     when m <= DRAW_BLOCK, else pieces of one row); fill(tile), when given,
-    writes a tile's uniforms just before its transform. With imag=False
-    lane 1 keeps its uniforms and no sine is computed.
+    writes a tile's uniforms just before its transform.
     """
     rows, m = pairs.shape[:2]
     if not rows * m:
@@ -131,7 +125,7 @@ def box_muller(pairs: np.ndarray, imag: bool = True, fill=None) -> None:
     width = min(m, DRAW_BLOCK)
     step = max(1, DRAW_BLOCK // m)  # rows per tile
     shape = (min(rows, step), width)
-    angle, radius, sine = np.empty(shape), np.empty(shape), np.empty(shape if imag else 0)
+    angle, radius, sine = np.empty(shape), np.empty(shape), np.empty(shape)
     # log1p, sin and cos run on contiguous temporaries, which measured
     # faster than in place on the stride-16 lanes
     for i in range(0, rows, step):
@@ -140,12 +134,11 @@ def box_muller(pairs: np.ndarray, imag: bool = True, fill=None) -> None:
             if fill is not None:
                 fill(tile)
             a, r = angle[: len(tile), : tile.shape[1]], radius[: len(tile), : tile.shape[1]]
+            s = sine[: len(tile), : tile.shape[1]]
             np.multiply(tile[..., 1], _TWO_PI, out=a)
             np.negative(tile[..., 0], out=r)
             np.sqrt(np.negative(np.log1p(r, out=r), out=r), out=r)
-            if imag:
-                s = sine[: len(tile), : tile.shape[1]]
-                np.multiply(np.sin(a, out=s), r, out=tile[..., 1])
+            np.multiply(np.sin(a, out=s), r, out=tile[..., 1])
             np.multiply(np.cos(a, out=a), r, out=tile[..., 0])
 
 
@@ -175,25 +168,11 @@ class GaussianStream(_PhiloxStream):
         self._gen.random(out=pairs)
         self.position += pairs.size // 2
 
-    def _fill(self, n: int, imag: bool = True) -> np.ndarray:
-        """The next n draws as an (n, 2) buffer of (Re X, Im X)."""
-        buf = np.empty((max(n, 0), 2))
-        box_muller(buf[None], imag, fill=self.fill_uniforms)
-        return buf
-
     def draw(self, n: int) -> np.ndarray:
         """Return the next n values X(position+1 .. position+n)."""
-        return self._fill(n).view(np.complex128).reshape(-1)
-
-    def draw_re(self, n: int) -> np.ndarray:
-        """Return Re X(position+1 .. position+n), advancing like draw(n).
-
-        The values are lane 0 of draw's (n, 2) buffer, so they keep the
-        stride of draw(n).real: numpy's matmul takes a different summation
-        route for a contiguous operand, which moves `x @ coef` in the last
-        bits.
-        """
-        return self._fill(n, imag=False)[:, 0]
+        buf = np.empty((max(n, 0), 2))
+        box_muller(buf[None], fill=self.fill_uniforms)
+        return buf.view(np.complex128).reshape(-1)
 
     def draw_real(self, n: int) -> np.ndarray:
         """Return n independent real N(0,1) values (two per complex draw)."""

@@ -222,11 +222,18 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     assert seen == {True, False}
 
 
+def _checkpoints(steps, last_block):
+    """Walk values at the ends of blocks 1..last_block (column 0 of `steps` at
+    k = 1): each block is summed pairwise, then the block sums are accumulated."""
+    starts = [barrier.block_bounds(m)[0] - 1 for m in range(1, last_block + 1)]
+    return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
+
+
 def _event_chunk_complex_route(stream, count, r, theta, levels_list):
     n_max = levels_list.shape[1]
     x, k, coef, drift = chaos.field_rows(stream, count, r, 1,
                                          barrier.block_bounds(n_max)[1])
-    sums = barrier._checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, n_max)
+    sums = _checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, n_max)
     cols = [np.all(sums <= levels, axis=1) for levels in levels_list]
     return np.stack(cols, axis=1)
 
@@ -236,22 +243,52 @@ def _com_left_chunk_complex_route(stream, count, K, r, levels):
     x, _, coef, drift = chaos.field_rows(stream, count, r, 1, int(K))
     weight = np.exp(2.0 * (x.real @ coef))
     _, kmax = barrier.block_bounds(n_max)
-    sums = barrier._checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], n_max)
+    sums = _checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
 
 
 @pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (400.0, 1.0, 1.5),
                                      (1e4, 0.99, 3.0)])
 def test_real_draw_kernels_match_the_complex_route(K, r, A):
-    # the change of measure's left side reads only Re X; it must reproduce
-    # the complex rows' real part bit for bit, x @ coef included (a
-    # contiguous operand takes another matmul route)
-    count, seed = 700, Seed(17)
+    # the change of measure's left side draws the real walk Re X(k) r^k/sqrt(k)
+    # as N(0, r^{2k}/(2k)) steps; its mean weight against the one from the
+    # complex rows' real part, within 4 sigma combined. Each route takes at
+    # most about 4e7 steps, in chunks of 1024 rows (K = 1e4 fits the budget)
+    samples, chunk = min(20000, 4 * 10**7 // int(K)), 1024
     levels = np.full((1, int(math.log(K))), A)
-    left = barrier._com_left_chunk(GaussianStream(seed), count, K, r, levels)
-    ref = _com_left_chunk_complex_route(GaussianStream(seed), count, K, r, levels[0])
-    assert np.array_equal(left.view(np.uint64), ref.view(np.uint64))
-    assert np.count_nonzero(left) > 0
+    walk = mc.from_values(mc.map_chunks(barrier._com_left_chunk, (K, r, levels),
+                                        Seed(17), samples, chunk=chunk), Seed(17))
+    ref = mc.from_values(mc.map_chunks(_com_left_chunk_complex_route, (K, r, levels[0]),
+                                       Seed(18), samples, chunk=chunk), Seed(18))
+    for est in (walk, ref):
+        assert est.mean > 0.0
+    assert abs(walk.mean - ref.mean) <= 4.0 * math.hypot(walk.std_error, ref.std_error)
+
+
+@pytest.mark.parametrize("r", [1.0, math.exp(1.0 / 400.0)])
+def test_com_left_chunk_matches_scalar_oracle(r):
+    # the kernel's weight and flags against fsum: the oracle gets the field
+    # whose real walk steps Re X(k) r^k/sqrt(k) are the kernel's scaled draws.
+    # The draws are scaled up so that both outcomes occur; samples whose
+    # checkpoint sum sits within 1e-9 of the level are skipped
+    K, A, count = 400.0, 2.0, 300
+    levels = barrier._event_levels("G", r, K, [A])
+    n_max, kmax = levels.shape[1], int(K)
+    g = 2.5 * GaussianStream(Seed(62)).draw_real(count * kmax)
+    weights = barrier._com_left_chunk(FixedStream(g), count, K, r, levels)
+    _, coef, drift = chaos.field_weights(r, 1, kmax)
+    steps = g.reshape(count, kmax) * np.sqrt(drift / 2.0)
+    seen = set()
+    for i in range(count):
+        x = steps[i] / coef
+        sums = _checkpoint_sums_scalar(x, r, 0.0, n_max)
+        if np.min(np.abs(sums - levels[0])) < 1e-9:
+            continue
+        holds = event_holds("G", x, r, 0.0, K, A)
+        expected = math.exp(2.0 * math.fsum(steps[i])) if holds else 0.0
+        assert weights[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("kind, K, r, theta, samples", [("G", 400.0, 1.0, 0.7, 100000),
@@ -515,7 +552,7 @@ def _com_right_chunk_per_k_route(stream, count, r, levels):
     y = stream.draw_real(count * kmax).reshape(count, kmax)
     y *= math.sqrt(0.5)
     y *= coef
-    return barrier._survival(barrier._checkpoints(y, n_max), levels)[:, 0]
+    return barrier._survival(_checkpoints(y, n_max), levels)[:, 0]
 
 
 @pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (math.e**4, 1.0, 1.5),
@@ -550,9 +587,21 @@ def test_block_variances_are_the_block_sums():
         assert abs(exact[m - 1] - target) <= 1e-15 * target
         target = math.fsum(r ** (2 * k) / (2 * k) for k in range(lo, hi + 1))
         assert abs(tilted[m - 1] - target) <= 1e-15 * target
-    # the drift they are summed from is budgeted before it is built
+    # the widest block, the last, is budgeted before any is built
     with pytest.raises(BudgetError):
-        barrier._block_variances(1.0, 17)
+        barrier._block_variances(1.0, 18)
+
+
+@pytest.mark.parametrize("r", [0.98, 0.999, 0.9999])
+def test_block_variances_are_block_stats_variances(r):
+    variances = barrier._block_variances(r, 12)
+    assert variances.tobytes() == block_stats(r, 0.5, 1e6, m_max=12).sigma2.tobytes()
+
+
+def test_block_variances_hold_one_block_at_a_time():
+    # block 16 is 5617093 values, two rows of them 85.7 MiB; a drift row of
+    # every k < e^16 would be 135.6 MiB
+    assert _traced_peak(barrier._block_variances, 1.0, 16) < 94 * 2**20
 
 
 def test_change_of_measure_two_routes_agree():
@@ -798,10 +847,11 @@ print(est.mean.hex(), est.std_error.hex())
 
 
 def test_field_reductions_do_not_depend_on_the_blas_thread_count():
-    # com-check's left side and circle_mean_mc reduce x @ coef over K terms,
-    # block increments over a block (13923 terms at m = 10), and a circle
-    # row of moment --N 2048 its RMS by einsum; every x is a stride-16 view,
-    # which numpy's own matmul loop reduces, not BLAS
+    # com-check's left side and circle_mean_mc sum K real steps by cumsum,
+    # which never calls BLAS; block increments reduce x.real @ coef over a
+    # block (13923 terms at m = 10), a stride-16 view that numpy's own matmul
+    # loop reduces, not BLAS; and a circle row of moment --N 2048 its RMS by
+    # einsum
     blocks = block_stats(0.98, 0.5, 1e6, m_max=10)
     lo, hi = barrier.block_bounds(10)
     assert hi - lo + 1 > 10000

@@ -8,7 +8,7 @@ from hmchaos import rng
 from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
                            circle_average_sample, circle_mean_closed_form,
                            circle_mean_mc, estimate_moment,
-                           field_rows, fit_decay_band, gaussian_abs_moment,
+                           field_weights, fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import GaussianStream, Seed, split
@@ -148,11 +148,16 @@ def test_circle_mean_mc_matches_closed_form():
 
 
 def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
-    # drawn with draw_re: bit for bit the complex rows' real part, x @ coef included
-    x, _, coef, _ = field_rows(GaussianStream(Seed(8)), 600, 0.9, 1, 20)
-    ref = np.exp(2.0 * (x.real @ coef))
-    values = _sq_modulus_at_radius(GaussianStream(Seed(8)), 600, 20.0, 0.9)
-    assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
+    # Re X(k) r^k/sqrt(k) is N(0, r^{2k}/(2k)): the kernel scales the stream's
+    # real draws (here the real parts of preset values) by those standard
+    # deviations and sums them, here against fsum
+    count, K, r = 60, 20, 0.9
+    g = GaussianStream(Seed(8)).draw(count * K)
+    values = _sq_modulus_at_radius(FixedStream(g), count, float(K), r)
+    _, _, drift = field_weights(r, 1, K)
+    steps = g.real.reshape(count, K) * np.sqrt(drift / 2.0)
+    for value, row in zip(values, steps):
+        assert value == pytest.approx(math.exp(2.0 * math.fsum(row)), rel=1e-13, abs=0.0)
 
 
 def _rows_by_draw(seed, first, count, N, m):

@@ -373,6 +373,16 @@ def test_com_check_right_side_holds_one_value_per_block(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_com_check_reports_the_left_effective_sample_size(capsys):
+    # at K = 1e5 the left side's weights are so heavy-tailed that 64 samples
+    # carry the information of a handful
+    argv = ["com-check", "--K", "1e5", "--r", "1", "--A", "2", "--samples-left", "64",
+            "--samples-right", "100000", "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
+    ess = json.loads(capsys.readouterr().out)["manifest"]["derived"]["left_ess"]
+    assert 1.0 <= ess < 8.0
+
+
 def test_event_holds_one_value_per_block(tmp_path):
     # a chunk holds 4096 x 13 block sums at K = 1e6 and the drift row its 13
     # block variances are summed from; one value per k, 4096 x 442413, was

@@ -89,20 +89,6 @@ def _bits(a):
     return a.view(np.uint64)
 
 
-def test_draw_re_is_the_real_part_of_draw():
-    # bit for bit under any mix of batchings, with draw's stride and position
-    whole = GaussianStream(Seed(9)).draw(300)
-    st = GaussianStream(Seed(9))
-    parts = [st.draw_re(3), st.draw(5).real, st.draw_re(0), st.draw_re(129),
-             st.draw(40).real, st.draw_re(1), st.draw_re(122)]
-    assert st.position == 300
-    assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole.real))
-    assert np.array_equal(st.draw(7), GaussianStream(Seed(9)).draw(307)[300:])
-    re = GaussianStream(Seed(9)).draw_re(300)
-    assert re.strides == whole.real.strides
-    assert GaussianStream(Seed(9)).draw_re(-2).size == 0
-
-
 def _draw_real_by_interleaving(stream, n):
     m = (n + 1) // 2
     z = stream.draw(m) * math.sqrt(2.0)
@@ -143,17 +129,6 @@ def _oracle_draw(stream, n):
     return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
-def _oracle_draw_re(stream, n):
-    u = stream._gen.random(2 * max(n, 0)).reshape(-1, 2)
-    angle = 2.0 * math.pi * u[:, 1]
-    np.cos(angle, out=angle)
-    radius = -u[:, 0]
-    np.sqrt(np.negative(np.log1p(radius, out=radius), out=radius), out=radius)
-    np.multiply(radius, angle, out=u[:, 0])
-    stream.position += len(u)
-    return u[:, 0]
-
-
 def _oracle_draw_real(stream, n):
     z = _oracle_draw(stream, (n + 1) // 2).view(np.float64)
     z *= math.sqrt(2.0)
@@ -179,7 +154,6 @@ FILL_SIZES = [0, 1, 2, B - 1, B, B + 1, 3 * B + 5]
 @pytest.mark.parametrize("n", FILL_SIZES)
 def test_blocked_fill_matches_the_unblocked_formulas(n):
     for draw, oracle, cls in ((GaussianStream.draw, _oracle_draw, GaussianStream),
-                              (GaussianStream.draw_re, _oracle_draw_re, GaussianStream),
                               (GaussianStream.draw_real, _oracle_draw_real, GaussianStream),
                               (UnitCircleStream.draw, _oracle_unit_circle, UnitCircleStream)):
         st, ref = cls(Seed(606, 2)), cls(Seed(606, 2))
@@ -193,22 +167,17 @@ def test_draws_split_across_a_block_boundary_equal_one_draw():
     st = GaussianStream(Seed(4))
     head = np.concatenate([st.draw(B - 1), st.draw(2)])
     assert _same_bytes(head, whole[: B + 1])
-    assert _same_bytes(st.draw_re(B + 5), whole[B + 1 :].real)
+    assert _same_bytes(st.draw(B + 5), whole[B + 1 :])
     assert st.position == 2 * B + 6
-
-
-@pytest.mark.parametrize("n", FILL_SIZES[1:])
-def test_draw_re_keeps_the_stride_of_the_real_part(n):
-    assert GaussianStream(Seed(8)).draw_re(n).strides == (16,)
 
 
 @pytest.mark.parametrize("n", [1, 7, 10])
 def test_fill_does_not_depend_on_the_block_size(n, monkeypatch):
     expected = GaussianStream(Seed(12)).draw(n)
-    expected_re = GaussianStream(Seed(12)).draw_re(n)
+    expected_real = GaussianStream(Seed(12)).draw_real(n)
     monkeypatch.setattr(rng, "DRAW_BLOCK", 3)
     assert _same_bytes(GaussianStream(Seed(12)).draw(n), expected)
-    assert _same_bytes(GaussianStream(Seed(12)).draw_re(n), expected_re)
+    assert _same_bytes(GaussianStream(Seed(12)).draw_real(n), expected_real)
 
 
 class _FixedUniforms:
@@ -232,13 +201,12 @@ def test_a_zero_radius_uniform_gives_the_oracle_value():
     # u1 = 0 gives radius 0; the angle uniforms put cos and sin in all four
     # sign patterns, and 0 gives the angle 0
     u = [[0.0, a] for a in (0.0, 0.1, 0.3, 0.6, 0.9)] + [[0.5, 0.2]]
-    streams = [GaussianStream(Seed(1)) for _ in range(3)]
+    streams = [GaussianStream(Seed(1)) for _ in range(2)]
     for st in streams:
         st._gen = _FixedUniforms(np.ravel(u))
     x = streams[0].draw(6)
     assert np.array_equal(x, _oracle_draw(streams[1], 6))  # -0.0 == +0.0
     assert np.count_nonzero(x == 0) == 5
-    assert _same_bytes(streams[2].draw_re(6), x.real)
 
 
 KEY_WORDS = [0, 1, 2**64 - 1]
