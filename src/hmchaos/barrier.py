@@ -28,11 +28,12 @@ The recurring objects:
 
 Blocks use the exact integer ranges ceil(e^{m-1}) <= k <= ceil(e^m) - 1,
 so block m covers precisely the integers k < e^m not covered before.
-A walk read only at block ends (one-angle events, the centered walk of
-the change of measure, the two tilted walks) is drawn as its block sums,
-independent N(0, sigma_m^2), with the drift moved onto the levels. The
-change of measure's left side, which also reads the walk at K, draws it
-one real step per k; the other kernels draw complex X(k) per k.
+A walk read only at block ends (one-angle events, both sides of the change
+of measure, the two tilted walks) is drawn as its block sums, independent
+N(0, sigma_m^2), and tested raw against levels raised by the drift
+2 * cumsum(sigma_m^2); the change of measure's left side, which also reads
+the walk at K, draws one more sum for the tail past the last block end.
+The all-angle grid and the block increments draw complex X(k) per k.
 """
 
 from __future__ import annotations
@@ -203,22 +204,13 @@ def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> boo
     return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
-def _block_weights(r: float, m: int):
-    """2k and the weights r^{2k}/(2k) over block m, built in place: two rows."""
-    lo, hi = block_bounds(m)
-    two_k = np.arange(lo, hi + 1, dtype=float)
-    two_k *= 2.0
-    weights = np.power(r, two_k)
-    weights /= two_k
-    return two_k, weights
-
-
 def _block_variances(r: float, n_max: int) -> np.ndarray:
     """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
     of the centered walk's block sums (half the drift), one block at a time."""
     lo, hi = block_bounds(n_max)
     chaos.check_field_budget(1, hi - lo + 1)  # the widest block, the last
-    return np.array([np.sum(_block_weights(r, m)[1]) for m in range(1, n_max + 1)])
+    return np.array([np.sum(chaos.walk_variances(r, *block_bounds(m))[1])
+                     for m in range(1, n_max + 1)])
 
 
 def _event_chunk(stream, count, sigmas, levels):
@@ -249,14 +241,14 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
 
 def _grid_event_chunk(stream, count, r, levels):
     """Indicators of the all-angle event on the per-checkpoint angle grids,
-    one column per row of levels.
+    one column per row of levels (raised by the block drift).
 
     Checkpoint n uses ceil(n e^n) uniform angles; the field values on the
     grid come from one inverse FFT per checkpoint, whose maximum is the
     walk's value there.
     """
     n_max = levels.shape[1]
-    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
+    x, _, coef = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
     scaled = x * coef
     peaks = np.empty((count, n_max))
     for n in range(1, n_max + 1):
@@ -267,7 +259,7 @@ def _grid_event_chunk(stream, count, r, levels):
         padded[:, 1 : hi + 1] = scaled[:, :hi]
         # in place; scaling by grid > 0 after the max rounds the same values
         np.fft.ifft(padded, axis=1, out=padded)
-        peaks[:, n - 1] = padded.real.max(axis=1) * grid - float(np.sum(drift[:hi]))
+        peaks[:, n - 1] = padded.real.max(axis=1) * grid
     return _survival(peaks, levels)
 
 
@@ -281,6 +273,7 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     """
     levels = _event_levels("G", r, K, _heights(A, samples))
     mc.check_samples(samples)
+    levels += 2.0 * np.cumsum(_block_variances(r, levels.shape[1]))
     values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,
                            chunk=512)
     return _per_height(values, seed)
@@ -290,14 +283,11 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
 # change of measure
 
 
-def _com_left_chunk(stream, count, K, r, levels):
-    """|F_K(r)|^2 = exp(2 walk[K]), zeroed where walk - drift leaves the levels."""
-    kmax = _int_floor(K)
-    chaos.check_field_budget(count, kmax)  # before the drift row is built
-    _, _, drift = chaos.field_weights(r, 1, kmax)
-    walk = chaos._walks(stream, count, np.sqrt(drift / 2.0))
-    ends = [block_bounds(m)[1] - 1 for m in range(1, levels.shape[1] + 1)]
-    ok = _survival(walk[:, ends] - np.cumsum(drift)[ends], levels)[:, 0]
+def _com_left_chunk(stream, count, sigmas, levels):
+    """|F_K(r)|^2 = exp(2 walk[K]), zeroed where the walk leaves the levels
+    (raised by the block drift) at a block end; its last sum is the tail."""
+    walk = chaos._walks(stream, count, sigmas)
+    ok = _survival(walk[:, :-1], levels)[:, 0]
     return np.where(ok, np.exp(2.0 * walk[:, -1]), 0.0)
 
 
@@ -319,16 +309,19 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     levels = _event_levels("G", r, K, [A])
     mc.check_samples(samples_left)
     mc.check_samples(samples_right)
+    n_max = levels.shape[1]
+    variances = _block_variances(r, n_max)
+    # the walk's variance past the last block end, up to K
+    tail = np.sum(chaos.walk_variances(r, block_bounds(n_max)[1] + 1, _int_floor(K))[1])
     seed_left, seed_right = split(seed, 0), split(seed, 1)
-    left_values = mc.map_chunks(_com_left_chunk, (K, r, levels),
+    left_values = mc.map_chunks(_com_left_chunk, (np.sqrt(np.append(variances, tail)),
+                                                  levels + 2.0 * np.cumsum(variances)),
                                 seed_left, samples_left, workers)
     left = mc.from_values(left_values, seed_left)
-    # after the left side, whose count x floor(K) rows bound K first
-    sigmas = np.sqrt(_block_variances(r, levels.shape[1]))
-    right_values = mc.map_chunks(_com_right_chunk, (sigmas, levels),
+    right_values = mc.map_chunks(_com_right_chunk, (np.sqrt(variances), levels),
                                  seed_right, samples_right, workers)
     prob = mc.from_values(right_values, seed_right)
-    scale = chaos.circle_mean_closed_form(K, r)
+    scale = math.exp(2.0 * (np.sum(variances) + tail))
     right = MomentEstimate(scale * prob.mean, scale * prob.std_error,
                            prob.samples, seed_right)
     return left, right
@@ -410,19 +403,24 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        two_k, weights = _block_weights(r, m)
+        two_k, weights = chaos.walk_variances(r, *block_bounds(m))
         sigma2[m - 1] = total = np.sum(weights)
         if not total > 0:  # every weight underflowed: rescale them by the largest
-            log_weights = two_k * math.log(r) - np.log(two_k)
-            weights = np.exp(log_weights - np.max(log_weights))
-            total = np.sum(weights)
-        rho[m - 1] = np.sum(weights * np.cos(theta * (two_k / 2.0))) / total
+            np.log(two_k, out=weights)
+            np.subtract(two_k * math.log(r), weights, out=weights)
+            weights -= np.max(weights)
+            total = np.sum(np.exp(weights, out=weights))
+        two_k /= 2.0  # the terms weights * cos(theta k), in place on the 2k row
+        two_k *= theta
+        np.cos(two_k, out=two_k)
+        two_k *= weights
+        rho[m - 1] = np.sum(two_k) / total
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
 
 
 def _increment_chunk(stream, count, r, theta, lo, hi):
-    x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
+    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
     z0 = x.real @ coef
     x *= np.exp(1j * theta * k)
     return np.stack([z0, x.real @ coef], axis=1)

@@ -16,10 +16,10 @@ at once: every stream writes its uniforms into its row, then one
 Box-Muller pass and one division by sqrt(k) run over the block.
 
 It is also the one home of the field that the barrier and partition
-kernels sample: field_rows draws rows of X(lo..hi) with the walk weights
-r^k/sqrt(k) and drift r^{2k}/k, after checking the (rows, width) block
-against FIELD_BUDGET. _walks draws real Gaussian walks, such as the real
-walk sum_k Re X(k) r^k/sqrt(k), whose steps are N(0, r^{2k}/(2k)): half the drift.
+kernels sample: field_rows draws rows of X(lo..hi) with the weights
+r^k/sqrt(k), after checking the (rows, width) block against FIELD_BUDGET.
+The real walk sum_k Re X(k) r^k/sqrt(k) has N(0, r^{2k}/(2k)) steps, whose
+variances walk_variances builds; _walks draws sums of them, such as block sums.
 """
 
 from __future__ import annotations
@@ -61,9 +61,20 @@ def check_field_budget(rows: int, width: int) -> None:
 
 
 def field_weights(r: float, lo: int, hi: int):
-    """k = lo..hi with the walk's step weights r^k/sqrt(k) and drift r^{2k}/k."""
+    """k = lo..hi with the field's weights r^k/sqrt(k)."""
     k = np.arange(lo, hi + 1, dtype=float)
-    return k, r**k / np.sqrt(k), r ** (2.0 * k) / k
+    return k, r**k / np.sqrt(k)
+
+
+def walk_variances(r: float, lo: int, hi: int):
+    """2k and the real walk's step variances r^{2k}/(2k) for k = lo..hi, built
+    in place: two rows, the one row budgeted first. An empty range is allowed."""
+    check_field_budget(1, max(hi - lo + 1, 0))
+    two_k = np.arange(lo, hi + 1, dtype=float)
+    two_k *= 2.0
+    weights = np.power(r, two_k)
+    weights /= two_k
+    return two_k, weights
 
 
 def field_rows(stream, count: int, r: float, lo: int, hi: int):
@@ -158,31 +169,34 @@ def estimate_moment(N: int, q: float, samples: int, seed: Seed,
     return mc.from_values(values, seed)
 
 
+def _circle_variance(K: float, r: float) -> float:
+    """sigma^2 = sum_{k<=K} r^{2k}/(2k), the variance of Re log F_K(r), refused
+    unless exp(2 sigma^2) is a finite float."""
+    if not r > 0:
+        raise PreconditionError(f"the circle means require r > 0, got {r}")
+    with np.errstate(over="ignore"):
+        variance = float(np.sum(walk_variances(r, 1, _int_floor(K))[1]))
+    if not 2.0 * variance < math.log(np.finfo(float).max):
+        raise PreconditionError(f"exp(sum_{{k<=K}} r^{{2k}}/k) overflows at K = {K}, r = {r}")
+    return variance
+
+
 def circle_mean_closed_form(K: float, r: float) -> float:
     """E[|F_K(r e^{i theta})|^2] = exp(sum_{k<=K} r^{2k}/k), any theta."""
-    if not r > 0:
-        raise PreconditionError("circle_mean_closed_form requires r > 0")
-    _, _, drift = field_weights(r, 1, _int_floor(K))
-    return float(math.exp(np.sum(drift)))
+    return math.exp(2.0 * _circle_variance(K, r))
 
 
-def _sq_modulus_at_radius(stream, count, K, r):
-    # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)): twice the real walk's end
-    kmax = _int_floor(K)
-    if kmax < 1:  # the empty sum
-        return np.ones(count)
-    check_field_budget(count, kmax)  # before the drift row is built
-    _, _, drift = field_weights(r, 1, kmax)
-    return np.exp(2.0 * _walks(stream, count, np.sqrt(drift / 2.0))[:, -1])
+def _sq_modulus_at_radius(stream, count, sigma):
+    # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)), the real walk at K: N(0, sigma^2)
+    return np.exp(2.0 * _walks(stream, count, np.array([sigma]))[:, -1])
 
 
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
                    workers: int = 1) -> MomentEstimate:
     """Direct Monte Carlo of E[|F_K(r)|^2] (heavy-tailed; compare at 5 sigma)."""
-    if not r > 0:
-        raise PreconditionError("circle_mean_mc requires r > 0")
+    sigma = math.sqrt(_circle_variance(K, r))
     mc.check_samples(samples)
-    values = mc.map_chunks(_sq_modulus_at_radius, (K, r), seed, samples, workers)
+    values = mc.map_chunks(_sq_modulus_at_radius, (sigma,), seed, samples, workers)
     return mc.from_values(values, seed)
 
 

@@ -229,34 +229,50 @@ def _checkpoints(steps, last_block):
     return np.cumsum(np.add.reduceat(steps, starts, axis=1), axis=1)
 
 
+def _drift(r, lo, hi):
+    """The drift r^{2k}/k for k = lo..hi, the per-k routes' centring."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    return r ** (2.0 * k) / k
+
+
 def _event_chunk_complex_route(stream, count, r, theta, levels_list):
     n_max = levels_list.shape[1]
-    x, k, coef, drift = chaos.field_rows(stream, count, r, 1,
-                                         barrier.block_bounds(n_max)[1])
-    sums = _checkpoints((x * np.exp(1j * theta * k)).real * coef - drift, n_max)
+    _, kmax = barrier.block_bounds(n_max)
+    x, k, coef = chaos.field_rows(stream, count, r, 1, kmax)
+    sums = _checkpoints((x * np.exp(1j * theta * k)).real * coef - _drift(r, 1, kmax), n_max)
     cols = [np.all(sums <= levels, axis=1) for levels in levels_list]
     return np.stack(cols, axis=1)
 
 
 def _com_left_chunk_complex_route(stream, count, K, r, levels):
     n_max = levels.size
-    x, _, coef, drift = chaos.field_rows(stream, count, r, 1, int(K))
+    x, _, coef = chaos.field_rows(stream, count, r, 1, int(K))
     weight = np.exp(2.0 * (x.real @ coef))
     _, kmax = barrier.block_bounds(n_max)
-    sums = _checkpoints(x[:, :kmax].real * coef[:kmax] - drift[:kmax], n_max)
+    sums = _checkpoints(x[:, :kmax].real * coef[:kmax] - _drift(r, 1, kmax), n_max)
     return np.where(np.all(sums <= levels, axis=1), weight, 0.0)
+
+
+def _com_left_args(K, r, levels):
+    """The left side's block and tail standard deviations and its raised
+    levels, as change_of_measure_check builds them."""
+    n_max = levels.shape[1]
+    variances = barrier._block_variances(r, n_max)
+    tail = np.sum(chaos.walk_variances(r, barrier.block_bounds(n_max)[1] + 1, int(K))[1])
+    return np.sqrt(np.append(variances, tail)), levels + 2.0 * np.cumsum(variances)
 
 
 @pytest.mark.parametrize("K, r, A", [(20.0, 1.0, 2.0), (400.0, 1.0, 1.5),
                                      (1e4, 0.99, 3.0)])
 def test_real_draw_kernels_match_the_complex_route(K, r, A):
     # the change of measure's left side draws the real walk Re X(k) r^k/sqrt(k)
-    # as N(0, r^{2k}/(2k)) steps; its mean weight against the one from the
-    # complex rows' real part, within 4 sigma combined. Each route takes at
-    # most about 4e7 steps, in chunks of 1024 rows (K = 1e4 fits the budget)
+    # as its block sums and the tail up to K; its mean weight against the one
+    # from the complex rows' real part, within 4 sigma combined. Each route
+    # takes at most about 4e7 steps, in chunks of 1024 rows (K = 1e4 fits the
+    # budget)
     samples, chunk = min(20000, 4 * 10**7 // int(K)), 1024
     levels = np.full((1, int(math.log(K))), A)
-    walk = mc.from_values(mc.map_chunks(barrier._com_left_chunk, (K, r, levels),
+    walk = mc.from_values(mc.map_chunks(barrier._com_left_chunk, _com_left_args(K, r, levels),
                                         Seed(17), samples, chunk=chunk), Seed(17))
     ref = mc.from_values(mc.map_chunks(_com_left_chunk_complex_route, (K, r, levels[0]),
                                        Seed(18), samples, chunk=chunk), Seed(18))
@@ -268,27 +284,34 @@ def test_real_draw_kernels_match_the_complex_route(K, r, A):
 @pytest.mark.parametrize("r", [1.0, math.exp(1.0 / 400.0)])
 def test_com_left_chunk_matches_scalar_oracle(r):
     # the kernel's weight and flags against fsum: the oracle gets the field
-    # whose real walk steps Re X(k) r^k/sqrt(k) are the kernel's scaled draws.
-    # The draws are scaled up so that both outcomes occur; samples whose
-    # checkpoint sum sits within 1e-9 of the level are skipped
-    K, A, count = 400.0, 2.0, 300
-    levels = barrier._event_levels("G", r, K, [A])
-    n_max, kmax = levels.shape[1], int(K)
-    g = 2.5 * GaussianStream(Seed(62)).draw_real(count * kmax)
-    weights = barrier._com_left_chunk(FixedStream(g), count, K, r, levels)
-    _, coef, drift = chaos.field_weights(r, 1, kmax)
-    steps = g.reshape(count, kmax) * np.sqrt(drift / 2.0)
-    seen = set()
-    for i in range(count):
-        x = steps[i] / coef
-        sums = _checkpoint_sums_scalar(x, r, 0.0, n_max)
-        if np.min(np.abs(sums - levels[0])) < 1e-9:
-            continue
-        holds = event_holds("G", x, r, 0.0, K, A)
-        expected = math.exp(2.0 * math.fsum(steps[i])) if holds else 0.0
-        assert weights[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        seen.add(holds)
-    assert seen == {True, False}
+    # whose real walk puts each block sum, and the tail sum past the last
+    # block (empty at K = 7.5), on the block's first k. The draws are scaled
+    # up so that both outcomes occur; samples whose checkpoint sum sits
+    # within 1e-9 of the level are skipped
+    A, count = 2.0, 300
+    for K in (400.0, 7.5):
+        levels = barrier._event_levels("G", r, K, [A])
+        n_max = levels.shape[1]
+        sigmas, raised = _com_left_args(K, r, levels)
+        assert (sigmas[-1] == 0.0) == (K == 7.5)
+        g = 2.5 * GaussianStream(Seed(62)).draw_real(count * (n_max + 1))
+        weights = barrier._com_left_chunk(FixedStream(g), count, sigmas, raised)
+        assert weights.shape == (count,)
+        firsts = [barrier.block_bounds(m)[0] for m in range(1, n_max + 2)]
+        _, coef = chaos.field_weights(r, 1, max(int(K), firsts[-1]))
+        steps = np.zeros((count, coef.size))
+        steps[:, np.array(firsts) - 1] = g.reshape(count, n_max + 1) * sigmas
+        seen = set()
+        for i in range(count):
+            x = steps[i] / coef
+            sums = _checkpoint_sums_scalar(x, r, 0.0, n_max)
+            if np.min(np.abs(sums - levels[0])) < 1e-9:
+                continue
+            holds = event_holds("G", x, r, 0.0, K, A)
+            expected = math.exp(2.0 * math.fsum(steps[i])) if holds else 0.0
+            assert weights[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            seen.add(holds)
+        assert seen == {True, False}
 
 
 @pytest.mark.parametrize("kind, K, r, theta, samples", [("G", 400.0, 1.0, 0.7, 100000),
@@ -330,7 +353,7 @@ def test_event_chunk_peak_stays_near_its_draw():
 
 def _increment_chunk_by_copy(stream, count, r, theta, lo, hi):
     # the rotation as a whole-array product, the route the kernel replaced
-    x, k, coef, _ = chaos.field_rows(stream, count, r, lo, hi)
+    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
     return np.stack([x.real @ coef, (x * np.exp(1j * theta * k)).real @ coef], axis=1)
 
 
@@ -340,7 +363,7 @@ def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
     # the bytes of (x * e^{ik theta}).real and stay a stride-16 view, so that
     # x.real @ coef keeps numpy's own matmul loop (not BLAS)
     count, kmax = 512, 403
-    x, k, coef, _ = chaos.field_rows(GaussianStream(Seed(41)), count, 1.0, 1, kmax)
+    x, k, coef = chaos.field_rows(GaussianStream(Seed(41)), count, 1.0, 1, kmax)
     ref = (x * np.exp(1j * theta * k)).real
     x *= np.exp(1j * theta * k)
     assert x.real.strides == ref.strides == (kmax * 16, 16)
@@ -354,9 +377,9 @@ def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
 def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
     # the reference route: both walks drawn one X(k) per k from e^M on, their
     # drift subtracted per k, and tested against the flat level by np.all
-    lo = barrier.block_bounds(M + 1)[0]
-    x, k, coef, drift = chaos.field_rows(stream, count, r, lo,
-                                         barrier.block_bounds(log_K_r)[1])
+    lo, hi = barrier.block_bounds(M + 1)[0], barrier.block_bounds(log_K_r)[1]
+    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
+    drift = _drift(r, lo, hi)
     z0 = x.real * coef
     zt = (x * np.exp(1j * theta * k)).real * coef
     weight = np.exp(2.0 * (np.sum(z0, axis=1) + np.sum(zt, axis=1)))
@@ -473,7 +496,8 @@ def test_grid_event_fft_matches_direct_angle_loop():
     levels_list = _levels(np.array(heights), n_max, 10.0)
     stream = GaussianStream(Seed(2718))
     count = 16
-    flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r, levels_list)
+    raised = levels_list + 2.0 * np.cumsum(barrier._block_variances(r, n_max))
+    flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r, raised)
     assert flags.shape == (count, len(heights))
     _, kmax = barrier.block_bounds(n_max)
     x = stream.draw(count * kmax).reshape(count, kmax)
@@ -548,7 +572,7 @@ def _com_right_chunk_per_k_route(stream, count, r, levels):
     # per k, Var y_k = 1/2, and summed into its block sums at the checkpoints
     n_max = levels.shape[1]
     _, kmax = barrier.block_bounds(n_max)
-    _, coef, _ = chaos.field_weights(r, 1, kmax)
+    _, coef = chaos.field_weights(r, 1, kmax)
     y = stream.draw_real(count * kmax).reshape(count, kmax)
     y *= math.sqrt(0.5)
     y *= coef
@@ -602,6 +626,15 @@ def test_block_variances_hold_one_block_at_a_time():
     # block 16 is 5617093 values, two rows of them 85.7 MiB; a drift row of
     # every k < e^16 would be 135.6 MiB
     assert _traced_peak(barrier._block_variances, 1.0, 16) < 94 * 2**20
+
+
+def test_block_stats_holds_three_rows_of_its_widest_block():
+    # at r = 0.98 block 12's weights all underflow: the rescale runs in place
+    # on the weights row and the rho terms on the spent 2k row, so the peak is
+    # the two rows and one temporary, not five rows
+    lo, hi = barrier.block_bounds(12)
+    peak = _traced_peak(block_stats, 0.98, 0.5, 1e6, 12)
+    assert peak < 3.5 * (hi - lo + 1) * 8
 
 
 def test_change_of_measure_two_routes_agree():
@@ -847,8 +880,10 @@ print(est.mean.hex(), est.std_error.hex())
 
 
 def test_field_reductions_do_not_depend_on_the_blas_thread_count():
-    # com-check's left side and circle_mean_mc sum K real steps by cumsum,
-    # which never calls BLAS; block increments reduce x.real @ coef over a
+    # com-check's left side and circle_mean_mc sum up to K step variances
+    # r^{2k}/(2k) by np.sum (com-check's tail past its last block is 11897
+    # terms at K = 20000) and their few walk values by cumsum, neither of
+    # which calls BLAS; block increments reduce x.real @ coef over a
     # block (13923 terms at m = 10), a stride-16 view that numpy's own matmul
     # loop reduces, not BLAS; and a circle row of moment --N 2048 its RMS by
     # einsum

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hmchaos import rng
 from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
                            circle_average_sample, circle_mean_closed_form,
                            circle_mean_mc, estimate_moment,
-                           field_weights, fit_decay_band, gaussian_abs_moment,
+                           fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import GaussianStream, Seed, split
@@ -148,16 +149,49 @@ def test_circle_mean_mc_matches_closed_form():
 
 
 def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
-    # Re X(k) r^k/sqrt(k) is N(0, r^{2k}/(2k)): the kernel scales the stream's
-    # real draws (here the real parts of preset values) by those standard
-    # deviations and sums them, here against fsum
+    # Re sum_k X(k) r^k/sqrt(k) is N(0, sigma^2), sigma^2 = sum_k r^{2k}/(2k):
+    # the kernel scales one real draw per sample (here the real part of a
+    # preset value) by sigma, against fsum's sigma
     count, K, r = 60, 20, 0.9
-    g = GaussianStream(Seed(8)).draw(count * K)
-    values = _sq_modulus_at_radius(FixedStream(g), count, float(K), r)
-    _, _, drift = field_weights(r, 1, K)
-    steps = g.real.reshape(count, K) * np.sqrt(drift / 2.0)
-    for value, row in zip(values, steps):
-        assert value == pytest.approx(math.exp(2.0 * math.fsum(row)), rel=1e-13, abs=0.0)
+    g = GaussianStream(Seed(8)).draw(count)
+    sigma = math.sqrt(math.fsum(r ** (2 * k) / (2 * k) for k in range(1, K + 1)))
+    values = _sq_modulus_at_radius(FixedStream(g), count, sigma)
+    assert values.shape == (count,)
+    for value, x in zip(values, g):
+        assert value == pytest.approx(math.exp(2.0 * sigma * x.real), rel=1e-13, abs=0.0)
+
+
+def _closed_form_by_drift(K, r):
+    # the closed form as exp of the summed drift r^{2k}/k, one row of it
+    k = np.arange(1, math.floor(K + 1e-9) + 1, dtype=float)
+    return float(math.exp(np.sum(r ** (2.0 * k) / k)))
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.999, 1.0, math.exp(1.0 / 400.0), 1.01])
+def test_circle_mean_closed_form_is_the_drift_formula_bit_for_bit(r):
+    # r^{2k}/(2k) is half of r^{2k}/k exactly, and halving commutes with
+    # rounding and with the pairwise sum, so exp(2 sum) keeps the bits; where
+    # the drift formula overflows, the closed form is refused
+    for K in (0.5, 1.0, 2.0, 7.5, 20.0, 64.0, 400.0, 1000.0, 12345.0):
+        try:
+            expected = _closed_form_by_drift(K, r)
+        except OverflowError:
+            with pytest.raises(PreconditionError):
+                circle_mean_closed_form(K, r)
+            continue
+        assert circle_mean_closed_form(K, r).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("K, r", [(20.0, 1.5), (1e6, 1.001)])
+def test_circle_means_refuse_an_overflowing_exponent(K, r):
+    # exp(sum_{k<=K} r^{2k}/k) is not a finite float: refused, with no
+    # overflow warning and no average of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            circle_mean_closed_form(K, r)
+        with pytest.raises(PreconditionError):
+            circle_mean_mc(K, r, 100, Seed(1))
 
 
 def _rows_by_draw(seed, first, count, N, m):

@@ -373,6 +373,33 @@ def test_com_check_right_side_holds_one_value_per_block(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_com_check_left_side_holds_one_value_per_block(tmp_path):
+    # both sides draw block sums (the left one more, for the tail up to K):
+    # K = 1e6 runs at the default samples, where one left step per k was
+    # over the budget, and prints the same bytes at any worker count
+    texts = []
+    for workers in ("1", "2"):
+        code, text = run_csv(tmp_path, f"com{workers}",
+                             ["com-check", "--K", "1e6", "--seed", "3", "--workers", workers])
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
+def test_com_check_holds_one_block_of_variances(tmp_path):
+    # at K = 1e7 the widest hold is block 16's two rows of 5617093 values
+    # (85.7 MiB); the walks are count x 17 values
+    argv = ["com-check", "--K", "1e7", "--samples-left", "1000", "--samples-right", "100000",
+            "--out", str(tmp_path / "com.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 94 * 2**20
+
+
 def test_com_check_reports_the_left_effective_sample_size(capsys):
     # at K = 1e5 the left side's weights are so heavy-tailed that 64 samples
     # carry the information of a handful
@@ -477,6 +504,7 @@ def test_over_budget_draws_exit_3_quickly():
     # trial divisions, the partition cap, the widest block and the
     # bivariate draws before the first of them
     for argv, limit in ((["event", "--K", "1e8", "--r", "1"], 5.0),
+                        (["com-check", "--K", "1e9"], 1.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
                         (["ballot", "--n-grid", "10000000"], 1.0),
                         (["moment", "--N", "100000000"], 5.0),
