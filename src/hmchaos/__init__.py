@@ -14,25 +14,22 @@ experiment CLI.
 
 __version__ = "0.1.0"
 
-from .chaos import (circle_average_moment, circle_average_sample,
-                    circle_mean_closed_form, circle_mean_mc, estimate_moment,
-                    fit_decay_band, gaussian_abs_moment, sample_A,
+from .chaos import (circle_average_moment, circle_mean_closed_form, circle_mean_mc,
+                    estimate_moment, fit_decay_band, gaussian_abs_moment, sample_A,
                     theorem_band_factor)
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .partitions import (a_of_partition, diagonal_second_moment, enumerate_partitions,
-                         exact_total_mass, orthogonality_check, partition_count,
-                         reconstruct_A_by_largest_part)
+from .partitions import (a_of_partition, enumerate_partitions, exact_total_mass,
+                         partition_count, reconstruct_A_by_largest_part)
 from .rng import GaussianStream, Seed, UnitCircleStream, split
 from .series import parseval_power_sum, rankin_bound, smooth_partition_weight
 
 __all__ = [
     "BudgetError", "GaussianStream", "MomentEstimate",
     "PreconditionError", "Seed", "UnitCircleStream", "a_of_partition",
-    "circle_average_moment", "circle_average_sample", "circle_mean_closed_form",
-    "circle_mean_mc", "diagonal_second_moment", "enumerate_partitions",
-    "estimate_moment", "exact_total_mass", "fit_decay_band", "gaussian_abs_moment",
-    "orthogonality_check", "partition_count", "parseval_power_sum", "rankin_bound",
+    "circle_average_moment", "circle_mean_closed_form", "circle_mean_mc",
+    "enumerate_partitions", "estimate_moment", "exact_total_mass", "fit_decay_band",
+    "gaussian_abs_moment", "partition_count", "parseval_power_sum", "rankin_bound",
     "reconstruct_A_by_largest_part", "sample_A", "smooth_partition_weight", "split",
     "theorem_band_factor",
 ]

@@ -33,7 +33,7 @@ of measure, the two tilted walks) is drawn as its block sums, independent
 N(0, sigma_m^2), and tested raw against levels raised by the drift
 2 * cumsum(sigma_m^2); the change of measure's left side, which also reads
 the walk at K, draws one more sum for the tail past the last block end.
-The all-angle grid and the block increments draw complex X(k) per k.
+Only the all-angle grid draws complex X(k) per k.
 """
 
 from __future__ import annotations
@@ -160,23 +160,6 @@ def ballot_scale(height: float, n: int) -> float:
 # barrier events on the chaos field
 
 
-def _checkpoint_sums_scalar(X, r, theta, n_max):
-    """Centered checkpoint sums s_n = sum_{k<e^n} (Re(...) - r^{2k}/k)."""
-    _, kmax = block_bounds(n_max)
-    if len(X) < kmax:
-        raise PreconditionError(f"need X(1..{kmax}) for {n_max} checkpoints")
-    k = np.arange(1, kmax + 1, dtype=float)
-    x = np.asarray(X[:kmax], dtype=np.complex128)
-    terms = (x * np.exp(1j * theta * k)).real * r**k / np.sqrt(k) - r ** (2.0 * k) / k
-    sums = np.empty(n_max)
-    acc = 0.0
-    for n in range(1, n_max + 1):
-        lo, hi = block_bounds(n)
-        acc += math.fsum(terms[lo - 1 : hi])
-        sums[n - 1] = acc
-    return sums
-
-
 def _event_levels(kind, r, K, heights) -> np.ndarray:
     """The (heights, n_max) levels of event G (A + 10 log n, n <= log K) or L
     (A - 5 log n, n <= log K_r) at each height A, validating (r, K) for the
@@ -194,14 +177,6 @@ def _event_levels(kind, r, K, heights) -> np.ndarray:
             raise PreconditionError("event L requires e^{-1/40} <= r < 1")
         return _levels(_heights(heights), log_horizon(r, K), -5.0)
     raise PreconditionError("kind must be 'G' or 'L'")
-
-
-def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> bool:
-    """Whether X(1..) lies in event G (every checkpoint n <= log K stays below
-    A + 10 log n) or L (every n <= log K_r below A - 5 log n), by fsum."""
-    levels = _event_levels(kind, r, K, [A])[0]
-    _check_theta(f"event {kind}", theta, block_bounds(levels.size)[1])
-    return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
 def _block_variances(r: float, n_max: int) -> np.ndarray:
@@ -417,22 +392,6 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
         rho[m - 1] = np.sum(two_k) / total
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
-
-
-def _increment_chunk(stream, count, r, theta, lo, hi):
-    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
-    z0 = x.real @ coef
-    x *= np.exp(1j * theta * k)
-    return np.stack([z0, x.real @ coef], axis=1)
-
-
-def sample_block_increments(blocks: WalkBlocks, m: int, samples: int, seed: Seed,
-                            workers: int = 1) -> np.ndarray:
-    """Draws of the pair (Z_0(m), Z_theta(m)), shape (samples, 2)."""
-    if not 1 <= m <= blocks.m_max:
-        raise PreconditionError(f"block m must lie in 1..{blocks.m_max}, got {m}")
-    return mc.map_chunks(_increment_chunk, (blocks.r, blocks.theta, *block_bounds(m)),
-                         seed, samples, workers)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ working width, one exp_array call per block. Each block's inputs are drawn
 at once: every stream writes its uniforms into its row, then one
 Box-Muller pass and one division by sqrt(k) run over the block.
 
-It is also the one home of the field that the barrier and partition
-kernels sample: field_rows draws rows of X(lo..hi) with the weights
-r^k/sqrt(k), after checking the (rows, width) block against FIELD_BUDGET.
+It is also the one home of the field: field_rows draws rows of X(lo..hi)
+with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
+all-angle grid samples the field.
 The real walk sum_k Re X(k) r^k/sqrt(k) has N(0, r^{2k}/(2k)) steps, whose
 variances walk_variances builds; _walks draws sums of them, such as block sums.
 """
@@ -213,23 +213,10 @@ def truncation_degree(r: float) -> int:
     return max(1, int(math.ceil(target)))
 
 
-def circle_average_sample(K: float, r: float, stream: GaussianStream,
-                          D: int | None = None) -> float:
-    """One sample of (1/2pi) int |F_K(r e^{i theta})|^2 dtheta.
-
-    Computed as sum_{n<=D} |c_n|^2 r^{2n} from the coefficients of F_K. For
-    r < 1 the default D makes the dropped tail relatively smaller than
-    1e-9; at r = 1 there is no convergent tail and an explicit D is
-    required (the result is then the circle average of the degree-D
-    truncation of F_K).
-    """
-    return _circle_averages([stream], K, r, _circle_degree(K, r, D))[0]
-
-
 def _circle_degree(K: float, r: float, D: int | None) -> int:
     """The truncation degree of a circle average: D, or the r < 1 default."""
     if not 0 < r <= 1:
-        raise PreconditionError("circle_average_sample requires 0 < r <= 1")
+        raise PreconditionError("circle_average_moment requires 0 < r <= 1")
     if D is not None:
         return D
     if r == 1.0:

@@ -182,18 +182,28 @@ def cmd_blocks(args):
 def cmd_bivariate(args):
     if not args.grid_points >= 1:
         raise PreconditionError(f"--grid-points must be >= 1, got {args.grid_points}")
-    if not (all(map(math.isfinite, (args.mu1, args.mu2, args.span)))
-            and args.sigma1 > 0 and args.sigma2 > 0):
-        raise PreconditionError("bivariate needs finite --mu1, --mu2, --span and "
-                                "positive --sigma1, --sigma2")
+    if not (args.sigma1 > 0 and args.sigma2 > 0):  # NaN fails too
+        raise PreconditionError("bivariate needs positive --sigma1, --sigma2")
     side = math.isqrt(args.grid_points)
     chaos.check_field_budget(2, side * side)  # x1 and x2, before either is drawn
+    # x * x: x**2 raises OverflowError where the product is inf
+    pairs = [barrier.BivariateParams(args.mu1, args.mu2, args.sigma1 * args.sigma1,
+                                     args.sigma2 * args.sigma2, rho)
+             for rho in _parse_grid(args.rho_grid)]
+    # rounding (x - mu up to twice the drawn offset, s from a subnormal sigma^2) keeps
+    # a standardized offset within 3 reach: an exponent is at most 18 reach^2 / (1 - rho^2),
+    # and 400^2 density peaks 1 / (2 pi s1 s2 sqrt(1 - rho^2)) are summed
+    reach = max(abs(args.span), 8.0)  # the normalization grid spans 8 sigmas
+    bounds = [args.span, abs(args.mu1) + reach * args.sigma1, abs(args.mu2) + reach * args.sigma2]
+    for p in pairs:
+        bounds += [18.0 * reach * reach / (1.0 - p.rho**2), 400.0**2 / (2.0 * math.pi)
+                   / math.sqrt(p.sigma1_sq) / math.sqrt(p.sigma2_sq) / math.sqrt(1.0 - p.rho**2)]
+    if not all(map(math.isfinite, bounds)):  # a NaN or infinite --mu or --span too
+        raise PreconditionError(f"bivariate needs finite --mu1, --mu2 and --span that keep "
+                                f"the densities in the float range, got --span {args.span}")
     rng = _philox(Seed(args.seed))
     rows, checks = [], []
-    for rho in _parse_grid(args.rho_grid):
-        # x * x: x**2 raises OverflowError where the product is inf
-        params = barrier.BivariateParams(args.mu1, args.mu2, args.sigma1 * args.sigma1,
-                                         args.sigma2 * args.sigma2, rho)
+    for params in pairs:
         x1 = args.mu1 + args.span * args.sigma1 * (2.0 * rng.random(side * side) - 1.0)
         x2 = args.mu2 + args.span * args.sigma2 * (2.0 * rng.random(side * side) - 1.0)
         gap = float(np.max(barrier.bivariate_density(params, x1, x2)
@@ -206,9 +216,9 @@ def cmd_bivariate(args):
         total = float(np.sum(barrier.bivariate_density(params, xx, yy)) * cell)
         dominated = gap <= 1e-12
         normalized = abs(total - 1.0) <= 1e-6
-        rows.append((rho, side * side, gap, total, dominated, normalized))
-        checks.append((f"dominated_rho{rho}", dominated))
-        checks.append((f"normalized_rho{rho}", normalized))
+        rows.append((params.rho, side * side, gap, total, dominated, normalized))
+        checks.append((f"dominated_rho{params.rho}", dominated))
+        checks.append((f"normalized_rho{params.rho}", normalized))
     return ["rho", "grid_points", "max_density_gap", "integral", "dominated",
             "normalized"], rows, checks
 

@@ -8,8 +8,8 @@ with m_k the number of parts equal to k. Distinct partitions give
 orthogonal a(lambda); the diagonal weight E[|a(lambda)|^2]
 = prod_k 1/(m_k! k^{m_k}) is a rational number, and the weights of all
 partitions of N sum to exactly 1 (a permutation cycle-type count). This
-module keeps all mass identities in exact rational arithmetic; only
-sampled values of a(lambda) are floating point.
+module holds those identities, exact and rational, and the values
+a(lambda) at given X(k), which are floating point; it draws nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from . import chaos, mc
 from .errors import BudgetError, PreconditionError
-from .mc import MomentEstimate
-from .rng import Seed
 
 ENUMERATION_CAP = 40  # p(40) = 37338; this module is an oracle, not the sampler
 
@@ -137,11 +134,6 @@ def _centralizer_order(parts: tuple[int, ...]) -> int:
     return z
 
 
-def diagonal_second_moment(parts) -> Fraction:
-    """E[|a(lambda)|^2] = 1/z_lambda = prod_k 1/(m_k! k^{m_k}), exactly."""
-    return Fraction(1, _centralizer_order(_checked(parts)))
-
-
 def exact_total_mass(total: int) -> Fraction:
     """sum over partitions of `total` of the diagonal weights; equals 1.
 
@@ -172,29 +164,3 @@ def reconstruct_A_by_largest_part(total: int, depth: int, X):
         sums[min(j, depth + 1) - 1] += complex(_a_values(x, parts)[0])
     bands, smooth_rest = sums[:depth], sums[depth]
     return bands, smooth_rest, sum(bands, smooth_rest)
-
-
-def _paired_product(stream, count, parts_a, parts_b):
-    x = chaos.field_rows(stream, count, 1.0, 1, max(parts_a + parts_b))[0]
-    return _a_values(x, parts_a) * np.conj(_a_values(x, parts_b))
-
-
-def orthogonality_check(first, second, samples: int, seed: Seed,
-                        workers: int = 1) -> MomentEstimate:
-    """Monte Carlo estimate of E[a(first) conj(a(second))] for first != second.
-
-    The returned mean is the modulus of the complex sample mean; the
-    standard error is the complex sample dispersion / sqrt(samples). For
-    distinct partitions the expectation is exactly 0, so the mean should
-    sit within a few standard errors of 0.
-    """
-    first, second = _checked(first), _checked(second)
-    if first == second:
-        raise PreconditionError("orthogonality_check requires distinct partitions "
-                                "(use diagonal_second_moment for the diagonal)")
-    mc.check_samples(samples)
-    values = mc.map_chunks(_paired_product, (first, second), seed, samples, workers)
-    n = values.size
-    mean = complex(np.sum(values) / n)
-    spread = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n - 1)))
-    return MomentEstimate(abs(mean), spread / sqrt(n), n, seed)

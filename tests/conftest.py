@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 
+from hmchaos import chaos
+
 
 class FixedStream:
     """Stand-in stream that replays a preset sequence of complex values."""
@@ -27,6 +29,11 @@ class FixedStream:
         x = self.draw(pairs.size // 2).reshape(pairs.shape[:-1])
         pairs[..., 0] = -np.expm1(-np.abs(x) ** 2)
         pairs[..., 1] = np.angle(x) / (2.0 * math.pi) % 1.0
+
+
+def circle_average_sample(K, r, stream, D=None):
+    """One sample of (1/2pi) int |F_K(r e^{i theta})|^2 dtheta, from `stream`."""
+    return chaos._circle_averages([stream], K, r, chaos._circle_degree(K, r, D))[0]
 
 
 def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:

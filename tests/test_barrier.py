@@ -11,11 +11,10 @@ import pytest
 
 from conftest import FixedStream
 from hmchaos import barrier, chaos, mc
-from hmchaos.barrier import (BivariateParams, _checkpoint_sums_scalar, _levels,
-                             ballot_probability_mc, ballot_scale, bivariate_density,
-                             block_stats, change_of_measure_check, dominating_density,
-                             event_G_all_angles_mc, event_holds, event_probability_mc,
-                             sample_block_increments, two_walk_shape_scale,
+from hmchaos.barrier import (BivariateParams, _levels, ballot_probability_mc, ballot_scale,
+                             bivariate_density, block_stats, change_of_measure_check,
+                             dominating_density, event_G_all_angles_mc,
+                             event_probability_mc, two_walk_shape_scale,
                              two_walk_tilted_expectation)
 from hmchaos.chaos import circle_mean_closed_form
 from hmchaos.errors import BudgetError, PreconditionError
@@ -120,6 +119,33 @@ def test_ballot_band_small_grid():
         lo = ballot_probability_mc([a], [1.0] * 64, 20000, Seed(42))[0].mean
         hi = ballot_probability_mc([a + 1.0], [1.0] * 64, 20000, Seed(42))[0].mean
         assert lo <= hi
+
+
+def _checkpoint_sums_scalar(X, r, theta, n_max):
+    """Centered checkpoint sums s_n = sum_{k<e^n} (Re(...) - r^{2k}/k)."""
+    _, kmax = barrier.block_bounds(n_max)
+    if len(X) < kmax:
+        raise PreconditionError(f"need X(1..{kmax}) for {n_max} checkpoints")
+    k = np.arange(1, kmax + 1, dtype=float)
+    x = np.asarray(X[:kmax], dtype=np.complex128)
+    terms = (x * np.exp(1j * theta * k)).real * r**k / np.sqrt(k) - r ** (2.0 * k) / k
+    sums = np.empty(n_max)
+    acc = 0.0
+    for n in range(1, n_max + 1):
+        lo, hi = barrier.block_bounds(n)
+        acc += math.fsum(terms[lo - 1 : hi])
+        sums[n - 1] = acc
+    return sums
+
+
+def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> bool:
+    """Whether X(1..) lies in event G (every checkpoint n <= log K stays below
+    A + 10 log n) or L (every n <= log K_r below A - 5 log n), by fsum: the
+    per-k oracle of the block-walk event kernels, behind the library's checks
+    of (r, K), the height and theta."""
+    levels = barrier._event_levels(kind, r, K, [A])[0]
+    barrier._check_theta(f"event {kind}", theta, barrier.block_bounds(levels.size)[1])
+    return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
 def test_event_G_zero_sample_holds():
@@ -351,29 +377,6 @@ def test_event_chunk_peak_stays_near_its_draw():
     assert peak < 4.0 * count * n_max * 8
 
 
-def _increment_chunk_by_copy(stream, count, r, theta, lo, hi):
-    # the rotation as a whole-array product, the route the kernel replaced
-    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
-    return np.stack([x.real @ coef, (x * np.exp(1j * theta * k)).real @ coef], axis=1)
-
-
-@pytest.mark.parametrize("theta", [0.7, 2.5, 1e-3])
-def test_in_place_rotation_keeps_the_bytes_of_the_rotated_copy(theta):
-    # the block increments rotate the draw in place; its real part must keep
-    # the bytes of (x * e^{ik theta}).real and stay a stride-16 view, so that
-    # x.real @ coef keeps numpy's own matmul loop (not BLAS)
-    count, kmax = 512, 403
-    x, k, coef = chaos.field_rows(GaussianStream(Seed(41)), count, 1.0, 1, kmax)
-    ref = (x * np.exp(1j * theta * k)).real
-    x *= np.exp(1j * theta * k)
-    assert x.real.strides == ref.strides == (kmax * 16, 16)
-    assert x.real.tobytes() == ref.tobytes()
-    assert (x.real @ coef).tobytes() == (ref @ coef).tobytes()
-    pairs = barrier._increment_chunk(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
-    ref = _increment_chunk_by_copy(GaussianStream(Seed(42)), 256, 0.999, theta, 20, 54)
-    assert pairs.tobytes() == ref.tobytes()
-
-
 def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
     # the reference route: both walks drawn one X(k) per k from e^M on, their
     # drift subtracted per k, and tested against the flat level by np.all
@@ -437,15 +440,6 @@ def test_two_walk_runs_where_the_per_k_draw_was_over_budget():
     # chunk was refused; the block pairs hold 4096 x 2 x 3
     est = two_walk_tilted_expectation(0.99999, 1.0, 1e6, 2.0, 20000, Seed(11))
     assert est.samples == 20000 and est.mean > 0.0 and est.std_error > 0.0
-
-
-def test_block_increments_peak_near_their_draw():
-    # the rotation runs in place on the draw, and the two reductions over
-    # it hold nothing else row-sized
-    lo, hi = barrier.block_bounds(10)
-    peak = _traced_peak(barrier._increment_chunk, GaussianStream(Seed(5)), 256, 0.98,
-                        0.5, lo, hi)
-    assert peak < 1.3 * 256 * (hi - lo + 1) * 16
 
 
 def test_two_walk_chunk_peak_near_its_draw():
@@ -699,12 +693,6 @@ def test_block_stats_validation():
         block_stats(1.0, 0.5, 100.0)
     with pytest.raises(BudgetError):  # block 18 holds more than FIELD_BUDGET values
         block_stats(0.98, 0.5, 1e6, m_max=18)
-    # increments come from the blocks the statistics cover: m = 0 took the
-    # last block through a negative index
-    blocks = block_stats(0.98, 0.5, 1e6, m_max=4)
-    for m in (0, 5):
-        with pytest.raises(PreconditionError):
-            sample_block_increments(blocks, m, 8, Seed(1))
 
 
 def test_block_rho_past_weight_underflow():
@@ -716,9 +704,17 @@ def test_block_rho_past_weight_underflow():
     assert block_stats(0.98, 0.0, 1e6, m_max=11).rho[-1] == 1.0
 
 
+def _increment_chunk_by_copy(stream, count, r, theta, lo, hi):
+    # draws of the pair (Z_0(m), Z_theta(m)) over the block k = lo..hi, one
+    # X(k) per k, with the rotation as a whole-array product
+    x, k, coef = chaos.field_rows(stream, count, r, lo, hi)
+    return np.stack([x.real @ coef, (x * np.exp(1j * theta * k)).real @ coef], axis=1)
+
+
 def test_block_correlation_against_mc_covariance():
     blocks = block_stats(0.99, 0.5, 1e6, m_max=4)
-    pairs = sample_block_increments(blocks, 4, 10**6, Seed(31))
+    pairs = mc.map_chunks(_increment_chunk_by_copy,
+                          (blocks.r, blocks.theta, *barrier.block_bounds(4)), Seed(31), 10**6)
     z0, zt = pairs[:, 0], pairs[:, 1]
     products = (z0 - z0.mean()) * (zt - zt.mean())
     cov_mc = float(np.mean(products))
@@ -860,20 +856,15 @@ def test_two_walk_ratio_stays_below_recorded_constant():
 
 
 _REDUCTION_BYTES = """
-import hashlib
-from hmchaos import barrier, chaos, cli
+from hmchaos import chaos, cli
 from hmchaos.rng import Seed
-# com-check, block m = 10 and circle_mean_mc reduce more than 10000 terms,
-# where OpenBLAS would split a dot across its threads
+# com-check and circle_mean_mc reduce more than 10000 terms, where OpenBLAS
+# would split a dot across its threads
 for argv in (["com-check", "--K", "20000", "--r", "1", "--A", "2", "--samples-left", "64",
               "--samples-right", "64", "--seed", "3"],
              ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "8"],
              ["moment", "--N", "2048", "--q", "1", "--samples", "4", "--seed", "3"]):
     cli.main(argv)
-blocks = barrier.block_stats(0.98, 0.5, 1e6, m_max=10)
-for m in (8, 10):
-    pairs = barrier.sample_block_increments(blocks, m, 64, Seed(3))
-    print(m, hashlib.sha256(pairs.tobytes()).hexdigest())
 est = chaos.circle_mean_mc(20000.0, 1.0, 64, Seed(3))
 print(est.mean.hex(), est.std_error.hex())
 """
@@ -883,13 +874,7 @@ def test_field_reductions_do_not_depend_on_the_blas_thread_count():
     # com-check's left side and circle_mean_mc sum up to K step variances
     # r^{2k}/(2k) by np.sum (com-check's tail past its last block is 11897
     # terms at K = 20000) and their few walk values by cumsum, neither of
-    # which calls BLAS; block increments reduce x.real @ coef over a
-    # block (13923 terms at m = 10), a stride-16 view that numpy's own matmul
-    # loop reduces, not BLAS; and a circle row of moment --N 2048 its RMS by
-    # einsum
-    blocks = block_stats(0.98, 0.5, 1e6, m_max=10)
-    lo, hi = barrier.block_bounds(10)
-    assert hi - lo + 1 > 10000
+    # which calls BLAS; and a circle row of moment --N 2048 its RMS by einsum
     src = str(Path(barrier.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -897,5 +882,5 @@ def test_field_reductions_do_not_depend_on_the_blas_thread_count():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         outputs.append(subprocess.run([sys.executable, "-c", _REDUCTION_BYTES], env=env,
                                       capture_output=True, text=True, check=True).stdout)
-    assert len(outputs[0].splitlines()) == 16
+    assert len(outputs[0].splitlines()) == 14
     assert outputs[0] == outputs[1]

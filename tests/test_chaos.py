@@ -4,11 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FixedStream
+from conftest import FixedStream, circle_average_sample
 from hmchaos import rng
 from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
-                           circle_average_sample, circle_mean_closed_form,
-                           circle_mean_mc, estimate_moment,
+                           circle_mean_closed_form, circle_mean_mc, estimate_moment,
                            fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError

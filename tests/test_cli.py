@@ -290,6 +290,19 @@ def test_bivariate_check_passes(tmp_path):
     assert code == 0
 
 
+def test_bivariate_refuses_a_span_past_the_float_range(capsys):
+    # at --span 1e154 the exponent's u*u - 2 rho u v + v*v overflowed, and at
+    # 1e300 it was inf - inf: max_density_gap read nan and every dominated_rho
+    # check failed (exit 4), though the domination holds there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for span in ("1e154", "1e300"):
+            assert main(["bivariate", "--span", span, "--check"]) == 3
+            assert "--span" in capsys.readouterr().err
+        for argv in (["bivariate", "--check"], ["bivariate", "--span", "1e153", "--check"]):
+            assert main(argv) == 0
+
+
 def test_event_headers(tmp_path):
     code, text = run_csv(tmp_path, "event",
                          ["event", "--kind", "G", "--K", "20", "--r", "1.0",

@@ -5,9 +5,9 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
+from conftest import circle_average_sample
 from hmchaos import chaos, mc, series
-from hmchaos.chaos import (EXP_BLOCK, circle_average_moment, circle_average_sample,
-                           estimate_moment)
+from hmchaos.chaos import EXP_BLOCK, circle_average_moment, estimate_moment
 from hmchaos.rng import GaussianStream, Seed, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 

@@ -8,10 +8,9 @@ import pytest
 from conftest import FixedStream
 from hmchaos.chaos import sample_A
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos import partitions
+from hmchaos import chaos, mc, partitions
 from hmchaos.partitions import (_centralizer_order, _multiplicities, a_of_partition,
-                                diagonal_second_moment, enumerate_partitions,
-                                exact_total_mass, orthogonality_check, partition_count,
+                                enumerate_partitions, exact_total_mass, partition_count,
                                 reconstruct_A_by_largest_part)
 from hmchaos.rng import GaussianStream, Seed
 
@@ -95,26 +94,20 @@ def test_a_of_partition_missing_value():
 
 
 def test_diagonal_second_moment_values():
-    assert diagonal_second_moment((7,)) == Fraction(1, 7)
-    assert diagonal_second_moment((2, 1)) == Fraction(1, 2)
-    assert diagonal_second_moment((1, 1, 1)) == Fraction(1, 6)
-    assert diagonal_second_moment(()) == Fraction(1)
+    # E[|a(lambda)|^2] = 1/z_lambda
+    assert Fraction(1, _centralizer_order((7,))) == Fraction(1, 7)
+    assert Fraction(1, _centralizer_order((2, 1))) == Fraction(1, 2)
+    assert Fraction(1, _centralizer_order((1, 1, 1))) == Fraction(1, 6)
+    assert Fraction(1, _centralizer_order(())) == Fraction(1)
 
 
 @pytest.mark.parametrize("parts", [(2.5,), (True,), (2, 1.0), (1, 2), (1, 3), (0,),
                                    (2, -1)])
-def test_entry_points_refuse_non_partitions(parts, monkeypatch):
-    # ints only (bools refused), each >= 1, nonincreasing; a float part used
-    # to make the exact moment a float
-    monkeypatch.setattr(partitions.mc, "map_chunks", None)  # any draw would fail
-    with pytest.raises(PreconditionError):
-        diagonal_second_moment(parts)
-    with pytest.raises(PreconditionError):
+def test_entry_points_refuse_non_partitions(parts):
+    # ints only (bools refused), each >= 1, nonincreasing
+    with pytest.raises(PreconditionError) as refused:
         a_of_partition(parts, {1: 1, 2: 1})
-    with pytest.raises(PreconditionError):
-        orthogonality_check((2,), parts, 100, Seed(1))
-    with pytest.raises(ValueError):  # callers catching ValueError still work
-        diagonal_second_moment(parts)
+    assert isinstance(refused.value, ValueError)  # callers catching ValueError still work
 
 
 def test_class_sizes_are_n_factorial_times_the_diagonal_weight():
@@ -122,7 +115,7 @@ def test_class_sizes_are_n_factorial_times_the_diagonal_weight():
         for p in enumerate_partitions(n):
             size, rest = divmod(math.factorial(n), _centralizer_order(p))
             assert rest == 0
-            assert size == math.factorial(n) * diagonal_second_moment(p)
+            assert size == math.factorial(n) * Fraction(1, _centralizer_order(p))
 
 
 def test_exact_total_mass_refuses_like_the_enumeration():
@@ -219,14 +212,19 @@ def test_smooth_rest_second_moment_matches_bounded_weight():
     assert abs(np.mean(sq) - target) <= 4.0 * se
 
 
+def _paired_product(stream, count, parts_a, parts_b):
+    x = chaos.field_rows(stream, count, 1.0, 1, max(parts_a + parts_b))[0]
+    return partitions._a_values(x, parts_a) * np.conj(partitions._a_values(x, parts_b))
+
+
 def test_orthogonality_distinct_partitions():
+    # E[a(first) conj(a(second))] = 0 for distinct partitions: the modulus of
+    # the complex sample mean against the complex dispersion / sqrt(samples)
     for pair, samples in ((((2,), (1, 1)), 10**5),
                           (((1,), (2,)), 10**4),
                           (((3, 1), (2, 2)), 10**5)):
-        est = orthogonality_check(pair[0], pair[1], samples, Seed(9000 + samples))
-        assert est.mean <= 4.0 * est.std_error
-
-
-def test_orthogonality_rejects_diagonal():
-    with pytest.raises(PreconditionError):
-        orthogonality_check((2, 1), (2, 1), 100, Seed(1))
+        values = mc.map_chunks(_paired_product, pair, Seed(9000 + samples), samples)
+        n = values.size
+        mean = complex(np.sum(values) / n)
+        spread = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n - 1)))
+        assert abs(mean) <= 4.0 * spread / math.sqrt(n)
