@@ -33,7 +33,10 @@ of measure, the two tilted walks) is drawn as its block sums, independent
 N(0, sigma_m^2), and tested raw against levels raised by the drift
 2 * cumsum(sigma_m^2); the change of measure's left side, which also reads
 the walk at K, draws one more sum for the tail past the last block end.
-Only the all-angle grid draws complex X(k) per k.
+These walks are drawn step-major from real ziggurat normals, one row of a
+chunk's walks per step, and summed with one contiguous add per step
+(chaos._walks, chaos._accumulate); the kernels read them as (walks, steps)
+views. Only the all-angle grid draws complex X(k) per k.
 """
 
 from __future__ import annotations
@@ -446,13 +449,14 @@ def _two_walk_chunk(stream, count, sigmas, rho, levels):
     sigma_m (g, rho_m g + sqrt(1 - rho_m^2) g') for independent N(0, 1) g, g'."""
     n = sigmas.size
     chaos.check_field_budget(count, 2 * n)
-    z = stream.draw_real(2 * count * n).reshape(count, 2, n)
-    z *= sigmas
-    z[:, 1] *= np.sqrt(1.0 - rho**2)
-    z[:, 1] += rho * z[:, 0]
-    walks = np.cumsum(z, axis=2)
-    weight = np.exp(2.0 * (walks[:, 0, -1] + walks[:, 1, -1]))
-    ok = _survival(walks[:, 0], levels)[:, 0] & _survival(walks[:, 1], levels)[:, 0]
+    # step-major, as chaos._walks: row j holds both walks' step j
+    z = stream.draw_real(2 * count * n).reshape(n, 2, count)
+    z *= sigmas[:, None, None]
+    z[:, 1] *= np.sqrt(1.0 - rho**2)[:, None]
+    z[:, 1] += rho[:, None] * z[:, 0]
+    walks = chaos._accumulate(z)
+    weight = np.exp(2.0 * (walks[-1, 0] + walks[-1, 1]))
+    ok = _survival(walks[:, 0].T, levels)[:, 0] & _survival(walks[:, 1].T, levels)[:, 0]
     return np.where(ok, weight, 0.0)
 
 

@@ -19,7 +19,8 @@ It is also the one home of the field: field_rows draws rows of X(lo..hi)
 with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
 all-angle grid samples the field.
 The real walk sum_k Re X(k) r^k/sqrt(k) has N(0, r^{2k}/(2k)) steps, whose
-variances walk_variances builds; _walks draws sums of them, such as block sums.
+variances walk_variances builds; _walks draws sums of them, such as block sums,
+step-major from the stream's real (ziggurat) draws.
 """
 
 from __future__ import annotations
@@ -89,14 +90,26 @@ def field_rows(stream, count: int, r: float, lo: int, hi: int):
     return (x, *field_weights(r, lo, hi))
 
 
+def _accumulate(steps):
+    """Running sums along axis 0 of a step-major array, in place: one
+    contiguous add per step, in np.cumsum's order along each walk."""
+    for j in range(1, len(steps)):
+        np.add(steps[j], steps[j - 1], out=steps[j])
+    return steps
+
+
 def _walks(stream, count, sigmas):
     """count walks of independent centered Gaussian steps with standard
-    deviations sigmas, at every step: a (count, sigmas.size) array."""
+    deviations sigmas, at every step: a (count, sigmas.size) view.
+
+    The steps are drawn step-major, row j holding the count walks' step j
+    scaled by sigmas[j], and accumulated row by row; the view is the
+    transpose, so walk i is column i of the draws."""
     n = sigmas.size
     check_field_budget(count, n)
-    steps = stream.draw_real(count * n).reshape(count, n)
-    steps *= sigmas
-    return np.cumsum(steps, axis=1)
+    steps = stream.draw_real(count * n).reshape(n, count)
+    steps *= sigmas[:, None]
+    return _accumulate(steps).T
 
 
 def _input_rows(streams, N: int, K: float) -> np.ndarray:

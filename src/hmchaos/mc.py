@@ -7,8 +7,11 @@ one lazy iterator of streams, so the kernel may stack its replicates into
 one batch, as long as each value depends only on its own stream: chaos's
 kernels let each stream write its uniforms into its row of an exp input
 block and drop it, then run one Box-Muller pass over the block, with the
-bits each stream's own draw would give. A stream is Philox keyed directly
-by its seed, so creating one per replicate reads no OS entropy.
+bits each stream's own draw would give. A map_chunks kernel draws its
+whole chunk from one stream: the barrier kernels lay the chunk's walks out
+step-major (chaos._walks), one row of real draws per step, so walk i is
+column i. A stream is Philox keyed directly by its seed, so creating one
+per replicate reads no OS entropy.
 Reductions run over the gathered array in replicate order with numpy's
 pairwise summation, making every estimate reproducible bit for bit.
 """

@@ -1,28 +1,39 @@
-"""Seeded, splittable streams of standard complex Gaussians.
+"""Seeded, splittable streams of standard complex and real Gaussians.
 
 A stream is a pure function of its Seed: draw k returns the same value no
 matter how draws are batched, which thread created the stream, or how many
 workers a Monte Carlo run uses. The bit source is counter-based (Philox)
 keyed by (root, replicate_index): the key is handed to Philox as it is,
 through a one-method seed sequence, so creating a stream reads no OS
-entropy and builds no SeedSequence. The Gaussian transform is polar
-Box-Muller on uniform doubles, which has no rejection loop. All arithmetic
-is 64-bit floating point.
+entropy and builds no SeedSequence. All arithmetic is 64-bit floating
+point.
 
-A Gaussian draw is two steps: fill_uniforms writes the stream's uniform
-pairs (u1, u2) into a float64 buffer, and box_muller turns each pair into
-(Re X, Im X) in place. box_muller takes a (rows, m, 2) block and works
-through it in tiles of at most DRAW_BLOCK pairs through tile-sized
-contiguous temporaries, so a large draw stays in cache and builds no
-complex temporary. draw(n) is its one-row case, with each tile's uniforms
-filled just before the tile is transformed; a caller that stacks many
-streams' draws (chaos's exp input blocks) fills every row and transforms
-the block once. The values depend neither on DRAW_BLOCK nor on the block's
-shape: every tile runs the same ufuncs on the same inputs. Each part is
-the product radius * cos or radius * sin, so at a radius uniform of
-exactly 0 (probability 2^-53 per value) a part is a zero with the sign of
-its cosine or sine (the complex product radius * (cos + i sin) would give
-+0.0 in some of those cases).
+Real draws (draw_real) are numpy's ziggurat standard normals on the
+stream's own Philox (Marsaglia and Tsang): one 64-bit word per value
+except in the rare rejection steps, and no transcendental function on
+the common path. Generator.standard_normal draws value after value, so
+split calls give the bits of one call.
+
+Complex draws and unit values keep the polar transforms. A complex draw
+is two steps: fill_uniforms writes the stream's uniform pairs (u1, u2)
+into a float64 buffer, and box_muller turns each pair into (Re X, Im X)
+in place, with no rejection loop. box_muller takes a (rows, m, 2) block
+and works through it in tiles of at most DRAW_BLOCK pairs through
+tile-sized contiguous temporaries, so a large draw stays in cache and
+builds no complex temporary. draw(n) is its one-row case, with each
+tile's uniforms filled just before the tile is transformed; a caller that
+stacks many streams' draws (chaos's exp input blocks) fills every row and
+transforms the block once. The values depend neither on DRAW_BLOCK nor on
+the block's shape: every tile runs the same ufuncs on the same inputs.
+Each part is the product radius * cos or radius * sin, so at a radius
+uniform of exactly 0 (probability 2^-53 per value) a part is a zero with
+the sign of its cosine or sine (the complex product radius * (cos + i sin)
+would give +0.0 in some of those cases).
+
+A stream's position counts the values it has handed out: complex draws
+(draw, fill_uniforms), real values (draw_real) or unit values. It labels
+the draws and is not the Philox counter, since a ziggurat value may read
+more than one word; the bits depend on the order of the calls only.
 """
 
 from __future__ import annotations
@@ -71,8 +82,10 @@ def split(seed: Seed, replicate: int) -> Seed:
     child, and distinct replicate values give streams that are independent
     for all practical purposes (distinct Philox keys).
     """
-    child_root = splitmix64(seed.root ^ splitmix64(seed.replicate_index))
-    return Seed(child_root, int(replicate) & _MASK64)
+    child = object.__new__(Seed)  # both words are 64-bit already: skip __post_init__
+    child.__dict__.update(root=splitmix64(seed.root ^ splitmix64(seed.replicate_index)),
+                          replicate_index=int(replicate) & _MASK64)
+    return child
 
 
 @functools.cache
@@ -152,13 +165,13 @@ class _PhiloxStream:
 
 
 class GaussianStream(_PhiloxStream):
-    """Forward-only stream of independent standard complex Gaussians.
+    """Forward-only stream of independent standard complex or real Gaussians.
 
     Draw k (1-based) returns X(k) whose real and imaginary parts are
     independent real Gaussians with mean 0 and variance 1/2. Each complex
-    draw consumes exactly two uniforms, so batching draws differently never
-    changes the emitted values; re-creating the stream from its Seed
-    replays it exactly.
+    draw consumes exactly two uniforms, and real draws read the generator
+    value after value, so batching draws differently never changes the
+    emitted values; re-creating the stream from its Seed replays it exactly.
     """
 
     def fill_uniforms(self, pairs: np.ndarray) -> None:
@@ -175,10 +188,9 @@ class GaussianStream(_PhiloxStream):
         return buf.view(np.complex128).reshape(-1)
 
     def draw_real(self, n: int) -> np.ndarray:
-        """Return n independent real N(0,1) values (two per complex draw)."""
-        z = self.draw((n + 1) // 2).view(np.float64)
-        z *= math.sqrt(2.0)
-        return z[:n]
+        """Return the next n independent real N(0,1) values (ziggurat)."""
+        self.position += n
+        return self._gen.standard_normal(n)
 
 
 class UnitCircleStream(_PhiloxStream):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from conftest import FixedStream
 from hmchaos import barrier, chaos, mc
@@ -76,7 +77,7 @@ def test_ballot_maximum_is_the_all_steps_test():
     heights = np.array([1.0, 1.5, 2.0, 4.0])
     sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
     flags = barrier._ballot_chunk(GaussianStream(Seed(12)), count, heights, sigmas)
-    steps = GaussianStream(Seed(12)).draw_real(count * n).reshape(count, n) * sigmas
+    steps = GaussianStream(Seed(12)).draw_real(count * n).reshape(n, count).T * sigmas
     walks = np.cumsum(steps, axis=1)
     ref = _survival_by_broadcast(walks, _levels(heights, n, 0.0))
     assert flags.tobytes() == ref.tobytes()
@@ -92,6 +93,17 @@ def test_ballot_one_step_far_barrier():
 def test_ballot_one_step_exact_normal():
     est = ballot_probability_mc([1.0], [0.5], 200000, Seed(3))[0]
     exact = normal_cdf(math.sqrt(2.0))  # ~0.9214
+    assert abs(est.mean - exact) <= 4.0 * est.std_error
+
+
+def test_ballot_two_steps_match_the_bivariate_normal():
+    # both partial sums of a two-step walk below A: the exact bivariate
+    # normal probability (scipy), within 4 sigma
+    v1, v2, A = 0.5, 2.0, 1.0
+    est = ballot_probability_mc([A], [v1, v2], 200000, Seed(5))[0]
+    exact = multivariate_normal(mean=[0.0, 0.0],
+                                cov=[[v1, v1], [v1, v1 + v2]]).cdf([A, A])
+    assert 0.0 < exact < 1.0
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
@@ -234,7 +246,7 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     assert flags.shape == (count, len(heights))
     k = np.array([barrier.block_bounds(m)[0] for m in range(1, n_max + 1)], dtype=float)
     x = np.zeros((count, barrier.block_bounds(n_max)[1]), dtype=complex)
-    x[:, k.astype(int) - 1] = (g.reshape(count, n_max) * sigmas * np.sqrt(k) / r**k
+    x[:, k.astype(int) - 1] = (g.reshape(n_max, count).T * sigmas * np.sqrt(k) / r**k
                                * np.exp(-1j * theta * k))
     seen = set()
     for i in range(count):
@@ -326,7 +338,7 @@ def test_com_left_chunk_matches_scalar_oracle(r):
         firsts = [barrier.block_bounds(m)[0] for m in range(1, n_max + 2)]
         _, coef = chaos.field_weights(r, 1, max(int(K), firsts[-1]))
         steps = np.zeros((count, coef.size))
-        steps[:, np.array(firsts) - 1] = g.reshape(count, n_max + 1) * sigmas
+        steps[:, np.array(firsts) - 1] = g.reshape(n_max + 1, count).T * sigmas
         seen = set()
         for i in range(count):
             x = steps[i] / coef
@@ -408,7 +420,7 @@ def test_two_walk_chunk_is_the_all_checkpoints_test(level):
     g = 3.0 * GaussianStream(Seed(44)).draw_real(2 * count * n)
     values = barrier._two_walk_chunk(FixedStream(g), count, sigmas, rho,
                                      (level + drift)[None, :])
-    g = g.reshape(count, 2, n)
+    g = g.reshape(n, 2, count).transpose(2, 1, 0)  # step-major draws, as (count, 2, n)
     s0 = np.cumsum(sigmas * g[:, 0], axis=1)
     st = np.cumsum(sigmas * (rho * g[:, 0] + np.sqrt(1.0 - rho**2) * g[:, 1]), axis=1)
     ok = np.all(s0 - drift <= level, axis=1) & np.all(st - drift <= level, axis=1)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FixedStream, circle_average_sample
 from hmchaos import rng
-from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
+from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, _walks, circle_average_moment,
                            circle_mean_closed_form, circle_mean_mc, estimate_moment,
                            fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
@@ -158,6 +158,19 @@ def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
     assert values.shape == (count,)
     for value, x in zip(values, g):
         assert value == pytest.approx(math.exp(2.0 * sigma * x.real), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 256])
+def test_walks_are_the_cumsum_of_step_major_draws(n, count):
+    # draws laid out (steps, walks), walk i is column i: its per-step adds
+    # give np.cumsum's bits along each walk
+    sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
+    walks = _walks(GaussianStream(Seed(14)), count, sigmas)
+    g = GaussianStream(Seed(14)).draw_real(count * n)
+    ref = np.cumsum(g.reshape(n, count).T * sigmas, axis=1)
+    assert walks.shape == ref.shape == (count, n)
+    assert walks.tobytes() == ref.tobytes()
 
 
 def _closed_form_by_drift(K, r):

@@ -190,13 +190,31 @@ def test_multi_height_runs_do_not_depend_on_the_worker_count(tmp_path):
         assert len(text1.splitlines()) == 1 + (6 if name == "ballot" else 3)
 
 
+def test_one_angle_walks_do_not_depend_on_the_worker_count(tmp_path):
+    # the step-major walks of event G and L and of both com-check sides, each
+    # over three chunks of 4096 samples
+    for name, argv, rows in (
+            ("G", ["event", "--kind", "G", "--K", "400", "--r", "1", "--A", "1,2,4",
+                   "--samples", "9000", "--seed", "6"], 3),
+            ("L", ["event", "--kind", "L", "--K", "1e4", "--r", "0.99", "--A", "1,2",
+                   "--samples", "9000", "--seed", "6"], 2),
+            ("com", ["com-check", "--K", "400", "--r", "1", "--A", "2", "--samples-left",
+                     "9000", "--samples-right", "9000", "--seed", "6"], 1)):
+        code1, text1 = run_csv(tmp_path, name + "1", argv + ["--workers", "1"])
+        code2, text2 = run_csv(tmp_path, name + "2", argv + ["--workers", "2"])
+        assert code1 == code2 == 0
+        assert text1 == text2
+        assert len(text1.splitlines()) == 1 + rows
+
+
 def test_one_height_runs_keep_their_bytes(tmp_path):
-    # sha256 of these CSVs before the heights shared their draws: a
-    # one-height run reads the seeds it read then
+    # sha256 of these CSVs: a one-height run reads the seeds it read before
+    # the heights shared their draws; the grid keeps the bytes it had then,
+    # the ballot has those of its step-major ziggurat walks
     for name, argv, digest in (
             ("ballot", ["ballot", "--a-grid", "2", "--n-grid", "16,64", "--samples", "500",
                         "--seed", "9"],
-             "907d6adb4e6ad68cd52886042d2326ead9f7e6d5b5a95e65bf022d18dd535bff"),
+             "9c5e627532e8dfa1518f875a3bbfc20196a392c3c21bf5039215963ebe50865e"),
             ("grid", ["event", "--all-angles", "--K", "20", "--r", "1", "--A", "2",
                       "--samples", "500", "--seed", "4"],
              "84edb7a49b50c2d991c94de36ceb6da10fde066e1a7710808f4967ab30287950")):

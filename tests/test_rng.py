@@ -75,6 +75,21 @@ def test_nested_splits_are_distinct():
     assert split(split(s, 0), 1) != split(s, 1)
 
 
+@pytest.mark.parametrize("root, index", [(0, 0), (55, 3), (2**64 - 1, 2**64 - 1)])
+def test_split_equals_the_validated_seed(root, index):
+    # split builds its child without re-validating the masked words; the
+    # child is the Seed the checked constructor gives, for any replicate int
+    parent = Seed(root, index)
+    child_root = rng.splitmix64(root ^ rng.splitmix64(index))
+    for replicate in (0, 7, -1, -(2**70), 2**64, 2**64 + 5, np.int64(9), True):
+        child = split(parent, replicate)
+        expected = Seed(child_root, int(replicate) % 2**64)
+        assert child == expected and hash(child) == hash(expected)
+        assert str(child) == str(expected)
+        assert type(child.root) is int and type(child.replicate_index) is int
+        assert pickle.loads(pickle.dumps(child)) == expected
+
+
 def test_threaded_creation_matches_sequential():
     root = Seed(31337)
     sequential = [GaussianStream(split(root, i)).draw(256) for i in range(8)]
@@ -89,22 +104,49 @@ def _bits(a):
     return a.view(np.uint64)
 
 
-def _draw_real_by_interleaving(stream, n):
-    m = (n + 1) // 2
-    z = stream.draw(m) * math.sqrt(2.0)
-    out = np.empty(2 * m)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out[:n]
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097])
-def test_draw_real_matches_interleaved_complex_draws(n):
-    st, ref = GaussianStream(Seed(21)), GaussianStream(Seed(21))
-    for _ in range(2):  # a second call starts at the advanced position
-        assert np.array_equal(_bits(st.draw_real(n)),
-                              _bits(_draw_real_by_interleaving(ref, n)))
-        assert st.position == ref.position
+def test_draw_real_is_the_ziggurat_on_the_streams_philox(n):
+    st, ref = GaussianStream(Seed(21)), rng._philox(Seed(21))
+    for calls in (1, 2):  # a second call starts where the first stopped
+        assert np.array_equal(_bits(st.draw_real(n)), _bits(ref.standard_normal(n)))
+        assert st.position == calls * n
+
+
+def test_split_real_draws_equal_one_draw():
+    sizes = [0, 1, 7, 4096, 4097, rng.DRAW_BLOCK + 1, 0]
+    whole = GaussianStream(Seed(5, 3)).draw_real(sum(sizes))
+    st = GaussianStream(Seed(5, 3))
+    parts = [st.draw_real(n) for n in sizes]
+    assert [part.size for part in parts] == sizes
+    assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+    assert st.position == sum(sizes)
+
+
+def _normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def test_draw_real_moments_and_ks_on_a_million_draws():
+    v = GaussianStream(Seed(27)).draw_real(S_BIG)
+    n = v.size
+    assert abs(np.mean(v)) <= 4.0 / math.sqrt(n)
+    assert abs(np.var(v, ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
+    # one-sample KS against the exact CDF: the two-sample critical value at
+    # m = n is sqrt(2) times the one-sample c(alpha)/sqrt(n)
+    cdf = np.fromiter(map(_normal_cdf, np.sort(v).tolist()), dtype=float, count=n)
+    ranks = np.arange(1, n + 1) / n
+    stat = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    assert stat < ks_critical(n, n, 0.01) / math.sqrt(2.0)
+
+
+def test_draw_real_tail_share_past_the_ziggurat_cut():
+    # numpy's ziggurat draws |x| past its last layer, 3.6541528853610088, on
+    # its rejection tail; that share against 2 (1 - Phi(cut)), within 4 sigma
+    cut = 3.6541528853610088
+    v = GaussianStream(Seed(28)).draw_real(S_BIG)
+    p = math.erfc(cut / math.sqrt(2.0))
+    hits = np.count_nonzero(np.abs(v) > cut)
+    assert abs(hits - v.size * p) <= 4.0 * math.sqrt(v.size * p * (1.0 - p))
 
 
 def test_draw_real_standard_normal():
@@ -129,12 +171,6 @@ def _oracle_draw(stream, n):
     return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
-def _oracle_draw_real(stream, n):
-    z = _oracle_draw(stream, (n + 1) // 2).view(np.float64)
-    z *= math.sqrt(2.0)
-    return z[:n]
-
-
 def _oracle_unit_circle(stream, n):
     if n <= 0:
         return np.empty(0, dtype=np.complex128)
@@ -154,7 +190,6 @@ FILL_SIZES = [0, 1, 2, B - 1, B, B + 1, 3 * B + 5]
 @pytest.mark.parametrize("n", FILL_SIZES)
 def test_blocked_fill_matches_the_unblocked_formulas(n):
     for draw, oracle, cls in ((GaussianStream.draw, _oracle_draw, GaussianStream),
-                              (GaussianStream.draw_real, _oracle_draw_real, GaussianStream),
                               (UnitCircleStream.draw, _oracle_unit_circle, UnitCircleStream)):
         st, ref = cls(Seed(606, 2)), cls(Seed(606, 2))
         for m in (n, 2 * n + 1):  # the second call starts mid-stream; 2n + 1 is odd
