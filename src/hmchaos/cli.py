@@ -201,6 +201,13 @@ def cmd_bivariate(args):
     if not all(map(math.isfinite, bounds)):  # a NaN or infinite --mu or --span too
         raise PreconditionError(f"bivariate needs finite --mu1, --mu2 and --span that keep "
                                 f"the densities in the float range, got --span {args.span}")
+    grid = np.linspace(-8.0, 8.0, 400)  # the normalization grid, in sigmas
+    for p in pairs:  # a ridge sqrt(1 - rho^2) sigmas wide falls between its points
+        if math.sqrt(1.0 - p.rho**2) < grid[1] - grid[0]:
+            raise ValueError(f"--rho-grid {p.rho}: the density's ridge, sqrt(1 - rho^2) "
+                             f"sigmas wide, is narrower than the normalization grid's "
+                             f"16/399 sigmas, so its integral is not resolved; "
+                             f"use |rho| <= 0.9991")
     rng = _philox(Seed(args.seed))
     rows, checks = [], []
     for params in pairs:
@@ -208,7 +215,6 @@ def cmd_bivariate(args):
         x2 = args.mu2 + args.span * args.sigma2 * (2.0 * rng.random(side * side) - 1.0)
         gap = float(np.max(barrier.bivariate_density(params, x1, x2)
                            - barrier.dominating_density(params, x1, x2)))
-        grid = np.linspace(-8.0, 8.0, 400)
         xv = args.mu1 + grid * args.sigma1
         yv = args.mu2 + grid * args.sigma2
         xx, yy = np.meshgrid(xv, yv)

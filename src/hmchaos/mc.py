@@ -6,7 +6,8 @@ values are identical for any worker count. A span reaches its kernel as
 one lazy iterator of streams, so the kernel may stack its replicates into
 one batch, as long as each value depends only on its own stream: chaos's
 kernels let each stream write its uniforms into its row of an exp input
-block and drop it, then run one Box-Muller pass over the block, with the
+block and drop it, then run one Box-Muller pass over the block, and the
+number models' kernels do the same with one unit_circle pass, with the
 bits each stream's own draw would give. A map_chunks kernel draws its
 whole chunk from one stream: the barrier kernels lay the chunk's walks out
 step-major (chaos._walks), one row of real draws per step, so walk i is

@@ -20,17 +20,31 @@ tying the model to the Gaussian chaos coefficients as q grows.
 A monic irreducible P is a prime of norm q^{deg P}, so both models are
 the products of primes of norm <= a bound, listed once as a factor tree in
 Omega order: each row is its parent row times one prime, and one
-gather-multiply per level gives f on every row. The integer tree grows
-from a boolean prime sieve (floor(x) <= 10^6); the F_q[t] tree from the
-Mobius counts, for any prime power q (sum_{n<=N} q^n <= 10^7 rows). Trees
-are cached and shared read-only. Irreducibles sieved over prime fields
-(budgeted) check the counts.
+gather-multiply per level gives f on every row. The tree serves the
+Steinhaus sums S(x) and the F_q[t] enumeration oracle FFModel.A. The
+integer tree grows from a boolean prime sieve (floor(x) <= 10^6); the
+F_q[t] tree from the Mobius counts, for any prime power q
+(sum_{n<=N} q^n <= 10^7 rows). Trees are cached and shared read-only.
+Irreducibles sieved over prime fields (budgeted) check the counts.
+
+The F_q[t] Monte Carlo takes A(N) from the power sums instead: X(1..N)
+read each irreducible's value once per multiple of its degree, and A(N) is
+the z^N coefficient of exp(sum_k X(k) z^k / sqrt(k)), so a replicate costs
+about as much as the irreducibles of degree <= N, not the q^N monics.
+
+Both estimators run a span's replicates in blocks: each stream writes its
+uniforms into its row of one block, one rng.unit_circle pass gives f on the
+primes, and the block runs through the tree or the power sums, with the
+bits each model on its own stream gives. Every complex product is formed
+from rounded real products (_rotate), so numpy's SIMD dispatch cannot
+change the bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -38,7 +52,7 @@ from . import mc
 from . import series as _series
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import Seed, UnitCircleStream
+from .rng import Seed, UnitCircleStream, unit_circle
 
 ENUMERATION_BUDGET = 10**7
 # Cap on floor(x), checked before the sieve allocates: building the integer
@@ -49,6 +63,11 @@ SIEVE_BUDGET = 10**6
 # marks fewer than 1/p as many products. Also caps the prime-power test
 # (q <= TRIAL_DIVISION_BUDGET**2).
 TRIAL_DIVISION_BUDGET = 10**6
+# Values of f in one block of a span's replicates: the tree rows of each
+# Steinhaus replicate, the irreducibles of each F_q[t] one (512 KiB as
+# complex128). At x = 10^4 a block of 3 replicates shares each tree level's
+# handful of calls; 2**16 ran faster but raised the arith-exact peak RSS.
+SPAN_BLOCK = 2**15
 
 
 def _factor_tree(norms, bound: int):
@@ -81,25 +100,67 @@ def _factor_tree(norms, bound: int):
         np.concatenate(norm)
 
 
+def _parts(values):
+    """values as complex pairs (real part, i * imaginary part), stacked on a
+    last axis of 2: the factors _rotate multiplies by."""
+    parts = np.zeros(values.shape + (2,), dtype=np.complex128)
+    parts[..., 0].real, parts[..., 1].imag = values.real, values.imag
+    return parts
+
+
+def _rotate(x, parts, out):
+    """out = x * y for the y whose _parts are `parts`; x is overwritten.
+
+    Each part of x * re(y) and of x * i im(y) is one rounded real product, so
+    out has the bits of the four-product formula. numpy's own complex
+    multiply fuses a multiply and an add where the CPU has FMA, which
+    changes the last bits between machines.
+    """
+    np.multiply(x, parts[..., 0], out=out)
+    np.multiply(x, parts[..., 1], out=x)
+    return np.add(out, x, out=out)
+
+
 def _tree_values(prime_values, tree, values):
-    """f on every row of a factor tree, for f(prime i) = prime_values[i], in `values`."""
+    """f on every row of a factor tree, for each row of the (rows, primes)
+    block prime_values (f(prime i) in column i), into the (tree rows, rows)
+    block `values`: replicate j is column j."""
     parent, factor, levels = tree
+    parts = _parts(prime_values.T)
     values[0] = 1.0
     for a, b in zip(levels[1:-1], levels[2:]):
-        np.multiply(values[parent[a:b]], prime_values[factor[a:b]], out=values[a:b])
+        _rotate(np.take(values, parent[a:b], axis=0), np.take(parts, factor[a:b], axis=0),
+                values[a:b])
     return values
 
 
-def _replicates(streams, row_data, size, power):
-    """|scale * sum of f over the rows|**power of row_data(*size) = (tree, prime
-    count, rows, scale), for f drawn from each stream. The replicates share one
-    tree buffer: one freed per replicate may go back to the system and fault in again."""
-    tree, primes, rows, scale = row_data(*size)
-    values = np.empty(tree[0].size, dtype=np.complex128)
-    sums = [complex(scale * np.sum(_tree_values(stream.draw(primes), tree, values)[rows]))
-            for stream in streams]
+def _prime_blocks(streams, primes: int, width: int):
+    """f on `primes` primes for each of the streams, in (rows, primes)
+    blocks of SPAN_BLOCK // width rows (at least one; fewer at the end).
+
+    Each stream writes its uniforms into its row of the block and is
+    dropped; one unit_circle pass turns the block into values, with the
+    bits of stream.draw(primes) row by row. The buffers are reused, so a
+    block holds until the next one is drawn.
+    """
+    rows = max(1, SPAN_BLOCK // max(width, 1))
+    uniforms = np.empty((rows, primes))
+    values = np.empty((rows, primes), dtype=np.complex128)
+    streams = iter(streams)
+    while True:
+        count = 0
+        for count, stream in enumerate(islice(streams, rows), 1):
+            stream.fill_uniforms(uniforms[count - 1])
+        if not count:
+            return
+        unit_circle(uniforms[:count], values[:count])
+        yield values[:count]
+
+
+def _abs_powers(values, power):
+    """|value|**power of each value, refusing a power that overflows."""
     try:
-        return [abs(value) ** power for value in sums]
+        return [abs(value) ** power for value in values]
     except OverflowError:
         raise PreconditionError(f"|value|**{power} overflows a float") from None
 
@@ -142,23 +203,36 @@ class SteinhausModel:
         self.x = float(x)
         self.prime_values = stream.draw(_sieve(_cutoff(x)).size)
 
+    def _rows(self):
+        """f on the rows of the integer tree, and each row's integer."""
+        tree, norm = _integer_tree(_cutoff(self.x))
+        values = np.empty((norm.size, 1), dtype=np.complex128)
+        return _tree_values(self.prime_values[None], tree, values)[:, 0], norm
+
     def f_values(self) -> np.ndarray:
         """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
-        tree, norm = _integer_tree(_cutoff(self.x))
+        values, norm = self._rows()
         f = np.zeros(norm.size + 1, dtype=np.complex128)
-        f[norm] = _tree_values(self.prime_values, tree, np.empty(norm.size, complex))
+        f[norm] = values
         return f
 
     def partial_sum(self) -> complex:
-        return complex(np.sum(self.f_values()[1:]))
+        """S(x), summed over the tree's rows in their order, as the estimator sums."""
+        return complex(np.sum(self._rows()[0]))
 
 
-@functools.lru_cache(maxsize=16)
-def _steinhaus_rows(x: float):
-    """Row data of S(x): every row of the integer tree, in the order of n."""
+def _steinhaus_sums(streams, x: float, power: float):
+    """|S(x)|**power for f drawn from each stream. The blocks share one tree
+    buffer; one freed per block may go back to the system and fault in again."""
     n = _cutoff(x)
     tree, norm = _integer_tree(n)
-    return tree, _sieve(n).size, np.argsort(norm), 1.0
+    sums, values = [], None
+    for block in _prime_blocks(streams, _sieve(n).size, norm.size):
+        if values is None:
+            values = np.empty((norm.size, len(block)), dtype=np.complex128)
+        columns = _tree_values(block, tree, values[:, : len(block)]).T
+        sums += [complex(np.sum(column)) for column in columns]  # pairwise, as on one row
+    return _abs_powers(sums, power)
 
 
 def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
@@ -168,8 +242,8 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     if not math.isfinite(power):
         raise PreconditionError("the moment power must be finite")
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicates, (_steinhaus_rows, (x,), power),
-                               seed, samples, workers, stream_cls=UnitCircleStream)
+    values = mc.map_replicates(_steinhaus_sums, (x, power), seed, samples, workers,
+                               stream_cls=UnitCircleStream)
     return mc.from_values(values, seed)
 
 
@@ -268,16 +342,15 @@ def irreducibles_by_degree(p: int, max_degree: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _structure(q: int, max_degree: int):
-    """Irreducible degrees (global order) and the factor tree of F_q[t].
+def _degrees(q: int, max_degree: int):
+    """The degree of each monic irreducible of degree <= max_degree over F_q,
+    ascending (the global order of the irreducibles).
 
-    An irreducible of degree d is a prime of norm q^d, so the tree's rows of
-    norm q^n are the monic polynomials of degree n, each once as a multiset
-    of irreducibles. Only the degrees enter the tree, so the Mobius counts
-    build it for any prime power q. Its rows, sum_{n<=N} q^n, are budgeted
-    before anything is built: after N >= 0 and q >= 2 (the budget loop ends
-    only for q >= 2), and before the prime-power test, which trial-divides
-    up to sqrt(q). Built once and shared read-only.
+    The monics of degree <= N, sum_{n<=N} q^n, are budgeted before anything
+    is built: after N >= 0 and q >= 2 (the budget loop ends only for q >= 2),
+    and before the prime-power test, which trial-divides up to sqrt(q). Only
+    the Mobius counts enter, so any prime power q works. Built once and
+    shared read-only.
     """
     if max_degree < 0:
         raise PreconditionError("FFModel requires N >= 0")
@@ -292,9 +365,43 @@ def _structure(q: int, max_degree: int):
     if _prime_power_base(q) is None:
         raise PreconditionError("FFModel requires a prime power q >= 2")
     counts = [count_irreducibles(q, d) for d in range(1, max_degree + 1)]
-    degrees = np.repeat(np.arange(1, max_degree + 1, dtype=np.int64), counts)
+    return np.repeat(np.arange(1, max_degree + 1, dtype=np.int64), counts)
+
+
+@functools.lru_cache(maxsize=16)
+def _structure(q: int, max_degree: int):
+    """Irreducible degrees (global order) and the factor tree of F_q[t].
+
+    An irreducible of degree d is a prime of norm q^d, so the tree's rows of
+    norm q^n are the monic polynomials of degree n, each once as a multiset
+    of irreducibles. Built once and shared read-only.
+    """
+    degrees = _degrees(q, max_degree)
     powers = np.array([q**n for n in range(max_degree + 1)], dtype=np.int64)
     return degrees, *_factor_tree(powers[degrees], q**max_degree)
+
+
+def _power_sums(values, degrees, q: int, degree: int) -> np.ndarray:
+    """X(k) / sqrt(k) for k = 0..degree (0 at k = 0), for each row of the
+    (rows, irreducibles) block `values` of f, as a (rows, degree + 1) block.
+
+    X(k) / sqrt(k) = q^{-k/2} sum_{d | k} (d/k) sum_{deg P = d} f(P)^{k/d}.
+    Each degree class is a contiguous slice of the row, since `degrees`
+    ascends; its powers are formed by _rotate and summed along the row, so
+    each row has the bits of a one-row block.
+    """
+    s = np.zeros((len(values), degree + 1), dtype=np.complex128)
+    bounds = np.searchsorted(degrees, np.arange(1, degree + 2)).tolist()
+    for d in range(1, degree + 1):
+        f = values[:, bounds[d - 1] : bounds[d]]
+        s[:, d] += np.sum(f, axis=1)
+        if 2 * d <= degree:
+            parts, power = _parts(f), f.copy()
+            for m in range(2, degree // d + 1):
+                power = _rotate(power, parts, np.empty_like(power))
+                s[:, d * m] += np.sum(power, axis=1) / m
+    s *= np.array([q ** (-k / 2.0) for k in range(degree + 1)])
+    return s
 
 
 class FFModel:
@@ -313,7 +420,8 @@ class FFModel:
 
     @functools.cached_property
     def _values(self):
-        return _tree_values(self.prime_values, self._tree, np.empty(self._norm.size, complex))
+        values = np.empty((self._norm.size, 1), dtype=np.complex128)
+        return _tree_values(self.prime_values[None], self._tree, values)[:, 0]
 
     def A(self, n: int) -> complex:
         """q^{-n/2} sum over monic F of degree n of f(F), by direct enumeration."""
@@ -333,17 +441,20 @@ class FFModel:
         total = np.sum(self.prime_values[mask] ** rep / rep)
         return complex(math.sqrt(k) / self.q ** (k / 2.0) * total)
 
+    def _check_degree(self, degree) -> None:
+        _require_ints(degree=degree)
+        if degree < 0:
+            raise PreconditionError("series degree must be >= 0")
+        if degree > self.N:
+            raise PreconditionError("series degree cannot exceed the model's N")
+
     def euler_product_series(self, degree: int) -> np.ndarray:
         """Coefficients 0..degree of prod_P (1 - f(P)(q^{-1/2} z)^{deg P})^{-1}.
 
         Each irreducible factor is folded in by the in-place geometric
         recurrence c[n] += u * c[n - d], exact for truncated series.
         """
-        _require_ints(degree=degree)
-        if degree < 0:
-            raise PreconditionError("series degree must be >= 0")
-        if degree > self.N:
-            raise PreconditionError("series degree cannot exceed the model's N")
+        self._check_degree(degree)
         coeffs = np.zeros(degree + 1, dtype=np.complex128)
         coeffs[0] = 1.0
         for d, value in zip(self.degrees.tolist(), self.prime_values):
@@ -355,19 +466,21 @@ class FFModel:
         return coeffs
 
     def gaussian_exp_series(self, degree: int) -> np.ndarray:
-        """Coefficients of exp(sum_{k<=degree} X(k) z^k / sqrt(k))."""
-        _require_ints(degree=degree)
-        s = np.zeros(degree + 1, dtype=np.complex128)
-        for k in range(1, degree + 1):
-            s[k] = self.X(k) / math.sqrt(k)
-        return _series.exp_array(s, degree)
+        """Coefficients 0..degree of exp(sum_{k<=degree} X(k) z^k / sqrt(k)),
+        with X(k) from the power sums (the route of ff_second_moment)."""
+        self._check_degree(degree)
+        s = _power_sums(self.prime_values[None], self.degrees, self.q, degree)
+        return _series.exp_array(s[0], degree)
 
 
-@functools.lru_cache(maxsize=16)
-def _ff_rows(q: int, N: int):
-    """Row data of A(N) over F_q[t]: the rows of norm q^N, scaled by q^{-N/2}."""
-    degrees, tree, norm = _structure(q, N)
-    return tree, degrees.size, np.flatnonzero(norm == q**N), q ** (-N / 2.0)
+def _ff_coefficients(streams, q: int, N: int, power: float):
+    """|A(N)|**power for f drawn from each stream: exp of each block's power
+    sums, one exp_array call per block."""
+    degrees = _degrees(q, N)
+    values = []
+    for block in _prime_blocks(streams, degrees.size, degrees.size):
+        values += _series.exp_array(_power_sums(block, degrees, q, N), N)[:, N].tolist()
+    return _abs_powers(values, power)
 
 
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
@@ -375,6 +488,6 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
     _require_ints(q=q, N=N)
     mc.check_samples(samples)
-    values = mc.map_replicates(_replicates, (_ff_rows, (q, N), 2),
-                               seed, samples, workers, stream_cls=UnitCircleStream)
+    values = mc.map_replicates(_ff_coefficients, (q, N, 2), seed, samples, workers,
+                               stream_cls=UnitCircleStream)
     return mc.from_values(values, seed)

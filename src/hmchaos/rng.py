@@ -1,4 +1,5 @@
-"""Seeded, splittable streams of standard complex and real Gaussians.
+"""Seeded, splittable streams of standard complex and real Gaussians and of
+unit values.
 
 A stream is a pure function of its Seed: draw k returns the same value no
 matter how draws are batched, which thread created the stream, or how many
@@ -14,21 +15,30 @@ except in the rare rejection steps, and no transcendental function on
 the common path. Generator.standard_normal draws value after value, so
 split calls give the bits of one call.
 
-Complex draws and unit values keep the polar transforms. A complex draw
-is two steps: fill_uniforms writes the stream's uniform pairs (u1, u2)
-into a float64 buffer, and box_muller turns each pair into (Re X, Im X)
-in place, with no rejection loop. box_muller takes a (rows, m, 2) block
-and works through it in tiles of at most DRAW_BLOCK pairs through
-tile-sized contiguous temporaries, so a large draw stays in cache and
-builds no complex temporary. draw(n) is its one-row case, with each
-tile's uniforms filled just before the tile is transformed; a caller that
-stacks many streams' draws (chaos's exp input blocks) fills every row and
-transforms the block once. The values depend neither on DRAW_BLOCK nor on
-the block's shape: every tile runs the same ufuncs on the same inputs.
-Each part is the product radius * cos or radius * sin, so at a radius
-uniform of exactly 0 (probability 2^-53 per value) a part is a zero with
-the sign of its cosine or sine (the complex product radius * (cos + i sin)
-would give +0.0 in some of those cases).
+Complex draws keep polar Box-Muller. A complex draw is two steps:
+fill_uniforms writes the stream's uniform pairs (u1, u2) into a float64
+buffer, and box_muller turns each pair into (Re X, Im X) in place, with no
+rejection loop. box_muller takes a (rows, m, 2) block and works through it
+in tiles of at most DRAW_BLOCK pairs through tile-sized contiguous
+temporaries, so a large draw stays in cache and builds no complex
+temporary. draw(n) is its one-row case, with each tile's uniforms filled
+just before the tile is transformed; a caller that stacks many streams'
+draws (chaos's exp input blocks) fills every row and transforms the block
+once. The values depend neither on DRAW_BLOCK nor on the block's shape:
+every tile runs the same ufuncs on the same inputs. Each part is the
+product radius * cos or radius * sin, so at a radius uniform of exactly 0
+(probability 2^-53 per value) a part is a zero with the sign of its cosine
+or sine (the complex product radius * (cos + i sin) would give +0.0 in some
+of those cases).
+
+Unit values e^{2 pi i u} take one uniform each and no libm call (numpy's
+sin and cos run scalar libm, about 20 ns a value): unit_circle takes the
+nearest of UNIT_TABLE points e^{2 pi i j / UNIT_TABLE} and rotates it by
+a Taylor polynomial of e^{ix}, |x| <= pi / UNIT_TABLE, with real + - and
+x only, so numpy's SIMD dispatch cannot change the bits. A span of
+number-model replicates fills one row of uniforms per stream
+(UnitCircleStream.fill_uniforms) and transforms the block once;
+UnitCircleStream.draw(n) is the one-row case.
 
 A stream's position counts the values it has handed out: complex draws
 (draw, fill_uniforms), real values (draw_real) or unit values. It labels
@@ -47,6 +57,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 DRAW_BLOCK = 2**14  # pairs per block: 256 KiB of uniforms plus 384 KiB of temps fit L2
+UNIT_TABLE = 1024  # points of the unit-value table: 16 KiB, and |x| <= pi/1024
+UNIT_TILE = 2**13  # unit values per tile: six 64 KiB temporaries
 
 
 def splitmix64(x: int) -> int:
@@ -155,6 +167,75 @@ def box_muller(pairs: np.ndarray, fill=None) -> None:
             np.multiply(np.cos(a, out=a), r, out=tile[..., 0])
 
 
+def _unit_table(size: int):
+    """cos and sin of 2 pi j / size for j = 0..size (the last point is j = 0
+    again, for u that rounds up to 1). math.cos and math.sin run on the
+    first octant only, where the rounded pi costs the least; reflection
+    about pi/4 and the quarter turns are exact."""
+    eighth = size // 8
+    angles = [math.pi * r / (4 * eighth) for r in range(eighth + 1)]
+    c, s = np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
+    qc, qs = np.concatenate([c, s[-2:0:-1]]), np.concatenate([s, c[-2:0:-1]])
+    return (np.concatenate([qc, -qs, -qc, qs, [1.0]]),
+            np.concatenate([qs, qc, -qs, -qc, [0.0]]))
+
+
+_COS, _SIN = _unit_table(UNIT_TABLE)
+_TURN = _TWO_PI / UNIT_TABLE  # one table step, in radians
+
+
+def unit_circle(uniforms: np.ndarray, out: np.ndarray) -> None:
+    """Write e^{2 pi i u} for the (rows, m) float64 uniforms into the complex
+    (rows, m) `out`.
+
+    u * UNIT_TABLE = j + r with j its nearest integer and |r| <= 1/2, so the
+    value is table point j times e^{ix}, x = r * 2 pi / UNIT_TABLE. With
+    c = cos x - 1 and s = sin x from their Taylor polynomials through x^4 and
+    x^5 (next terms below 2e-18), the parts are cos_j + (cos_j c - sin_j s)
+    and sin_j + (sin_j c + cos_j s): within 3e-16 of the exact value. Every
+    step is an exactly specified float operation (no libm call, no fused
+    multiply-add), so the bits do not depend on numpy's SIMD dispatch. The
+    block runs in tiles of at most UNIT_TILE values (whole rows when
+    m <= UNIT_TILE, else pieces of one row) through tile-sized temporaries.
+    """
+    rows, m = uniforms.shape
+    if not rows * m:
+        return
+    width = min(m, UNIT_TILE)
+    step = max(1, UNIT_TILE // m)  # rows per tile
+    shape = (min(rows, step), width)
+    x, x2, c, s, t = (np.empty(shape) for _ in range(5))
+    j = np.empty(shape, dtype=np.intp)
+    for i in range(0, rows, step):
+        for k in range(0, m, width):
+            u, o = uniforms[i : i + step, k : k + width], out[i : i + step, k : k + width]
+            tile = (slice(len(u)), slice(u.shape[1]))
+            X, X2, C, S, T, J = x[tile], x2[tile], c[tile], s[tile], t[tile], j[tile]
+            np.multiply(u, UNIT_TABLE, out=X)  # exact, as is every step to x
+            np.rint(X, out=T)
+            np.subtract(X, T, out=X)
+            J[...] = T
+            np.multiply(X, _TURN, out=X)
+            np.multiply(X, X, out=X2)
+            np.multiply(X2, 1.0 / 24.0, out=C)  # c = x^2 (x^2/24 - 1/2)
+            np.subtract(C, 0.5, out=C)
+            np.multiply(C, X2, out=C)
+            np.multiply(X2, 1.0 / 120.0, out=S)  # s = x + x x^2 (x^2/120 - 1/6)
+            np.subtract(S, 1.0 / 6.0, out=S)
+            np.multiply(S, X2, out=S)
+            np.multiply(S, X, out=S)
+            np.add(S, X, out=S)
+            cos, sin = np.take(_COS, J, out=X), np.take(_SIN, J, out=X2)
+            np.multiply(cos, C, out=T)
+            np.multiply(sin, S, out=o.real)
+            np.subtract(T, o.real, out=T)
+            np.multiply(sin, C, out=C)
+            np.multiply(cos, S, out=S)
+            np.add(C, S, out=C)
+            np.add(cos, T, out=o.real)
+            np.add(sin, C, out=o.imag)
+
+
 class _PhiloxStream:
     """Common machinery: a seeded counter-based uniform source."""
 
@@ -194,13 +275,23 @@ class GaussianStream(_PhiloxStream):
 
 
 class UnitCircleStream(_PhiloxStream):
-    """Forward-only stream of independent uniform unit-modulus values."""
+    """Forward-only stream of independent uniform unit-modulus values.
+
+    Value k is e^{2 pi i u_k} for the stream's k-th uniform u_k, so a value
+    consumes exactly one uniform and batching never changes the values.
+    """
+
+    def fill_uniforms(self, uniforms: np.ndarray) -> None:
+        """Write the uniforms of the next draws into `uniforms`, a C-contiguous
+        float64 array, advancing position by one draw per uniform; unit_circle
+        turns them into the draws."""
+        self._gen.random(out=uniforms)
+        self.position += uniforms.size
 
     def draw(self, n: int) -> np.ndarray:
-        angle = self._gen.random(max(n, 0))
-        angle *= _TWO_PI
-        out = np.empty(len(angle), dtype=np.complex128)
-        np.cos(angle, out=out.real)
-        np.sin(angle, out=out.imag)
-        self.position += len(angle)
-        return out
+        """Return the next n unit values."""
+        uniforms = np.empty((1, max(n, 0)))
+        self.fill_uniforms(uniforms)
+        out = np.empty(uniforms.shape, dtype=np.complex128)
+        unit_circle(uniforms, out)
+        return out[0]

@@ -379,14 +379,14 @@ def _traced_peak(fn, *args):
 
 def test_event_chunk_peak_stays_near_its_draw():
     # K = 1000: 4096 rows of n_max = 6 block sums, in units of one real per
-    # block (8 B): the draw and the walk are 1x each and the draw's
-    # Box-Muller temporaries about 0.5x; a draw per k, 4096 x 403 complex
-    # values, would be 134x
+    # block (8 B): the ziggurat draw is 1x and the walks are summed in place
+    # on it, so only the flags and one checkpoint's comparison come on top
+    # (1.34x measured); a draw per k, 4096 x 403 complex values, would be 134x
     count, n_max = 4096, 6
     levels = _levels(np.array([2.0]), n_max, 10.0)
     sigmas = np.sqrt(barrier._block_variances(1.0, n_max))
     peak = _traced_peak(barrier._event_chunk, GaussianStream(Seed(5)), count, sigmas, levels)
-    assert peak < 4.0 * count * n_max * 8
+    assert peak < 2.0 * count * n_max * 8
 
 
 def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
@@ -456,9 +456,10 @@ def test_two_walk_runs_where_the_per_k_draw_was_over_budget():
 
 def test_two_walk_chunk_peak_near_its_draw():
     # 4096 rows of 3 blocks past M, in units of one real per row and block
-    # (8 B): the pair draw is 2x, its Box-Muller temporaries about 1x and
-    # the two walks 2x, since the pairs are mixed in place; a draw per k,
-    # 4096 x 20930 complex values, would be over 13000x
+    # (8 B): the ziggurat pair draw is 2x, mixing a pair makes one walk's
+    # temporary (1x), and the walks are summed in place on the draw (3.02x
+    # measured); a draw per k, 4096 x 20930 complex values, would be over
+    # 13000x
     r, theta, count = 0.99999, 1.0, 4096
     blocks = block_stats(r, theta, 1e6)
     n = blocks.log_K_r - blocks.M
@@ -467,7 +468,7 @@ def test_two_walk_chunk_peak_near_its_draw():
     levels = 2.0 + 2.0 * np.cumsum(sigmas**2)[None, :]
     peak = _traced_peak(barrier._two_walk_chunk, GaussianStream(Seed(5)), count, sigmas,
                         blocks.rho[blocks.M :], levels)
-    assert peak < 6.0 * count * n * 8
+    assert peak < 4.0 * count * n * 8
 
 
 def test_indicator_kernels_return_bools():

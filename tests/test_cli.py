@@ -308,6 +308,19 @@ def test_bivariate_check_passes(tmp_path):
     assert code == 0
 
 
+def test_bivariate_refuses_a_rho_past_its_grid_resolution(tmp_path, capsys):
+    # the 400-point normalization grid over 16 sigmas cannot resolve a ridge
+    # narrower than its spacing (|rho| > 0.99920): 0.99999999 integrated to
+    # 113; such a rho exits 2 before any draw, on its own or in a grid
+    for grid in ("0.99999999", "0.3,-0.9993", "0.9999999999999999"):
+        assert main(["bivariate", "--rho-grid", grid, "--check"]) == 2
+        assert "--rho-grid" in capsys.readouterr().err
+    code, text = run_csv(tmp_path, "biv", ["bivariate", "--rho-grid", "0.999,-0.9991",
+                                            "--check"])
+    assert code == 0
+    assert [line.split(",")[-1] for line in text.splitlines()[1:]] == ["1", "1"]
+
+
 def test_bivariate_refuses_a_span_past_the_float_range(capsys):
     # at --span 1e154 the exponent's u*u - 2 rho u v + v*v overflowed, and at
     # 1e300 it was inf - inf: max_density_gap read nan and every dominated_rho

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,7 +378,9 @@ def test_ff_prime_power_via_external_counts():
 
 def test_replicate_i_is_the_model_on_its_own_stream():
     # replicate i of each estimator is the model built directly on
-    # UnitCircleStream(split(seed, i)), bit for bit; the samples cross a span
+    # UnitCircleStream(split(seed, i)), bit for bit: S(x) for the Steinhaus
+    # model, the power-sum route gaussian_exp_series(N)[N] for F_q[t]; the
+    # samples cross a span and several blocks of each
     samples, seed = mc.REPLICATE_SPAN + 3, Seed(90)
 
     def models(model, *size):
@@ -384,16 +390,41 @@ def test_replicate_i_is_the_model_on_its_own_stream():
         ref = mc.from_values(values, seed)
         return (est.mean, est.std_error) == (ref.mean, ref.std_error)
 
-    sums = [m.partial_sum() for m in models(SteinhausModel, 30.0)]
-    assert same(steinhaus_abs_moment(30.0, 1.5, samples, seed),
-                [abs(v) ** 1.5 for v in sums])
-    coeffs = [m.A(4) for m in models(FFModel, 3, 4)]
-    assert same(ff_second_moment(3, 4, samples, seed), [abs(v) ** 2 for v in coeffs])
+    for x in (30.0, 3000.0):  # 3000: a block holds 10 replicates
+        sums = [m.partial_sum() for m in models(SteinhausModel, x)]
+        assert same(steinhaus_abs_moment(x, 1.5, samples, seed),
+                    [abs(v) ** 1.5 for v in sums])
+    for q, N in ((3, 4), (7, 5)):  # (7, 5): 4088 irreducibles, 8 replicates a block
+        coeffs = [m.gaussian_exp_series(N)[N] for m in models(FFModel, q, N)]
+        assert same(ff_second_moment(q, N, samples, seed), [abs(v) ** 2 for v in coeffs])
 
 
-def test_ff_span_fills_one_tree_buffer(monkeypatch):
-    # the replicates of a span take turns in one buffer of f on the tree,
-    # rather than allocating one each
+@pytest.mark.parametrize("q, N", [(2, 0), (5, 0), (2, 6), (3, 4), (4, 3), (7, 3)])
+def test_ff_replicates_match_the_enumeration(q, N):
+    # each replicate of the power-sum route against the tree's A(N)
+    seed = Seed(92)
+    values = numbermodels._ff_coefficients(
+        (UnitCircleStream(split(seed, i)) for i in range(40)), q, N, 1)
+    for i, value in enumerate(values):
+        model = FFModel(q, N, UnitCircleStream(split(seed, i)))
+        assert abs(value - abs(model.A(N))) <= 1e-12
+        assert abs(model.gaussian_exp_series(N)[N] - model.A(N)) <= 1e-12
+
+
+def test_power_sums_are_X_over_sqrt_k():
+    for q, N in ((2, 8), (3, 6), (5, 4), (7, 4), (4, 4)):
+        models = [FFModel(q, N, _circle(70 + i)) for i in range(3)]
+        block = np.stack([m.prime_values for m in models])
+        s = numbermodels._power_sums(block, models[0].degrees, q, N)
+        assert s.shape == (3, N + 1) and not s[:, 0].any()
+        for row, model in zip(s, models):
+            for k in range(1, N + 1):
+                assert abs(row[k] - model.X(k) / math.sqrt(k)) <= 1e-12
+
+
+def test_steinhaus_span_fills_one_tree_buffer(monkeypatch):
+    # the blocks of a span take turns in one buffer of f on the tree, rather
+    # than allocating one each; x = 3000 puts 10 replicates in a block
     buffers = []
     fill = numbermodels._tree_values
 
@@ -402,6 +433,37 @@ def test_ff_span_fills_one_tree_buffer(monkeypatch):
         return fill(prime_values, tree, values)
 
     monkeypatch.setattr(numbermodels, "_tree_values", recording)
-    ff_second_moment(7, 3, 20, Seed(91))
-    assert len(buffers) == 20
-    assert all(values is buffers[0] for values in buffers)
+    steinhaus_abs_moment(3000.0, 2.0, 25, Seed(91))
+    assert [values.shape for values in buffers] == [(3000, 10), (3000, 10), (3000, 5)]
+    assert all(np.shares_memory(values, buffers[0]) for values in buffers)
+
+
+_DISPATCH_BYTES = """
+import hashlib
+from hmchaos import cli
+from hmchaos.rng import Seed, UnitCircleStream
+print(hashlib.sha256(UnitCircleStream(Seed(9)).draw(100003).tobytes()).hexdigest())
+cli.main(["steinhaus", "--x", "1000", "--samples", "300", "--seed", "3"])
+cli.main(["ff", "--mode", "moment", "--q", "3", "--N", "6", "--samples", "300", "--seed", "3"])
+"""
+
+
+def test_number_model_bytes_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's complex multiply fuses a multiply-add on FMA targets (AVX2 and
+    # up) and its exp and log1p differ by target; the unit transform, the
+    # tree pass and the power sums use none of them, so a run with those
+    # targets disabled prints the bytes of a plain run (numpy reads the
+    # comma-separated list at import)
+    src = str(Path(numbermodels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    outputs = []
+    for disabled in (None, "AVX512_SPR,AVX512_ICL,X86_V4,X86_V3"):
+        run_env = {**env, "PYTHONPATH": path}
+        if disabled:
+            run_env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        outputs.append(subprocess.run([sys.executable, "-c", _DISPATCH_BYTES], env=run_env,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=300).stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@ import math
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -151,7 +152,7 @@ def test_draw_real_tail_share_past_the_ziggurat_cut():
 
 def test_draw_real_standard_normal():
     st = GaussianStream(Seed(88))
-    v = st.draw_real(200001)  # odd length exercises the truncation
+    v = st.draw_real(200001)
     assert v.size == 200001
     assert abs(np.mean(v)) <= 4.0 / math.sqrt(v.size)
     assert abs(np.var(v) - 1.0) <= 0.02
@@ -172,11 +173,12 @@ def _oracle_draw(stream, n):
 
 
 def _oracle_unit_circle(stream, n):
-    if n <= 0:
-        return np.empty(0, dtype=np.complex128)
-    angle = 2.0 * math.pi * stream._gen.random(n)
-    stream.position += n
-    return np.cos(angle) + 1j * np.sin(angle)
+    # unit values are the transform of the stream's own uniforms, in one call
+    u = stream._gen.random((1, max(n, 0)))
+    out = np.empty(u.shape, dtype=np.complex128)
+    rng.unit_circle(u, out)
+    stream.position += u.size
+    return out[0]
 
 
 def _same_bytes(a, b):
@@ -209,10 +211,11 @@ def test_draws_split_across_a_block_boundary_equal_one_draw():
 @pytest.mark.parametrize("n", [1, 7, 10])
 def test_fill_does_not_depend_on_the_block_size(n, monkeypatch):
     expected = GaussianStream(Seed(12)).draw(n)
-    expected_real = GaussianStream(Seed(12)).draw_real(n)
+    expected_unit = UnitCircleStream(Seed(12)).draw(n)
     monkeypatch.setattr(rng, "DRAW_BLOCK", 3)
+    monkeypatch.setattr(rng, "UNIT_TILE", 3)
     assert _same_bytes(GaussianStream(Seed(12)).draw(n), expected)
-    assert _same_bytes(GaussianStream(Seed(12)).draw_real(n), expected_real)
+    assert _same_bytes(UnitCircleStream(Seed(12)).draw(n), expected_unit)
 
 
 class _FixedUniforms:
@@ -285,6 +288,51 @@ def test_box_muller_on_a_block_is_per_row_draws(shape):
     for i in range(rows):
         expected = GaussianStream(Seed(3, i)).draw(m)
         assert _same_bytes(pairs[i].copy().view(np.complex128).reshape(-1), expected)
+
+
+def _exact_unit(u):
+    return mpmath.expjpi(2 * mpmath.mpf(float(u)))
+
+
+def test_unit_circle_is_within_1e_15_of_the_exact_value():
+    # 10^4 uniforms, the quarter turns, the largest uniform and every table
+    # point and half-step (where |x| is largest), against mpmath at 120 bits
+    table = rng.UNIT_TABLE
+    u = np.concatenate([np.random.default_rng(7).random(10**4),
+                        [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 2.0**-53],
+                        np.arange(table) / table, (np.arange(table) + 0.5) / table])
+    out = np.empty((1, u.size), dtype=np.complex128)
+    rng.unit_circle(u[None], out)
+    with mpmath.workprec(120):
+        err = max(abs(mpmath.mpc(v) - _exact_unit(x)) for x, v in zip(u.tolist(), out[0].tolist()))
+    assert err <= 1e-15
+    assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (1, 7), (5, 3),
+                                   (2, rng.UNIT_TILE + 3), (rng.UNIT_TILE // 3 + 1, 3)])
+def test_unit_circle_on_a_block_is_per_row_draws(shape):
+    # rows of uniforms filled one stream at a time and transformed at once,
+    # in row tiles or in pieces of a row wider than a tile; empty blocks too
+    rows, m = shape
+    uniforms = np.empty((rows, m))
+    out = np.empty((rows, m + 2), dtype=np.complex128)[:, 1 : m + 1]  # rows not contiguous
+    for i in range(rows):
+        st = UnitCircleStream(Seed(3, i))
+        st.fill_uniforms(uniforms[i])
+        assert st.position == m
+    rng.unit_circle(uniforms, out)
+    for i in range(rows):
+        assert _same_bytes(out[i].copy(), UnitCircleStream(Seed(3, i)).draw(m))
+
+
+def test_an_empty_unit_draw_is_empty():
+    st = UnitCircleStream(Seed(3))
+    for n in (0, -2):
+        draw = st.draw(n)
+        assert draw.shape == (0,) and draw.dtype == np.complex128
+    assert st.position == 0
+    assert _same_bytes(st.draw(5), UnitCircleStream(Seed(3)).draw(5))
 
 
 def test_seed_validation():
