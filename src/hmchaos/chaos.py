@@ -118,11 +118,13 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
     fewer if `streams` runs out): one block of exp_array's inputs.
 
     Each stream writes its uniforms straight into its row, in order, and is
-    dropped; one box_muller pass then turns the block into draws and one
-    in-place division scales them, with the bits of `stream.draw(m) / scale`
-    row by row. N < 0 is refused, and the N + 1 coefficients of a row are
-    budgeted (exp_width refuses a width above FIELD_BUDGET), before anything
-    is drawn.
+    dropped; one box_muller pass (one unit_circle pass over the block, which
+    takes each tile's radii with its angles) turns the block into draws in
+    place, as `stream.draw(m)` does for its one row, and one in-place
+    division scales them, with the bits of `stream.draw(m) / scale` row by
+    row. N < 0 is refused, and the N + 1 coefficients of a row are budgeted
+    (exp_width refuses a width above FIELD_BUDGET), before anything is
+    drawn.
     """
     if N < 0:
         raise PreconditionError(f"the exp degree must be >= 0, got {N}")

@@ -15,30 +15,24 @@ except in the rare rejection steps, and no transcendental function on
 the common path. Generator.standard_normal draws value after value, so
 split calls give the bits of one call.
 
-Complex draws keep polar Box-Muller. A complex draw is two steps:
-fill_uniforms writes the stream's uniform pairs (u1, u2) into a float64
-buffer, and box_muller turns each pair into (Re X, Im X) in place, with no
-rejection loop. box_muller takes a (rows, m, 2) block and works through it
-in tiles of at most DRAW_BLOCK pairs through tile-sized contiguous
-temporaries, so a large draw stays in cache and builds no complex
-temporary. draw(n) is its one-row case, with each tile's uniforms filled
-just before the tile is transformed; a caller that stacks many streams'
-draws (chaos's exp input blocks) fills every row and transforms the block
-once. The values depend neither on DRAW_BLOCK nor on the block's shape:
-every tile runs the same ufuncs on the same inputs. Each part is the
-product radius * cos or radius * sin, so at a radius uniform of exactly 0
-(probability 2^-53 per value) a part is a zero with the sign of its cosine
-or sine (the complex product radius * (cos + i sin) would give +0.0 in some
-of those cases).
-
 Unit values e^{2 pi i u} take one uniform each and no libm call (numpy's
 sin and cos run scalar libm, about 20 ns a value): unit_circle takes the
 nearest of UNIT_TABLE points e^{2 pi i j / UNIT_TABLE} and rotates it by
 a Taylor polynomial of e^{ix}, |x| <= pi / UNIT_TABLE, with real + - and
-x only, so numpy's SIMD dispatch cannot change the bits. A span of
-number-model replicates fills one row of uniforms per stream
-(UnitCircleStream.fill_uniforms) and transforms the block once;
-UnitCircleStream.draw(n) is the one-row case.
+x only, so numpy's SIMD dispatch cannot change the bits. It is the one
+polar transform: a complex draw X = sqrt(-log1p(-u1)) e^{2 pi i u2} (polar
+Box-Muller, no rejection loop) is unit_circle of u2 times the radius, whose
+np.log1p is the one transcendental function on the complex path. No draw
+calls numpy's sin or cos.
+
+fill_uniforms writes a stream's uniforms (pairs (u1, u2) for complex
+draws) into a float64 buffer, and unit_circle (box_muller for pairs) turns
+a block of them into draws in tiles of at most UNIT_TILE values. Every tile
+runs the same ufuncs on the same inputs, so the values depend neither on
+UNIT_TILE nor on the block's shape. draw(n) is the one-row case; a caller
+that stacks many streams' draws (chaos's exp input blocks, a span of
+number-model replicates) fills one row per stream and transforms the block
+once.
 
 A stream's position counts the values it has handed out: complex draws
 (draw, fill_uniforms), real values (draw_real) or unit values. It labels
@@ -55,10 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_TWO_PI = 2.0 * math.pi
-DRAW_BLOCK = 2**14  # pairs per block: 256 KiB of uniforms plus 384 KiB of temps fit L2
 UNIT_TABLE = 1024  # points of the unit-value table: 16 KiB, and |x| <= pi/1024
-UNIT_TILE = 2**13  # unit values per tile: six 64 KiB temporaries
+UNIT_TILE = 2**13  # unit values per tile: six 64 KiB temporaries, seven with radii
 
 
 def splitmix64(x: int) -> int:
@@ -136,37 +128,6 @@ def _philox(seed: Seed):
     return np.random.Generator(np.random.Philox(_philox_key(key)))
 
 
-def box_muller(pairs: np.ndarray, fill=None) -> None:
-    """Turn uniform pairs (u1, u2) into (Re X, Im X) in place.
-
-    `pairs` is a (rows, m, 2) float64 view whose rows each hold m contiguous
-    pairs. It is transformed in tiles of at most DRAW_BLOCK pairs (whole rows
-    when m <= DRAW_BLOCK, else pieces of one row); fill(tile), when given,
-    writes a tile's uniforms just before its transform.
-    """
-    rows, m = pairs.shape[:2]
-    if not rows * m:
-        return
-    width = min(m, DRAW_BLOCK)
-    step = max(1, DRAW_BLOCK // m)  # rows per tile
-    shape = (min(rows, step), width)
-    angle, radius, sine = np.empty(shape), np.empty(shape), np.empty(shape)
-    # log1p, sin and cos run on contiguous temporaries, which measured
-    # faster than in place on the stride-16 lanes
-    for i in range(0, rows, step):
-        for j in range(0, m, width):
-            tile = pairs[i : i + step, j : j + width]
-            if fill is not None:
-                fill(tile)
-            a, r = angle[: len(tile), : tile.shape[1]], radius[: len(tile), : tile.shape[1]]
-            s = sine[: len(tile), : tile.shape[1]]
-            np.multiply(tile[..., 1], _TWO_PI, out=a)
-            np.negative(tile[..., 0], out=r)
-            np.sqrt(np.negative(np.log1p(r, out=r), out=r), out=r)
-            np.multiply(np.sin(a, out=s), r, out=tile[..., 1])
-            np.multiply(np.cos(a, out=a), r, out=tile[..., 0])
-
-
 def _unit_table(size: int):
     """cos and sin of 2 pi j / size for j = 0..size (the last point is j = 0
     again, for u that rounds up to 1). math.cos and math.sin run on the
@@ -181,12 +142,12 @@ def _unit_table(size: int):
 
 
 _COS, _SIN = _unit_table(UNIT_TABLE)
-_TURN = _TWO_PI / UNIT_TABLE  # one table step, in radians
+_TURN = 2.0 * math.pi / UNIT_TABLE  # one table step, in radians
 
 
-def unit_circle(uniforms: np.ndarray, out: np.ndarray) -> None:
+def unit_circle(uniforms: np.ndarray, out: np.ndarray, radii: np.ndarray | None = None) -> None:
     """Write e^{2 pi i u} for the (rows, m) float64 uniforms into the complex
-    (rows, m) `out`.
+    (rows, m) `out`, times sqrt(-log1p(-v)) for the (rows, m) float64 `radii` v.
 
     u * UNIT_TABLE = j + r with j its nearest integer and |r| <= 1/2, so the
     value is table point j times e^{ix}, x = r * 2 pi / UNIT_TABLE. With
@@ -197,6 +158,8 @@ def unit_circle(uniforms: np.ndarray, out: np.ndarray) -> None:
     multiply-add), so the bits do not depend on numpy's SIMD dispatch. The
     block runs in tiles of at most UNIT_TILE values (whole rows when
     m <= UNIT_TILE, else pieces of one row) through tile-sized temporaries.
+    Each tile reads its uniforms and radii before it writes `out`, which may
+    share memory with them; each part is then the radius times that part.
     """
     rows, m = uniforms.shape
     if not rows * m:
@@ -206,11 +169,15 @@ def unit_circle(uniforms: np.ndarray, out: np.ndarray) -> None:
     shape = (min(rows, step), width)
     x, x2, c, s, t = (np.empty(shape) for _ in range(5))
     j = np.empty(shape, dtype=np.intp)
+    r = None if radii is None else np.empty(shape)
     for i in range(0, rows, step):
         for k in range(0, m, width):
             u, o = uniforms[i : i + step, k : k + width], out[i : i + step, k : k + width]
             tile = (slice(len(u)), slice(u.shape[1]))
             X, X2, C, S, T, J = x[tile], x2[tile], c[tile], s[tile], t[tile], j[tile]
+            if r is not None:
+                R = np.negative(radii[i : i + step, k : k + width], out=r[tile])
+                np.sqrt(np.negative(np.log1p(R, out=R), out=R), out=R)
             np.multiply(u, UNIT_TABLE, out=X)  # exact, as is every step to x
             np.rint(X, out=T)
             np.subtract(X, T, out=X)
@@ -234,6 +201,15 @@ def unit_circle(uniforms: np.ndarray, out: np.ndarray) -> None:
             np.add(C, S, out=C)
             np.add(cos, T, out=o.real)
             np.add(sin, C, out=o.imag)
+            if r is not None:
+                np.multiply(o.real, R, out=o.real)
+                np.multiply(o.imag, R, out=o.imag)
+
+
+def box_muller(pairs: np.ndarray) -> None:
+    """Turn the (rows, m, 2) float64 uniform pairs (u1, u2), each row's m pairs
+    contiguous, into (Re X, Im X) in place, in one unit_circle pass."""
+    unit_circle(pairs[..., 1], pairs.view(np.complex128)[..., 0], radii=pairs[..., 0])
 
 
 class _PhiloxStream:
@@ -264,9 +240,10 @@ class GaussianStream(_PhiloxStream):
 
     def draw(self, n: int) -> np.ndarray:
         """Return the next n values X(position+1 .. position+n)."""
-        buf = np.empty((max(n, 0), 2))
-        box_muller(buf[None], fill=self.fill_uniforms)
-        return buf.view(np.complex128).reshape(-1)
+        pairs = np.empty((1, max(n, 0), 2))
+        self.fill_uniforms(pairs)
+        box_muller(pairs)
+        return pairs.view(np.complex128).reshape(-1)
 
     def draw_real(self, n: int) -> np.ndarray:
         """Return the next n independent real N(0,1) values (ziggurat)."""

@@ -216,9 +216,9 @@ def _rows_by_draw(seed, first, count, N, m):
 
 
 # (N, K, streams): a ragged last block at N = 64 (504 rows a block), N = 0
-# and 1, K < N, and rows of more than DRAW_BLOCK pairs
+# and 1, K < N, and rows of more than two UNIT_TILE pairs
 BLOCK_FILL_CASES = [(64, 64.0, 1100), (0, 0.0, 5), (1, 1.0, 3), (1, 0.5, 2), (10, 4.5, 7),
-                    (12, 3.0, 1), (rng.DRAW_BLOCK + 7, math.inf, 2)]
+                    (12, 3.0, 1), (2 * rng.UNIT_TILE + 7, math.inf, 2)]
 
 
 @pytest.mark.parametrize("N, K, samples", BLOCK_FILL_CASES)
@@ -239,7 +239,7 @@ def test_block_fill_does_not_depend_on_the_tile_size(monkeypatch):
     seed = Seed(31)
     expected = [_input_rows((GaussianStream(split(seed, i)) for i in range(9)), N, N)
                 for N in (2, 7, 12)]
-    monkeypatch.setattr(rng, "DRAW_BLOCK", 5)
+    monkeypatch.setattr(rng, "UNIT_TILE", 5)
     for N, block in zip((2, 7, 12), expected):
         streams = (GaussianStream(split(seed, i)) for i in range(9))
         assert _input_rows(streams, N, N).tobytes() == block.tobytes()

@@ -114,7 +114,7 @@ def test_draw_real_is_the_ziggurat_on_the_streams_philox(n):
 
 
 def test_split_real_draws_equal_one_draw():
-    sizes = [0, 1, 7, 4096, 4097, rng.DRAW_BLOCK + 1, 0]
+    sizes = [0, 1, 7, 4096, 4097, 2 * rng.UNIT_TILE + 1, 0]
     whole = GaussianStream(Seed(5, 3)).draw_real(sum(sizes))
     st = GaussianStream(Seed(5, 3))
     parts = [st.draw_real(n) for n in sizes]
@@ -158,18 +158,8 @@ def test_draw_real_standard_normal():
     assert abs(np.var(v) - 1.0) <= 0.02
 
 
-# The unblocked formulas, kept as the oracle of the blocked fill: each reads
+# The untiled formulas, kept as the oracle of the tiled draws: each reads
 # the stream's own uniform source and advances its position.
-
-
-def _oracle_draw(stream, n):
-    if n <= 0:
-        return np.empty(0, dtype=np.complex128)
-    u = stream._gen.random(2 * n)
-    radius = np.sqrt(-np.log1p(-u[0::2]))
-    angle = 2.0 * math.pi * u[1::2]
-    stream.position += n
-    return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
 def _oracle_unit_circle(stream, n):
@@ -181,11 +171,23 @@ def _oracle_unit_circle(stream, n):
     return out[0]
 
 
+def _oracle_draw(stream, n):
+    # each part is the radius times that part of the angle's unit value
+    u = stream._gen.random((max(n, 0), 2))
+    radius = np.sqrt(-np.log1p(-u[:, 0]))
+    unit = np.empty((1, len(u)), dtype=np.complex128)
+    rng.unit_circle(u[:, 1].copy()[None], unit)
+    stream.position += len(u)
+    out = np.empty(len(u), dtype=np.complex128)
+    out.real, out.imag = radius * unit[0].real, radius * unit[0].imag
+    return out
+
+
 def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-B = rng.DRAW_BLOCK
+B = 2 * rng.UNIT_TILE  # sizes about the second tile boundary
 FILL_SIZES = [0, 1, 2, B - 1, B, B + 1, 3 * B + 5]
 
 
@@ -212,7 +214,6 @@ def test_draws_split_across_a_block_boundary_equal_one_draw():
 def test_fill_does_not_depend_on_the_block_size(n, monkeypatch):
     expected = GaussianStream(Seed(12)).draw(n)
     expected_unit = UnitCircleStream(Seed(12)).draw(n)
-    monkeypatch.setattr(rng, "DRAW_BLOCK", 3)
     monkeypatch.setattr(rng, "UNIT_TILE", 3)
     assert _same_bytes(GaussianStream(Seed(12)).draw(n), expected)
     assert _same_bytes(UnitCircleStream(Seed(12)).draw(n), expected_unit)
@@ -226,12 +227,9 @@ class _FixedUniforms:
         self._used = 0
 
     def random(self, size=None, out=None):
-        n = out.size if out is not None else size
-        values = self._values[self._used : self._used + n]
-        self._used += n
-        if out is None:
-            return values.copy()
-        out[...] = values.reshape(out.shape)
+        out = np.empty(size) if out is None else out
+        out[...] = self._values[self._used : self._used + out.size].reshape(out.shape)
+        self._used += out.size
         return out
 
 
@@ -243,8 +241,10 @@ def test_a_zero_radius_uniform_gives_the_oracle_value():
     for st in streams:
         st._gen = _FixedUniforms(np.ravel(u))
     x = streams[0].draw(6)
-    assert np.array_equal(x, _oracle_draw(streams[1], 6))  # -0.0 == +0.0
+    assert _same_bytes(x, _oracle_draw(streams[1], 6))  # zeros keep their signs
     assert np.count_nonzero(x == 0) == 5
+    assert np.signbit(x[:5].real).tolist() == [False, False, True, True, False]
+    assert np.signbit(x[:5].imag).tolist() == [False, False, False, True, True]
 
 
 KEY_WORDS = [0, 1, 2**64 - 1]
@@ -307,6 +307,25 @@ def test_unit_circle_is_within_1e_15_of_the_exact_value():
         err = max(abs(mpmath.mpc(v) - _exact_unit(x)) for x, v in zip(u.tolist(), out[0].tolist()))
     assert err <= 1e-15
     assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
+
+
+def test_gaussian_draw_is_within_1e_15_of_the_exact_value():
+    # 10^4 uniform pairs, then every table point and half-step as the angle
+    # uniform and the extreme radius uniforms, against mpmath's
+    # sqrt(-log1p(-u1)) (cos, sin)(2 pi u2) at 120 bits: each part within 1e-15 |X|
+    table = rng.UNIT_TABLE
+    gen = np.random.default_rng(8)
+    angles = np.concatenate([gen.random(10**4), np.arange(table) / table,
+                             (np.arange(table) + 0.5) / table, [0.125, 0.375]])
+    radii = np.concatenate([gen.random(angles.size - 2), [1.0 - 2.0**-53, 2.0**-53]])
+    pairs = np.stack([radii, angles], axis=-1)[None]
+    rng.box_muller(pairs)
+    with mpmath.workprec(120):
+        err = 0.0
+        for u1, u2, (re, im) in zip(radii.tolist(), angles.tolist(), pairs[0].tolist()):
+            x = mpmath.sqrt(-mpmath.log1p(-mpmath.mpf(u1))) * _exact_unit(u2)
+            err = max(err, abs(re - x.real) / abs(x), abs(im - x.imag) / abs(x))
+    assert err <= 1e-15
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (1, 7), (5, 3),
