@@ -12,8 +12,8 @@ the Parseval power sum, and estimates the first moment over a grid of N.
 The moment and circle-average kernels take a span of replicates at a time
 and stack them into blocks of at most EXP_BLOCK values of exp_array's
 working width, one exp_array call per block. Each block's inputs are drawn
-at once: every stream writes its uniforms into its row, then one
-Box-Muller pass and one division by sqrt(k) run over the block.
+at once: rng.fill_rows has every stream write its uniforms into its row,
+then one Box-Muller pass and one division by sqrt(k) run over the block.
 
 It is also the one home of the field: field_rows draws rows of X(lo..hi)
 with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
@@ -26,7 +26,6 @@ step-major from the stream's real (ziggurat) draws.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from . import mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import GaussianStream, Seed, box_muller, split
+from .rng import Seed, Stream, box_muller, fill_rows, split
 from .series import FIELD_BUDGET, exp_array, exp_width, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
@@ -117,8 +116,8 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
     for each of the next EXP_BLOCK // exp_width(N) streams (at least one;
     fewer if `streams` runs out): one block of exp_array's inputs.
 
-    Each stream writes its uniforms straight into its row, in order, and is
-    dropped; one box_muller pass (one unit_circle pass over the block, which
+    fill_rows has each stream write its uniforms straight into its row, in
+    order; one box_muller pass (one unit_circle pass over the block, which
     takes each tile's radii with its angles) turns the block into draws in
     place, as `stream.draw(m)` does for its one row, and one in-place
     division scales them, with the bits of `stream.draw(m) / scale` row by
@@ -133,16 +132,14 @@ def _input_rows(streams, N: int, K: float) -> np.ndarray:
     m = N if K >= N else max(_int_floor(K), 0)  # K = inf is the untruncated model
     s = np.zeros((rows, N + 1), dtype=np.complex128)
     pairs = s.view(np.float64).reshape(rows, N + 1, 2)[:, 1 : m + 1]
-    count = 0
-    for count, stream in enumerate(islice(streams, rows), 1):
-        stream.fill_uniforms(pairs[count - 1])
+    count = fill_rows(streams, pairs)
     box_muller(pairs[:count])
     s = s[:count]
     s[:, 1 : m + 1] /= np.sqrt(np.arange(1, m + 1))
     return s
 
 
-def sample_A(N: int, K: float, stream: GaussianStream) -> np.ndarray:
+def sample_A(N: int, K: float, stream: Stream) -> np.ndarray:
     """One draw of the coefficients A(0..N) of the degree-K truncated model.
 
     Coefficients of degree n <= K depend only on X(1..n), so any K >= N

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import barrier, chaos, mc, numbermodels, partitions, report, series
 from .errors import BudgetError, PreconditionError
-from .rng import GaussianStream, Seed, UnitCircleStream, _philox, split
+from .rng import Seed, Stream, split
 
 MOMENT_COLUMNS = ["N", "q", "samples", "mean", "std_error", "compensated", "seed"]
 DEFAULT_BAND = (0.2, 5.0)
@@ -40,7 +40,7 @@ def _require(args, *names):
 
 def cmd_sample(args):
     _require(args, "N")
-    stream = GaussianStream(Seed(args.seed))
+    stream = Stream(Seed(args.seed))
     K = args.K if args.K is not None else float(max(args.N, 1))
     coeffs = chaos.sample_A(args.N, K, stream)
     rows = [(n, float(coeffs[n].real), float(coeffs[n].imag)) for n in range(args.N + 1)]
@@ -208,11 +208,12 @@ def cmd_bivariate(args):
                              f"sigmas wide, is narrower than the normalization grid's "
                              f"16/399 sigmas, so its integral is not resolved; "
                              f"use |rho| <= 0.9991")
-    rng = _philox(Seed(args.seed))
+    stream, u = Stream(Seed(args.seed)), np.empty((2, side * side))
     rows, checks = [], []
     for params in pairs:
-        x1 = args.mu1 + args.span * args.sigma1 * (2.0 * rng.random(side * side) - 1.0)
-        x2 = args.mu2 + args.span * args.sigma2 * (2.0 * rng.random(side * side) - 1.0)
+        stream.fill_uniforms(u)
+        x1 = args.mu1 + args.span * args.sigma1 * (2.0 * u[0] - 1.0)
+        x2 = args.mu2 + args.span * args.sigma2 * (2.0 * u[1] - 1.0)
         gap = float(np.max(barrier.bivariate_density(params, x1, x2)
                            - barrier.dominating_density(params, x1, x2)))
         xv = args.mu1 + grid * args.sigma1
@@ -267,7 +268,7 @@ def cmd_ff(args):
                        abs(est.mean - 1.0) <= 4.0 * est.std_error))
     else:  # "series"; argparse's choices refuse any other mode
         columns = ["q", "N", "max_err_euler", "max_err_exp", "tol", "ok"]
-        model = numbermodels.FFModel(args.q, args.N, UnitCircleStream(Seed(args.seed)))
+        model = numbermodels.FFModel(args.q, args.N, Stream(Seed(args.seed)))
         direct = np.array([model.A(n) for n in range(args.N + 1)])
         err_euler = float(np.max(np.abs(model.euler_product_series(args.N) - direct)))
         err_exp = float(np.max(np.abs(model.gaussian_exp_series(args.N) - direct)))
@@ -280,7 +281,7 @@ def cmd_ff(args):
 def cmd_series_selftest(args):
     rows, checks = [], []
     series.check_recurrence_budget(args.degree)  # before the inputs are drawn
-    stream = GaussianStream(Seed(args.seed))
+    stream = Stream(Seed(args.seed))
     s = chaos._input_rows([stream], args.degree, float(args.degree))[0]
     slow = series.exp_array(s, args.degree, engine="recurrence")
     fast = series.exp_array(s, args.degree)
@@ -302,9 +303,15 @@ def cmd_series_selftest(args):
     return ["check", "size", "max_err", "tol", "ok"], rows, checks
 
 
+def _worker_count(text):
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser, samples_default=None):
     parser.add_argument("--seed", type=int, default=42, help="root seed (u64)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_worker_count, default=1)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--config", default=None,

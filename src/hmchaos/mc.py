@@ -3,16 +3,16 @@
 Replicate i of an estimator is a pure function of split(seed, i), and work
 is cut into fixed-size spans of replicate indices, so the per-replicate
 values are identical for any worker count. A span reaches its kernel as
-one lazy iterator of streams, so the kernel may stack its replicates into
-one batch, as long as each value depends only on its own stream: chaos's
-kernels let each stream write its uniforms into its row of an exp input
-block and drop it, then run one Box-Muller pass over the block, and the
-number models' kernels do the same with one unit_circle pass, with the
-bits each stream's own draw would give. A map_chunks kernel draws its
-whole chunk from one stream: the barrier kernels lay the chunk's walks out
-step-major (chaos._walks), one row of real draws per step, so walk i is
-column i. A stream is Philox keyed directly by its seed, so creating one
-per replicate reads no OS entropy.
+one lazy iterator of streams (rng.Stream), so the kernel may stack its
+replicates into one batch, as long as each value depends only on its own
+stream: chaos's kernels have rng.fill_rows let each stream write its
+uniforms into its row of an exp input block, then run one Box-Muller pass
+over the block, and the number models' kernels do the same with one
+unit_circle pass, with the bits each stream's own draw would give. A
+map_chunks kernel draws its whole chunk from one stream: the barrier
+kernels lay the chunk's walks out step-major (chaos._walks), one row of
+real draws per step, so walk i is column i. A stream is Philox keyed
+directly by its seed, so creating one per replicate reads no OS entropy.
 Reductions run over the gathered array in replicate order with numpy's
 pairwise summation, making every estimate reproducible bit for bit.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .rng import GaussianStream, Seed, split
+from .rng import Seed, Stream, split
 
 REPLICATE_SPAN = 512   # replicates per task; fixed so task layout never varies
 CHUNK_SAMPLES = 4096   # batch size for internally vectorized estimators
@@ -64,8 +64,8 @@ def check_samples(samples: int, least: int = 2) -> None:
 
 
 def _eval_span(task):
-    fn, args, seed, start, stop, stream_cls = task
-    streams = (stream_cls(split(seed, i)) for i in range(start, stop))
+    fn, args, seed, start, stop = task
+    streams = (Stream(split(seed, i)) for i in range(start, stop))
     values = np.asarray(fn(streams, *args))
     if values.shape != (stop - start,):
         raise RuntimeError(f"{fn.__name__} returned {values.shape} values for "
@@ -75,7 +75,7 @@ def _eval_span(task):
 
 def _eval_chunk(task):
     fn, args, seed, index, count = task
-    values = np.asarray(fn(GaussianStream(split(seed, index)), count, *args))
+    values = np.asarray(fn(Stream(split(seed, index)), count, *args))
     if values.shape[:1] != (count,):
         raise RuntimeError(f"{fn.__name__} returned {values.shape} values for "
                            f"{count} replicates")
@@ -92,24 +92,23 @@ def _run_tasks(runner, tasks, workers):
         return list(pool.map(runner, tasks))
 
 
-def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1,
-                   stream_cls=GaussianStream) -> np.ndarray:
+def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1) -> np.ndarray:
     """values[start:stop] = fn(streams, *args) for each span [start, stop).
 
-    streams lazily yields stream_cls(split(seed, i)) for i = start..stop-1,
+    streams lazily yields Stream(split(seed, i)) for i = start..stop-1,
     and fn returns exactly one value per stream, in order; value i must
     depend on stream i alone. Spans hold REPLICATE_SPAN replicates. fn must
     be a module-level callable (it is pickled when workers > 1).
     """
     check_samples(samples, 1)
-    tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples), stream_cls)
+    tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples))
              for start in range(0, samples, REPLICATE_SPAN)]
     return np.concatenate(_run_tasks(_eval_span, tasks, workers))
 
 
 def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
                chunk: int = CHUNK_SAMPLES) -> np.ndarray:
-    """Concatenate fn(GaussianStream(split(seed, c)), count_c, *args) over chunks.
+    """Concatenate fn(Stream(split(seed, c)), count_c, *args) over chunks.
 
     For estimators that vectorize internally: chunk c owns replicates
     [c*chunk, c*chunk + count_c) and draws them all from one child stream.

@@ -32,19 +32,19 @@ read each irreducible's value once per multiple of its degree, and A(N) is
 the z^N coefficient of exp(sum_k X(k) z^k / sqrt(k)), so a replicate costs
 about as much as the irreducibles of degree <= N, not the q^N monics.
 
-Both estimators run a span's replicates in blocks: each stream writes its
-uniforms into its row of one block, one rng.unit_circle pass gives f on the
-primes, and the block runs through the tree or the power sums, with the
-bits each model on its own stream gives. Every complex product is formed
-from rounded real products (_rotate), so numpy's SIMD dispatch cannot
-change the bits.
+Both models draw f on the primes with stream.draw_unit. Both estimators
+run a span's replicates in blocks: rng.fill_rows has each stream write its
+uniforms into its row of one block, one rng.unit_circle pass gives f on
+the primes, and the block runs through the tree or the power sums, with
+the bits each model on its own stream gives. Every complex product is
+formed from rounded real products (_rotate), so numpy's SIMD dispatch
+cannot change the bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from . import mc
 from . import series as _series
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import Seed, UnitCircleStream, unit_circle
+from .rng import Seed, Stream, fill_rows, unit_circle
 
 ENUMERATION_BUDGET = 10**7
 # Cap on floor(x), checked before the sieve allocates: building the integer
@@ -138,21 +138,16 @@ def _prime_blocks(streams, primes: int, width: int):
     """f on `primes` primes for each of the streams, in (rows, primes)
     blocks of SPAN_BLOCK // width rows (at least one; fewer at the end).
 
-    Each stream writes its uniforms into its row of the block and is
-    dropped; one unit_circle pass turns the block into values, with the
-    bits of stream.draw(primes) row by row. The buffers are reused, so a
+    fill_rows has each stream write its uniforms into its row of the block;
+    one unit_circle pass turns the block into values, with the bits of
+    stream.draw_unit(primes) row by row. The buffers are reused, so a
     block holds until the next one is drawn.
     """
     rows = max(1, SPAN_BLOCK // max(width, 1))
     uniforms = np.empty((rows, primes))
     values = np.empty((rows, primes), dtype=np.complex128)
     streams = iter(streams)
-    while True:
-        count = 0
-        for count, stream in enumerate(islice(streams, rows), 1):
-            stream.fill_uniforms(uniforms[count - 1])
-        if not count:
-            return
+    while count := fill_rows(streams, uniforms):
         unit_circle(uniforms[:count], values[:count])
         yield values[:count]
 
@@ -199,9 +194,9 @@ class SteinhausModel:
     """A Steinhaus multiplicative function whose values f(p) at the primes
     are the next draws of `stream`, in `prime_values`."""
 
-    def __init__(self, x: float, stream: UnitCircleStream):
+    def __init__(self, x: float, stream: Stream):
         self.x = float(x)
-        self.prime_values = stream.draw(_sieve(_cutoff(x)).size)
+        self.prime_values = stream.draw_unit(_sieve(_cutoff(x)).size)
 
     def _rows(self):
         """f on the rows of the integer tree, and each row's integer."""
@@ -242,8 +237,7 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     if not math.isfinite(power):
         raise PreconditionError("the moment power must be finite")
     mc.check_samples(samples)
-    values = mc.map_replicates(_steinhaus_sums, (x, power), seed, samples, workers,
-                               stream_cls=UnitCircleStream)
+    values = mc.map_replicates(_steinhaus_sums, (x, power), seed, samples, workers)
     return mc.from_values(values, seed)
 
 
@@ -412,11 +406,11 @@ class FFModel:
     irreducible enter the model, so no arithmetic over F_q is needed.
     """
 
-    def __init__(self, q: int, N: int, stream: UnitCircleStream):
+    def __init__(self, q: int, N: int, stream: Stream):
         _require_ints(q=q, N=N)
         self.degrees, self._tree, self._norm = _structure(q, N)
         self.q, self.N = q, N
-        self.prime_values = stream.draw(self.degrees.size)
+        self.prime_values = stream.draw_unit(self.degrees.size)
 
     @functools.cached_property
     def _values(self):
@@ -488,6 +482,5 @@ def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
     _require_ints(q=q, N=N)
     mc.check_samples(samples)
-    values = mc.map_replicates(_ff_coefficients, (q, N, 2), seed, samples, workers,
-                               stream_cls=UnitCircleStream)
+    values = mc.map_replicates(_ff_coefficients, (q, N, 2), seed, samples, workers)
     return mc.from_values(values, seed)

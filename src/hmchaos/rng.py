@@ -1,10 +1,10 @@
 """Seeded, splittable streams of standard complex and real Gaussians and of
-unit values.
+unit values: one Stream type, with one method for each kind of draw.
 
 A stream is a pure function of its Seed: draw k returns the same value no
 matter how draws are batched, which thread created the stream, or how many
-workers a Monte Carlo run uses. The bit source is counter-based (Philox)
-keyed by (root, replicate_index): the key is handed to Philox as it is,
+workers a Monte Carlo run uses. The bit source is counter-based (Philox;
+Salmon et al., SC 2011) keyed by (root, replicate_index): the key is handed to Philox as it is,
 through a one-method seed sequence, so creating a stream reads no OS
 entropy and builds no SeedSequence. All arithmetic is 64-bit floating
 point.
@@ -25,19 +25,15 @@ Box-Muller, no rejection loop) is unit_circle of u2 times the radius, whose
 np.log1p is the one transcendental function on the complex path. No draw
 calls numpy's sin or cos.
 
-fill_uniforms writes a stream's uniforms (pairs (u1, u2) for complex
-draws) into a float64 buffer, and unit_circle (box_muller for pairs) turns
-a block of them into draws in tiles of at most UNIT_TILE values. Every tile
-runs the same ufuncs on the same inputs, so the values depend neither on
-UNIT_TILE nor on the block's shape. draw(n) is the one-row case; a caller
-that stacks many streams' draws (chaos's exp input blocks, a span of
-number-model replicates) fills one row per stream and transforms the block
-once.
-
-A stream's position counts the values it has handed out: complex draws
-(draw, fill_uniforms), real values (draw_real) or unit values. It labels
-the draws and is not the Philox counter, since a ziggurat value may read
-more than one word; the bits depend on the order of the calls only.
+Stream.fill_uniforms writes the stream's next uniforms into a float64
+buffer (pairs (u1, u2) for complex draws), and unit_circle (box_muller for
+pairs) turns a block of them into draws in tiles of at most UNIT_TILE
+values. Every tile runs the same ufuncs on the same inputs, so the values
+depend neither on UNIT_TILE nor on the block's shape. draw(n) and
+draw_unit(n) are the one-row cases; a caller that stacks many streams'
+draws (chaos's exp input blocks, a span of number-model replicates) has
+fill_rows fill one row per stream and transforms the block once. The bits
+depend on the order of the calls only.
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -212,63 +209,50 @@ def box_muller(pairs: np.ndarray) -> None:
     unit_circle(pairs[..., 1], pairs.view(np.complex128)[..., 0], radii=pairs[..., 0])
 
 
-class _PhiloxStream:
-    """Common machinery: a seeded counter-based uniform source."""
+def fill_rows(streams, block: np.ndarray) -> int:
+    """Have each of the next len(block) streams write its uniforms into its
+    row of `block`, in order, and return how many did (fewer once `streams`
+    runs out). No stream past the last row is taken from the iterator."""
+    count = 0
+    for count, stream in enumerate(islice(streams, len(block)), 1):
+        stream.fill_uniforms(block[count - 1])
+    return count
 
-    def __init__(self, seed: Seed):
-        self.seed = seed
-        self.position = 0
-        self._gen = _philox(seed)
 
+class Stream:
+    """Forward-only stream of independent draws: standard complex Gaussians
+    (draw), uniform unit values (draw_unit) and real normals (draw_real).
 
-class GaussianStream(_PhiloxStream):
-    """Forward-only stream of independent standard complex or real Gaussians.
-
-    Draw k (1-based) returns X(k) whose real and imaginary parts are
-    independent real Gaussians with mean 0 and variance 1/2. Each complex
-    draw consumes exactly two uniforms, and real draws read the generator
-    value after value, so batching draws differently never changes the
-    emitted values; re-creating the stream from its Seed replays it exactly.
+    A complex Gaussian X has independent real and imaginary parts of mean 0
+    and variance 1/2 and consumes two uniforms; a unit value consumes one;
+    real draws read the generator value after value. So batching draws
+    differently never changes the emitted values, and re-creating the stream
+    from its Seed replays it exactly.
     """
 
-    def fill_uniforms(self, pairs: np.ndarray) -> None:
-        """Write the uniform pairs of the next draws into `pairs`, a
-        C-contiguous float64 array of shape (..., 2), advancing position by
-        one draw per pair; box_muller turns them into the draws."""
-        self._gen.random(out=pairs)
-        self.position += pairs.size // 2
+    def __init__(self, seed: Seed):
+        self._gen = _philox(seed)
+
+    def fill_uniforms(self, out: np.ndarray) -> None:
+        """Write the next uniforms into `out`, a C-contiguous float64 array:
+        pairs (..., 2) for box_muller, single uniforms for unit_circle."""
+        self._gen.random(out=out)
 
     def draw(self, n: int) -> np.ndarray:
-        """Return the next n values X(position+1 .. position+n)."""
+        """Return the next n standard complex Gaussians."""
         pairs = np.empty((1, max(n, 0), 2))
         self.fill_uniforms(pairs)
         box_muller(pairs)
         return pairs.view(np.complex128).reshape(-1)
 
-    def draw_real(self, n: int) -> np.ndarray:
-        """Return the next n independent real N(0,1) values (ziggurat)."""
-        self.position += n
-        return self._gen.standard_normal(n)
-
-
-class UnitCircleStream(_PhiloxStream):
-    """Forward-only stream of independent uniform unit-modulus values.
-
-    Value k is e^{2 pi i u_k} for the stream's k-th uniform u_k, so a value
-    consumes exactly one uniform and batching never changes the values.
-    """
-
-    def fill_uniforms(self, uniforms: np.ndarray) -> None:
-        """Write the uniforms of the next draws into `uniforms`, a C-contiguous
-        float64 array, advancing position by one draw per uniform; unit_circle
-        turns them into the draws."""
-        self._gen.random(out=uniforms)
-        self.position += uniforms.size
-
-    def draw(self, n: int) -> np.ndarray:
-        """Return the next n unit values."""
+    def draw_unit(self, n: int) -> np.ndarray:
+        """Return the next n unit values e^{2 pi i u}."""
         uniforms = np.empty((1, max(n, 0)))
         self.fill_uniforms(uniforms)
         out = np.empty(uniforms.shape, dtype=np.complex128)
         unit_circle(uniforms, out)
         return out[0]
+
+    def draw_real(self, n: int) -> np.ndarray:
+        """Return the next n independent real N(0,1) values (ziggurat)."""
+        return self._gen.standard_normal(n)

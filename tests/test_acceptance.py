@@ -12,7 +12,7 @@ import numpy as np
 from conftest import FixedStream
 from hmchaos import barrier, chaos, numbermodels, partitions
 from hmchaos.cli import main
-from hmchaos.rng import GaussianStream, Seed, UnitCircleStream, split
+from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import exp_array
 
 SEED = Seed(20260809)
@@ -161,7 +161,7 @@ def test_c11_function_field():
     moment_ok = abs(est.mean - 1.0) <= 4.0 * est.std_error
     worst = 0.0
     for n_top in range(1, 7):
-        model = numbermodels.FFModel(5, n_top, UnitCircleStream(split(SEED, 110 + n_top)))
+        model = numbermodels.FFModel(5, n_top, Stream(split(SEED, 110 + n_top)))
         direct = np.array([model.A(n) for n in range(n_top + 1)])
         worst = max(worst, float(np.max(np.abs(
             model.gaussian_exp_series(n_top) - direct))))
@@ -172,7 +172,7 @@ def test_c11_function_field():
 
 
 def test_c12_oracle_equivalences():
-    x = GaussianStream(split(SEED, 12)).draw(4096)
+    x = Stream(split(SEED, 12)).draw(4096)
     s = np.zeros(4097, dtype=complex)
     s[1:] = x / np.sqrt(np.arange(1, 4097))
     engines_err = float(np.max(np.abs(exp_array(s, 4096, "recurrence")
@@ -181,7 +181,7 @@ def test_c12_oracle_equivalences():
 
     partition_ok = True
     for n in range(1, 11):
-        values = GaussianStream(split(SEED, 120 + n)).draw(n)
+        values = Stream(split(SEED, 120 + n)).draw(n)
         x_map = {k: values[k - 1] for k in range(1, n + 1)}
         by_parts = sum(partitions.a_of_partition(p, x_map)
                        for p in partitions.enumerate_partitions(n))
@@ -191,7 +191,7 @@ def test_c12_oracle_equivalences():
     reconstruct_ok = True
     for n in (8, 12):
         for depth in (1, 2, 3):
-            values = GaussianStream(split(SEED, 130 + n + depth)).draw(n)
+            values = Stream(split(SEED, 130 + n + depth)).draw(n)
             x_map = {k: values[k - 1] for k in range(1, n + 1)}
             _, _, total = partitions.reconstruct_A_by_largest_part(n, depth, x_map)
             sampled = chaos.sample_A(n, float(n), FixedStream(values))[n]

@@ -19,7 +19,7 @@ from hmchaos.barrier import (BivariateParams, _levels, ballot_probability_mc, ba
                              two_walk_tilted_expectation)
 from hmchaos.chaos import circle_mean_closed_form
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos.rng import GaussianStream, Seed
+from hmchaos.rng import Seed, Stream
 
 
 def normal_cdf(x):
@@ -57,7 +57,7 @@ def _survival_by_broadcast(paths, levels):
 def test_survival_matches_the_broadcast_oracle():
     # ties (a path value equal to its level) survive, and both outcomes occur
     rows, heights, steps = 500, 7, 12
-    paths = GaussianStream(Seed(71)).draw_real(rows * steps).reshape(rows, steps)
+    paths = Stream(Seed(71)).draw_real(rows * steps).reshape(rows, steps)
     levels = _levels(np.linspace(1.0, 4.0, heights), steps, -0.5) - 2.0
     paths[::7, 3] = levels[2, 3]   # ties with height 2 at step 4
     paths[1::5] = levels[0]        # every step ties with height 0
@@ -76,8 +76,8 @@ def test_ballot_maximum_is_the_all_steps_test():
     count, n = 3000, 40
     heights = np.array([1.0, 1.5, 2.0, 4.0])
     sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
-    flags = barrier._ballot_chunk(GaussianStream(Seed(12)), count, heights, sigmas)
-    steps = GaussianStream(Seed(12)).draw_real(count * n).reshape(n, count).T * sigmas
+    flags = barrier._ballot_chunk(Stream(Seed(12)), count, heights, sigmas)
+    steps = Stream(Seed(12)).draw_real(count * n).reshape(n, count).T * sigmas
     walks = np.cumsum(steps, axis=1)
     ref = _survival_by_broadcast(walks, _levels(heights, n, 0.0))
     assert flags.tobytes() == ref.tobytes()
@@ -184,7 +184,7 @@ def test_event_G_validation():
 
 
 def test_event_indicator_monotone_in_height():
-    rng = GaussianStream(Seed(404))
+    rng = Stream(Seed(404))
     for _ in range(50):
         x = rng.draw(8) * 3.0
         flags = [event_holds("G", x, 1.0, 0.3, 7.0, a) for a in (1.0, 2.0, 4.0)]
@@ -216,7 +216,7 @@ def test_event_L_validation():
 
 def test_lower_barrier_implies_upper_barrier():
     # on the same checkpoint sums, clearing A - 5 log n forces A + 10 log n
-    rng = GaussianStream(Seed(77))
+    rng = Stream(Seed(77))
     n_max = 3
     for _ in range(100):
         x = rng.draw(21) * 2.0
@@ -240,7 +240,7 @@ def test_event_chunk_matches_scalar_oracle(kind, K, r, theta):
     n_max = levels.shape[1]
     sigmas = np.sqrt(barrier._block_variances(r, n_max))
     count = 300
-    g = 2.5 * GaussianStream(Seed(61)).draw_real(count * n_max)
+    g = 2.5 * Stream(Seed(61)).draw_real(count * n_max)
     flags = barrier._event_chunk(FixedStream(g), count, sigmas,
                                  levels + 2.0 * np.cumsum(sigmas**2))
     assert flags.shape == (count, len(heights))
@@ -332,7 +332,7 @@ def test_com_left_chunk_matches_scalar_oracle(r):
         n_max = levels.shape[1]
         sigmas, raised = _com_left_args(K, r, levels)
         assert (sigmas[-1] == 0.0) == (K == 7.5)
-        g = 2.5 * GaussianStream(Seed(62)).draw_real(count * (n_max + 1))
+        g = 2.5 * Stream(Seed(62)).draw_real(count * (n_max + 1))
         weights = barrier._com_left_chunk(FixedStream(g), count, sigmas, raised)
         assert weights.shape == (count,)
         firsts = [barrier.block_bounds(m)[0] for m in range(1, n_max + 2)]
@@ -385,7 +385,7 @@ def test_event_chunk_peak_stays_near_its_draw():
     count, n_max = 4096, 6
     levels = _levels(np.array([2.0]), n_max, 10.0)
     sigmas = np.sqrt(barrier._block_variances(1.0, n_max))
-    peak = _traced_peak(barrier._event_chunk, GaussianStream(Seed(5)), count, sigmas, levels)
+    peak = _traced_peak(barrier._event_chunk, Stream(Seed(5)), count, sigmas, levels)
     assert peak < 2.0 * count * n_max * 8
 
 
@@ -417,7 +417,7 @@ def test_two_walk_chunk_is_the_all_checkpoints_test(level):
     assert n == 3
     sigmas, rho = np.sqrt(blocks.sigma2[blocks.M :]), blocks.rho[blocks.M :]
     drift = np.cumsum(2.0 * sigmas**2)
-    g = 3.0 * GaussianStream(Seed(44)).draw_real(2 * count * n)
+    g = 3.0 * Stream(Seed(44)).draw_real(2 * count * n)
     values = barrier._two_walk_chunk(FixedStream(g), count, sigmas, rho,
                                      (level + drift)[None, :])
     g = g.reshape(n, 2, count).transpose(2, 1, 0)  # step-major draws, as (count, 2, n)
@@ -466,7 +466,7 @@ def test_two_walk_chunk_peak_near_its_draw():
     assert n == 3
     sigmas = np.sqrt(blocks.sigma2[blocks.M :])
     levels = 2.0 + 2.0 * np.cumsum(sigmas**2)[None, :]
-    peak = _traced_peak(barrier._two_walk_chunk, GaussianStream(Seed(5)), count, sigmas,
+    peak = _traced_peak(barrier._two_walk_chunk, Stream(Seed(5)), count, sigmas,
                         blocks.rho[blocks.M :], levels)
     assert peak < 4.0 * count * n * 8
 
@@ -478,10 +478,10 @@ def test_indicator_kernels_return_bools():
     seed, count = Seed(45), 64
     sigmas = np.sqrt(barrier._block_variances(1.0, 3))
     kernels = [
-        barrier._ballot_chunk(GaussianStream(seed), count, heights, np.ones(16)),
-        barrier._event_chunk(GaussianStream(seed), count, sigmas, levels),
-        barrier._grid_event_chunk(GaussianStream(seed), count, 1.0, levels),
-        barrier._com_right_chunk(GaussianStream(seed), count, sigmas, levels[:1]),
+        barrier._ballot_chunk(Stream(seed), count, heights, np.ones(16)),
+        barrier._event_chunk(Stream(seed), count, sigmas, levels),
+        barrier._grid_event_chunk(Stream(seed), count, 1.0, levels),
+        barrier._com_right_chunk(Stream(seed), count, sigmas, levels[:1]),
         mc.map_chunks(barrier._event_chunk, (sigmas, levels), seed, 5000),
     ]
     for flags in kernels:
@@ -501,10 +501,10 @@ def test_grid_event_fft_matches_direct_angle_loop():
     # every height
     r, n_max, heights = 1.0, 3, (1.0, 1.5, 3.0)
     levels_list = _levels(np.array(heights), n_max, 10.0)
-    stream = GaussianStream(Seed(2718))
+    stream = Stream(Seed(2718))
     count = 16
     raised = levels_list + 2.0 * np.cumsum(barrier._block_variances(r, n_max))
-    flags = barrier._grid_event_chunk(GaussianStream(Seed(2718)), count, r, raised)
+    flags = barrier._grid_event_chunk(Stream(Seed(2718)), count, r, raised)
     assert flags.shape == (count, len(heights))
     _, kmax = barrier.block_bounds(n_max)
     x = stream.draw(count * kmax).reshape(count, kmax)
@@ -551,11 +551,11 @@ def test_indicators_are_nondecreasing_in_height():
     # keeps; the draws are scaled up so that the all-angle event fails too
     heights = (1.0, 1.5, 2.5, 4.0)
     count, n = 2000, 64
-    flags = barrier._ballot_chunk(GaussianStream(Seed(8)), count, np.array(heights),
+    flags = barrier._ballot_chunk(Stream(Seed(8)), count, np.array(heights),
                                   np.ones(n))
     n_max = 3
     kmax = barrier.block_bounds(n_max)[1]
-    x = 2.5 * GaussianStream(Seed(9)).draw(count * kmax)
+    x = 2.5 * Stream(Seed(9)).draw(count * kmax)
     levels_list = _levels(np.array(heights), n_max, 10.0)
     grid = barrier._grid_event_chunk(FixedStream(x), count, 1.0, levels_list)
     event = barrier._event_chunk(FixedStream(x), count,
@@ -798,7 +798,7 @@ def test_event_probability_requires_heights():
 def test_domination_at_event_level():
     rho, s1, s2 = 0.3, 1.0, 1.5
     n = 200000
-    rng = GaussianStream(Seed(55))
+    rng = Stream(Seed(55))
     u = rng.draw_real(n)
     v = rng.draw_real(n)
     y1 = s1 * u

@@ -11,15 +11,16 @@ from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, _walks, circle_av
                            fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
 from hmchaos.errors import PreconditionError
-from hmchaos.rng import GaussianStream, Seed, split
+from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import exp_array
 
 
 def test_sample_basics():
-    stream = GaussianStream(Seed(100))
+    stream = Stream(Seed(100))
     draw = sample_A(16, 16.0, stream)
     assert draw[0] == 1.0
-    assert stream.position == 16
+    # the stream stands after X(16): its next draw is X(17)
+    assert stream.draw(1).tobytes() == Stream(Seed(100)).draw(17)[16:].tobytes()
 
 
 def test_first_coefficient_is_first_gaussian():
@@ -45,8 +46,8 @@ def test_sample_validation():
 
 def test_coefficients_depend_only_on_prefix():
     # enlarging K beyond N must not change A(0..N)
-    small = sample_A(12, 12.0, GaussianStream(Seed(7)))
-    large = sample_A(12, 60.0, GaussianStream(Seed(7)))
+    small = sample_A(12, 12.0, Stream(Seed(7)))
+    large = sample_A(12, 60.0, Stream(Seed(7)))
     assert np.array_equal(small, large)
 
 
@@ -77,14 +78,14 @@ def test_moment_validation():
     with pytest.raises(PreconditionError):
         estimate_moment(-3, 0.5, 100, Seed(1))
     with pytest.raises(PreconditionError):
-        sample_A(-1, 100.0, GaussianStream(Seed(1)))
+        sample_A(-1, 100.0, Stream(Seed(1)))
     with pytest.raises(PreconditionError):
         estimate_moment(8, 0.5, 0, Seed(1))
 
 
 def _coefficients(N, samples, seed):
     # A(N) of replicate i, drawn from its own stream split(seed, i)
-    return np.array([sample_A(N, float(N), GaussianStream(split(seed, i)))[N]
+    return np.array([sample_A(N, float(N), Stream(split(seed, i)))[N]
                      for i in range(samples)])
 
 
@@ -110,7 +111,7 @@ def test_holder_between_moments():
 
 
 def test_engine_equivalence_on_shared_stream():
-    x = GaussianStream(Seed(97)).draw(512)
+    x = Stream(Seed(97)).draw(512)
     s = np.zeros(513, dtype=complex)
     s[1:] = x / np.sqrt(np.arange(1, 513))
     slow = exp_array(s, 512, "recurrence")
@@ -152,7 +153,7 @@ def test_sq_modulus_reads_the_real_part_of_the_complex_rows():
     # the kernel scales one real draw per sample (here the real part of a
     # preset value) by sigma, against fsum's sigma
     count, K, r = 60, 20, 0.9
-    g = GaussianStream(Seed(8)).draw(count)
+    g = Stream(Seed(8)).draw(count)
     sigma = math.sqrt(math.fsum(r ** (2 * k) / (2 * k) for k in range(1, K + 1)))
     values = _sq_modulus_at_radius(FixedStream(g), count, sigma)
     assert values.shape == (count,)
@@ -166,8 +167,8 @@ def test_walks_are_the_cumsum_of_step_major_draws(n, count):
     # draws laid out (steps, walks), walk i is column i: its per-step adds
     # give np.cumsum's bits along each walk
     sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
-    walks = _walks(GaussianStream(Seed(14)), count, sigmas)
-    g = GaussianStream(Seed(14)).draw_real(count * n)
+    walks = _walks(Stream(Seed(14)), count, sigmas)
+    g = Stream(Seed(14)).draw_real(count * n)
     ref = np.cumsum(g.reshape(n, count).T * sigmas, axis=1)
     assert walks.shape == ref.shape == (count, n)
     assert walks.tobytes() == ref.tobytes()
@@ -210,7 +211,7 @@ def _rows_by_draw(seed, first, count, N, m):
     # the per-stream route: row i is X(1..m) / sqrt(k) of stream first + i
     s = np.zeros((count, N + 1), dtype=np.complex128)
     for i in range(count):
-        s[i, 1 : m + 1] = GaussianStream(split(seed, first + i)).draw(m) / np.sqrt(
+        s[i, 1 : m + 1] = Stream(split(seed, first + i)).draw(m) / np.sqrt(
             np.arange(1, m + 1))
     return s
 
@@ -225,7 +226,7 @@ BLOCK_FILL_CASES = [(64, 64.0, 1100), (0, 0.0, 5), (1, 1.0, 3), (1, 0.5, 2), (10
 def test_block_fill_is_per_stream_draw(N, K, samples):
     seed = Seed(2718)
     m = N if K >= N else max(math.floor(K), 0)
-    streams = (GaussianStream(split(seed, i)) for i in range(samples))
+    streams = (Stream(split(seed, i)) for i in range(samples))
     done = 0
     while done < samples:
         block = _input_rows(streams, N, K)
@@ -237,11 +238,11 @@ def test_block_fill_is_per_stream_draw(N, K, samples):
 def test_block_fill_does_not_depend_on_the_tile_size(monkeypatch):
     # tiles of 5 pairs: several rows' tiles, and rows split into ragged pieces
     seed = Seed(31)
-    expected = [_input_rows((GaussianStream(split(seed, i)) for i in range(9)), N, N)
+    expected = [_input_rows((Stream(split(seed, i)) for i in range(9)), N, N)
                 for N in (2, 7, 12)]
     monkeypatch.setattr(rng, "UNIT_TILE", 5)
     for N, block in zip((2, 7, 12), expected):
-        streams = (GaussianStream(split(seed, i)) for i in range(9))
+        streams = (Stream(split(seed, i)) for i in range(9))
         assert _input_rows(streams, N, N).tobytes() == block.tobytes()
 
 
@@ -261,7 +262,7 @@ def test_negative_truncation_is_the_constant_function():
 def test_circle_average_needs_degree_at_radius_one():
     with pytest.raises(PreconditionError):
         circle_average_sample(8.0, 1.0, FixedStream([0.0] * 8))
-    value = circle_average_sample(8.0, 1.0, GaussianStream(Seed(5)), D=64)
+    value = circle_average_sample(8.0, 1.0, Stream(Seed(5)), D=64)
     assert value > 0.0
 
 
@@ -289,7 +290,7 @@ def test_circle_average_moment_matches_closed_form():
 def test_circle_average_against_quadrature():
     # one fixed sample vs direct quadrature of the exact |F_K|^2
     K, r = 8.0, 0.9
-    x = GaussianStream(Seed(88)).draw(8)
+    x = Stream(Seed(88)).draw(8)
     value = circle_average_sample(K, r, FixedStream(x))
     angles = 2.0 * np.pi * np.arange(8192) / 8192
     k = np.arange(1, 9)
@@ -321,7 +322,7 @@ def test_gaussian_abs_moment():
     assert gaussian_abs_moment(1.0) == pytest.approx(1.0)
     assert gaussian_abs_moment(0.5) == pytest.approx(math.sqrt(math.pi) / 2.0)
     # MC cross-check on |Z|^{2q} for a unit complex Gaussian
-    z = GaussianStream(Seed(12321)).draw(200000)
+    z = Stream(Seed(12321)).draw(200000)
     for q in (0.3, 0.5, 0.8):
         values = np.abs(z) ** (2.0 * q)
         se = np.std(values, ddof=1) / math.sqrt(values.size)

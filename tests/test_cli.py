@@ -619,6 +619,17 @@ def test_event_at_the_height_budget_holds_one_byte_per_indicator(capsys):
     assert peak < 64 * 2**20
 
 
+def test_a_worker_count_below_1_exits_2(tmp_path, capsys):
+    # --workers 0 and -3 used to run, and the manifest recorded workers: -3
+    for workers in ("0", "-3"):
+        for argv in (["--workers", workers], ["--config", _config(tmp_path, {"workers": workers})]):
+            capsys.readouterr()
+            assert main(["moment", "--N", "4", "--samples", "3"] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--workers" in captured.err
+    assert main(["moment", "--N", "4", "--samples", "3", "--workers", "1"]) == 0
+
+
 def test_bad_configuration_exits_2(tmp_path, capsys):
     assert main(["moment"]) == 2  # --N is required
     assert main(["decay", "--n-grid", "abc", "--samples-per", "10"]) == 2

@@ -8,18 +8,23 @@ import pytest
 from conftest import circle_average_sample
 from hmchaos import chaos, mc, series
 from hmchaos.chaos import EXP_BLOCK, circle_average_moment, estimate_moment
-from hmchaos.rng import GaussianStream, Seed, split
+from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
 SPANS = []
 
 
-def _indices(streams, offset):
-    # records each span's size; value i is its own replicate index
+def _first_draws(streams, offset):
+    # records each span's size; value i is its own stream's first draw
     assert iter(streams) is streams  # a lazy iterator, not a built list
-    values = [stream.seed.replicate_index + offset for stream in streams]
+    values = [stream.draw_real(1)[0] + offset for stream in streams]
     SPANS.append(len(values))
     return values
+
+
+def _replicates(seed, samples, offset):
+    # the values of _first_draws when replicate i's stream is split(seed, i)
+    return np.array([Stream(split(seed, i)).draw_real(1)[0] + offset for i in range(samples)])
 
 
 def _one_short(streams):
@@ -29,8 +34,8 @@ def _one_short(streams):
 def test_spans_are_fixed_and_values_follow_replicates():
     SPANS.clear()
     samples = 2 * mc.REPLICATE_SPAN + 7
-    values = mc.map_replicates(_indices, (0.5,), Seed(3), samples)
-    assert np.array_equal(values, np.arange(samples) + 0.5)
+    values = mc.map_replicates(_first_draws, (0.5,), Seed(3), samples)
+    assert np.array_equal(values, _replicates(Seed(3), samples, 0.5))
     assert SPANS == [mc.REPLICATE_SPAN, mc.REPLICATE_SPAN, 7]
 
 
@@ -75,27 +80,27 @@ def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     samples = 3 * mc.REPLICATE_SPAN
-    expected = np.arange(samples) + 0.5
+    expected = _replicates(Seed(3), samples, 0.5)
     for workers, size in ((100000, 3), (3, 3), (2, 2)):
         _SerialPool.sizes.clear()
-        values = mc.map_replicates(_indices, (0.5,), Seed(3), samples, workers)
+        values = mc.map_replicates(_first_draws, (0.5,), Seed(3), samples, workers)
         assert np.array_equal(values, expected)
         assert _SerialPool.sizes == [size]
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     _SerialPool.sizes.clear()
-    mc.map_replicates(_indices, (0.5,), Seed(3), samples, 100000)
+    mc.map_replicates(_first_draws, (0.5,), Seed(3), samples, 100000)
     assert _SerialPool.sizes == [2]
     # one task, one core, or one worker run in process
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
     _SerialPool.sizes.clear()
-    mc.map_replicates(_indices, (0.5,), Seed(3), samples, 100000)
-    mc.map_replicates(_indices, (0.5,), Seed(3), 5, 100000)
+    mc.map_replicates(_first_draws, (0.5,), Seed(3), samples, 100000)
+    mc.map_replicates(_first_draws, (0.5,), Seed(3), 5, 100000)
     assert _SerialPool.sizes == []
 
 
 def _input_row(N, seed, i):
     # replicate i's input series, drawn from its own stream
-    return chaos._input_rows([GaussianStream(split(seed, i))], N, float(N))[0]
+    return chaos._input_rows([Stream(split(seed, i))], N, float(N))[0]
 
 
 def _coefficients(N, samples, seed):
@@ -159,7 +164,7 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
 def test_batched_circle_averages_equal_the_scalar_oracle():
     K, r, D, samples = 8.0, 0.9, 200, mc.REPLICATE_SPAN + 3
     seed = Seed(301)
-    oracle = [circle_average_sample(K, r, GaussianStream(split(seed, i)), D)
+    oracle = [circle_average_sample(K, r, Stream(split(seed, i)), D)
               for i in range(samples)]
     est = circle_average_moment(K, r, samples, seed, D=D)
     ref = mc.from_values(oracle, seed)

@@ -15,11 +15,11 @@ from hmchaos.numbermodels import (FFModel, SteinhausModel, count_irreducibles,
                                   ff_second_moment, irreducibles_by_degree,
                                   steinhaus_abs_moment, _integer_tree, _sieve,
                                   _structure)
-from hmchaos.rng import Seed, UnitCircleStream, split
+from hmchaos.rng import Seed, Stream, split
 
 
 def _circle(root):
-    return UnitCircleStream(Seed(root))
+    return Stream(Seed(root))
 
 
 def test_steinhaus_at_one():
@@ -219,10 +219,10 @@ def test_ff_X_degree_one_closed_form():
 def test_models_keep_the_stream_draws():
     # f on the primes is the stream's draws, bit for bit
     model = FFModel(3, 4, _circle(12))
-    drawn = _circle(12).draw(model.degrees.size)
+    drawn = _circle(12).draw_unit(model.degrees.size)
     assert model.prime_values.tobytes() == drawn.tobytes()
     model = SteinhausModel(100.0, _circle(13))
-    drawn = _circle(13).draw(25)  # the 25 primes up to 100
+    drawn = _circle(13).draw_unit(25)  # the 25 primes up to 100
     assert model.prime_values.tobytes() == drawn.tobytes()
 
 
@@ -240,7 +240,7 @@ def test_ff_X_matches_the_angle_definition():
 
 def _ff_X(q, k, samples, seed):
     # X(k) of replicate i: the model on its own stream split(seed, i)
-    return np.array([FFModel(q, k, UnitCircleStream(split(seed, i))).X(k)
+    return np.array([FFModel(q, k, Stream(split(seed, i))).X(k)
                      for i in range(samples)])
 
 
@@ -339,7 +339,7 @@ def test_generating_function_routes_agree():
 
 
 def test_ff_reseeding_preserves_distribution():
-    a, b = (np.array([abs(FFModel(5, 4, UnitCircleStream(split(Seed(root), i))).A(4))
+    a, b = (np.array([abs(FFModel(5, 4, Stream(split(Seed(root), i))).A(4))
                       for i in range(400)]) for root in (1, 2))
     stat = ks_2samp(a, b).statistic
     assert stat < ks_critical(400, 400, 0.01)
@@ -378,13 +378,13 @@ def test_ff_prime_power_via_external_counts():
 
 def test_replicate_i_is_the_model_on_its_own_stream():
     # replicate i of each estimator is the model built directly on
-    # UnitCircleStream(split(seed, i)), bit for bit: S(x) for the Steinhaus
+    # Stream(split(seed, i)), bit for bit: S(x) for the Steinhaus
     # model, the power-sum route gaussian_exp_series(N)[N] for F_q[t]; the
     # samples cross a span and several blocks of each
     samples, seed = mc.REPLICATE_SPAN + 3, Seed(90)
 
     def models(model, *size):
-        return [model(*size, UnitCircleStream(split(seed, i))) for i in range(samples)]
+        return [model(*size, Stream(split(seed, i))) for i in range(samples)]
 
     def same(est, values):
         ref = mc.from_values(values, seed)
@@ -404,9 +404,9 @@ def test_ff_replicates_match_the_enumeration(q, N):
     # each replicate of the power-sum route against the tree's A(N)
     seed = Seed(92)
     values = numbermodels._ff_coefficients(
-        (UnitCircleStream(split(seed, i)) for i in range(40)), q, N, 1)
+        (Stream(split(seed, i)) for i in range(40)), q, N, 1)
     for i, value in enumerate(values):
-        model = FFModel(q, N, UnitCircleStream(split(seed, i)))
+        model = FFModel(q, N, Stream(split(seed, i)))
         assert abs(value - abs(model.A(N))) <= 1e-12
         assert abs(model.gaussian_exp_series(N)[N] - model.A(N)) <= 1e-12
 
@@ -441,8 +441,8 @@ def test_steinhaus_span_fills_one_tree_buffer(monkeypatch):
 _DISPATCH_BYTES = """
 import hashlib
 from hmchaos import cli
-from hmchaos.rng import Seed, UnitCircleStream
-print(hashlib.sha256(UnitCircleStream(Seed(9)).draw(100003).tobytes()).hexdigest())
+from hmchaos.rng import Seed, Stream
+print(hashlib.sha256(Stream(Seed(9)).draw_unit(100003).tobytes()).hexdigest())
 cli.main(["steinhaus", "--x", "1000", "--samples", "300", "--seed", "3"])
 cli.main(["ff", "--mode", "moment", "--q", "3", "--N", "6", "--samples", "300", "--seed", "3"])
 """

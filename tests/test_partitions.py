@@ -12,7 +12,7 @@ from hmchaos import chaos, mc, partitions
 from hmchaos.partitions import (_centralizer_order, _multiplicities, a_of_partition,
                                 enumerate_partitions, exact_total_mass, partition_count,
                                 reconstruct_A_by_largest_part)
-from hmchaos.rng import GaussianStream, Seed
+from hmchaos.rng import Seed, Stream
 
 
 def test_enumerate_empty_partition():
@@ -135,7 +135,7 @@ def test_exact_total_mass_small():
 
 
 def _draw_x_map(seed, kmax):
-    values = GaussianStream(Seed(seed)).draw(kmax)
+    values = Stream(Seed(seed)).draw(kmax)
     return {k: values[k - 1] for k in range(1, kmax + 1)}, values
 
 
@@ -151,7 +151,7 @@ def test_partition_sum_equals_sampler():
 def test_partition_sum_second_moment_mc(n):
     # mean over draws of |sum_lambda a(lambda)|^2 should be 1
     samples = 10000
-    x = GaussianStream(Seed(321 + n)).draw(samples * n).reshape(samples, n)
+    x = Stream(Seed(321 + n)).draw(samples * n).reshape(samples, n)
     total = np.zeros(samples, dtype=complex)
     for p in enumerate_partitions(n):
         total += partitions._a_values(x, p)
@@ -202,7 +202,7 @@ def test_smooth_rest_second_moment_matches_bounded_weight():
     from hmchaos.series import smooth_partition_weight
 
     n, depth, samples = 12, 2, 10000
-    x = GaussianStream(Seed(555)).draw(samples * n).reshape(samples, n)
+    x = Stream(Seed(555)).draw(samples * n).reshape(samples, n)
     values = np.zeros(samples, dtype=complex)
     for p in enumerate_partitions(n, max_part=n // 2**depth):
         values += partitions._a_values(x, p)

@@ -9,28 +9,38 @@ from scipy.stats import ks_2samp
 
 from conftest import ks_critical
 from hmchaos import rng
-from hmchaos.rng import GaussianStream, Seed, UnitCircleStream, split
+from hmchaos.rng import Seed, Stream, split
 
 S_BIG = 10**6
 S_MED = 10**5
 
 
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _next_is_value(stream, kind, seed, n):
+    # the stream has handed out n values of this kind: its next one is value
+    # n + 1 of a fresh stream on the same seed
+    return _same_bytes(getattr(stream, kind)(1), getattr(Stream(seed), kind)(n + 1)[n:])
+
+
 def test_replay_is_exact():
-    a = GaussianStream(Seed(123, 5)).draw(1000)
-    b = GaussianStream(Seed(123, 5)).draw(1000)
+    a = Stream(Seed(123, 5)).draw(1000)
+    b = Stream(Seed(123, 5)).draw(1000)
     assert np.array_equal(a, b)
 
 
 def test_chunking_never_changes_values():
-    whole = GaussianStream(Seed(9)).draw(64)
-    st = GaussianStream(Seed(9))
+    whole = Stream(Seed(9)).draw(64)
+    st = Stream(Seed(9))
     parts = np.concatenate([st.draw(3), st.draw(5), st.draw(40), st.draw(16)])
     assert np.array_equal(whole, parts)
-    assert st.position == 64
+    assert _next_is_value(st, "draw", Seed(9), 64)
 
 
 def test_moments_on_a_million_draws():
-    x = GaussianStream(Seed(2024)).draw(S_BIG)
+    x = Stream(Seed(2024)).draw(S_BIG)
     n = x.size
     # E[Re X] = 0 within 4*(1/sqrt(2))/1000
     assert abs(np.mean(x.real)) <= 4.0 * (1.0 / math.sqrt(2.0)) / 1000.0
@@ -48,8 +58,8 @@ def test_moments_on_a_million_draws():
 
 @pytest.mark.parametrize("phi", [math.pi / 7, math.pi / 3])
 def test_rotational_symmetry_ks(phi):
-    a = GaussianStream(Seed(77, 0)).draw(S_MED)
-    b = GaussianStream(Seed(77, 1)).draw(S_MED)
+    a = Stream(Seed(77, 0)).draw(S_MED)
+    b = Stream(Seed(77, 1)).draw(S_MED)
     stat = ks_2samp((a * np.exp(1j * phi)).real, b.real).statistic
     assert stat < ks_critical(S_MED, S_MED, 0.01)
 
@@ -58,15 +68,15 @@ def test_split_is_pure_and_distinct():
     s = Seed(55, 3)
     assert split(s, 7) == split(s, 7)
     assert split(s, 0) != split(s, 1)
-    a = GaussianStream(split(s, 0)).draw(100)
-    b = GaussianStream(split(s, 1)).draw(100)
+    a = Stream(split(s, 0)).draw(100)
+    b = Stream(split(s, 1)).draw(100)
     assert not np.allclose(a, b)
 
 
 def test_split_streams_uncorrelated():
     s = Seed(918273)
-    a = GaussianStream(split(s, 0)).draw(S_MED).real
-    b = GaussianStream(split(s, 1)).draw(S_MED).real
+    a = Stream(split(s, 0)).draw(S_MED).real
+    b = Stream(split(s, 1)).draw(S_MED).real
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 4.0 / math.sqrt(S_MED)
 
@@ -93,10 +103,10 @@ def test_split_equals_the_validated_seed(root, index):
 
 def test_threaded_creation_matches_sequential():
     root = Seed(31337)
-    sequential = [GaussianStream(split(root, i)).draw(256) for i in range(8)]
+    sequential = [Stream(split(root, i)).draw(256) for i in range(8)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(
-            lambda i: GaussianStream(split(root, i)).draw(256), range(8)))
+            lambda i: Stream(split(root, i)).draw(256), range(8)))
     for a, b in zip(sequential, threaded):
         assert np.array_equal(a, b)
 
@@ -107,20 +117,20 @@ def _bits(a):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097])
 def test_draw_real_is_the_ziggurat_on_the_streams_philox(n):
-    st, ref = GaussianStream(Seed(21)), rng._philox(Seed(21))
-    for calls in (1, 2):  # a second call starts where the first stopped
+    st, ref = Stream(Seed(21)), rng._philox(Seed(21))
+    for _ in range(2):  # a second call starts where the first stopped
         assert np.array_equal(_bits(st.draw_real(n)), _bits(ref.standard_normal(n)))
-        assert st.position == calls * n
+    assert _next_is_value(st, "draw_real", Seed(21), 2 * n)
 
 
 def test_split_real_draws_equal_one_draw():
     sizes = [0, 1, 7, 4096, 4097, 2 * rng.UNIT_TILE + 1, 0]
-    whole = GaussianStream(Seed(5, 3)).draw_real(sum(sizes))
-    st = GaussianStream(Seed(5, 3))
+    whole = Stream(Seed(5, 3)).draw_real(sum(sizes))
+    st = Stream(Seed(5, 3))
     parts = [st.draw_real(n) for n in sizes]
     assert [part.size for part in parts] == sizes
     assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
-    assert st.position == sum(sizes)
+    assert _next_is_value(st, "draw_real", Seed(5, 3), sum(sizes))
 
 
 def _normal_cdf(x):
@@ -128,7 +138,7 @@ def _normal_cdf(x):
 
 
 def test_draw_real_moments_and_ks_on_a_million_draws():
-    v = GaussianStream(Seed(27)).draw_real(S_BIG)
+    v = Stream(Seed(27)).draw_real(S_BIG)
     n = v.size
     assert abs(np.mean(v)) <= 4.0 / math.sqrt(n)
     assert abs(np.var(v, ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
@@ -144,14 +154,14 @@ def test_draw_real_tail_share_past_the_ziggurat_cut():
     # numpy's ziggurat draws |x| past its last layer, 3.6541528853610088, on
     # its rejection tail; that share against 2 (1 - Phi(cut)), within 4 sigma
     cut = 3.6541528853610088
-    v = GaussianStream(Seed(28)).draw_real(S_BIG)
+    v = Stream(Seed(28)).draw_real(S_BIG)
     p = math.erfc(cut / math.sqrt(2.0))
     hits = np.count_nonzero(np.abs(v) > cut)
     assert abs(hits - v.size * p) <= 4.0 * math.sqrt(v.size * p * (1.0 - p))
 
 
 def test_draw_real_standard_normal():
-    st = GaussianStream(Seed(88))
+    st = Stream(Seed(88))
     v = st.draw_real(200001)
     assert v.size == 200001
     assert abs(np.mean(v)) <= 4.0 / math.sqrt(v.size)
@@ -159,7 +169,7 @@ def test_draw_real_standard_normal():
 
 
 # The untiled formulas, kept as the oracle of the tiled draws: each reads
-# the stream's own uniform source and advances its position.
+# the stream's own uniform source.
 
 
 def _oracle_unit_circle(stream, n):
@@ -167,7 +177,6 @@ def _oracle_unit_circle(stream, n):
     u = stream._gen.random((1, max(n, 0)))
     out = np.empty(u.shape, dtype=np.complex128)
     rng.unit_circle(u, out)
-    stream.position += u.size
     return out[0]
 
 
@@ -177,14 +186,9 @@ def _oracle_draw(stream, n):
     radius = np.sqrt(-np.log1p(-u[:, 0]))
     unit = np.empty((1, len(u)), dtype=np.complex128)
     rng.unit_circle(u[:, 1].copy()[None], unit)
-    stream.position += len(u)
     out = np.empty(len(u), dtype=np.complex128)
     out.real, out.imag = radius * unit[0].real, radius * unit[0].imag
     return out
-
-
-def _same_bytes(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 B = 2 * rng.UNIT_TILE  # sizes about the second tile boundary
@@ -193,30 +197,31 @@ FILL_SIZES = [0, 1, 2, B - 1, B, B + 1, 3 * B + 5]
 
 @pytest.mark.parametrize("n", FILL_SIZES)
 def test_blocked_fill_matches_the_unblocked_formulas(n):
-    for draw, oracle, cls in ((GaussianStream.draw, _oracle_draw, GaussianStream),
-                              (UnitCircleStream.draw, _oracle_unit_circle, UnitCircleStream)):
-        st, ref = cls(Seed(606, 2)), cls(Seed(606, 2))
+    for kind, oracle in (("draw", _oracle_draw), ("draw_unit", _oracle_unit_circle)):
+        st, ref = Stream(Seed(606, 2)), Stream(Seed(606, 2))
         for m in (n, 2 * n + 1):  # the second call starts mid-stream; 2n + 1 is odd
-            assert _same_bytes(draw(st, m), oracle(ref, m))
-            assert st.position == ref.position
+            assert _same_bytes(getattr(st, kind)(m), oracle(ref, m))
+        # both stand after 3n + 1 values
+        assert _same_bytes(oracle(ref, 1), getattr(Stream(Seed(606, 2)), kind)(3 * n + 2)[-1:])
+        assert _next_is_value(st, kind, Seed(606, 2), 3 * n + 1)
 
 
 def test_draws_split_across_a_block_boundary_equal_one_draw():
-    whole = GaussianStream(Seed(4)).draw(2 * B + 6)
-    st = GaussianStream(Seed(4))
+    whole = Stream(Seed(4)).draw(2 * B + 6)
+    st = Stream(Seed(4))
     head = np.concatenate([st.draw(B - 1), st.draw(2)])
     assert _same_bytes(head, whole[: B + 1])
     assert _same_bytes(st.draw(B + 5), whole[B + 1 :])
-    assert st.position == 2 * B + 6
+    assert _next_is_value(st, "draw", Seed(4), 2 * B + 6)
 
 
 @pytest.mark.parametrize("n", [1, 7, 10])
 def test_fill_does_not_depend_on_the_block_size(n, monkeypatch):
-    expected = GaussianStream(Seed(12)).draw(n)
-    expected_unit = UnitCircleStream(Seed(12)).draw(n)
+    expected = Stream(Seed(12)).draw(n)
+    expected_unit = Stream(Seed(12)).draw_unit(n)
     monkeypatch.setattr(rng, "UNIT_TILE", 3)
-    assert _same_bytes(GaussianStream(Seed(12)).draw(n), expected)
-    assert _same_bytes(UnitCircleStream(Seed(12)).draw(n), expected_unit)
+    assert _same_bytes(Stream(Seed(12)).draw(n), expected)
+    assert _same_bytes(Stream(Seed(12)).draw_unit(n), expected_unit)
 
 
 class _FixedUniforms:
@@ -237,11 +242,12 @@ def test_a_zero_radius_uniform_gives_the_oracle_value():
     # u1 = 0 gives radius 0; the angle uniforms put cos and sin in all four
     # sign patterns, and 0 gives the angle 0
     u = [[0.0, a] for a in (0.0, 0.1, 0.3, 0.6, 0.9)] + [[0.5, 0.2]]
-    streams = [GaussianStream(Seed(1)) for _ in range(2)]
+    streams = [Stream(Seed(1)) for _ in range(2)]
     for st in streams:
         st._gen = _FixedUniforms(np.ravel(u))
     x = streams[0].draw(6)
     assert _same_bytes(x, _oracle_draw(streams[1], 6))  # zeros keep their signs
+    assert [st._gen._used for st in streams] == [12, 12]  # both read six pairs
     assert np.count_nonzero(x == 0) == 5
     assert np.signbit(x[:5].real).tolist() == [False, False, True, True, False]
     assert np.signbit(x[:5].imag).tolist() == [False, False, False, True, True]
@@ -255,22 +261,20 @@ KEY_WORDS = [0, 1, 2**64 - 1]
 def test_stream_state_is_philox_keyed_by_the_seed(root, index):
     # the key reaches Philox as it is: same state as Philox(key=...), same draws
     philox = np.random.Philox(key=np.array([root, index], dtype=np.uint64))
-    for cls in (GaussianStream, UnitCircleStream):
-        st = cls(Seed(root, index))
-        state, expected = st._gen.bit_generator.state, philox.state
-        assert state.keys() == expected.keys()
-        for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
-            assert state[name] == expected[name]
-        assert np.array_equal(state["buffer"], expected["buffer"])
-        for word in ("counter", "key"):
-            assert np.array_equal(state["state"][word], expected["state"][word])
-        assert np.array_equal(st._gen.random(1000),
-                              np.random.Generator(np.random.Philox(
-                                  key=np.array([root, index], dtype=np.uint64))).random(1000))
+    st = Stream(Seed(root, index))
+    state, expected = st._gen.bit_generator.state, philox.state
+    assert state.keys() == expected.keys()
+    for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+        assert state[name] == expected[name]
+    assert np.array_equal(state["buffer"], expected["buffer"])
+    for word in ("counter", "key"):
+        assert np.array_equal(state["state"][word], expected["state"][word])
+    assert np.array_equal(st._gen.random(1000), np.random.Generator(np.random.Philox(
+        key=np.array([root, index], dtype=np.uint64))).random(1000))
 
 
 def test_a_stream_pickles_and_replays():
-    st = GaussianStream(Seed(41, 2))
+    st = Stream(Seed(41, 2))
     st.draw(5)
     copy = pickle.loads(pickle.dumps(st))
     assert _same_bytes(copy.draw(9), st.draw(9))
@@ -283,10 +287,10 @@ def test_box_muller_on_a_block_is_per_row_draws(shape):
     rows, m = shape
     pairs = np.empty((rows, m + 2, 2))[:, 1 : m + 1]  # rows are not contiguous
     for i in range(rows):
-        GaussianStream(Seed(3, i)).fill_uniforms(pairs[i])
+        Stream(Seed(3, i)).fill_uniforms(pairs[i])
     rng.box_muller(pairs)
     for i in range(rows):
-        expected = GaussianStream(Seed(3, i)).draw(m)
+        expected = Stream(Seed(3, i)).draw(m)
         assert _same_bytes(pairs[i].copy().view(np.complex128).reshape(-1), expected)
 
 
@@ -337,21 +341,48 @@ def test_unit_circle_on_a_block_is_per_row_draws(shape):
     uniforms = np.empty((rows, m))
     out = np.empty((rows, m + 2), dtype=np.complex128)[:, 1 : m + 1]  # rows not contiguous
     for i in range(rows):
-        st = UnitCircleStream(Seed(3, i))
+        st = Stream(Seed(3, i))
         st.fill_uniforms(uniforms[i])
-        assert st.position == m
+        assert _next_is_value(st, "draw_unit", Seed(3, i), m)
     rng.unit_circle(uniforms, out)
     for i in range(rows):
-        assert _same_bytes(out[i].copy(), UnitCircleStream(Seed(3, i)).draw(m))
+        assert _same_bytes(out[i].copy(), Stream(Seed(3, i)).draw_unit(m))
 
 
 def test_an_empty_unit_draw_is_empty():
-    st = UnitCircleStream(Seed(3))
+    st = Stream(Seed(3))
     for n in (0, -2):
-        draw = st.draw(n)
+        draw = st.draw_unit(n)
         assert draw.shape == (0,) and draw.dtype == np.complex128
-    assert st.position == 0
-    assert _same_bytes(st.draw(5), UnitCircleStream(Seed(3)).draw(5))
+    assert _next_is_value(st, "draw_unit", Seed(3), 0)
+    assert _same_bytes(st.draw_unit(5), Stream(Seed(3)).draw_unit(6)[1:])
+
+
+@pytest.mark.parametrize("row", [(4,), (4, 2)])
+def test_fill_rows_fills_one_row_per_stream_and_returns_the_count(row):
+    # row i holds the uniforms of stream i's own fill_uniforms; a short count
+    # for the last block, 0 once the streams run out, and no stream taken
+    # past a block's last row, so the next block starts at the next stream
+    taken = []
+
+    def streams(count):
+        for i in range(count):
+            taken.append(i)
+            yield Stream(Seed(8, i))
+
+    def expected(i):
+        values = np.empty(row)
+        Stream(Seed(8, i)).fill_uniforms(values)
+        return values
+
+    it = streams(5)
+    block = np.full((3, *row), np.nan)
+    assert rng.fill_rows(it, block) == 3 and taken == [0, 1, 2]
+    assert all(_same_bytes(block[i], expected(i)) for i in range(3))
+    assert rng.fill_rows(it, block) == 2 and taken == [0, 1, 2, 3, 4]
+    assert all(_same_bytes(block[i], expected(j)) for i, j in enumerate((3, 4, 2)))
+    assert rng.fill_rows(it, block) == 0
+    assert rng.fill_rows(streams(0), block) == 0
 
 
 def test_seed_validation():

@@ -13,19 +13,19 @@ from hypothesis import strategies as st
 
 from hmchaos import series
 from hmchaos.errors import BudgetError, PreconditionError
-from hmchaos.rng import GaussianStream, Seed
+from hmchaos.rng import Seed, Stream
 from hmchaos.series import (EXP_LEAF, EXP_TOLERANCE, exp_array, parseval_power_sum,
                             rankin_bound, smooth_partition_weight)
 
 
 def random_series(seed, degree, scale=1.0):
-    coeffs = GaussianStream(Seed(seed)).draw(degree + 1) * scale
+    coeffs = Stream(Seed(seed)).draw(degree + 1) * scale
     return coeffs
 
 
 def chaos_series(seed, degree):
     # the model's input scale: coefficient k damped by 1/sqrt(k)
-    coeffs = GaussianStream(Seed(seed)).draw(degree + 1)
+    coeffs = Stream(Seed(seed)).draw(degree + 1)
     coeffs[0] = 0.0
     coeffs[1:] /= np.sqrt(np.arange(1, degree + 1))
     return coeffs
@@ -177,10 +177,10 @@ def test_auto_engine_above_the_leaf(degree):
 _RECURRENCE_BYTES = """
 import hashlib
 import numpy as np
-from hmchaos.rng import GaussianStream, Seed
+from hmchaos.rng import Seed, Stream
 from hmchaos.series import exp_array
 degree = 12000
-stack = GaussianStream(Seed(5)).draw(3 * (degree + 1)).reshape(3, degree + 1)
+stack = Stream(Seed(5)).draw(3 * (degree + 1)).reshape(3, degree + 1)
 stack[:, 0] = 0.0
 stack /= np.sqrt(np.maximum(np.arange(degree + 1), 1))
 for values in (stack, stack.real.copy()):
