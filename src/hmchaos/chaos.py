@@ -10,10 +10,10 @@ evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 = exp(sum_{k<=K} r^{2k}/k), computes per-sample circle averages through
 the Parseval power sum, and estimates the first moment over a grid of N.
 The moment and circle-average kernels take a span of replicates at a time
-and stack them into blocks of at most EXP_BLOCK values of exp_array's
-working width, one exp_array call per block. Each block's inputs are drawn
-at once: rng.fill_rows has every stream write its uniforms into its row,
-then one Box-Muller pass and one division by sqrt(k) run over the block.
+and stack them into blocks of at most mc.SPAN_BLOCK values of exp_array's
+working width, one exp_array call per block. rng.draw_blocks draws each
+block's X(k) at once, one row per stream, and one division by sqrt(k) runs
+over the block.
 
 It is also the one home of the field: field_rows draws rows of X(lo..hi)
 with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
@@ -33,17 +33,11 @@ import numpy as np
 from . import mc
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import Seed, Stream, box_muller, fill_rows, split
+from .rng import Seed, Stream, draw_blocks, split
 from .series import FIELD_BUDGET, exp_array, exp_width, parseval_power_sum
 
 _FLOOR_GUARD = 1e-9  # absorbs ulp noise when K sits exactly on an integer
 _TAIL_RELATIVE = 1e-9
-# Cap on the values of one row-stacked exp call, rows x exp_width(N). Below
-# EXP_LEAF a block's rows share each step of the recurrence, so a bigger
-# block is faster and costs peak memory (at 2^15 the chaos-mc benchmark ran
-# 63% faster at +2.9% peak RSS on a 2-core Xeon); above it each row runs on
-# its own circle of M points.
-EXP_BLOCK = 2**15
 
 
 def _int_floor(x: float) -> int:
@@ -111,32 +105,28 @@ def _walks(stream, count, sigmas):
     return _accumulate(steps).T
 
 
-def _input_rows(streams, N: int, K: float) -> np.ndarray:
-    """Coefficient vectors of sum_{k<=min(K,N)} X(k) z^k / sqrt(k), one row
-    for each of the next EXP_BLOCK // exp_width(N) streams (at least one;
-    fewer if `streams` runs out): one block of exp_array's inputs.
+def _input_rows(streams, N: int, K: float):
+    """Blocks of exp_array's inputs: coefficient vectors of
+    sum_{k<=min(K,N)} X(k) z^k / sqrt(k), one row per stream, in blocks of
+    mc.SPAN_BLOCK // exp_width(N) rows (at least one; fewer at the end).
 
-    fill_rows has each stream write its uniforms straight into its row, in
-    order; one box_muller pass (one unit_circle pass over the block, which
-    takes each tile's radii with its angles) turns the block into draws in
-    place, as `stream.draw(m)` does for its one row, and one in-place
-    division scales them, with the bits of `stream.draw(m) / scale` row by
-    row. N < 0 is refused, and the N + 1 coefficients of a row are budgeted
-    (exp_width refuses a width above FIELD_BUDGET), before anything is
-    drawn.
+    draw_blocks writes each block's draws straight into columns 1..m of one
+    reused buffer, with the bits of `stream.draw(m)` row by row, and one
+    in-place division scales them, so a block holds until the next one is
+    drawn. N < 0 is refused, and the N + 1 coefficients of a row are
+    budgeted (exp_width refuses a width above FIELD_BUDGET), before anything
+    is drawn.
     """
     if N < 0:
         raise PreconditionError(f"the exp degree must be >= 0, got {N}")
     check_field_budget(1, N + 1)
-    rows = max(1, EXP_BLOCK // exp_width(N))
+    rows = max(1, mc.SPAN_BLOCK // exp_width(N))
     m = N if K >= N else max(_int_floor(K), 0)  # K = inf is the untruncated model
     s = np.zeros((rows, N + 1), dtype=np.complex128)
-    pairs = s.view(np.float64).reshape(rows, N + 1, 2)[:, 1 : m + 1]
-    count = fill_rows(streams, pairs)
-    box_muller(pairs[:count])
-    s = s[:count]
-    s[:, 1 : m + 1] /= np.sqrt(np.arange(1, m + 1))
-    return s
+    scale = np.sqrt(np.arange(1, m + 1))
+    for x in draw_blocks(streams, s[:, 1 : m + 1]):
+        x /= scale
+        yield s[: len(x)]
 
 
 def sample_A(N: int, K: float, stream: Stream) -> np.ndarray:
@@ -153,9 +143,8 @@ def sample_A(N: int, K: float, stream: Stream) -> np.ndarray:
 def _exp_rows(streams, N: int, K: float, statistic) -> list:
     """statistic(row) for each row of exp of the streams' input series to
     degree N, one exp_array call per _input_rows block."""
-    streams = iter(streams)
     values = []
-    while len(block := _input_rows(streams, N, K)):
+    for block in _input_rows(streams, N, K):
         values += map(statistic, exp_array(block, N))
     return values
 

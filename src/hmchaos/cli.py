@@ -282,7 +282,7 @@ def cmd_series_selftest(args):
     rows, checks = [], []
     series.check_recurrence_budget(args.degree)  # before the inputs are drawn
     stream = Stream(Seed(args.seed))
-    s = chaos._input_rows([stream], args.degree, float(args.degree))[0]
+    s = next(chaos._input_rows([stream], args.degree, float(args.degree)))[0]
     slow = series.exp_array(s, args.degree, engine="recurrence")
     fast = series.exp_array(s, args.degree)
     err = float(np.max(np.abs(slow - fast)))

@@ -33,10 +33,10 @@ the z^N coefficient of exp(sum_k X(k) z^k / sqrt(k)), so a replicate costs
 about as much as the irreducibles of degree <= N, not the q^N monics.
 
 Both models draw f on the primes with stream.draw_unit. Both estimators
-run a span's replicates in blocks: rng.fill_rows has each stream write its
-uniforms into its row of one block, one rng.unit_circle pass gives f on
-the primes, and the block runs through the tree or the power sums, with
-the bits each model on its own stream gives. Every complex product is
+run a span's replicates in blocks of at most mc.SPAN_BLOCK values of their
+widest array: rng.draw_unit_blocks gives f on the primes, one row per
+stream, and the block runs through the tree or the power sums, with the
+bits each model on its own stream gives. Every complex product is
 formed from rounded real products (_rotate), so numpy's SIMD dispatch
 cannot change the bits.
 """
@@ -52,7 +52,7 @@ from . import mc
 from . import series as _series
 from .errors import BudgetError, PreconditionError
 from .mc import MomentEstimate
-from .rng import Seed, Stream, fill_rows, unit_circle
+from .rng import Seed, Stream, draw_unit_blocks
 
 ENUMERATION_BUDGET = 10**7
 # Cap on floor(x), checked before the sieve allocates: building the integer
@@ -63,11 +63,6 @@ SIEVE_BUDGET = 10**6
 # marks fewer than 1/p as many products. Also caps the prime-power test
 # (q <= TRIAL_DIVISION_BUDGET**2).
 TRIAL_DIVISION_BUDGET = 10**6
-# Values of f in one block of a span's replicates: the tree rows of each
-# Steinhaus replicate, the irreducibles of each F_q[t] one (512 KiB as
-# complex128). At x = 10^4 a block of 3 replicates shares each tree level's
-# handful of calls; 2**16 ran faster but raised the arith-exact peak RSS.
-SPAN_BLOCK = 2**15
 
 
 def _factor_tree(norms, bound: int):
@@ -132,24 +127,6 @@ def _tree_values(prime_values, tree, values):
         _rotate(np.take(values, parent[a:b], axis=0), np.take(parts, factor[a:b], axis=0),
                 values[a:b])
     return values
-
-
-def _prime_blocks(streams, primes: int, width: int):
-    """f on `primes` primes for each of the streams, in (rows, primes)
-    blocks of SPAN_BLOCK // width rows (at least one; fewer at the end).
-
-    fill_rows has each stream write its uniforms into its row of the block;
-    one unit_circle pass turns the block into values, with the bits of
-    stream.draw_unit(primes) row by row. The buffers are reused, so a
-    block holds until the next one is drawn.
-    """
-    rows = max(1, SPAN_BLOCK // max(width, 1))
-    uniforms = np.empty((rows, primes))
-    values = np.empty((rows, primes), dtype=np.complex128)
-    streams = iter(streams)
-    while count := fill_rows(streams, uniforms):
-        unit_circle(uniforms[:count], values[:count])
-        yield values[:count]
 
 
 def _abs_powers(values, power):
@@ -221,8 +198,10 @@ def _steinhaus_sums(streams, x: float, power: float):
     buffer; one freed per block may go back to the system and fault in again."""
     n = _cutoff(x)
     tree, norm = _integer_tree(n)
+    rows = max(1, mc.SPAN_BLOCK // norm.size)
+    primes = np.empty((rows, _sieve(n).size), dtype=np.complex128)
     sums, values = [], None
-    for block in _prime_blocks(streams, _sieve(n).size, norm.size):
+    for block in draw_unit_blocks(streams, primes):
         if values is None:
             values = np.empty((norm.size, len(block)), dtype=np.complex128)
         columns = _tree_values(block, tree, values[:, : len(block)]).T
@@ -471,8 +450,10 @@ def _ff_coefficients(streams, q: int, N: int, power: float):
     """|A(N)|**power for f drawn from each stream: exp of each block's power
     sums, one exp_array call per block."""
     degrees = _degrees(q, N)
+    rows = max(1, mc.SPAN_BLOCK // max(degrees.size, 1))
+    primes = np.empty((rows, degrees.size), dtype=np.complex128)
     values = []
-    for block in _prime_blocks(streams, degrees.size, degrees.size):
+    for block in draw_unit_blocks(streams, primes):
         values += _series.exp_array(_power_sums(block, degrees, q, N), N)[:, N].tolist()
     return _abs_powers(values, power)
 

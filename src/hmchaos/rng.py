@@ -25,15 +25,14 @@ Box-Muller, no rejection loop) is unit_circle of u2 times the radius, whose
 np.log1p is the one transcendental function on the complex path. No draw
 calls numpy's sin or cos.
 
-Stream.fill_uniforms writes the stream's next uniforms into a float64
-buffer (pairs (u1, u2) for complex draws), and unit_circle (box_muller for
-pairs) turns a block of them into draws in tiles of at most UNIT_TILE
-values. Every tile runs the same ufuncs on the same inputs, so the values
-depend neither on UNIT_TILE nor on the block's shape. draw(n) and
-draw_unit(n) are the one-row cases; a caller that stacks many streams'
-draws (chaos's exp input blocks, a span of number-model replicates) has
-fill_rows fill one row per stream and transforms the block once. The bits
-depend on the order of the calls only.
+draw_blocks and draw_unit_blocks are the one route from uniforms to
+draws: each of the next len(out) streams writes its uniforms into its row
+(Stream.fill_uniforms), then one unit_circle pass turns the block into
+draws in tiles of at most UNIT_TILE values. Every tile runs the same
+ufuncs on the same inputs, so the values depend neither on UNIT_TILE nor
+on the block's shape: row i has the bits of stream i's own draw, and
+Stream.draw and draw_unit are the one-row case. The bits depend on the
+order of the calls only.
 """
 
 from __future__ import annotations
@@ -203,13 +202,7 @@ def unit_circle(uniforms: np.ndarray, out: np.ndarray, radii: np.ndarray | None 
                 np.multiply(o.imag, R, out=o.imag)
 
 
-def box_muller(pairs: np.ndarray) -> None:
-    """Turn the (rows, m, 2) float64 uniform pairs (u1, u2), each row's m pairs
-    contiguous, into (Re X, Im X) in place, in one unit_circle pass."""
-    unit_circle(pairs[..., 1], pairs.view(np.complex128)[..., 0], radii=pairs[..., 0])
-
-
-def fill_rows(streams, block: np.ndarray) -> int:
+def _fill_block(streams, block: np.ndarray) -> int:
     """Have each of the next len(block) streams write its uniforms into its
     row of `block`, in order, and return how many did (fewer once `streams`
     runs out). No stream past the last row is taken from the iterator."""
@@ -217,6 +210,27 @@ def fill_rows(streams, block: np.ndarray) -> int:
     for count, stream in enumerate(islice(streams, len(block)), 1):
         stream.fill_uniforms(block[count - 1])
     return count
+
+
+def draw_blocks(streams, out: np.ndarray):
+    """Yield out[:count] with row i the draw(m) of the block's stream i, for
+    the next len(out) streams at a time, into the reused complex (rows, m)
+    `out`. Each pair (u1, u2) is written in its value's place, so each row
+    of `out` must be contiguous (a column slice is fine)."""
+    pairs = out[..., None].view(np.float64)  # (rows, m, 2)
+    streams = iter(streams)
+    while count := _fill_block(streams, pairs):
+        unit_circle(pairs[:count, :, 1], out[:count], radii=pairs[:count, :, 0])
+        yield out[:count]
+
+
+def draw_unit_blocks(streams, out: np.ndarray):
+    """draw_blocks for draw_unit(m): the uniforms go to their own buffer."""
+    uniforms = np.empty(out.shape)
+    streams = iter(streams)
+    while count := _fill_block(streams, uniforms):
+        unit_circle(uniforms[:count], out[:count])
+        yield out[:count]
 
 
 class Stream:
@@ -235,23 +249,18 @@ class Stream:
 
     def fill_uniforms(self, out: np.ndarray) -> None:
         """Write the next uniforms into `out`, a C-contiguous float64 array:
-        pairs (..., 2) for box_muller, single uniforms for unit_circle."""
+        pairs (..., 2) for draw_blocks, single uniforms for draw_unit_blocks."""
         self._gen.random(out=out)
 
     def draw(self, n: int) -> np.ndarray:
         """Return the next n standard complex Gaussians."""
-        pairs = np.empty((1, max(n, 0), 2))
-        self.fill_uniforms(pairs)
-        box_muller(pairs)
-        return pairs.view(np.complex128).reshape(-1)
+        out = np.empty((1, max(n, 0)), dtype=np.complex128)
+        return next(draw_blocks([self], out))[0]
 
     def draw_unit(self, n: int) -> np.ndarray:
         """Return the next n unit values e^{2 pi i u}."""
-        uniforms = np.empty((1, max(n, 0)))
-        self.fill_uniforms(uniforms)
-        out = np.empty(uniforms.shape, dtype=np.complex128)
-        unit_circle(uniforms, out)
-        return out[0]
+        out = np.empty((1, max(n, 0)), dtype=np.complex128)
+        return next(draw_unit_blocks([self], out))[0]
 
     def draw_real(self, n: int) -> np.ndarray:
         """Return the next n independent real N(0,1) values (ziggurat)."""

@@ -24,7 +24,7 @@ class FixedStream:
         return self.draw(n).real
 
     def fill_uniforms(self, pairs):
-        # the uniforms that rng.box_muller maps back to the next values, to a
+        # the uniforms that rng.draw_blocks maps back to the next values, to a
         # few ulps: |x|^2 = -log1p(-u1) and arg x = 2 pi u2
         x = self.draw(pairs.size // 2).reshape(pairs.shape[:-1])
         pairs[..., 0] = -np.expm1(-np.abs(x) ** 2)

@@ -831,6 +831,23 @@ def test_two_walk_single_block_closed_form():
     assert abs(est.mean - target) <= 5.0 * est.std_error
 
 
+@pytest.mark.parametrize("r, theta, level", [(0.97, 0.5, 1.0), (0.97, 1.5, 2.0),
+                                             (0.99, math.pi, 1.0)])
+def test_two_walk_one_block_equals_its_closed_form(r, theta, level):
+    # one block past M: the tilt exp(2 (Z_0 + Z_theta)) has mean
+    # exp(4 sigma^2 (1 + rho)) and moves each walk's mean to 2 sigma^2 (1 + rho),
+    # so the expectation is that mean times Phi_2(u, u; rho) with
+    # u = (level + 2 sigma^2 - 2 sigma^2 (1 + rho)) / sigma; within 4 sigma
+    blocks = block_stats(r, theta, 1e6)
+    assert blocks.log_K_r - blocks.M == 1
+    sigma2, rho = blocks.sigma2[blocks.M], blocks.rho[blocks.M]
+    u = (level + 2.0 * sigma2 - 2.0 * sigma2 * (1.0 + rho)) / math.sqrt(sigma2)
+    target = math.exp(4.0 * sigma2 * (1.0 + rho)) * multivariate_normal(
+        [0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf([u, u])
+    est = two_walk_tilted_expectation(r, theta, 1e6, level, 200000, Seed(97))
+    assert abs(est.mean - target) <= 4.0 * est.std_error
+
+
 def test_two_walk_level_minus_inf_keeps_no_path():
     # level = inf is the unconstrained expectation; -inf is a barrier no walk
     # clears, not a second spelling of "no barrier"

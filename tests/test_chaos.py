@@ -228,22 +228,22 @@ def test_block_fill_is_per_stream_draw(N, K, samples):
     m = N if K >= N else max(math.floor(K), 0)
     streams = (Stream(split(seed, i)) for i in range(samples))
     done = 0
-    while done < samples:
-        block = _input_rows(streams, N, K)
+    for block in _input_rows(streams, N, K):
         assert block.tobytes() == _rows_by_draw(seed, done, len(block), N, m).tobytes()
         done += len(block)
-    assert done == samples and len(_input_rows(streams, N, K)) == 0
+    assert done == samples and next(streams, None) is None
 
 
 def test_block_fill_does_not_depend_on_the_tile_size(monkeypatch):
     # tiles of 5 pairs: several rows' tiles, and rows split into ragged pieces
     seed = Seed(31)
-    expected = [_input_rows((Stream(split(seed, i)) for i in range(9)), N, N)
+    # (the buffer is reused, so each first block is copied before it is kept)
+    expected = [next(_input_rows((Stream(split(seed, i)) for i in range(9)), N, N)).copy()
                 for N in (2, 7, 12)]
     monkeypatch.setattr(rng, "UNIT_TILE", 5)
     for N, block in zip((2, 7, 12), expected):
         streams = (Stream(split(seed, i)) for i in range(9))
-        assert _input_rows(streams, N, N).tobytes() == block.tobytes()
+        assert next(_input_rows(streams, N, N)).tobytes() == block.tobytes()
 
 
 def test_circle_average_constant_function():

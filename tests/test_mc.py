@@ -7,7 +7,7 @@ import pytest
 
 from conftest import circle_average_sample
 from hmchaos import chaos, mc, series
-from hmchaos.chaos import EXP_BLOCK, circle_average_moment, estimate_moment
+from hmchaos.chaos import circle_average_moment, estimate_moment
 from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
@@ -100,7 +100,7 @@ def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
 
 def _input_row(N, seed, i):
     # replicate i's input series, drawn from its own stream
-    return chaos._input_rows([Stream(split(seed, i))], N, float(N))[0]
+    return next(chaos._input_rows([Stream(split(seed, i))], N, float(N)))[0]
 
 
 def _coefficients(N, samples, seed):
@@ -116,8 +116,8 @@ def _scalar_coefficient(N, seed, i):
 @pytest.mark.parametrize("N", [64, 400, EXP_LEAF + 48])
 def test_batched_coefficients_equal_the_scalar_oracle(N):
     # samples cross a span boundary, and every block boundary inside it; the
-    # last N runs on the circle, EXP_BLOCK // M rows per block
-    rows = EXP_BLOCK // exp_width(N)
+    # last N runs on the circle, mc.SPAN_BLOCK // M rows per block
+    rows = mc.SPAN_BLOCK // exp_width(N)
     assert 1 < rows < mc.REPLICATE_SPAN
     samples = mc.REPLICATE_SPAN + 9
     seed = Seed(N)
@@ -137,7 +137,7 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
     # value keeps the bits of its own 1-D call, and the values stay within
     # 1e-12 of the oracle's
     N, samples, seed = 1536, mc.REPLICATE_SPAN + 9, Seed(1536)
-    assert N >= EXP_LEAF and EXP_BLOCK // exp_width(N) > 1
+    assert N >= EXP_LEAF and mc.SPAN_BLOCK // exp_width(N) > 1
     row_exp, seen = series._circle_row, []
 
     def spy(row, degree, buf):

@@ -282,16 +282,13 @@ def test_a_stream_pickles_and_replays():
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 3), (3, B + 2), (2 * B // 3 + 1, 3)])
 def test_box_muller_on_a_block_is_per_row_draws(shape):
-    # rows of uniforms filled one stream at a time and transformed at once,
-    # in row tiles or in pieces of a row wider than a tile
+    # draw_blocks: rows of pairs filled one stream at a time and transformed
+    # at once, in row tiles or in pieces of a row wider than a tile
     rows, m = shape
-    pairs = np.empty((rows, m + 2, 2))[:, 1 : m + 1]  # rows are not contiguous
+    out = np.empty((rows, m + 2), dtype=np.complex128)[:, 1 : m + 1]  # rows not contiguous
+    (block,) = rng.draw_blocks((Stream(Seed(3, i)) for i in range(rows)), out)
     for i in range(rows):
-        Stream(Seed(3, i)).fill_uniforms(pairs[i])
-    rng.box_muller(pairs)
-    for i in range(rows):
-        expected = Stream(Seed(3, i)).draw(m)
-        assert _same_bytes(pairs[i].copy().view(np.complex128).reshape(-1), expected)
+        assert _same_bytes(block[i].copy(), Stream(Seed(3, i)).draw(m))
 
 
 def _exact_unit(u):
@@ -322,11 +319,13 @@ def test_gaussian_draw_is_within_1e_15_of_the_exact_value():
     angles = np.concatenate([gen.random(10**4), np.arange(table) / table,
                              (np.arange(table) + 0.5) / table, [0.125, 0.375]])
     radii = np.concatenate([gen.random(angles.size - 2), [1.0 - 2.0**-53, 2.0**-53]])
-    pairs = np.stack([radii, angles], axis=-1)[None]
-    rng.box_muller(pairs)
+    st = Stream(Seed(1))
+    st._gen = _FixedUniforms(np.stack([radii, angles], axis=-1).ravel())
+    draws = st.draw(angles.size)
     with mpmath.workprec(120):
         err = 0.0
-        for u1, u2, (re, im) in zip(radii.tolist(), angles.tolist(), pairs[0].tolist()):
+        for u1, u2, x in zip(radii.tolist(), angles.tolist(), draws.tolist()):
+            re, im = x.real, x.imag
             x = mpmath.sqrt(-mpmath.log1p(-mpmath.mpf(u1))) * _exact_unit(u2)
             err = max(err, abs(re - x.real) / abs(x), abs(im - x.imag) / abs(x))
     assert err <= 1e-15
@@ -358,31 +357,54 @@ def test_an_empty_unit_draw_is_empty():
     assert _same_bytes(st.draw_unit(5), Stream(Seed(3)).draw_unit(6)[1:])
 
 
+def _taking_streams(count, taken):
+    # Stream(Seed(8, i)) for i < count, recording each index as it is taken
+    for i in range(count):
+        taken.append(i)
+        yield Stream(Seed(8, i))
+
+
 @pytest.mark.parametrize("row", [(4,), (4, 2)])
 def test_fill_rows_fills_one_row_per_stream_and_returns_the_count(row):
-    # row i holds the uniforms of stream i's own fill_uniforms; a short count
-    # for the last block, 0 once the streams run out, and no stream taken
-    # past a block's last row, so the next block starts at the next stream
+    # each stream writes a row of 4 uniforms (unit values) or 4 pairs
+    # (Gaussians); row i holds stream i's own draw, the last block is short,
+    # an empty iterator yields nothing, and no stream is taken past a
+    # block's last row, so the next block starts at the next stream
+    kind, blocks = (("draw_unit", rng.draw_unit_blocks) if len(row) == 1
+                    else ("draw", rng.draw_blocks))
     taken = []
+    out = np.full((3, 4), np.nan, dtype=np.complex128)
+    it = blocks(_taking_streams(5, taken), out)
+    block = next(it)
+    assert len(block) == 3 and taken == [0, 1, 2]
+    assert all(_same_bytes(block[i], getattr(Stream(Seed(8, i)), kind)(4)) for i in range(3))
+    block = next(it)
+    assert len(block) == 2 and taken == [0, 1, 2, 3, 4]
+    # the short block leaves the row past it as the first block wrote it
+    assert all(_same_bytes(out[i], getattr(Stream(Seed(8, j)), kind)(4))
+               for i, j in enumerate((3, 4, 2)))
+    assert next(it, None) is None
+    assert list(blocks(_taking_streams(0, []), out)) == []
 
-    def streams(count):
-        for i in range(count):
-            taken.append(i)
-            yield Stream(Seed(8, i))
 
-    def expected(i):
-        values = np.empty(row)
-        Stream(Seed(8, i)).fill_uniforms(values)
-        return values
-
-    it = streams(5)
-    block = np.full((3, *row), np.nan)
-    assert rng.fill_rows(it, block) == 3 and taken == [0, 1, 2]
-    assert all(_same_bytes(block[i], expected(i)) for i in range(3))
-    assert rng.fill_rows(it, block) == 2 and taken == [0, 1, 2, 3, 4]
-    assert all(_same_bytes(block[i], expected(j)) for i, j in enumerate((3, 4, 2)))
-    assert rng.fill_rows(it, block) == 0
-    assert rng.fill_rows(streams(0), block) == 0
+@pytest.mark.parametrize("kind", ["draw", "draw_unit"])
+@pytest.mark.parametrize("n", [0, 1, 7, B + 3])
+def test_draw_blocks_are_each_streams_own_draws(kind, n):
+    # out is a column slice of a wider complex block, as chaos passes it;
+    # every row is its stream's own draw(n) or draw_unit(n), the columns
+    # outside the slice stay untouched, and the blocks take the streams in
+    # order, len(out) at a time, the short last block included
+    blocks = {"draw": rng.draw_blocks, "draw_unit": rng.draw_unit_blocks}[kind]
+    wide = np.full((4, n + 3), np.nan + 1j * np.nan)
+    taken = []
+    seen = 0
+    for block in blocks(_taking_streams(7, taken), wide[:, 2 : n + 2]):
+        assert taken == list(range(seen + len(block)))
+        for i, values in enumerate(block):
+            assert _same_bytes(values.copy(), getattr(Stream(Seed(8, seen + i)), kind)(n))
+        seen += len(block)
+        assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, n + 2 :]).all()
+    assert seen == 7 and len(block) == 3
 
 
 def test_seed_validation():
