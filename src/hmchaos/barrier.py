@@ -35,8 +35,8 @@ N(0, sigma_m^2), and tested raw against levels raised by the drift
 the walk at K, draws one more sum for the tail past the last block end.
 These walks are drawn step-major from real ziggurat normals, one row of a
 chunk's walks per step, and summed with one contiguous add per step
-(chaos._walks, chaos._accumulate); the kernels read them as (walks, steps)
-views. Only the all-angle grid draws complex X(k) per k.
+(_walks, _accumulate); the kernels read them as (walks, steps) views.
+Only the all-angle grid draws complex X(k) per k.
 """
 
 from __future__ import annotations
@@ -115,6 +115,28 @@ def _survival(paths, levels):
     return ok
 
 
+def _accumulate(steps):
+    """Running sums along axis 0 of a step-major array, in place: one
+    contiguous add per step, in np.cumsum's order along each walk."""
+    for j in range(1, len(steps)):
+        np.add(steps[j], steps[j - 1], out=steps[j])
+    return steps
+
+
+def _walks(stream, count, sigmas):
+    """count walks of independent centered Gaussian steps with standard
+    deviations sigmas, at every step: a (count, sigmas.size) view.
+
+    The steps are drawn step-major, row j holding the count walks' step j
+    scaled by sigmas[j], and accumulated row by row; the view is the
+    transpose, so walk i is column i of the draws."""
+    n = sigmas.size
+    chaos.check_field_budget(count, n)
+    steps = stream.draw_real(count * n).reshape(n, count)
+    steps *= sigmas[:, None]
+    return _accumulate(steps).T
+
+
 def _per_height(values, seed) -> list[MomentEstimate]:
     """One estimate per column of a (samples, heights) indicator array."""
     return [mc.from_values(values[:, i], seed) for i in range(values.shape[1])]
@@ -126,7 +148,7 @@ def _per_height(values, seed) -> list[MomentEstimate]:
 
 def _ballot_chunk(stream, count, heights, sigmas):
     # the barrier is flat, so a walk survives iff its maximum does
-    peak = chaos._walks(stream, count, sigmas).max(axis=1, keepdims=True)
+    peak = _walks(stream, count, sigmas).max(axis=1, keepdims=True)
     return _survival(peak, heights[:, None])
 
 
@@ -193,7 +215,7 @@ def _block_variances(r: float, n_max: int) -> np.ndarray:
 
 def _event_chunk(stream, count, sigmas, levels):
     """Indicators, one column per row of levels (raised by the block drift)."""
-    return _survival(chaos._walks(stream, count, sigmas), levels)
+    return _survival(_walks(stream, count, sigmas), levels)
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
@@ -209,7 +231,6 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     levels = _event_levels(kind, r, K, _heights(A, samples))
     n_max = levels.shape[1]
     _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
-    mc.check_samples(samples)
     variances = _block_variances(r, n_max)
     levels += 2.0 * np.cumsum(variances)  # the drift moves to the levels
     values = mc.map_chunks(_event_chunk, (np.sqrt(variances), levels), seed, samples,
@@ -250,7 +271,6 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     sample by sample.
     """
     levels = _event_levels("G", r, K, _heights(A, samples))
-    mc.check_samples(samples)
     levels += 2.0 * np.cumsum(_block_variances(r, levels.shape[1]))
     values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,
                            chunk=512)
@@ -264,7 +284,7 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
 def _com_left_chunk(stream, count, sigmas, levels):
     """|F_K(r)|^2 = exp(2 walk[K]), zeroed where the walk leaves the levels
     (raised by the block drift) at a block end; its last sum is the tail."""
-    walk = chaos._walks(stream, count, sigmas)
+    walk = _walks(stream, count, sigmas)
     ok = _survival(walk[:, :-1], levels)[:, 0]
     return np.where(ok, np.exp(2.0 * walk[:, -1]), 0.0)
 
@@ -285,6 +305,7 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     expectation and serve as each other's oracle.
     """
     levels = _event_levels("G", r, K, [A])
+    # both up front: the right map would refuse its count after the left ran
     mc.check_samples(samples_left)
     mc.check_samples(samples_right)
     n_max = levels.shape[1]
@@ -449,12 +470,12 @@ def _two_walk_chunk(stream, count, sigmas, rho, levels):
     sigma_m (g, rho_m g + sqrt(1 - rho_m^2) g') for independent N(0, 1) g, g'."""
     n = sigmas.size
     chaos.check_field_budget(count, 2 * n)
-    # step-major, as chaos._walks: row j holds both walks' step j
+    # step-major, as _walks: row j holds both walks' step j
     z = stream.draw_real(2 * count * n).reshape(n, 2, count)
     z *= sigmas[:, None, None]
     z[:, 1] *= np.sqrt(1.0 - rho**2)[:, None]
     z[:, 1] += rho[:, None] * z[:, 0]
-    walks = chaos._accumulate(z)
+    walks = _accumulate(z)
     weight = np.exp(2.0 * (walks[-1, 0] + walks[-1, 1]))
     ok = _survival(walks[:, 0].T, levels)[:, 0] & _survival(walks[:, 1].T, levels)[:, 0]
     return np.where(ok, weight, 0.0)
@@ -470,7 +491,7 @@ def two_walk_tilted_expectation(r: float, theta: float, K: float, level: float,
     expectation. With no blocks (M >= log K_r) the empty product gives
     exactly 1.
     """
-    mc.check_samples(samples)
+    mc.check_samples(samples)  # the no-block case below returns without a map
     if math.isnan(level):
         raise PreconditionError("the barrier level must not be NaN")
     blocks = block_stats(r, theta, K)

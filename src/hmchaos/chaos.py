@@ -19,8 +19,8 @@ It is also the one home of the field: field_rows draws rows of X(lo..hi)
 with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
 all-angle grid samples the field.
 The real walk sum_k Re X(k) r^k/sqrt(k) has N(0, r^{2k}/(2k)) steps, whose
-variances walk_variances builds; _walks draws sums of them, such as block sums,
-step-major from the stream's real (ziggurat) draws.
+variances walk_variances builds for barrier's block walks; circle_mean_mc
+draws the walk at K as one N(0, sigma^2) real draw per sample.
 """
 
 from __future__ import annotations
@@ -83,28 +83,6 @@ def field_rows(stream, count: int, r: float, lo: int, hi: int):
     return (x, *field_weights(r, lo, hi))
 
 
-def _accumulate(steps):
-    """Running sums along axis 0 of a step-major array, in place: one
-    contiguous add per step, in np.cumsum's order along each walk."""
-    for j in range(1, len(steps)):
-        np.add(steps[j], steps[j - 1], out=steps[j])
-    return steps
-
-
-def _walks(stream, count, sigmas):
-    """count walks of independent centered Gaussian steps with standard
-    deviations sigmas, at every step: a (count, sigmas.size) view.
-
-    The steps are drawn step-major, row j holding the count walks' step j
-    scaled by sigmas[j], and accumulated row by row; the view is the
-    transpose, so walk i is column i of the draws."""
-    n = sigmas.size
-    check_field_budget(count, n)
-    steps = stream.draw_real(count * n).reshape(n, count)
-    steps *= sigmas[:, None]
-    return _accumulate(steps).T
-
-
 def _input_rows(streams, N: int, K: float):
     """Blocks of exp_array's inputs: coefficient vectors of
     sum_{k<=min(K,N)} X(k) z^k / sqrt(k), one row per stream, in blocks of
@@ -150,12 +128,9 @@ def _exp_rows(streams, N: int, K: float, statistic) -> list:
 
 
 def _coefficient(streams, N, power):
-    """|A(N)|**power of the untruncated model for each stream.
-
-    abs runs value by value: np.abs over the array rounds differently.
-    """
+    """|A(N)|**power of the untruncated model for each stream."""
     values = _exp_rows(streams, N, float(N), itemgetter(N))
-    return [abs(value) ** power for value in values]
+    return mc.abs_powers(values, power)
 
 
 def estimate_moment(N: int, q: float, samples: int, seed: Seed,
@@ -165,7 +140,6 @@ def estimate_moment(N: int, q: float, samples: int, seed: Seed,
         raise PreconditionError("estimate_moment requires N >= 0")
     if not 0.0 <= q <= 1.0:
         raise PreconditionError("estimate_moment requires 0 <= q <= 1")
-    mc.check_samples(samples)
     values = mc.map_replicates(_coefficient, (N, 2.0 * q), seed, samples, workers)
     return mc.from_values(values, seed)
 
@@ -189,14 +163,15 @@ def circle_mean_closed_form(K: float, r: float) -> float:
 
 def _sq_modulus_at_radius(stream, count, sigma):
     # |F_K(r)|^2 = exp(2 Re sum_k X(k) r^k / sqrt(k)), the real walk at K: N(0, sigma^2)
-    return np.exp(2.0 * _walks(stream, count, np.array([sigma]))[:, -1])
+    x = stream.draw_real(count)
+    x *= sigma
+    return np.exp(2.0 * x)
 
 
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
                    workers: int = 1) -> MomentEstimate:
     """Direct Monte Carlo of E[|F_K(r)|^2] (heavy-tailed; compare at 5 sigma)."""
     sigma = math.sqrt(_circle_variance(K, r))
-    mc.check_samples(samples)
     values = mc.map_chunks(_sq_modulus_at_radius, (sigma,), seed, samples, workers)
     return mc.from_values(values, seed)
 
@@ -234,7 +209,6 @@ def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
                           D: int | None = None, workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of the circle average (q = 1 moment)."""
     D = _circle_degree(K, r, D)
-    mc.check_samples(samples)
     values = mc.map_replicates(_circle_averages, (K, r, D), seed, samples, workers)
     return mc.from_values(values, seed)
 

@@ -10,7 +10,7 @@ rng.draw_blocks, and the number models' kernels their values of f through
 rng.draw_unit_blocks, each row with the bits its stream's own draw would
 give, in blocks whose widest per-replicate array holds at most SPAN_BLOCK
 values. A map_chunks kernel draws its whole chunk from one stream: the
-barrier kernels lay the chunk's walks out step-major (chaos._walks), one
+barrier kernels lay the chunk's walks out step-major (barrier._walks), one
 row of real draws per step, so walk i is column i. A stream is Philox
 keyed directly by its seed, so creating one per replicate reads no OS
 entropy. Reductions run over the gathered array in replicate order with
@@ -60,13 +60,20 @@ def from_values(values: np.ndarray, seed: Seed) -> MomentEstimate:
     return MomentEstimate(mean, math.sqrt(var / n), n, seed)
 
 
-def check_samples(samples: int, least: int = 2) -> None:
-    """Refuse a replicate count below `least` before any replicate runs.
+def check_samples(samples: int) -> None:
+    """Refuse fewer than 2 replicates before any task runs: every estimator
+    reduces the maps' values with from_values, which needs 2."""
+    if not samples >= 2:
+        raise PreconditionError(f"need at least 2 samples, got {samples}")
 
-    Estimators reduced by from_values need 2; the maps need 1.
-    """
-    if not samples >= least:
-        raise PreconditionError(f"need at least {least} samples, got {samples}")
+
+def abs_powers(values, power) -> list:
+    """|value|**power of each value (abs one by one: np.abs over an array
+    rounds differently), refusing a power that overflows."""
+    try:
+        return [abs(value) ** power for value in values]
+    except OverflowError:
+        raise PreconditionError(f"|value|**{power} overflows a float") from None
 
 
 def _eval_span(task):
@@ -106,7 +113,7 @@ def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1) -> np.n
     depend on stream i alone. Spans hold REPLICATE_SPAN replicates. fn must
     be a module-level callable (it is pickled when workers > 1).
     """
-    check_samples(samples, 1)
+    check_samples(samples)
     tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples))
              for start in range(0, samples, REPLICATE_SPAN)]
     return np.concatenate(_run_tasks(_eval_span, tasks, workers))
@@ -124,7 +131,7 @@ def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
     The chunk size is fixed per call site, never derived from the worker
     count, so results are worker-count independent.
     """
-    check_samples(samples, 1)
+    check_samples(samples)
     tasks = []
     for index, start in enumerate(range(0, samples, chunk)):
         tasks.append((fn, args, seed, index, min(chunk, samples - start)))

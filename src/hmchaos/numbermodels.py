@@ -129,14 +129,6 @@ def _tree_values(prime_values, tree, values):
     return values
 
 
-def _abs_powers(values, power):
-    """|value|**power of each value, refusing a power that overflows."""
-    try:
-        return [abs(value) ** power for value in values]
-    except OverflowError:
-        raise PreconditionError(f"|value|**{power} overflows a float") from None
-
-
 # ---------------------------------------------------------------------------
 # integers: sieve and the Steinhaus model
 
@@ -206,7 +198,7 @@ def _steinhaus_sums(streams, x: float, power: float):
             values = np.empty((norm.size, len(block)), dtype=np.complex128)
         columns = _tree_values(block, tree, values[:, : len(block)]).T
         sums += [complex(np.sum(column)) for column in columns]  # pairwise, as on one row
-    return _abs_powers(sums, power)
+    return mc.abs_powers(sums, power)
 
 
 def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
@@ -215,7 +207,6 @@ def steinhaus_abs_moment(x: float, power: float, samples: int, seed: Seed,
     _cutoff(x)
     if not math.isfinite(power):
         raise PreconditionError("the moment power must be finite")
-    mc.check_samples(samples)
     values = mc.map_replicates(_steinhaus_sums, (x, power), seed, samples, workers)
     return mc.from_values(values, seed)
 
@@ -455,13 +446,12 @@ def _ff_coefficients(streams, q: int, N: int, power: float):
     values = []
     for block in draw_unit_blocks(streams, primes):
         values += _series.exp_array(_power_sums(block, degrees, q, N), N)[:, N].tolist()
-    return _abs_powers(values, power)
+    return mc.abs_powers(values, power)
 
 
 def ff_second_moment(q: int, N: int, samples: int, seed: Seed,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of |A(N)|^2 over fresh phase assignments (target 1)."""
     _require_ints(q=q, N=N)
-    mc.check_samples(samples)
     values = mc.map_replicates(_ff_coefficients, (q, N, 2), seed, samples, workers)
     return mc.from_values(values, seed)

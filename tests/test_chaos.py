@@ -6,7 +6,8 @@ import pytest
 
 from conftest import FixedStream, circle_average_sample
 from hmchaos import rng
-from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, _walks, circle_average_moment,
+from hmchaos.barrier import _walks
+from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
                            circle_mean_closed_form, circle_mean_mc, estimate_moment,
                            fit_decay_band, gaussian_abs_moment,
                            sample_A, theorem_band_factor, truncation_degree)
@@ -172,6 +173,16 @@ def test_walks_are_the_cumsum_of_step_major_draws(n, count):
     ref = np.cumsum(g.reshape(n, count).T * sigmas, axis=1)
     assert walks.shape == ref.shape == (count, n)
     assert walks.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 4096])
+def test_circle_mean_kernel_is_the_one_step_walk(count):
+    # the kernel's one real draw per sample, scaled by sigma, has the bits
+    # of the one-step walk at K
+    sigma = math.sqrt(math.fsum(1.0 / (2 * k) for k in range(1, 9)))  # K = 8, r = 1
+    direct = _sq_modulus_at_radius(Stream(Seed(15)), count, sigma)
+    walk = _walks(Stream(Seed(15)), count, np.array([sigma]))
+    assert direct.tobytes() == np.exp(2.0 * walk[:, -1]).tobytes()
 
 
 def _closed_form_by_drift(K, r):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import circle_average_sample
-from hmchaos import chaos, mc, series
+from hmchaos import barrier, chaos, mc, numbermodels, series
 from hmchaos.chaos import circle_average_moment, estimate_moment
+from hmchaos.errors import PreconditionError
 from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
@@ -96,6 +97,76 @@ def test_pool_size_is_bounded_by_tasks_and_cores(monkeypatch):
     mc.map_replicates(_first_draws, (0.5,), Seed(3), samples, 100000)
     mc.map_replicates(_first_draws, (0.5,), Seed(3), 5, 100000)
     assert _SerialPool.sizes == []
+
+
+# every estimator at a valid configuration, given its sample count
+ESTIMATORS = {
+    "estimate_moment": lambda n: chaos.estimate_moment(8, 0.5, n, Seed(1)),
+    "circle_mean_mc": lambda n: chaos.circle_mean_mc(8.0, 1.0, n, Seed(1)),
+    "circle_average_moment": lambda n: circle_average_moment(8.0, 0.5, n, Seed(1)),
+    "steinhaus_abs_moment": lambda n: numbermodels.steinhaus_abs_moment(100.0, 2.0, n,
+                                                                        Seed(1)),
+    "ff_second_moment": lambda n: numbermodels.ff_second_moment(3, 2, n, Seed(1)),
+    "ballot_probability_mc": lambda n: barrier.ballot_probability_mc([1.0], [1.0], n,
+                                                                     Seed(1)),
+    "event_probability_mc": lambda n: barrier.event_probability_mc("G", 20.0, 1.0, [2.0],
+                                                                   0.0, n, Seed(1)),
+    "event_G_all_angles_mc": lambda n: barrier.event_G_all_angles_mc(20.0, 1.0, [2.0], n,
+                                                                     Seed(1)),
+    "change_of_measure_left": lambda n: barrier.change_of_measure_check(20.0, 1.0, 2.0, n,
+                                                                        100, Seed(1)),
+    "change_of_measure_right": lambda n: barrier.change_of_measure_check(20.0, 1.0, 2.0,
+                                                                         100, n, Seed(1)),
+    # blocks 3..log K_r = 3 lie past M = 2
+    "two_walk_blocks": lambda n: barrier.two_walk_tilted_expectation(0.99, 0.5, 1e6, 1.0,
+                                                                     n, Seed(1)),
+    # no block lies past M = 1 (log K_r = 0): the estimate needs no map
+    "two_walk_no_blocks": lambda n: barrier.two_walk_tilted_expectation(0.9, 1.0, 10.0,
+                                                                        1.0, n, Seed(1)),
+}
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_every_estimator_refuses_fewer_than_two_samples_before_a_replicate(
+        name, samples, monkeypatch):
+    def no_tasks(*args):
+        raise AssertionError("a replicate task ran before the sample count was refused")
+
+    monkeypatch.setattr(mc, "_run_tasks", no_tasks)
+    with pytest.raises(PreconditionError):
+        ESTIMATORS[name](samples)
+    # the configuration is valid: at an allowed count the tasks are reached
+    if name == "two_walk_no_blocks":
+        assert ESTIMATORS[name](2).mean == 1.0
+    else:
+        with pytest.raises(AssertionError):
+            ESTIMATORS[name](100 if name.startswith("ballot") else 2)
+
+
+def test_the_maps_refuse_fewer_than_two_samples(monkeypatch):
+    monkeypatch.setattr(mc, "_run_tasks", None)  # calling it would raise TypeError
+    for samples in (-1, 0, 1):
+        with pytest.raises(PreconditionError):
+            mc.map_replicates(_first_draws, (0.5,), Seed(3), samples)
+        with pytest.raises(PreconditionError):
+            mc.map_chunks(_pairs, (2,), Seed(3), samples)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, 3.7])
+def test_abs_powers_is_abs_value_by_value(power):
+    z = Stream(Seed(16)).draw(257)
+    for values in (z, z.real, [complex(v) for v in z], [3.0, -0.0, 1e-310, -2.5]):
+        ref = np.array([abs(v) ** power for v in values])
+        assert np.array(mc.abs_powers(values, power)).tobytes() == ref.tobytes()
+
+
+def test_abs_powers_refuses_an_overflowing_power():
+    with pytest.raises(PreconditionError):
+        mc.abs_powers([2.0], 1e4)
+    with pytest.raises(PreconditionError):
+        mc.abs_powers([0.5, 3.0 + 4.0j], 1e3)
+    assert mc.abs_powers([], 1e4) == []
 
 
 def _input_row(N, seed, i):
