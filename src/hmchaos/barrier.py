@@ -228,6 +228,7 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     draws, so the estimates are monotone in A sample by sample (a higher
     barrier can only keep more paths).
     """
+    mc.check_samples(samples)  # before the O(K) block variances
     levels = _event_levels(kind, r, K, _heights(A, samples))
     n_max = levels.shape[1]
     _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
@@ -248,14 +249,14 @@ def _grid_event_chunk(stream, count, r, levels):
     """
     n_max = levels.shape[1]
     x, _, coef = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
-    scaled = x * coef
+    x *= coef
     peaks = np.empty((count, n_max))
     for n in range(1, n_max + 1):
         _, hi = block_bounds(n)
         grid = int(math.ceil(n * math.e**n))
         chaos.check_field_budget(count, grid)
         padded = np.zeros((count, grid), dtype=np.complex128)
-        padded[:, 1 : hi + 1] = scaled[:, :hi]
+        padded[:, 1 : hi + 1] = x[:, :hi]
         # in place; scaling by grid > 0 after the max rounds the same values
         np.fft.ifft(padded, axis=1, out=padded)
         peaks[:, n - 1] = padded.real.max(axis=1) * grid
@@ -270,6 +271,7 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     All heights share the same draws, so the estimates are monotone in A
     sample by sample.
     """
+    mc.check_samples(samples)  # before the O(K) block variances
     levels = _event_levels("G", r, K, _heights(A, samples))
     levels += 2.0 * np.cumsum(_block_variances(r, levels.shape[1]))
     values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,

@@ -8,7 +8,8 @@ so A(n) for n <= K is a polynomial in the X's with E[|A(n)|^2] = 1. This
 module samples A(N), estimates the moments E[|A(N)|^{2q}] for 0 <= q <= 1,
 evaluates the exact circle-average mean E[|F_K(r e^{i theta})|^2]
 = exp(sum_{k<=K} r^{2k}/k), computes per-sample circle averages through
-the Parseval power sum, and estimates the first moment over a grid of N.
+the Parseval power sum truncated at truncation_degree(r) (0 < r < 1), and
+estimates the first moment over a grid of N.
 The moment and circle-average kernels take a span of replicates at a time
 and stack them into blocks of at most mc.SPAN_BLOCK values of exp_array's
 working width, one exp_array call per block. rng.draw_blocks draws each
@@ -171,6 +172,7 @@ def _sq_modulus_at_radius(stream, count, sigma):
 def circle_mean_mc(K: float, r: float, samples: int, seed: Seed,
                    workers: int = 1) -> MomentEstimate:
     """Direct Monte Carlo of E[|F_K(r)|^2] (heavy-tailed; compare at 5 sigma)."""
+    mc.check_samples(samples)  # before the O(K) variance sum
     sigma = math.sqrt(_circle_variance(K, r))
     values = mc.map_chunks(_sq_modulus_at_radius, (sigma,), seed, samples, workers)
     return mc.from_values(values, seed)
@@ -189,26 +191,16 @@ def truncation_degree(r: float) -> int:
     return max(1, int(math.ceil(target)))
 
 
-def _circle_degree(K: float, r: float, D: int | None) -> int:
-    """The truncation degree of a circle average: D, or the r < 1 default."""
-    if not 0 < r <= 1:
-        raise PreconditionError("circle_average_moment requires 0 < r <= 1")
-    if D is not None:
-        return D
-    if r == 1.0:
-        raise PreconditionError("r = 1 needs an explicit truncation degree D")
-    return truncation_degree(r)
-
-
 def _circle_averages(streams, K, r, D):
     # one Parseval power sum per row, so each value is its 1-D sum
     return _exp_rows(streams, D, K, lambda row: parseval_power_sum(row, r))
 
 
 def circle_average_moment(K: float, r: float, samples: int, seed: Seed,
-                          D: int | None = None, workers: int = 1) -> MomentEstimate:
-    """Monte Carlo mean of the circle average (q = 1 moment)."""
-    D = _circle_degree(K, r, D)
+                          workers: int = 1) -> MomentEstimate:
+    """Monte Carlo mean of the circle average (q = 1 moment), each Parseval
+    sum truncated at truncation_degree(r), 0 < r < 1."""
+    D = truncation_degree(r)
     values = mc.map_replicates(_circle_averages, (K, r, D), seed, samples, workers)
     return mc.from_values(values, seed)
 

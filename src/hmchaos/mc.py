@@ -15,6 +15,9 @@ row of real draws per step, so walk i is column i. A stream is Philox
 keyed directly by its seed, so creating one per replicate reads no OS
 entropy. Reductions run over the gathered array in replicate order with
 numpy's pairwise summation, making every estimate reproducible bit for bit.
+Both maps refuse a sample count below 2 or above FIELD_BUDGET before they
+build a task (check_samples); an estimator with O(K) set-up calls
+check_samples itself first.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .rng import Seed, Stream, split
+from .series import FIELD_BUDGET
 
 REPLICATE_SPAN = 512   # replicates per task; fixed so task layout never varies
 CHUNK_SAMPLES = 4096   # batch size for internally vectorized estimators
@@ -62,9 +66,13 @@ def from_values(values: np.ndarray, seed: Seed) -> MomentEstimate:
 
 def check_samples(samples: int) -> None:
     """Refuse fewer than 2 replicates before any task runs: every estimator
-    reduces the maps' values with from_values, which needs 2."""
+    reduces the maps' values with from_values, which needs 2. More than
+    FIELD_BUDGET replicates are refused too, before their task list and
+    values are built."""
     if not samples >= 2:
         raise PreconditionError(f"need at least 2 samples, got {samples}")
+    if samples > FIELD_BUDGET:
+        raise BudgetError(f"{samples} samples exceed the budget of {FIELD_BUDGET}")
 
 
 def abs_powers(values, power) -> list:

@@ -54,25 +54,22 @@ def _check_total(total: int) -> None:
         raise BudgetError(f"partition enumeration is capped at total <= {ENUMERATION_CAP}")
 
 
-def enumerate_partitions(total: int, max_part: int | None = None):
-    """Yield each partition of `total` with parts <= max_part exactly once.
+def enumerate_partitions(total: int):
+    """Yield each partition of `total` exactly once.
 
     Order is lexicographic on the part tuples: the largest part increases,
     and recursively so within each branch, e.g. for total=4: 1+1+1+1, 2+1+1,
     2+2, 3+1, 4.
     """
     _check_total(total)
-    cap = total if max_part is None else min(operator.index(max_part), total)
-    if total > 0 and cap < 1:  # no part fits
-        return
     parts = [1] * total
     while True:
         yield tuple(parts)
         # grow the rightmost part (not the last) that stays <= the part
-        # before it (or cap) by one unit from the parts after it, which
+        # before it (or total) by one unit from the parts after it, which
         # restart as ones: the lexicographic successor
         i, rest = len(parts) - 2, parts[-1] if parts else 0
-        while i >= 0 and parts[i] == (parts[i - 1] if i else cap):
+        while i >= 0 and parts[i] == (parts[i - 1] if i else total):
             rest += parts[i]
             i -= 1
         if i < 0:

@@ -258,31 +258,31 @@ def parseval_power_sum(coeffs, r: float) -> float:
     return float(np.sum(weights))
 
 
-def smooth_partition_weight(total: int, max_part: int) -> float:
-    """Weight of partitions of `total` with all parts <= max_part.
+def smooth_partition_weight(total: int, largest: int) -> float:
+    """Weight of partitions of `total` with all parts <= largest.
 
-    Equals the coefficient of z^total in exp(sum_{k<=max_part} z^k/k),
+    Equals the coefficient of z^total in exp(sum_{k<=largest} z^k/k),
     i.e. the proportion of permutations in S_total whose longest cycle has
-    length at most max_part. All summands are nonnegative, so the float
+    length at most largest. All summands are nonnegative, so the float
     recurrence loses no accuracy to cancellation.
     """
-    if total < 0 or max_part < 1:
-        raise PreconditionError("smooth_partition_weight needs total >= 0, max_part >= 1")
+    if total < 0 or largest < 1:
+        raise PreconditionError("smooth_partition_weight needs total >= 0, largest >= 1")
     if total == 0:
         return 1.0
-    top = min(max_part, total)
+    top = min(largest, total)
     s = np.zeros(top + 1)
     s[1:] = 1.0 / np.arange(1, top + 1)
     return float(exp_array(s, total, "recurrence")[total])
 
 
-def rankin_bound(total: int, max_part: int, r: float) -> float:
-    """r^{-total} exp(sum_{k<=max_part} r^k/k).
+def rankin_bound(total: int, largest: int, r: float) -> float:
+    """r^{-total} exp(sum_{k<=largest} r^k/k).
 
-    An upper bound for smooth_partition_weight(total, max_part) for every
+    An upper bound for smooth_partition_weight(total, largest) for every
     r > 0, because the generating function has nonnegative coefficients.
     """
-    if total < 1 or max_part < 1 or not 0 < r < math.inf:
-        raise PreconditionError("rankin_bound needs total >= 1, max_part >= 1, r > 0")
-    k = np.arange(1, max_part + 1, dtype=float)
+    if total < 1 or largest < 1 or not 0 < r < math.inf:
+        raise PreconditionError("rankin_bound needs total >= 1, largest >= 1, r > 0")
+    k = np.arange(1, largest + 1, dtype=float)
     return float(r ** (-total) * math.exp(float(np.sum(r ** k / k))))

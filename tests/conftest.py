@@ -32,8 +32,10 @@ class FixedStream:
 
 
 def circle_average_sample(K, r, stream, D=None):
-    """One sample of (1/2pi) int |F_K(r e^{i theta})|^2 dtheta, from `stream`."""
-    return chaos._circle_averages([stream], K, r, chaos._circle_degree(K, r, D))[0]
+    """One sample of (1/2pi) int |F_K(r e^{i theta})|^2 dtheta, from `stream`,
+    truncated at degree D (by default circle_average_moment's)."""
+    D = chaos.truncation_degree(r) if D is None else D
+    return chaos._circle_averages([stream], K, r, D)[0]
 
 
 def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:

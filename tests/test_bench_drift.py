@@ -1,5 +1,6 @@
 """tools/bench_drift.column_drift on fixed CSV pairs: the per-column report
-that a change moving printed bits on purpose pastes into CHANGES.md."""
+that a change moving printed bits on purpose pastes into CHANGES.md; and
+bench_drift's run list, which holds the README commands next to the jobs."""
 
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_drift import column_drift  # noqa: E402
+from bench_drift import column_drift, run_list  # noqa: E402
 
 TABLE = "kind,mean,ok,note\nG,1.5,1,inf\nL,-2.0,0,x\n"
 
@@ -47,3 +48,17 @@ def test_a_changed_header_gives_one_line():
     assert column_drift(TABLE.replace("note", "notes"), TABLE) == message
     assert column_drift(TABLE + "G,0.0,1,y\n", TABLE) == message
     assert column_drift("", TABLE) == message
+
+
+def test_the_run_list_holds_every_readme_command(monkeypatch):
+    from bench_digest import readme_commands
+
+    def no_run(argv):
+        raise AssertionError("the run list ran a command")
+
+    monkeypatch.setattr("hmchaos.cli.main", no_run)
+    runs = list(run_list())
+    readme = [argv for workload, seed, argv in runs if workload == "readme"]
+    assert readme == list(readme_commands()) and readme
+    assert all(seed == "-" for workload, seed, _ in runs if workload == "readme")
+    assert {seed for workload, seed, _ in runs if workload != "readme"} == {1, 2}

@@ -275,6 +275,10 @@ def test_circle_average_needs_degree_at_radius_one():
         circle_average_sample(8.0, 1.0, FixedStream([0.0] * 8))
     value = circle_average_sample(8.0, 1.0, Stream(Seed(5)), D=64)
     assert value > 0.0
+    # the estimator takes no degree, so r = 1 is refused like any r outside (0, 1)
+    for r in (1.0, 1.5, 0.0, -0.5, float("nan")):
+        with pytest.raises(PreconditionError):
+            circle_average_moment(8.0, r, 10, Seed(1))
 
 
 def test_negative_degree_is_refused():
@@ -282,8 +286,6 @@ def test_negative_degree_is_refused():
     for D in (-1, -3):
         with pytest.raises(PreconditionError):
             circle_average_sample(8.0, 0.9, FixedStream([0.0] * 8), D=D)
-        with pytest.raises(PreconditionError):
-            circle_average_moment(8.0, 0.9, 10, Seed(1), D=D)
 
 
 def test_truncation_degree_controls_tail():
@@ -293,7 +295,7 @@ def test_truncation_degree_controls_tail():
 
 
 def test_circle_average_moment_matches_closed_form():
-    est = circle_average_moment(8.0, 0.9, 10**4, Seed(301), D=400)
+    est = circle_average_moment(8.0, 0.9, 10**4, Seed(301))
     target = circle_mean_closed_form(8.0, 0.9)
     assert abs(est.mean - target) <= 4.0 * est.std_error
 

@@ -546,7 +546,8 @@ def test_over_budget_draws_exit_3_quickly():
     # recurrence before its first step, and the exp circle before its buffer;
     # the F_q[t] tree's rows of every degree <= N before it is built; the
     # trial divisions, the partition cap, the widest block and the
-    # bivariate draws before the first of them
+    # bivariate draws before the first of them; a sample count before the
+    # set-up it would waste, and above the budget before a map's task list
     for argv, limit in ((["event", "--K", "1e8", "--r", "1"], 5.0),
                         (["com-check", "--K", "1e9"], 1.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
@@ -566,7 +567,13 @@ def test_over_budget_draws_exit_3_quickly():
                         (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "30"], 1.0),
                         (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "1000"], 1.0),
                         (["bivariate", "--grid-points", "100000000"], 1.0),
-                        (["bivariate", "--grid-points", "1000000000"], 1.0)):
+                        (["bivariate", "--grid-points", "1000000000"], 1.0),
+                        # the sample count before the O(K) block variances
+                        (["event", "--K", "1e7", "--r", "1", "--samples", "1"], 1.0),
+                        # a map's sample count before its task list
+                        (["moment", "--N", "8", "--samples", "1000000000000"], 1.0),
+                        (["steinhaus", "--samples", "1000000000000"], 1.0),
+                        (["com-check", "--samples-left", "1000000000000"], 1.0)):
         tracemalloc.start()
         start = time.perf_counter()
         code = main(argv)

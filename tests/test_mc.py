@@ -8,7 +8,7 @@ import pytest
 from conftest import circle_average_sample
 from hmchaos import barrier, chaos, mc, numbermodels, series
 from hmchaos.chaos import circle_average_moment, estimate_moment
-from hmchaos.errors import PreconditionError
+from hmchaos.errors import BudgetError, PreconditionError
 from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import EXP_LEAF, exp_array, exp_width
 
@@ -133,9 +133,15 @@ def test_every_estimator_refuses_fewer_than_two_samples_before_a_replicate(
     def no_tasks(*args):
         raise AssertionError("a replicate task ran before the sample count was refused")
 
+    def no_setup(*args):
+        raise AssertionError("the O(K) walk variances were built before the sample "
+                             "count was refused")
+
     monkeypatch.setattr(mc, "_run_tasks", no_tasks)
-    with pytest.raises(PreconditionError):
-        ESTIMATORS[name](samples)
+    with monkeypatch.context() as setup:
+        setup.setattr(chaos, "walk_variances", no_setup)
+        with pytest.raises(PreconditionError):
+            ESTIMATORS[name](samples)
     # the configuration is valid: at an allowed count the tasks are reached
     if name == "two_walk_no_blocks":
         assert ESTIMATORS[name](2).mean == 1.0
@@ -151,6 +157,13 @@ def test_the_maps_refuse_fewer_than_two_samples(monkeypatch):
             mc.map_replicates(_first_draws, (0.5,), Seed(3), samples)
         with pytest.raises(PreconditionError):
             mc.map_chunks(_pairs, (2,), Seed(3), samples)
+    # above the budget, before the task list is built; the budget itself is allowed
+    with pytest.raises(BudgetError):
+        mc.map_replicates(_first_draws, (0.5,), Seed(3), series.FIELD_BUDGET + 1)
+    with pytest.raises(BudgetError):
+        mc.map_chunks(_pairs, (2,), Seed(3), series.FIELD_BUDGET + 1)
+    with pytest.raises(TypeError):
+        mc.map_chunks(_pairs, (2,), Seed(3), series.FIELD_BUDGET)
 
 
 @pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, 3.7])
@@ -233,10 +246,9 @@ def test_chaos_rows_over_the_bound_are_redone_on_a_wider_circle(monkeypatch):
 
 
 def test_batched_circle_averages_equal_the_scalar_oracle():
-    K, r, D, samples = 8.0, 0.9, 200, mc.REPLICATE_SPAN + 3
+    K, r, samples = 8.0, 0.9, mc.REPLICATE_SPAN + 3
     seed = Seed(301)
-    oracle = [circle_average_sample(K, r, Stream(split(seed, i)), D)
-              for i in range(samples)]
-    est = circle_average_moment(K, r, samples, seed, D=D)
+    oracle = [circle_average_sample(K, r, Stream(split(seed, i))) for i in range(samples)]
+    est = circle_average_moment(K, r, samples, seed)
     ref = mc.from_values(oracle, seed)
     assert (est.mean, est.std_error) == (ref.mean, ref.std_error)

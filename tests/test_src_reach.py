@@ -4,6 +4,9 @@ A public top-level function or class of hmchaos that no src module other
 than __init__ names, and that tests/test_acceptance.py does not name either,
 is library code that only tests reach: it gets a route, moves into the tests
 as an oracle, or goes. KEPT names the exceptions, each with its reason.
+The same holds for each parameter with a default of a top-level function or
+of a method of a top-level class: a call in those modules passes it, by
+position or by keyword, or it is listed in KEPT_PARAMETERS with its reason.
 """
 
 import ast
@@ -50,3 +53,62 @@ def test_every_public_name_is_reached_or_kept():
                  if name not in reached}
     # a stale KEPT entry fails too: a kept name that gains a route leaves the set
     assert {name for _, name in unreached} == set(KEPT), sorted(unreached)
+
+
+# parameters with a default that neither src nor the acceptance criteria pass,
+# each with its reason
+KEPT_PARAMETERS = {
+    (name, "workers"): "every Monte Carlo estimator ends in (samples, seed, "
+                       "workers); dropping it would save no line"
+    for name in ("circle_mean_mc", "circle_average_moment", "two_walk_tilted_expectation")
+}
+
+
+def _optional_parameters():
+    """(callee, position, name) of each parameter with a default of every
+    top-level function and every method of a top-level class of hmchaos. A
+    method is called by its own name, __init__ by its class's; position is
+    None for a keyword-only parameter, and self is not counted."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaulted(node, node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        callee = node.name if method.name == "__init__" else method.name
+                        yield from _defaulted(method, callee, 1)
+
+
+def _defaulted(node, callee, skip):
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)  # the defaults are the last ones
+    for index, arg in enumerate(positional[first:], first - skip):
+        yield callee, index, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, None, arg.arg
+
+
+def _passed(path):
+    """(callee, position) and (callee, keyword) of every argument that a call
+    in the module at `path` passes, the callee named as _optional_parameters
+    names it."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((callee, index) for index in range(len(node.args)))
+            passed.update((callee, keyword.arg) for keyword in node.keywords)
+    return passed
+
+
+def test_every_optional_parameter_is_passed_or_kept():
+    readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    passed = set().union(*map(_passed, readers + [TESTS / "test_acceptance.py"]))
+    unpassed = {(callee, name) for callee, position, name in _optional_parameters()
+                if not {(callee, position), (callee, name)} & passed}
+    # a stale entry fails too: a kept parameter that gains a caller leaves the set
+    assert unpassed == set(KEPT_PARAMETERS), sorted(unpassed)

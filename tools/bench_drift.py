@@ -6,8 +6,10 @@ Usage (from the root of a checkout):
 
 Runs each job of this checkout's perfbench/jobs.py at benchmark seeds 1 and
 2 (job seeds from `jobs.job_seed`, as the benchmark derives them) and
---workers 1, once on this checkout's src and once on OTHER_CHECKOUT/src,
-each side in its own subprocess. perfbench/ is imported, never changed.
+--workers 1, then the README.md example commands that tools/bench_digest.py
+pins (workload `readme`, seed `-`), once on this checkout's src and once on
+OTHER_CHECKOUT/src, each side in its own subprocess. perfbench/ is
+imported, never changed.
 
 For each run whose exit code or CSV differs, it prints the run, both exit
 codes if they differ, and for every column of the table how many of its
@@ -33,26 +35,35 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 
 
-def run_jobs(src: str) -> None:
-    """Print [workload, seed, argv, exit code, stdout] of every job as JSON,
-    with the hmchaos package imported from `src`."""
-    sys.path[:0] = [src, str(ROOT / "perfbench")]
-    import jobs
+def run_list():
+    """(workload, seed, argv) of every run: each job at SEEDS, then each
+    README command. Import hmchaos first: bench_digest imports it from this
+    checkout's src unless it is loaded already (and jobs from perfbench/)."""
+    from bench_digest import jobs, readme_commands
 
-    import hmchaos.cli
-
-    if not Path(hmchaos.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"bench_drift: imported hmchaos from {hmchaos.__file__}")
-    runs = []
     for workload, job_list in jobs.WORKLOADS.items():
         for index, job in enumerate(job_list):
             for seed in SEEDS:
-                argv = job.argv(jobs.job_seed(seed, workload, index))
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    rc = hmchaos.cli.main(argv)
-                runs.append([workload, seed, argv, rc, out.getvalue()])
+                yield workload, seed, job.argv(jobs.job_seed(seed, workload, index))
+    for argv in readme_commands():
+        yield "readme", "-", argv
+
+
+def run_jobs(src: str) -> None:
+    """Print [workload, seed, argv, exit code, stdout] of every run as JSON,
+    with the hmchaos package imported from `src`."""
+    sys.path.insert(0, src)
+    import hmchaos.cli
+
+    runs = []
+    for workload, seed, argv in run_list():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = hmchaos.cli.main(argv)
+        runs.append([workload, seed, argv, rc, out.getvalue()])
+    # after the runs, so after bench_digest's own import of hmchaos.cli
+    if not Path(hmchaos.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"bench_drift: imported hmchaos from {hmchaos.__file__}")
     print(json.dumps(runs))
 
 
