@@ -12,7 +12,9 @@ The recurring objects:
   - r^{2k}/k) must stay below A + 10 log n (upper variant, event G) or
   A - 5 log n (lower variant, event L, checked up to the horizon K_r
   where log K_r is the largest integer with e^{log K_r} <= min(-1/(4 log
-  r), K)).
+  r), K)). Re(X(k) e^{ik theta}) has the law of Re X(k), so one event
+  has the same law at every theta, and it is estimated at theta = 0;
+  only the block statistics and the two tilted walks read an angle.
 
 * The change-of-measure identity: E[1_G(theta=0) |F_K(r)|^2] equals
   exp(sum_{k<=K} r^{2k}/k) times the probability that a *centered* walk
@@ -60,14 +62,6 @@ VARIANCE_RANGE = (1.0 / 20.0, 20.0)
 def block_bounds(m: int) -> tuple[int, int]:
     """Inclusive integer range [ceil(e^{m-1}), ceil(e^m) - 1] of block m."""
     return int(math.ceil(math.e ** (m - 1))), int(math.ceil(math.e**m)) - 1
-
-
-def _check_theta(who: str, theta: float, kmax: int) -> None:
-    """Refuse theta unless theta * k is finite for every k <= kmax."""
-    # inf * 0 and NaN * 0 are NaN, so kmax = 0 still refuses them
-    if not math.isfinite(theta * kmax):
-        raise PreconditionError(f"{who} requires theta * k finite for k <= {kmax}, "
-                                f"got theta = {theta}")
 
 
 def _reduced_angle(theta: float) -> float:
@@ -209,7 +203,7 @@ def _block_variances(r: float, n_max: int) -> np.ndarray:
     of the centered walk's block sums (half the drift), one block at a time."""
     lo, hi = block_bounds(n_max)
     chaos.check_field_budget(1, hi - lo + 1)  # the widest block, the last
-    return np.array([np.sum(chaos.walk_variances(r, *block_bounds(m))[1])
+    return np.array([np.sum(chaos.walk_variances(r, *block_bounds(m)))
                      for m in range(1, n_max + 1)])
 
 
@@ -219,20 +213,18 @@ def _event_chunk(stream, count, sigmas, levels):
 
 
 def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
-                         theta: float, samples: int, seed: Seed,
+                         samples: int, seed: Seed,
                          workers: int = 1) -> list[MomentEstimate]:
     """Empirical probability of event G or L at each height in A.
 
-    The walk is drawn as its block sums; Re(X(k) e^{ik theta}) has the law
-    of Re X(k), so theta is checked but not read. All heights share the same
-    draws, so the estimates are monotone in A sample by sample (a higher
-    barrier can only keep more paths).
+    The walk is drawn as its block sums at theta = 0; Re(X(k) e^{ik theta})
+    has the law of Re X(k), so the estimates hold at every angle. All heights
+    share the same draws, so the estimates are monotone in A sample by sample
+    (a higher barrier can only keep more paths).
     """
     mc.check_samples(samples)  # before the O(K) block variances
     levels = _event_levels(kind, r, K, _heights(A, samples))
-    n_max = levels.shape[1]
-    _check_theta("event_probability_mc", theta, block_bounds(n_max)[1])
-    variances = _block_variances(r, n_max)
+    variances = _block_variances(r, levels.shape[1])
     levels += 2.0 * np.cumsum(variances)  # the drift moves to the levels
     values = mc.map_chunks(_event_chunk, (np.sqrt(variances), levels), seed, samples,
                            workers)
@@ -313,7 +305,7 @@ def change_of_measure_check(K: float, r: float, A: float, samples_left: int,
     n_max = levels.shape[1]
     variances = _block_variances(r, n_max)
     # the walk's variance past the last block end, up to K
-    tail = np.sum(chaos.walk_variances(r, block_bounds(n_max)[1] + 1, _int_floor(K))[1])
+    tail = np.sum(chaos.walk_variances(r, block_bounds(n_max)[1] + 1, _int_floor(K)))
     seed_left, seed_right = split(seed, 0), split(seed, 1)
     left_values = mc.map_chunks(_com_left_chunk, (np.sqrt(np.append(variances, tail)),
                                                   levels + 2.0 * np.cumsum(variances)),
@@ -393,7 +385,11 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     if top:
         top_lo, top_hi = block_bounds(top)
         chaos.check_field_budget(1, top_hi - top_lo + 1)
-    _check_theta("block_stats", theta, block_bounds(count)[1])
+    kmax = block_bounds(count)[1]
+    # inf * 0 and NaN * 0 are NaN, so kmax = 0 still refuses them
+    if not math.isfinite(theta * kmax):
+        raise PreconditionError(f"block_stats requires theta * k finite for k <= {kmax}, "
+                                f"got theta = {theta}")
     K_r = math.e**log_K_r
     reduced = _reduced_angle(theta)
     if reduced == 0.0:
@@ -404,18 +400,20 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        two_k, weights = chaos.walk_variances(r, *block_bounds(m))
+        lo, hi = block_bounds(m)
+        weights = chaos.walk_variances(r, lo, hi)
         sigma2[m - 1] = total = np.sum(weights)
+        k = np.arange(lo, hi + 1, dtype=float)
         if not total > 0:  # every weight underflowed: rescale them by the largest
-            np.log(two_k, out=weights)
-            np.subtract(two_k * math.log(r), weights, out=weights)
+            np.log(2.0 * k, out=weights)
+            # one temporary: 2 log r is exact, so these are the bits of 2k * log r
+            np.subtract(k * (2.0 * math.log(r)), weights, out=weights)
             weights -= np.max(weights)
             total = np.sum(np.exp(weights, out=weights))
-        two_k /= 2.0  # the terms weights * cos(theta k), in place on the 2k row
-        two_k *= theta
-        np.cos(two_k, out=two_k)
-        two_k *= weights
-        rho[m - 1] = np.sum(two_k) / total
+        k *= theta  # the terms weights * cos(theta k), in place on the k row
+        np.cos(k, out=k)
+        k *= weights
+        rho[m - 1] = np.sum(k) / total
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
 

@@ -20,8 +20,8 @@ It is also the one home of the field: field_rows draws rows of X(lo..hi)
 with the weights r^k/sqrt(k), within FIELD_BUDGET, and only the barrier's
 all-angle grid samples the field.
 The real walk sum_k Re X(k) r^k/sqrt(k) has N(0, r^{2k}/(2k)) steps, whose
-variances walk_variances builds for barrier's block walks; circle_mean_mc
-draws the walk at K as one N(0, sigma^2) real draw per sample.
+variances walk_variances returns, one row, for barrier's block walks;
+circle_mean_mc draws the walk at K as one N(0, sigma^2) real draw per sample.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ def field_weights(r: float, lo: int, hi: int):
 
 
 def walk_variances(r: float, lo: int, hi: int):
-    """2k and the real walk's step variances r^{2k}/(2k) for k = lo..hi, built
-    in place: two rows, the one row budgeted first. An empty range is allowed."""
+    """The real walk's step variances r^{2k}/(2k) for k = lo..hi, one row
+    budgeted before it is built. An empty range is allowed."""
     check_field_budget(1, max(hi - lo + 1, 0))
     two_k = np.arange(lo, hi + 1, dtype=float)
     two_k *= 2.0
     weights = np.power(r, two_k)
     weights /= two_k
-    return two_k, weights
+    return weights
 
 
 def field_rows(stream, count: int, r: float, lo: int, hi: int):
@@ -151,7 +151,7 @@ def _circle_variance(K: float, r: float) -> float:
     if not r > 0:
         raise PreconditionError(f"the circle means require r > 0, got {r}")
     with np.errstate(over="ignore"):
-        variance = float(np.sum(walk_variances(r, 1, _int_floor(K))[1]))
+        variance = float(np.sum(walk_variances(r, 1, _int_floor(K))))
     if not 2.0 * variance < math.log(np.finfo(float).max):
         raise PreconditionError(f"exp(sum_{{k<=K}} r^{{2k}}/k) overflows at K = {K}, r = {r}")
     return variance

@@ -124,18 +124,16 @@ def cmd_event(args):
     if args.all_angles:
         if args.kind != "G":
             raise PreconditionError("--all-angles is defined for the upper event only")
-        if args.theta != 0.0:  # NaN is refused too
-            raise PreconditionError("--all-angles covers every angle and reads no "
-                                    f"--theta, got {args.theta}")
         kind = args.kind + "-grid"
         ests = barrier.event_G_all_angles_mc(args.K, args.r, heights, args.samples,
                                              split(Seed(args.seed), 0), workers=args.workers)
     else:
         kind = args.kind
         ests = barrier.event_probability_mc(args.kind, args.K, args.r, heights,
-                                            args.theta, args.samples, Seed(args.seed),
+                                            args.samples, Seed(args.seed),
                                             workers=args.workers)
-    rows = [(kind, args.K, args.r, args.theta, a, est.samples, est.mean, est.std_error)
+    # the rows are at angle 0, whose law every angle shares
+    rows = [(kind, args.K, args.r, 0.0, a, est.samples, est.mean, est.std_error)
             for a, est in zip(heights, ests)]
     return ["kind", "K", "r", "theta", "A", "samples", "p_hat", "std_error"], rows, []
 
@@ -212,10 +210,13 @@ def cmd_bivariate(args):
     rows, checks = [], []
     for params in pairs:
         stream.fill_uniforms(u)
-        x1 = args.mu1 + args.span * args.sigma1 * (2.0 * u[0] - 1.0)
-        x2 = args.mu2 + args.span * args.sigma2 * (2.0 * u[1] - 1.0)
-        gap = float(np.max(barrier.bivariate_density(params, x1, x2)
-                           - barrier.dominating_density(params, x1, x2)))
+        gaps = []  # per slice of points: a max of slice maxima is the max
+        for lo in range(0, side * side, mc.SPAN_BLOCK):
+            x1 = args.mu1 + args.span * args.sigma1 * (2.0 * u[0, lo : lo + mc.SPAN_BLOCK] - 1.0)
+            x2 = args.mu2 + args.span * args.sigma2 * (2.0 * u[1, lo : lo + mc.SPAN_BLOCK] - 1.0)
+            gaps.append(np.max(barrier.bivariate_density(params, x1, x2)
+                               - barrier.dominating_density(params, x1, x2)))
+        gap = float(np.max(gaps))
         xv = args.mu1 + grid * args.sigma1
         yv = args.mu2 + grid * args.sigma2
         xx, yy = np.meshgrid(xv, yv)
@@ -373,7 +374,6 @@ def build_parser():
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--A", default="1,2,4", help="comma-separated heights")
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--all-angles", action="store_true",
                    help="grid event over ceil(n e^n) angles per checkpoint")
     _add_common(p, samples_default=100000)

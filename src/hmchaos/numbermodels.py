@@ -167,22 +167,12 @@ class SteinhausModel:
         self.x = float(x)
         self.prime_values = stream.draw_unit(_sieve(_cutoff(x)).size)
 
-    def _rows(self):
-        """f on the rows of the integer tree, and each row's integer."""
+    def partial_sum(self) -> complex:
+        """S(x): f on the rows of the integer tree, summed in their order, as
+        the estimator sums."""
         tree, norm = _integer_tree(_cutoff(self.x))
         values = np.empty((norm.size, 1), dtype=np.complex128)
-        return _tree_values(self.prime_values[None], tree, values)[:, 0], norm
-
-    def f_values(self) -> np.ndarray:
-        """f(0..floor(x)) with f(0) = 0; completely multiplicative in n."""
-        values, norm = self._rows()
-        f = np.zeros(norm.size + 1, dtype=np.complex128)
-        f[norm] = values
-        return f
-
-    def partial_sum(self) -> complex:
-        """S(x), summed over the tree's rows in their order, as the estimator sums."""
-        return complex(np.sum(self._rows()[0]))
+        return complex(np.sum(_tree_values(self.prime_values[None], tree, values)[:, 0]))
 
 
 def _steinhaus_sums(streams, x: float, power: float):

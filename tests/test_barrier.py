@@ -154,9 +154,10 @@ def event_holds(kind: str, X, r: float, theta: float, K: float, A: float) -> boo
     """Whether X(1..) lies in event G (every checkpoint n <= log K stays below
     A + 10 log n) or L (every n <= log K_r below A - 5 log n), by fsum: the
     per-k oracle of the block-walk event kernels, behind the library's checks
-    of (r, K), the height and theta."""
+    of (r, K) and the height; it checks theta itself."""
     levels = barrier._event_levels(kind, r, K, [A])[0]
-    barrier._check_theta(f"event {kind}", theta, barrier.block_bounds(levels.size)[1])
+    kmax = barrier.block_bounds(levels.size)[1]
+    assert math.isfinite(theta * kmax), f"theta * k must be finite for k <= {kmax}"
     return bool(np.all(_checkpoint_sums_scalar(X, r, theta, levels.size) <= levels))
 
 
@@ -192,7 +193,7 @@ def test_event_indicator_monotone_in_height():
 
 
 def test_event_failure_probability_nonincreasing_in_height():
-    ests = event_probability_mc("G", math.e**6, 1.0, [1.0, 2.0, 4.0], 0.0,
+    ests = event_probability_mc("G", math.e**6, 1.0, [1.0, 2.0, 4.0],
                                 100000, Seed(17))
     survival = [e.mean for e in ests]
     assert all(a <= b for a, b in zip(survival, survival[1:]))
@@ -296,7 +297,7 @@ def _com_left_args(K, r, levels):
     levels, as change_of_measure_check builds them."""
     n_max = levels.shape[1]
     variances = barrier._block_variances(r, n_max)
-    tail = np.sum(chaos.walk_variances(r, barrier.block_bounds(n_max)[1] + 1, int(K))[1])
+    tail = np.sum(chaos.walk_variances(r, barrier.block_bounds(n_max)[1] + 1, int(K)))
     return np.sqrt(np.append(variances, tail)), levels + 2.0 * np.cumsum(variances)
 
 
@@ -358,7 +359,7 @@ def test_event_block_walk_matches_the_per_k_route(kind, K, r, theta, samples):
     # the block walk against the rotated field drawn one X(k) per k, within
     # 4 sigma combined at every height
     heights = (1.0, 1.25)
-    block = event_probability_mc(kind, K, r, heights, theta, samples, Seed(81))
+    block = event_probability_mc(kind, K, r, heights, samples, Seed(81))
     levels = barrier._event_levels(kind, r, K, heights)
     values = mc.map_chunks(_event_chunk_complex_route, (r, theta, levels), Seed(82), samples)
     for i, est in enumerate(block):
@@ -490,7 +491,7 @@ def test_indicator_kernels_return_bools():
 
 def test_event_L_probability_band():
     r = math.exp(-1.0 / 40.0)
-    est = event_probability_mc("L", 1e4, r, [2.0], 0.0, 100000, Seed(13))[0]
+    est = event_probability_mc("L", 1e4, r, [2.0], 100000, Seed(13))[0]
     scale = 2.0 / math.sqrt(barrier.log_horizon(r, 1e4))
     assert 0.2 * scale <= est.mean <= 5.0 * scale
 
@@ -569,7 +570,7 @@ def test_indicators_are_nondecreasing_in_height():
 def test_all_angle_event_is_rarer_than_single_angle():
     K, A = math.e**4, 1.0
     grid = event_G_all_angles_mc(K, 1.0, [A], 4000, Seed(21))[0]
-    single = event_probability_mc("G", K, 1.0, [A], 0.0, 4000, Seed(21))[0]
+    single = event_probability_mc("G", K, 1.0, [A], 4000, Seed(21))[0]
     slack = 4.0 * math.hypot(grid.std_error, single.std_error)
     assert grid.mean <= single.mean + slack
 
@@ -792,7 +793,7 @@ def test_dominating_form_is_inflated_independent_pair():
 
 def test_event_probability_requires_heights():
     with pytest.raises(PreconditionError):
-        event_probability_mc("G", 20.0, 1.0, [], 0.0, 1000, Seed(1))
+        event_probability_mc("G", 20.0, 1.0, [], 1000, Seed(1))
 
 
 def test_domination_at_event_level():

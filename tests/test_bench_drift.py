@@ -1,6 +1,7 @@
 """tools/bench_drift.column_drift on fixed CSV pairs: the per-column report
 that a change moving printed bits on purpose pastes into CHANGES.md; and
-bench_drift's run list, which holds the README commands next to the jobs."""
+bench_drift's run list, bench_digest.runs at --workers 1, which holds the
+README commands next to the jobs."""
 
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_drift import column_drift, run_list  # noqa: E402
+from bench_drift import column_drift  # noqa: E402
 
 TABLE = "kind,mean,ok,note\nG,1.5,1,inf\nL,-2.0,0,x\n"
 
@@ -51,14 +52,17 @@ def test_a_changed_header_gives_one_line():
 
 
 def test_the_run_list_holds_every_readme_command(monkeypatch):
-    from bench_digest import readme_commands
+    from bench_digest import readme_commands, runs
 
     def no_run(argv):
         raise AssertionError("the run list ran a command")
 
     monkeypatch.setattr("hmchaos.cli.main", no_run)
-    runs = list(run_list())
-    readme = [argv for workload, seed, argv in runs if workload == "readme"]
+    drift_runs = list(runs(workers=(1,)))
+    readme = [argv for workload, _, _, argv in drift_runs if workload == "readme"]
     assert readme == list(readme_commands()) and readme
-    assert all(seed == "-" for workload, seed, _ in runs if workload == "readme")
-    assert {seed for workload, seed, _ in runs if workload != "readme"} == {1, 2}
+    assert all(seed == "-" for workload, seed, _, _ in drift_runs if workload == "readme")
+    jobs = [run for run in drift_runs if run[0] != "readme"]
+    assert {seed for _, seed, _, _ in jobs} == {1, 2}
+    assert all(workers == 1 and argv[argv.index("--workers") + 1] == "1"
+               for _, _, workers, argv in jobs)

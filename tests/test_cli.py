@@ -308,6 +308,20 @@ def test_bivariate_check_passes(tmp_path):
     assert code == 0
 
 
+def test_bivariate_evaluates_its_points_in_slices(capsys):
+    # the two densities of all 10^6 points at once took 69 MiB traced; in
+    # slices of SPAN_BLOCK points only the uniforms grow with the grid
+    tracemalloc.start()
+    try:
+        code = main(["bivariate", "--grid-points", "1000000", "--rho-grid", "0.3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert peak < 40 * 2**20
+
+
 def test_bivariate_refuses_a_rho_past_its_grid_resolution(tmp_path, capsys):
     # the 400-point normalization grid over 16 sigmas cannot resolve a ridge
     # narrower than its spacing (|rho| > 0.99920): 0.99999999 integrated to
@@ -468,20 +482,18 @@ def test_event_holds_one_value_per_block(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_single_angle_event_reads_no_theta(tmp_path):
-    # Re(X(k) e^{ik theta}) has the law of Re X(k), so every angle prints the
-    # bytes of theta = 0 but for the theta column, which echoes the flag
+def test_event_rows_print_theta_zero(tmp_path):
+    # Re(X(k) e^{ik theta}) has the law of Re X(k), so the event takes no angle;
+    # one-angle and all-angle rows print theta = 0, whose law every row reports
     for argv in (["event", "--kind", "G", "--K", "400", "--r", "1"],
-                 ["event", "--kind", "L", "--K", "1e4", "--r", "0.99"]):
-        tables = set()
-        for theta in ("0", "0.7", "-2.5"):
-            code, text = run_csv(tmp_path, "event", argv + ["--theta", theta, "--A", "1,2",
-                                                           "--samples", "3000", "--seed", "8"])
-            assert code == 0
-            rows = [line.split(",") for line in text.splitlines()]
-            assert {row[3] for row in rows[1:]} == {str(float(theta))}
-            tables.add(tuple(tuple(row[:3] + row[4:]) for row in rows))
-        assert len(tables) == 1
+                 ["event", "--kind", "L", "--K", "1e4", "--r", "0.99"],
+                 ["event", "--all-angles", "--K", "20", "--r", "1"]):
+        code, text = run_csv(tmp_path, "event", argv + ["--A", "1,2", "--samples", "300",
+                                                       "--seed", "8"])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows[0][3] == "theta" and len(rows) == 3
+        assert {row[3] for row in rows[1:]} == {"0.0"}
 
 
 def test_precondition_violation_exits_3(tmp_path):
@@ -520,17 +532,9 @@ def test_precondition_violation_exits_3(tmp_path):
     huge_q = str(10**18 + 3)
     assert main(["ff", "--mode", "series", "--N", "0", "--q", huge_q]) == 3
     assert main(["ff", "--mode", "counts", "--q", huge_q]) == 3
-    # NaN, inf and huge angles printed p_hat 0.0; 1e308 * k overflows to inf
-    for theta in ("nan", "inf", "1e308"):
-        assert main(["event", "--K", "1000", "--r", "1", "--theta", theta,
-                     "--samples", "100"]) == 3
     # a huge angle made blocks print rho nan and fail bounds that are theorems
     assert main(["blocks", "--r", "0.98", "--theta", "1e308", "--m-max", "4",
                  "--check"]) == 3
-    # the all-angle event reads no --theta, so it refuses one instead of printing it
-    for theta in ("nan", "0.5"):
-        assert main(["event", "--all-angles", "--K", "20", "--r", "1", "--theta", theta,
-                     "--samples", "4"]) == 3
     assert main(["ballot", "--variance", "nan", "--samples", "100"]) == 3
     assert main(["decay", "--n-grid", ",", "--samples-per", ","]) == 3
     for flags in (["--grid-points", "0"], ["--grid-points", "-5"], ["--sigma1", "1e308"],
@@ -643,6 +647,11 @@ def test_bad_configuration_exits_2(tmp_path, capsys):
     assert main(["bivariate", "--seed", "-1"]) == 2
     for argv in (["sample", "--N", "4"], ["moment", "--N", "4"], ["decay"]):
         assert main(argv + ["--engine", "auto"]) == 2
+    # the event takes no angle: every angle has the law of theta = 0
+    event = ["event", "--K", "20", "--r", "1", "--samples", "4"]
+    for argv in (["--theta", "0.5"], ["--all-angles", "--theta", "0.5"],
+                 ["--config", _config(tmp_path, {"theta": 0.5})]):
+        assert main(event + argv) == 2, argv
     # config values that argparse refuses as flags, and files that hold no
     # JSON object; each raised a traceback (for "xml", in write_table)
     for values in ({"N": 8.0}, {"N": True}, {"N": "8", "samples": 2.5}, [{"a": 1}], 5,
@@ -907,13 +916,12 @@ def test_fuzz_ballot(a_grid, n_grid, variance, band_lo, band_hi, samples):
                                st.one_of(SMALL_FLOATS, st.sampled_from(["1e7", "1e300"])),
                                st.one_of(st.sampled_from(["1", "1.0001", "0.99"]), FLOATS))),
        all_angles=st.booleans(), A=_mostly(st.sampled_from(["1", "1,2,4"]), _grid(FLOATS)),
-       theta=_mostly(st.floats(-10.0, 10.0).map(repr), FLOATS),
        samples=_mostly(st.integers(2, 8).map(str), SAMPLES))
-def test_fuzz_event(event, all_angles, A, theta, samples):
+def test_fuzz_event(event, all_angles, A, samples):
     kind, K, r = event
     argv = ["event"] + (["--all-angles"] if all_angles else [])
     _fuzz_case(argv + [f"--kind={kind}", f"--K={K}", f"--r={r}", f"--A={A}",
-                       f"--theta={theta}", f"--samples={samples}"])
+                       f"--samples={samples}"])
 
 
 @FUZZ_FAST

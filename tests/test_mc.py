@@ -110,7 +110,7 @@ ESTIMATORS = {
     "ballot_probability_mc": lambda n: barrier.ballot_probability_mc([1.0], [1.0], n,
                                                                      Seed(1)),
     "event_probability_mc": lambda n: barrier.event_probability_mc("G", 20.0, 1.0, [2.0],
-                                                                   0.0, n, Seed(1)),
+                                                                   n, Seed(1)),
     "event_G_all_angles_mc": lambda n: barrier.event_G_all_angles_mc(20.0, 1.0, [2.0], n,
                                                                      Seed(1)),
     "change_of_measure_left": lambda n: barrier.change_of_measure_check(20.0, 1.0, 2.0, n,

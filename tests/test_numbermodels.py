@@ -28,7 +28,14 @@ def test_steinhaus_at_one():
 
 def test_steinhaus_complete_multiplicativity():
     model = SteinhausModel(300.0, _circle(19))
-    f = model.f_values()
+    # f(0..300) with f(0) = 0, from f on the rows of the integer tree, whose
+    # sum in row order is the model's S(x)
+    tree, norm = _integer_tree(300)
+    rows = numbermodels._tree_values(model.prime_values[None], tree,
+                                     np.empty((norm.size, 1), dtype=np.complex128))[:, 0]
+    assert model.partial_sum() == complex(np.sum(rows))
+    f = np.zeros(norm.size + 1, dtype=np.complex128)
+    f[norm] = rows
     assert f[0] == 0.0 and f[1] == 1.0
     assert f[6] == pytest.approx(f[2] * f[3], rel=1e-12)
     assert f[4] == pytest.approx(f[2] ** 2, rel=1e-12)

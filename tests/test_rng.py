@@ -281,7 +281,7 @@ def test_a_stream_pickles_and_replays():
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 3), (3, B + 2), (2 * B // 3 + 1, 3)])
-def test_box_muller_on_a_block_is_per_row_draws(shape):
+def test_draw_blocks_in_tiles_is_per_row_draws(shape):
     # draw_blocks: rows of pairs filled one stream at a time and transformed
     # at once, in row tiles or in pieces of a row wider than a tile
     rows, m = shape
@@ -365,7 +365,7 @@ def _taking_streams(count, taken):
 
 
 @pytest.mark.parametrize("row", [(4,), (4, 2)])
-def test_fill_rows_fills_one_row_per_stream_and_returns_the_count(row):
+def test_draw_blocks_fill_one_row_per_stream_per_block(row):
     # each stream writes a row of 4 uniforms (unit values) or 4 pairs
     # (Gaussians); row i holds stream i's own draw, the last block is short,
     # an empty iterator yields nothing, and no stream is taken past a

@@ -1,12 +1,20 @@
-"""src keeps only what the program or an acceptance criterion reaches.
+"""src keeps only what the program or an acceptance criterion reaches, and
+reads everything it takes.
 
-A public top-level function or class of hmchaos that no src module other
-than __init__ names, and that tests/test_acceptance.py does not name either,
-is library code that only tests reach: it gets a route, moves into the tests
-as an oracle, or goes. KEPT names the exceptions, each with its reason.
-The same holds for each parameter with a default of a top-level function or
-of a method of a top-level class: a call in those modules passes it, by
-position or by keyword, or it is listed in KEPT_PARAMETERS with its reason.
+The readers are the src modules other than __init__ and
+tests/test_acceptance.py. Four guards hold over src/hmchaos:
+
+* a public top-level function or class that no reader names is library code
+  that only tests reach: it gets a route, moves into the tests as an oracle,
+  or goes. KEPT names the exceptions, each with its reason;
+* each parameter with a default of a top-level function or of a method of a
+  top-level class is passed by a call in a reader, by position or by
+  keyword, or listed in KEPT_PARAMETERS with its reason;
+* each public method and property of a top-level class is read by attribute
+  name in a reader, or listed in KEPT_METHODS with its reason;
+* each parameter of those functions and methods but self is loaded in its
+  body other than as an argument of a _check or _require call, which only
+  validates it. This one has no exceptions.
 """
 
 import ast
@@ -64,20 +72,28 @@ KEPT_PARAMETERS = {
 }
 
 
+def _functions():
+    """(name, node) of each top-level function and each method of a top-level
+    class of hmchaos, a method named Class.method."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        yield f"{node.name}.{method.name}", method
+
+
 def _optional_parameters():
     """(callee, position, name) of each parameter with a default of every
     top-level function and every method of a top-level class of hmchaos. A
     method is called by its own name, __init__ by its class's; position is
     None for a keyword-only parameter, and self is not counted."""
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                yield from _defaulted(node, node.name, 0)
-            elif isinstance(node, ast.ClassDef):
-                for method in node.body:
-                    if isinstance(method, ast.FunctionDef):
-                        callee = node.name if method.name == "__init__" else method.name
-                        yield from _defaulted(method, callee, 1)
+    for name, node in _functions():
+        cls, _, method = name.rpartition(".")
+        callee = cls if method == "__init__" else method
+        yield from _defaulted(node, callee, 1 if cls else 0)
 
 
 def _defaulted(node, callee, skip):
@@ -112,3 +128,54 @@ def test_every_optional_parameter_is_passed_or_kept():
                 if not {(callee, position), (callee, name)} & passed}
     # a stale entry fails too: a kept parameter that gains a caller leaves the set
     assert unpassed == set(KEPT_PARAMETERS), sorted(unpassed)
+
+
+def _loads(node):
+    """The names loaded under `node`, skipping the arguments of a call whose
+    callee's name starts with _check or _require."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if callee.startswith(("_check", "_require")):
+            return _loads(func)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return {node.id}
+    return set().union(*map(_loads, ast.iter_child_nodes(node)))
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for name, node in _functions():
+        args = node.args
+        params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if arg is not None]
+        loaded = set().union(*map(_loads, node.body))
+        unread |= {(name, param) for param in params
+                   if param != "self" and param not in loaded}
+    assert not unread, sorted(unread)
+
+
+# public methods and properties that neither src nor the acceptance criteria
+# read, each with its reason
+KEPT_METHODS = {
+    "FFModel.X": "the per-k formula that _power_sums is tested against, and the "
+                 "README's X(k)",
+    "SteinhausModel.partial_sum": "the README's one-instance S(x), and the reference "
+                                  "of the batched replicates",
+}
+
+
+def _attributes_read(path):
+    """Every attribute name that the module at `path` reads."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_method_is_read_or_kept():
+    readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*map(_attributes_read, readers + [TESTS / "test_acceptance.py"]))
+    unread = {name for name, _ in _functions()
+              if "." in name and not name.split(".")[1].startswith("_")
+              and name.split(".")[1] not in read}
+    # a stale entry fails too: a kept method that gains a reader leaves the set
+    assert unread == set(KEPT_METHODS), sorted(unread)

@@ -48,12 +48,19 @@ SEEDS = (1, 2)
 WORKERS = (1, 2)
 
 
-def digest(argv) -> str:
-    """sha256 of the exit code and standard output of one in-process run."""
+def run(argv) -> tuple[int, str]:
+    """The exit code and standard output of one in-process run of
+    `hmchaos.cli.main`, its standard error dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = hmchaos.cli.main(argv)
-    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
+    return rc, out.getvalue()
+
+
+def digest(argv) -> str:
+    """sha256 of the exit code and standard output of one in-process run."""
+    rc, out = run(argv)
+    return hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
 
 
 def _blas_core() -> str:
@@ -92,19 +99,27 @@ def readme_commands():
             yield argv
 
 
+def runs(workers=WORKERS):
+    """(workload, seed, workers, argv) of every run, in the ledger's order:
+    each job at SEEDS and at each worker count in `workers`, then each README
+    command (seed and worker count `-`)."""
+    for workload, job_list in jobs.WORKLOADS.items():
+        for index, job in enumerate(job_list):
+            for seed in SEEDS:
+                for count in workers:
+                    argv = job.argv(jobs.job_seed(seed, workload, index), count)
+                    yield workload, seed, count, argv
+    for argv in readme_commands():
+        yield "readme", "-", "-", argv
+
+
 def digest_lines():
     """One digest line per benchmark run and README command, in the ledger's
     order."""
     if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"bench_digest: imported hmchaos from {hmchaos.__file__}")
-    for workload, job_list in jobs.WORKLOADS.items():
-        for index, job in enumerate(job_list):
-            for seed in SEEDS:
-                for workers in WORKERS:
-                    argv = job.argv(jobs.job_seed(seed, workload, index), workers)
-                    yield " ".join([digest(argv), workload, str(seed), str(workers), *argv])
-    for argv in readme_commands():
-        yield " ".join([digest(argv), "readme", "-", "-", *argv])
+    for workload, seed, workers, argv in runs():
+        yield " ".join([digest(argv), workload, str(seed), str(workers), *argv])
 
 
 def main() -> None:

@@ -4,10 +4,10 @@ Usage (from the root of a checkout):
 
     python3 tools/bench_drift.py OTHER_CHECKOUT
 
-Runs each job of this checkout's perfbench/jobs.py at benchmark seeds 1 and
-2 (job seeds from `jobs.job_seed`, as the benchmark derives them) and
---workers 1, then the README.md example commands that tools/bench_digest.py
-pins (workload `readme`, seed `-`), once on this checkout's src and once on
+Runs the ledger's run list, `bench_digest.runs`, at --workers 1 (each job
+of this checkout's perfbench/jobs.py at benchmark seeds 1 and 2, then the
+README.md example commands as workload `readme`, seed `-`) through
+`bench_digest.run`, once on this checkout's src and once on
 OTHER_CHECKOUT/src, each side in its own subprocess. perfbench/ is
 imported, never changed.
 
@@ -22,7 +22,6 @@ Runs that match print nothing; the last line counts the runs that differ.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -32,39 +31,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2)
-
-
-def run_list():
-    """(workload, seed, argv) of every run: each job at SEEDS, then each
-    README command. Import hmchaos first: bench_digest imports it from this
-    checkout's src unless it is loaded already (and jobs from perfbench/)."""
-    from bench_digest import jobs, readme_commands
-
-    for workload, job_list in jobs.WORKLOADS.items():
-        for index, job in enumerate(job_list):
-            for seed in SEEDS:
-                yield workload, seed, job.argv(jobs.job_seed(seed, workload, index))
-    for argv in readme_commands():
-        yield "readme", "-", argv
 
 
 def run_jobs(src: str) -> None:
-    """Print [workload, seed, argv, exit code, stdout] of every run as JSON,
-    with the hmchaos package imported from `src`."""
+    """Print [workload, seed, argv, exit code, stdout] of every run of
+    bench_digest.runs at --workers 1 as JSON, with the hmchaos package
+    imported from `src`: imported first, since bench_digest imports it from
+    this checkout's src unless it is loaded already (and jobs from
+    perfbench/)."""
     sys.path.insert(0, src)
     import hmchaos.cli
+    from bench_digest import run, runs
 
-    runs = []
-    for workload, seed, argv in run_list():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = hmchaos.cli.main(argv)
-        runs.append([workload, seed, argv, rc, out.getvalue()])
+    records = [[workload, seed, argv, *run(argv)]
+               for workload, seed, _, argv in runs(workers=(1,))]
     # after the runs, so after bench_digest's own import of hmchaos.cli
     if not Path(hmchaos.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"bench_drift: imported hmchaos from {hmchaos.__file__}")
-    print(json.dumps(runs))
+    print(json.dumps(records))
 
 
 def outputs(checkout: Path) -> list:
