@@ -38,7 +38,10 @@ the walk at K, draws one more sum for the tail past the last block end.
 These walks are drawn step-major from real ziggurat normals, one row of a
 chunk's walks per step, and summed with one contiguous add per step
 (_walks, _accumulate); the kernels read them as (walks, steps) views.
-Only the all-angle grid draws complex X(k) per k.
+The ballot, whose walks are long, draws and sums its steps in slices of
+mc.SPAN_BLOCK values and keeps only each walk's running maximum. Only the
+all-angle grid draws complex X(k) per k, in slices of rows. Split draws,
+carried sums and running maxima give the bits of the whole chunk.
 """
 
 from __future__ import annotations
@@ -141,9 +144,24 @@ def _per_height(values, seed) -> list[MomentEstimate]:
 
 
 def _ballot_chunk(stream, count, heights, sigmas):
-    # the barrier is flat, so a walk survives iff its maximum does
-    peak = _walks(stream, count, sigmas).max(axis=1, keepdims=True)
-    return _survival(peak, heights[:, None])
+    """Flags that each of count walks stays at or below each flat height: a
+    walk survives iff its maximum does. The steps are drawn and summed as in
+    _walks, in slices of mc.SPAN_BLOCK // count steps (at least one), each
+    slice's first step adding the last partial sums of the one before, and
+    only each walk's running maximum is kept."""
+    n = sigmas.size
+    chaos.check_field_budget(count, n)
+    rows = max(1, mc.SPAN_BLOCK // count)
+    peak, last = np.full(count, -np.inf), np.empty(count)
+    for lo in range(0, n, rows):
+        steps = stream.draw_real(count * min(rows, n - lo)).reshape(-1, count)
+        steps *= sigmas[lo : lo + rows, None]
+        if lo:
+            steps[0] += last
+        _accumulate(steps)
+        np.maximum(peak, steps.max(axis=0), out=peak)
+        last[:] = steps[-1]
+    return _survival(peak[:, None], heights[:, None])
 
 
 def ballot_probability_mc(A: Sequence[float], block_variances, samples: int,
@@ -231,27 +249,36 @@ def event_probability_mc(kind: str, K: float, r: float, A: Sequence[float],
     return _per_height(values, seed)
 
 
+def _grid_size(n: int) -> int:
+    """ceil(n e^n), the number of angles of checkpoint n's grid."""
+    return int(math.ceil(n * math.e**n))
+
+
 def _grid_event_chunk(stream, count, r, levels):
     """Indicators of the all-angle event on the per-checkpoint angle grids,
     one column per row of levels (raised by the block drift).
 
     Checkpoint n uses ceil(n e^n) uniform angles; the field values on the
     grid come from one inverse FFT per checkpoint, whose maximum is the
-    walk's value there.
+    walk's value there. The rows run in slices of mc.SPAN_BLOCK // ceil(n_max
+    e^n_max) rows (at least one): each slice draws its rows of X(k) in order
+    and runs every checkpoint on them, with the bits of the whole chunk.
     """
     n_max = levels.shape[1]
-    x, _, coef = chaos.field_rows(stream, count, r, 1, block_bounds(n_max)[1])
-    x *= coef
+    kmax = block_bounds(n_max)[1]
+    rows = max(1, mc.SPAN_BLOCK // _grid_size(n_max))
     peaks = np.empty((count, n_max))
-    for n in range(1, n_max + 1):
-        _, hi = block_bounds(n)
-        grid = int(math.ceil(n * math.e**n))
-        chaos.check_field_budget(count, grid)
-        padded = np.zeros((count, grid), dtype=np.complex128)
-        padded[:, 1 : hi + 1] = x[:, :hi]
-        # in place; scaling by grid > 0 after the max rounds the same values
-        np.fft.ifft(padded, axis=1, out=padded)
-        peaks[:, n - 1] = padded.real.max(axis=1) * grid
+    for lo in range(0, count, rows):
+        x, _, coef = chaos.field_rows(stream, min(rows, count - lo), r, 1, kmax)
+        x *= coef
+        for n in range(1, n_max + 1):
+            _, hi = block_bounds(n)
+            grid = _grid_size(n)
+            padded = np.zeros((len(x), grid), dtype=np.complex128)
+            padded[:, 1 : hi + 1] = x[:, :hi]
+            # in place; scaling by grid > 0 after the max rounds the same values
+            np.fft.ifft(padded, axis=1, out=padded)
+            peaks[lo : lo + len(x), n - 1] = padded.real.max(axis=1) * grid
     return _survival(peaks, levels)
 
 
@@ -265,9 +292,12 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     """
     mc.check_samples(samples)  # before the O(K) block variances
     levels = _event_levels("G", r, K, _heights(A, samples))
-    levels += 2.0 * np.cumsum(_block_variances(r, levels.shape[1]))
+    # a chunk's draws at the widest grid, the last, before any map runs
+    n_max, chunk = levels.shape[1], 512
+    chaos.check_field_budget(min(samples, chunk), _grid_size(n_max))
+    levels += 2.0 * np.cumsum(_block_variances(r, n_max))
     values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,
-                           chunk=512)
+                           chunk=chunk)
     return _per_height(values, seed)
 
 
@@ -400,22 +430,30 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        lo, hi = block_bounds(m)
-        weights = chaos.walk_variances(r, lo, hi)
-        sigma2[m - 1] = total = np.sum(weights)
-        k = np.arange(lo, hi + 1, dtype=float)
-        if not total > 0:  # every weight underflowed: rescale them by the largest
-            np.log(2.0 * k, out=weights)
-            # one temporary: 2 log r is exact, so these are the bits of 2k * log r
-            np.subtract(k * (2.0 * math.log(r)), weights, out=weights)
-            weights -= np.max(weights)
-            total = np.sum(np.exp(weights, out=weights))
-        k *= theta  # the terms weights * cos(theta k), in place on the k row
-        np.cos(k, out=k)
-        k *= weights
-        rho[m - 1] = np.sum(k) / total
+        sigma2[m - 1], rho[m - 1] = _block_moments(r, theta, *block_bounds(m))
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
+
+
+def _block_moments(r, theta, lo, hi):
+    """sigma^2 and rho of the block k = lo..hi, from two rows of its width
+    (both freed on return, before the next block is built): the weights
+    r^{2k}/(2k) and k, on which the terms weights * cos(theta k) are formed."""
+    weights = chaos.walk_variances(r, lo, hi)
+    sigma2 = total = np.sum(weights)
+    k = np.arange(lo, hi + 1, dtype=float)
+    if not total > 0:  # every weight underflowed: rescale them by the largest
+        for start in range(0, k.size, mc.SPAN_BLOCK):
+            part, w = k[start : start + mc.SPAN_BLOCK], weights[start : start + mc.SPAN_BLOCK]
+            np.log(np.multiply(part, 2.0, out=w), out=w)
+            # 2 log r is exact, so these are the bits of 2k * log r
+            np.subtract(part * (2.0 * math.log(r)), w, out=w)
+        weights -= np.max(weights)
+        total = np.sum(np.exp(weights, out=weights))
+    k *= theta  # the terms weights * cos(theta k), in place on the k row
+    np.cos(k, out=k)
+    k *= weights
+    return sigma2, np.sum(k) / total
 
 
 @dataclass(frozen=True)

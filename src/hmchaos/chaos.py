@@ -63,12 +63,16 @@ def field_weights(r: float, lo: int, hi: int):
 
 def walk_variances(r: float, lo: int, hi: int):
     """The real walk's step variances r^{2k}/(2k) for k = lo..hi, one row
-    budgeted before it is built. An empty range is allowed."""
+    budgeted before it is built and filled in slices of mc.SPAN_BLOCK values,
+    so it is the one row held. An empty range is allowed."""
     check_field_budget(1, max(hi - lo + 1, 0))
-    two_k = np.arange(lo, hi + 1, dtype=float)
-    two_k *= 2.0
-    weights = np.power(r, two_k)
-    weights /= two_k
+    weights = np.empty(max(hi - lo + 1, 0))
+    for start in range(0, weights.size, mc.SPAN_BLOCK):
+        out = weights[start : start + mc.SPAN_BLOCK]
+        two_k = np.arange(lo + start, lo + start + out.size, dtype=float)
+        two_k *= 2.0
+        np.power(r, two_k, out=out)
+        out /= two_k
     return weights
 
 

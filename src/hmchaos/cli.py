@@ -207,6 +207,7 @@ def cmd_bivariate(args):
                              f"16/399 sigmas, so its integral is not resolved; "
                              f"use |rho| <= 0.9991")
     stream, u = Stream(Seed(args.seed)), np.empty((2, side * side))
+    density = np.empty((grid.size, grid.size))  # the normalization grid's values
     rows, checks = [], []
     for params in pairs:
         stream.fill_uniforms(u)
@@ -219,9 +220,12 @@ def cmd_bivariate(args):
         gap = float(np.max(gaps))
         xv = args.mu1 + grid * args.sigma1
         yv = args.mu2 + grid * args.sigma2
-        xx, yy = np.meshgrid(xv, yv)
         cell = (xv[1] - xv[0]) * (yv[1] - yv[0])
-        total = float(np.sum(barrier.bivariate_density(params, xx, yy)) * cell)
+        # row slices of the grid broadcast (the meshgrid's values), one sum
+        step = mc.SPAN_BLOCK // grid.size
+        for lo in range(0, grid.size, step):
+            density[lo : lo + step] = barrier.bivariate_density(params, xv, yv[lo : lo + step, None])
+        total = float(np.sum(density) * cell)
         dominated = gap <= 1e-12
         normalized = abs(total - 1.0) <= 1e-6
         rows.append((params.rho, side * side, gap, total, dominated, normalized))

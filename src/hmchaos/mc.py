@@ -14,7 +14,9 @@ barrier kernels lay the chunk's walks out step-major (barrier._walks), one
 row of real draws per step, so walk i is column i. A stream is Philox
 keyed directly by its seed, so creating one per replicate reads no OS
 entropy. Reductions run over the gathered array in replicate order with
-numpy's pairwise summation, making every estimate reproducible bit for bit.
+numpy's pairwise summation, making every estimate reproducible bit for bit;
+from_values sums one float copy of the values, then their squared
+deviations, formed in place on it.
 Both maps refuse a sample count below 2 or above FIELD_BUDGET before they
 build a task (check_samples); an estimator with O(K) set-up calls
 check_samples itself first.
@@ -54,13 +56,18 @@ class MomentEstimate:
 
 
 def from_values(values: np.ndarray, seed: Seed) -> MomentEstimate:
-    """Mean and standard error (sample sd / sqrt(n)) of replicate values."""
-    values = np.asarray(values, dtype=float)
+    """Mean and standard error (sample sd / sqrt(n)) of replicate values.
+
+    One float copy holds the values and then, in place, their squared
+    deviations (the bits of (values - mean) ** 2), so the caller's array is
+    never written and no second temporary is built."""
+    values = np.array(values, dtype=float)
     n = values.size
     if n < 2:
         raise PreconditionError("an estimate needs at least 2 samples")
     mean = float(np.sum(values) / n)
-    var = float(np.sum((values - mean) ** 2) / (n - 1))
+    np.subtract(values, mean, out=values)
+    var = float(np.sum(np.square(values, out=values)) / (n - 1))
     return MomentEstimate(mean, math.sqrt(var / n), n, seed)
 
 

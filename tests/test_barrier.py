@@ -390,6 +390,85 @@ def test_event_chunk_peak_stays_near_its_draw():
     assert peak < 2.0 * count * n_max * 8
 
 
+def _ballot_chunk_whole(stream, count, heights, sigmas):
+    # the whole-chunk route: every step drawn and summed at once by _walks
+    peak = barrier._walks(stream, count, sigmas).max(axis=1, keepdims=True)
+    return barrier._survival(peak, heights[:, None])
+
+
+def _grid_event_chunk_whole(stream, count, r, levels):
+    # the whole-chunk route: every row's X(k) drawn at once, and each
+    # checkpoint's grid transformed for all rows in one call
+    n_max = levels.shape[1]
+    x, _, coef = chaos.field_rows(stream, count, r, 1, barrier.block_bounds(n_max)[1])
+    x *= coef
+    peaks = np.empty((count, n_max))
+    for n in range(1, n_max + 1):
+        _, hi = barrier.block_bounds(n)
+        grid = int(math.ceil(n * math.e**n))
+        padded = np.zeros((count, grid), dtype=np.complex128)
+        padded[:, 1 : hi + 1] = x[:, :hi]
+        np.fft.ifft(padded, axis=1, out=padded)
+        peaks[:, n - 1] = padded.real.max(axis=1) * grid
+    return barrier._survival(peaks, levels)
+
+
+_SURVIVAL = barrier._survival
+
+
+def _survival_bytes(monkeypatch, kernel, *args):
+    # the bytes of the flags a kernel returns and of the paths (walk maxima,
+    # grid peaks) it hands to _survival, which the flags alone would hide
+    seen = []
+    monkeypatch.setattr(barrier, "_survival",
+                        lambda paths, levels: seen.append(paths.tobytes())
+                        or _SURVIVAL(paths, levels))
+    return kernel(*args).tobytes(), seen
+
+
+@pytest.mark.parametrize("count, n", [(4096, 61), (100, 1000), (mc.SPAN_BLOCK + 3, 5)])
+def test_ballot_chunk_slices_keep_the_whole_chunks_bits(monkeypatch, count, n):
+    # slices of SPAN_BLOCK // count steps: 8 steps (61 is no multiple of 8),
+    # 327 steps, and one-step slices when count > SPAN_BLOCK
+    heights = np.array([0.5, 2.0, 4.0])
+    sigmas = np.sqrt(np.linspace(0.5, 2.0, n))
+    sliced = _survival_bytes(monkeypatch, barrier._ballot_chunk, Stream(Seed(3)), count,
+                             heights, sigmas)
+    whole = _survival_bytes(monkeypatch, _ballot_chunk_whole, Stream(Seed(3)), count,
+                            heights, sigmas)
+    assert sliced == whole
+
+
+@pytest.mark.parametrize("K, count", [(400.0, 512), (math.ceil(math.e**9), 3)])
+def test_grid_event_chunk_slices_keep_the_whole_chunks_bits(monkeypatch, K, count):
+    # at K = 400 a slice is 44 of the 512 rows; just above e^9 the last grid,
+    # ceil(9 e^9) = 72928 angles, is wider than SPAN_BLOCK, so a slice is one row
+    levels = barrier._event_levels("G", 1.0, K, [1.0, 2.0])
+    levels += 2.0 * np.cumsum(barrier._block_variances(1.0, levels.shape[1]))
+    sliced = _survival_bytes(monkeypatch, barrier._grid_event_chunk, Stream(Seed(4)),
+                             count, 1.0, levels)
+    whole = _survival_bytes(monkeypatch, _grid_event_chunk_whole, Stream(Seed(4)),
+                            count, 1.0, levels)
+    assert sliced == whole
+
+
+def test_ballot_chunk_holds_one_slice_of_steps():
+    # 4096 walks of 4096 steps (128 MiB as one chunk): a slice is
+    # SPAN_BLOCK values (256 KiB) next to the per-walk peak and carry
+    count, n = 4096, 4096
+    peak = _traced_peak(barrier._ballot_chunk, Stream(Seed(5)), count,
+                        np.array([1.0, 2.0]), np.ones(n))
+    assert peak < 2 * 2**20
+
+
+def test_grid_event_chunk_holds_one_slice_of_rows():
+    # K = 400, a 512-row chunk (8.8 MiB traced with every row's grids at
+    # once): a slice is 44 rows of at most 743 angles
+    levels = barrier._event_levels("G", 1.0, 400.0, [1.0])
+    peak = _traced_peak(barrier._grid_event_chunk, Stream(Seed(5)), 512, 1.0, levels)
+    assert peak < 2 * 2**20
+
+
 def _two_walk_chunk_all_steps(stream, count, r, theta, M, log_K_r, level):
     # the reference route: both walks drawn one X(k) per k from e^M on, their
     # drift subtracted per k, and tested against the flat level by np.all
@@ -636,13 +715,54 @@ def test_block_variances_hold_one_block_at_a_time():
     assert _traced_peak(barrier._block_variances, 1.0, 16) < 94 * 2**20
 
 
+def test_walk_variances_hold_one_row():
+    # block 16's row is 42.9 MiB; a slice of SPAN_BLOCK values of 2k comes
+    # on top of it, not a second full row
+    assert _traced_peak(chaos.walk_variances, 1.0, *barrier.block_bounds(16)) < 50 * 2**20
+
+
 def test_block_stats_holds_three_rows_of_its_widest_block():
-    # at r = 0.98 block 12's weights all underflow: the rescale runs in place
-    # on the weights row and the rho terms on the spent 2k row, so the peak is
-    # the two rows and one temporary, not five rows
+    # at r = 0.98 block 12's weights all underflow: the rescale and the rho
+    # terms run on the weights and k rows, not on five rows
     lo, hi = barrier.block_bounds(12)
     peak = _traced_peak(block_stats, 0.98, 0.5, 1e6, 12)
     assert peak < 3.5 * (hi - lo + 1) * 8
+
+
+def test_block_stats_holds_two_rows_of_its_widest_block():
+    # block 14's weights and its k row: the underflow rescale runs in
+    # slices, and block 13's rows are freed before block 14's are built
+    lo, hi = barrier.block_bounds(14)
+    peak = _traced_peak(block_stats, 0.98, 0.5, 1e7, 14)
+    assert peak < 2.5 * (hi - lo + 1) * 8
+
+
+def _block_stats_whole_rows(r, theta, m_max):
+    # the rescale with full-width temporaries: the oracle for block_stats'
+    # slices, rho from the same two rows
+    sigma2, rho = [], []
+    for m in range(1, m_max + 1):
+        lo, hi = barrier.block_bounds(m)
+        two_k = 2.0 * np.arange(lo, hi + 1, dtype=float)
+        weights = np.power(r, two_k) / two_k
+        sigma2.append(total := np.sum(weights))
+        k = np.arange(lo, hi + 1, dtype=float)
+        if not total > 0:
+            weights = k * (2.0 * math.log(r)) - np.log(2.0 * k)
+            weights = np.exp(weights - np.max(weights))
+            total = np.sum(weights)
+        rho.append(np.sum(np.cos(k * theta) * weights) / total)
+    return np.array(sigma2), np.array(rho)
+
+
+@pytest.mark.parametrize("r, theta", [(0.98, 0.5), (0.999, 1.3), (0.9, -2.0)])
+def test_block_stats_keeps_the_whole_rows_bits(r, theta):
+    # blocks 11-12 of r = 0.98 and 10-12 of r = 0.9 underflow and take the
+    # sliced rescale
+    blocks = block_stats(r, theta, 1e6, m_max=12)
+    sigma2, rho = _block_stats_whole_rows(r, theta, 12)
+    assert blocks.sigma2.tobytes() == sigma2.tobytes()
+    assert blocks.rho.tobytes() == rho.tobytes()
 
 
 def test_change_of_measure_two_routes_agree():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import FixedStream, circle_average_sample
-from hmchaos import rng
+from hmchaos import mc, rng
 from hmchaos.barrier import _walks
 from hmchaos.chaos import (_input_rows, _sq_modulus_at_radius, circle_average_moment,
                            circle_mean_closed_form, circle_mean_mc, estimate_moment,
                            fit_decay_band, gaussian_abs_moment,
-                           sample_A, theorem_band_factor, truncation_degree)
+                           sample_A, theorem_band_factor, truncation_degree, walk_variances)
 from hmchaos.errors import PreconditionError
 from hmchaos.rng import Seed, Stream, split
 from hmchaos.series import exp_array
@@ -351,3 +351,14 @@ def test_estimates_are_deterministic_and_worker_independent():
     assert a == b
     c = estimate_moment(32, 1.0, 600, Seed(77), workers=2)
     assert a.mean == c.mean and a.std_error == c.std_error
+
+
+@pytest.mark.parametrize("size", [mc.SPAN_BLOCK - 1, mc.SPAN_BLOCK, mc.SPAN_BLOCK + 1,
+                                  3 * mc.SPAN_BLOCK + 5, 1, 0])
+@pytest.mark.parametrize("r", [1.0, 0.999, math.exp(1.0 / 400.0)])
+def test_walk_variances_in_slices_keep_the_whole_rows_bits(size, r):
+    # the whole-row route: one 2k row, then r^{2k} / 2k over all of it
+    lo = 7
+    two_k = 2.0 * np.arange(lo, lo + size, dtype=float)
+    ref = np.power(r, two_k) / two_k
+    assert walk_variances(r, lo, lo + size - 1).tobytes() == ref.tobytes()

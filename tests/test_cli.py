@@ -11,10 +11,13 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmchaos
+from hmchaos.barrier import BivariateParams, bivariate_density
 from hmchaos.cli import build_parser, main
 from hmchaos.rng import Seed, split
 
@@ -322,6 +325,25 @@ def test_bivariate_evaluates_its_points_in_slices(capsys):
     assert peak < 40 * 2**20
 
 
+@pytest.mark.parametrize("flags", [[], ["--rho-grid", "0.3,-0.9", "--mu1", "0.5",
+                                         "--sigma2", "2.5"],
+                                   ["--rho-grid", "0.999", "--mu2=-3e5", "--sigma1", "1e-3"]])
+def test_bivariate_integral_is_the_meshgrid_sum(capsys, flags):
+    # the normalization integral over row slices of the grid broadcast has
+    # the bits of one density call on the whole meshgrid
+    args = build_parser().parse_args(["bivariate"] + flags)
+    grid = np.linspace(-8.0, 8.0, 400)
+    xv, yv = args.mu1 + grid * args.sigma1, args.mu2 + grid * args.sigma2
+    xx, yy = np.meshgrid(xv, yv)
+    cell = (xv[1] - xv[0]) * (yv[1] - yv[0])
+    assert main(["bivariate"] + flags) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    for rho, _, _, integral, _, _ in rows:
+        params = BivariateParams(args.mu1, args.mu2, args.sigma1 * args.sigma1,
+                                 args.sigma2 * args.sigma2, float(rho))
+        assert integral == repr(float(np.sum(bivariate_density(params, xx, yy)) * cell))
+
+
 def test_bivariate_refuses_a_rho_past_its_grid_resolution(tmp_path, capsys):
     # the 400-point normalization grid over 16 sigmas cannot resolve a ridge
     # narrower than its spacing (|rho| > 0.99920): 0.99999999 integrated to
@@ -574,6 +596,9 @@ def test_over_budget_draws_exit_3_quickly():
                         (["bivariate", "--grid-points", "1000000000"], 1.0),
                         # the sample count before the O(K) block variances
                         (["event", "--K", "1e7", "--r", "1", "--samples", "1"], 1.0),
+                        # the all-angle chunk's widest grid before any draw
+                        (["event", "--all-angles", "--K", "30000", "--r", "1",
+                          "--samples", "2048"], 1.0),
                         # a map's sample count before its task list
                         (["moment", "--N", "8", "--samples", "1000000000000"], 1.0),
                         (["steinhaus", "--samples", "1000000000000"], 1.0),

@@ -1,5 +1,7 @@
 """The replicate-span contract of mc.map_replicates and its batched kernels."""
 
+import math
+import tracemalloc
 from operator import itemgetter
 
 import numpy as np
@@ -180,6 +182,41 @@ def test_abs_powers_refuses_an_overflowing_power():
     with pytest.raises(PreconditionError):
         mc.abs_powers([0.5, 3.0 + 4.0j], 1e3)
     assert mc.abs_powers([], 1e4) == []
+
+
+def _from_values_two_temporaries(values):
+    # the reduction with a float copy and a deviations temporary
+    values = np.asarray(values, dtype=float)
+    mean = float(np.sum(values) / values.size)
+    var = float(np.sum((values - mean) ** 2) / (values.size - 1))
+    return mean, math.sqrt(var / values.size)
+
+
+def test_from_values_keeps_the_two_temporaries_bits_and_its_input():
+    draws = Stream(Seed(17)).draw_real(3 * 10001)
+    table = draws.reshape(10001, 3)
+    for values in (draws > 0.3, (draws * 100).astype(np.int64), list(draws[:999]),
+                   draws, table[:, 1], [True, False, True]):
+        before = np.array(values).tobytes()
+        est = mc.from_values(values, Seed(1))
+        mean, std_error = _from_values_two_temporaries(values)
+        assert np.array([est.mean, est.std_error]).tobytes() == \
+            np.array([mean, std_error]).tobytes()
+        assert est.samples == np.size(values)
+        assert np.array(values).tobytes() == before
+
+
+def test_from_values_holds_one_float_copy():
+    # 10^6 indicators (1 MiB) and their 7.6 MiB float copy; a deviations
+    # array on top of it would be 7.6 MiB more
+    flags = Stream(Seed(18)).draw_real(10**6) > 0.0
+    tracemalloc.start()
+    try:
+        mc.from_values(flags, Seed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _input_row(N, seed, i):
