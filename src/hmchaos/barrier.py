@@ -430,30 +430,25 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     sigma2 = np.empty(count)
     rho = np.empty(count)
     for m in range(1, count + 1):
-        sigma2[m - 1], rho[m - 1] = _block_moments(r, theta, *block_bounds(m))
+        lo, hi = block_bounds(m)
+        weights = chaos.walk_variances(r, lo, hi)
+        sigma2[m - 1] = total = np.sum(weights)
+        k = np.arange(lo, hi + 1, dtype=float)
+        if not total > 0:  # every weight underflowed: rescale them by the largest
+            for start in range(0, k.size, mc.SPAN_BLOCK):
+                part = slice(start, start + mc.SPAN_BLOCK)  # no view outlives the loop
+                np.log(np.multiply(k[part], 2.0, out=weights[part]), out=weights[part])
+                # 2 log r is exact, so these are the bits of 2k * log r
+                np.subtract(k[part] * (2.0 * math.log(r)), weights[part], out=weights[part])
+            weights -= np.max(weights)
+            total = np.sum(np.exp(weights, out=weights))
+        k *= theta  # the terms weights * cos(theta k), in place on the k row
+        np.cos(k, out=k)
+        k *= weights
+        rho[m - 1] = np.sum(k) / total
+        del weights, k  # free this block's two rows before the next's are built
     return WalkBlocks(r=r, theta=theta, K_r=K_r, log_K_r=log_K_r, M=M,
                       sigma2=sigma2, rho=rho)
-
-
-def _block_moments(r, theta, lo, hi):
-    """sigma^2 and rho of the block k = lo..hi, from two rows of its width
-    (both freed on return, before the next block is built): the weights
-    r^{2k}/(2k) and k, on which the terms weights * cos(theta k) are formed."""
-    weights = chaos.walk_variances(r, lo, hi)
-    sigma2 = total = np.sum(weights)
-    k = np.arange(lo, hi + 1, dtype=float)
-    if not total > 0:  # every weight underflowed: rescale them by the largest
-        for start in range(0, k.size, mc.SPAN_BLOCK):
-            part, w = k[start : start + mc.SPAN_BLOCK], weights[start : start + mc.SPAN_BLOCK]
-            np.log(np.multiply(part, 2.0, out=w), out=w)
-            # 2 log r is exact, so these are the bits of 2k * log r
-            np.subtract(part * (2.0 * math.log(r)), w, out=w)
-        weights -= np.max(weights)
-        total = np.sum(np.exp(weights, out=weights))
-    k *= theta  # the terms weights * cos(theta k), in place on the k row
-    np.cos(k, out=k)
-    k *= weights
-    return sigma2, np.sum(k) / total
 
 
 @dataclass(frozen=True)

@@ -710,8 +710,8 @@ def test_block_variances_are_block_stats_variances(r):
 
 
 def test_block_variances_hold_one_block_at_a_time():
-    # block 16 is 5617093 values, two rows of them 85.7 MiB; a drift row of
-    # every k < e^16 would be 135.6 MiB
+    # block 16 is 5617093 values, one row of them 42.9 MiB plus a slice of
+    # SPAN_BLOCK values; a drift row of every k < e^16 would be 135.6 MiB
     assert _traced_peak(barrier._block_variances, 1.0, 16) < 94 * 2**20
 
 
@@ -721,7 +721,7 @@ def test_walk_variances_hold_one_row():
     assert _traced_peak(chaos.walk_variances, 1.0, *barrier.block_bounds(16)) < 50 * 2**20
 
 
-def test_block_stats_holds_three_rows_of_its_widest_block():
+def test_block_stats_underflow_rescale_runs_on_its_rows():
     # at r = 0.98 block 12's weights all underflow: the rescale and the rho
     # terms run on the weights and k rows, not on five rows
     lo, hi = barrier.block_bounds(12)

@@ -9,16 +9,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 import peaks  # noqa: E402
 
 
-def test_peaks_prints_one_line_per_job(capsys):
-    assert peaks.main(["barrier-mc", "--sub", "blocks"]) == 0
-    header, *lines = capsys.readouterr().out.splitlines()
-    assert header == "peak_mib seconds exit argv"
-    assert len(lines) == 1
-    peak, seconds, code, *argv = lines[0].split()
+def test_peaks_measures_a_workload_job():
+    [argv] = [argv for argv in peaks.argvs("barrier-mc") if argv[0] == "blocks"]
     assert argv[:7] == ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "8"]
-    assert code == "0" and 0.0 < float(peak) < 1.0 and float(seconds) > 0.0
+    peak, seconds, code = peaks.measure(argv)
+    assert code == 0 and 0.0 < peak < 1.0 and seconds > 0.0
 
 
 def test_large_inputs_are_cli_argvs():
-    assert all(peaks.hmchaos.cli.build_parser().parse_args(argv).command == argv[0]
-               for argv in peaks.LARGE)
+    assert all(peaks.bench_digest.hmchaos.cli.build_parser().parse_args(argv).command
+               == argv[0] for argv in peaks.LARGE)

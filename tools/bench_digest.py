@@ -113,11 +113,16 @@ def runs(workers=WORKERS):
         yield "readme", "-", "-", argv
 
 
+def check_own_src(tool: str) -> None:
+    """Exit unless hmchaos was imported from this checkout's src."""
+    if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
+        raise SystemExit(f"{tool}: imported hmchaos from {hmchaos.__file__}")
+
+
 def digest_lines():
     """One digest line per benchmark run and README command, in the ledger's
     order."""
-    if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
-        raise SystemExit(f"bench_digest: imported hmchaos from {hmchaos.__file__}")
+    check_own_src("bench_digest")
     for workload, seed, workers, argv in runs():
         yield " ".join([digest(argv), workload, str(seed), str(workers), *argv])
 

@@ -4,35 +4,26 @@ inputs whose held memory the README quotes.
 Usage (from the root of a checkout):
 
     python3 tools/peaks.py barrier-mc              # each job of one workload
-    python3 tools/peaks.py barrier-mc --seed 2 --sub event
     python3 tools/peaks.py large                   # the LARGE argvs below
 
-Runs each argv once through `hmchaos.cli.main` in process, under
-tracemalloc, and prints one line per run: the tracemalloc peak in MiB, the
-seconds of that traced run, the exit code and the argv. A workload's jobs
-run with the benchmark's argv (job seeds from `jobs.job_seed` at the given
-benchmark seed, --workers 1); --sub keeps only the jobs of one subcommand.
-The tracemalloc peak is what Python and numpy allocate, not the process's
-RSS. Copy this file into another checkout to compare the two. perfbench/ is
-imported, never changed.
+Runs each argv once through `hmchaos.cli.main` in process (by
+`bench_digest.run`), under tracemalloc, and prints one line per run: the
+tracemalloc peak in MiB, the seconds of that traced run, the exit code and
+the argv. A workload's jobs run with the benchmark's argv at benchmark seed
+1 and --workers 1, as `bench_digest.runs` builds them. The tracemalloc peak
+is what Python and numpy allocate, not the process's RSS. Copy this file
+and bench_digest.py into another checkout's tools/ to compare the two.
+perfbench/ is imported, never changed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import jobs  # noqa: E402
-
-import hmchaos.cli  # noqa: E402
+import bench_digest
 
 # Inputs far above the benchmark's sizes, each bounded by what one kernel
 # or one row holds at once (the all-angle run at K = 30000 exits 3 on its
@@ -52,12 +43,10 @@ LARGE = (
 def measure(argv) -> tuple[float, float, int]:
     """(tracemalloc peak in MiB, seconds, exit code) of one in-process run,
     its output dropped."""
-    quiet = io.StringIO()
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-            code = hmchaos.cli.main(argv)
+        code, _ = bench_digest.run(argv)
         seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -65,26 +54,21 @@ def measure(argv) -> tuple[float, float, int]:
     return peak / 2**20, seconds, code
 
 
-def argvs(target: str, seed: int, sub: str | None):
-    """The argvs of a workload's jobs at a benchmark seed, or LARGE."""
+def argvs(target: str):
+    """The argvs of a workload's jobs at benchmark seed 1, or LARGE."""
     if target == "large":
-        found = LARGE
-    else:
-        found = [job.argv(jobs.job_seed(seed, target, index))
-                 for index, job in enumerate(jobs.WORKLOADS[target])]
-    return [argv for argv in found if sub is None or argv[0] == sub]
+        return list(LARGE)
+    return [argv for workload, seed, _, argv in bench_digest.runs(workers=(1,))
+            if workload == target and seed == 1]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("target", choices=[*jobs.WORKLOADS, "large"])
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed")
-    parser.add_argument("--sub", default=None, help="only the jobs of this subcommand")
+    parser.add_argument("target", choices=[*bench_digest.jobs.WORKLOADS, "large"])
     args = parser.parse_args(argv)
-    if not Path(hmchaos.__file__).resolve().is_relative_to(ROOT / "src"):
-        raise SystemExit(f"peaks: imported hmchaos from {hmchaos.__file__}")
+    bench_digest.check_own_src("peaks")
     print("peak_mib seconds exit argv")
-    for run in argvs(args.target, args.seed, args.sub):
+    for run in argvs(args.target):
         peak, seconds, code = measure(run)
         print(f"{peak:.2f} {seconds:.3f} {code} {' '.join(run)}", flush=True)
     return 0
