@@ -178,27 +178,23 @@ def cmd_blocks(args):
 
 
 def cmd_bivariate(args):
-    if not args.grid_points >= 1:
-        raise PreconditionError(f"--grid-points must be >= 1, got {args.grid_points}")
     if not (args.sigma1 > 0 and args.sigma2 > 0):  # NaN fails too
         raise PreconditionError("bivariate needs positive --sigma1, --sigma2")
-    side = math.isqrt(args.grid_points)
-    chaos.check_field_budget(2, side * side)  # x1 and x2, before either is drawn
     # x * x: x**2 raises OverflowError where the product is inf
     pairs = [barrier.BivariateParams(args.mu1, args.mu2, args.sigma1 * args.sigma1,
                                      args.sigma2 * args.sigma2, rho)
              for rho in _parse_grid(args.rho_grid)]
-    # rounding (x - mu up to twice the drawn offset, s from a subnormal sigma^2) keeps
-    # a standardized offset within 3 reach: an exponent is at most 18 reach^2 / (1 - rho^2),
-    # and 400^2 density peaks 1 / (2 pi s1 s2 sqrt(1 - rho^2)) are summed
-    reach = max(abs(args.span), 8.0)  # the normalization grid spans 8 sigmas
-    bounds = [args.span, abs(args.mu1) + reach * args.sigma1, abs(args.mu2) + reach * args.sigma2]
+    # rounding keeps the normalization grid's standardized offsets within 3 x 8,
+    # so its exponents stay finite; its ends |mu| + 8 sigma and the sum of its
+    # 400^2 density peaks 1 / (2 pi s1 s2 sqrt(1 - rho^2)) are checked here
+    bounds = [abs(args.mu1) + 8.0 * args.sigma1, abs(args.mu2) + 8.0 * args.sigma2]
     for p in pairs:
-        bounds += [18.0 * reach * reach / (1.0 - p.rho**2), 400.0**2 / (2.0 * math.pi)
-                   / math.sqrt(p.sigma1_sq) / math.sqrt(p.sigma2_sq) / math.sqrt(1.0 - p.rho**2)]
-    if not all(map(math.isfinite, bounds)):  # a NaN or infinite --mu or --span too
-        raise PreconditionError(f"bivariate needs finite --mu1, --mu2 and --span that keep "
-                                f"the densities in the float range, got --span {args.span}")
+        bounds.append(400.0**2 / (2.0 * math.pi) / math.sqrt(p.sigma1_sq)
+                      / math.sqrt(p.sigma2_sq) / math.sqrt(1.0 - p.rho**2))
+    if not all(map(math.isfinite, bounds)):  # a NaN or infinite --mu too
+        raise PreconditionError(f"bivariate needs finite --mu1, --mu2 and sigmas that keep "
+                                f"the densities in the float range, got --mu1 {args.mu1} "
+                                f"--mu2 {args.mu2} --sigma1 {args.sigma1} --sigma2 {args.sigma2}")
     grid = np.linspace(-8.0, 8.0, 400)  # the normalization grid, in sigmas
     for p in pairs:  # a ridge sqrt(1 - rho^2) sigmas wide falls between its points
         if math.sqrt(1.0 - p.rho**2) < grid[1] - grid[0]:
@@ -206,18 +202,18 @@ def cmd_bivariate(args):
                              f"sigmas wide, is narrower than the normalization grid's "
                              f"16/399 sigmas, so its integral is not resolved; "
                              f"use |rho| <= 0.9991")
-    stream, u = Stream(Seed(args.seed)), np.empty((2, side * side))
+    # in sigmas, both densities are the standardized pair's over s1 s2, and
+    # majorant / density = exp(Q / 2), where Q's eigenvalue is 0 on the line
+    # v = sign(rho) u (everywhere at rho = 0): the majorant is tight there, so
+    # the gap is taken there
+    line = np.linspace(-8.0, 8.0, 4001)
     density = np.empty((grid.size, grid.size))  # the normalization grid's values
     rows, checks = [], []
     for params in pairs:
-        stream.fill_uniforms(u)
-        gaps = []  # per slice of points: a max of slice maxima is the max
-        for lo in range(0, side * side, mc.SPAN_BLOCK):
-            x1 = args.mu1 + args.span * args.sigma1 * (2.0 * u[0, lo : lo + mc.SPAN_BLOCK] - 1.0)
-            x2 = args.mu2 + args.span * args.sigma2 * (2.0 * u[1, lo : lo + mc.SPAN_BLOCK] - 1.0)
-            gaps.append(np.max(barrier.bivariate_density(params, x1, x2)
-                               - barrier.dominating_density(params, x1, x2)))
-        gap = float(np.max(gaps))
+        unit = barrier.BivariateParams(0.0, 0.0, 1.0, 1.0, params.rho)
+        tight = np.sign(params.rho) * line
+        gap = float(np.max(barrier.bivariate_density(unit, line, tight)
+                           - barrier.dominating_density(unit, line, tight)))
         xv = args.mu1 + grid * args.sigma1
         yv = args.mu2 + grid * args.sigma2
         cell = (xv[1] - xv[0]) * (yv[1] - yv[0])
@@ -228,7 +224,7 @@ def cmd_bivariate(args):
         total = float(np.sum(density) * cell)
         dominated = gap <= 1e-12
         normalized = abs(total - 1.0) <= 1e-6
-        rows.append((params.rho, side * side, gap, total, dominated, normalized))
+        rows.append((params.rho, line.size, gap, total, dominated, normalized))
         checks.append((f"dominated_rho{params.rho}", dominated))
         checks.append((f"normalized_rho{params.rho}", normalized))
     return ["rho", "grid_points", "max_density_gap", "integral", "dominated",
@@ -308,6 +304,10 @@ def cmd_series_selftest(args):
     return ["check", "size", "max_err", "tol", "ok"], rows, checks
 
 
+def _seed(text):
+    return Seed(int(text)).root  # Seed refuses what is not a u64
+
+
 def _worker_count(text):
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -315,7 +315,7 @@ def _worker_count(text):
 
 
 def _add_common(parser, samples_default=None):
-    parser.add_argument("--seed", type=int, default=42, help="root seed (u64)")
+    parser.add_argument("--seed", type=_seed, default=42, help="root seed (u64)")
     parser.add_argument("--workers", type=_worker_count, default=1)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -406,8 +406,6 @@ def build_parser():
     p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--sigma1", type=float, default=1.0)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--grid-points", type=int, default=10000)
-    p.add_argument("--span", type=float, default=6.0)
     _add_common(p)
     p.set_defaults(func=cmd_bivariate)
 

@@ -32,7 +32,8 @@ draws in tiles of at most UNIT_TILE values. Every tile runs the same
 ufuncs on the same inputs, so the values depend neither on UNIT_TILE nor
 on the block's shape: row i has the bits of stream i's own draw, and
 Stream.draw and draw_unit are the one-row case. The bits depend on the
-order of the calls only.
+order of the calls only. The raw uniforms feed these two only: no other
+module reads Stream.fill_uniforms.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmchaos
+from hmchaos import barrier
 from hmchaos.barrier import BivariateParams, bivariate_density
 from hmchaos.cli import build_parser, main
 from hmchaos.rng import Seed, split
@@ -311,18 +312,34 @@ def test_bivariate_check_passes(tmp_path):
     assert code == 0
 
 
-def test_bivariate_evaluates_its_points_in_slices(capsys):
-    # the two densities of all 10^6 points at once took 69 MiB traced; in
-    # slices of SPAN_BLOCK points only the uniforms grow with the grid
-    tracemalloc.start()
-    try:
-        code = main(["bivariate", "--grid-points", "1000000", "--rho-grid", "0.3"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+def test_bivariate_fails_a_majorant_a_hair_too_small(tmp_path, monkeypatch):
+    # on the line v = sign(rho) u the majorant equals the density, so a
+    # majorant scaled by 1 - 1e-10 fails every default row; random points
+    # off that line passed it
+    dominating = barrier.dominating_density
+    monkeypatch.setattr(barrier, "dominating_density",
+                        lambda p, x1, x2: (1.0 - 1e-10) * dominating(p, x1, x2))
+    code, text = run_csv(tmp_path, "biv", ["bivariate", "--check"])
+    assert code == 4
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["0"] * 4
+
+
+@pytest.mark.parametrize("flags", [["--sigma1", "1e-3", "--sigma2", "1e-3"],
+                                   ["--mu1", "3", "--sigma2", "1e-3",
+                                    "--rho-grid", "0.9,-0.999,0.0"]])
+def test_bivariate_gap_is_the_standardized_pairs(tmp_path, flags):
+    # in x units the line gap grows like 1 / (s1 s2) and read 2.6e-10 on the
+    # second run; the standardized pair's reads at most 3.05e-13 at any mean
+    # and sigma, which set only the normalization integral
+    code, _ = run_csv(tmp_path, "biv", ["bivariate", "--check"] + flags)
     assert code == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2
-    assert peak < 40 * 2**20
+
+
+def test_bivariate_bytes_depend_on_no_seed_or_worker_count(tmp_path):
+    texts = {run_csv(tmp_path, "biv", ["bivariate", "--seed", seed, "--workers", workers])[1]
+             for seed in ("1", "2") for workers in ("1", "2")}
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("flags", [[], ["--rho-grid", "0.3,-0.9", "--mu1", "0.5",
@@ -357,16 +374,19 @@ def test_bivariate_refuses_a_rho_past_its_grid_resolution(tmp_path, capsys):
     assert [line.split(",")[-1] for line in text.splitlines()[1:]] == ["1", "1"]
 
 
-def test_bivariate_refuses_a_span_past_the_float_range(capsys):
-    # at --span 1e154 the exponent's u*u - 2 rho u v + v*v overflowed, and at
-    # 1e300 it was inf - inf: max_density_gap read nan and every dominated_rho
-    # check failed (exit 4), though the domination holds there
+def test_bivariate_refuses_means_and_sigmas_past_the_float_range(capsys):
+    # an infinite or NaN mean puts the normalization grid out of the float
+    # range, and at sigmas of 1e-160 its 400^2 summed peaks overflow; each
+    # exits 3 naming the means and sigmas, before any density is evaluated
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for span in ("1e154", "1e300"):
-            assert main(["bivariate", "--span", span, "--check"]) == 3
-            assert "--span" in capsys.readouterr().err
-        for argv in (["bivariate", "--check"], ["bivariate", "--span", "1e153", "--check"]):
+        for flags in (["--mu1", "inf"], ["--mu2", "nan"], ["--mu1=-inf"],
+                      ["--sigma1", "1e-160", "--sigma2", "1e-160"]):
+            assert main(["bivariate", "--check"] + flags) == 3, flags
+            err = capsys.readouterr().err
+            assert "--mu1" in err and "--sigma1" in err
+        for argv in (["bivariate", "--check"],
+                     ["bivariate", "--sigma1", "1e-150", "--sigma2", "1e-150", "--check"]):
             assert main(argv) == 0
 
 
@@ -559,8 +579,7 @@ def test_precondition_violation_exits_3(tmp_path):
                  "--check"]) == 3
     assert main(["ballot", "--variance", "nan", "--samples", "100"]) == 3
     assert main(["decay", "--n-grid", ",", "--samples-per", ","]) == 3
-    for flags in (["--grid-points", "0"], ["--grid-points", "-5"], ["--sigma1", "1e308"],
-                  ["--sigma2", "-2"], ["--span", "nan"]):
+    for flags in (["--sigma1", "1e308"], ["--sigma2", "-2"]):
         assert main(["bivariate"] + flags) == 3
     assert main(["moment", "--N", "8", "--q", "1e308", "--samples", "4"]) == 3
 
@@ -571,9 +590,9 @@ def test_over_budget_draws_exit_3_quickly():
     # and a chaos degree before its N + 1 inputs are drawn; the quadratic
     # recurrence before its first step, and the exp circle before its buffer;
     # the F_q[t] tree's rows of every degree <= N before it is built; the
-    # trial divisions, the partition cap, the widest block and the
-    # bivariate draws before the first of them; a sample count before the
-    # set-up it would waste, and above the budget before a map's task list
+    # trial divisions, the partition cap and the widest block before the
+    # first of them; a sample count before the set-up it would waste, and
+    # above the budget before a map's task list
     for argv, limit in ((["event", "--K", "1e8", "--r", "1"], 5.0),
                         (["com-check", "--K", "1e9"], 1.0),
                         (["ballot", "--n-grid", "100000000"], 5.0),
@@ -592,8 +611,6 @@ def test_over_budget_draws_exit_3_quickly():
                         (["mass", "--N-max", "41"], 1.0),
                         (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "30"], 1.0),
                         (["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "1000"], 1.0),
-                        (["bivariate", "--grid-points", "100000000"], 1.0),
-                        (["bivariate", "--grid-points", "1000000000"], 1.0),
                         # the sample count before the O(K) block variances
                         (["event", "--K", "1e7", "--r", "1", "--samples", "1"], 1.0),
                         # the all-angle chunk's widest grid before any draw
@@ -670,6 +687,15 @@ def test_bad_configuration_exits_2(tmp_path, capsys):
     assert main(["moment"]) == 2  # --N is required
     assert main(["decay", "--n-grid", "abc", "--samples-per", "10"]) == 2
     assert main(["bivariate", "--seed", "-1"]) == 2
+    # a seed is checked at parse time, also where no stream is built
+    for argv in (["mass", "--N-max", "4"], ["ff", "--mode", "counts", "--q", "3"],
+                 ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "2"]):
+        for seed in ("-1", str(2**64)):
+            assert main(argv + ["--seed", seed]) == 2, argv
+        assert main(argv + ["--seed", str(2**64 - 1)]) == 0, argv
+    # bivariate draws no points: the flags that shaped its draws are gone
+    assert main(["bivariate", "--grid-points", "10"]) == 2
+    assert main(["bivariate", "--span", "3"]) == 2
     for argv in (["sample", "--N", "4"], ["moment", "--N", "4"], ["decay"]):
         assert main(argv + ["--engine", "auto"]) == 2
     # the event takes no angle: every angle has the law of theta = 0
@@ -860,8 +886,8 @@ def test_fuzz_ff(mode, q, N, samples):
 # that negative and non-finite values reach the program rather than argparse.
 # Each flag is valid three times in four (None keeps its default), so that
 # runs get past the first check. Sizes that are in budget stay small
-# (degree <= 1500, K <= 3e4, blocks m <= 12, 10^4 grid points, samples <= 8
-# or 300 for the ballot): the budgets bound values, not the kernels'
+# (degree <= 1500, K <= 3e4, blocks m <= 12, samples <= 8 or 300 for the
+# ballot): the budgets bound values, not the kernels'
 # temporaries, which reach 362 MiB (traced) for an all-angle event at K = e^12
 # with 8 samples.
 SIZES = st.one_of(st.integers(-3, 12).map(str),
@@ -974,11 +1000,10 @@ def test_fuzz_blocks(r, theta, K, m_max):
 @FUZZ_FAST
 @given(rho_grid=_mostly(st.none(), _grid(FLOATS)), mu1=_mostly(st.none(), FLOATS),
        mu2=_mostly(st.none(), FLOATS), sigma1=_mostly(st.none(), FLOATS),
-       sigma2=_mostly(st.none(), FLOATS), span=_mostly(st.none(), FLOATS),
-       grid_points=_mostly(st.integers(1, 10**4).map(str), SIZES))
-def test_fuzz_bivariate(rho_grid, mu1, mu2, sigma1, sigma2, span, grid_points):
+       sigma2=_mostly(st.none(), FLOATS))
+def test_fuzz_bivariate(rho_grid, mu1, mu2, sigma1, sigma2):
     _fuzz_flags("bivariate", rho_grid=rho_grid, mu1=mu1, mu2=mu2, sigma1=sigma1,
-                sigma2=sigma2, span=span, grid_points=grid_points)
+                sigma2=sigma2)
 
 
 @FUZZ_FAST

@@ -1,17 +1,15 @@
 """rng is the one module that turns uniforms into draws.
 
 Every draw of a kind takes one route, rng.draw_blocks or
-rng.draw_unit_blocks, so no src module other than rng.py calls unit_circle,
-and none calls fill_uniforms outside rng.py and cli.cmd_bivariate, whose
-raw uniforms are its points, not draws. A third copy of the
-fill-then-transform loop fails here.
+rng.draw_unit_blocks, so no src module other than rng.py calls unit_circle
+or fill_uniforms. A second copy of the fill-then-transform loop fails here.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hmchaos"
-ALLOWED = {"unit_circle": set(), "fill_uniforms": {("cli.py", "cmd_bivariate")}}
+ALLOWED = {"unit_circle": set(), "fill_uniforms": set()}
 
 
 def _calls(path):
@@ -35,6 +33,5 @@ def test_only_rng_turns_uniforms_into_draws():
 
 
 def test_the_guard_sees_the_calls_it_allows():
-    # cmd_bivariate's fill_uniforms call is found, so the guard is not blind
-    assert ("fill_uniforms", "cmd_bivariate") in set(_calls(SRC / "cli.py"))
+    # rng's own calls of both are found, so the guard is not blind
     assert {name for name, _ in _calls(SRC / "rng.py")} == {"unit_circle", "fill_uniforms"}

@@ -36,7 +36,6 @@ LARGE = (
     ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "17"],
     ["event", "--all-angles", "--K", "162755", "--r", "1", "--samples", "8"],
     ["event", "--all-angles", "--K", "30000", "--r", "1", "--samples", "2048"],
-    ["bivariate", "--grid-points", "8000000", "--rho-grid", "0.3,-0.05"],
 )
 
 
