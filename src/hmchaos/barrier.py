@@ -216,10 +216,17 @@ def _event_levels(kind, r, K, heights) -> np.ndarray:
     raise PreconditionError("kind must be 'G' or 'L'")
 
 
+def _budget_top(count: int) -> int:
+    """The block (or grid) to budget in place of the widest of 1..count: every
+    one from log FIELD_BUDGET + 2 on is over the budget, and a later one's
+    e^m may overflow a float (m >= 710) or print hundreds of digits."""
+    return min(count, int(math.log(chaos.FIELD_BUDGET)) + 2)
+
+
 def _block_variances(r: float, n_max: int) -> np.ndarray:
     """sigma_m^2 = sum_{k in block m} r^{2k}/(2k) for m = 1..n_max: the variances
     of the centered walk's block sums (half the drift), one block at a time."""
-    lo, hi = block_bounds(n_max)
+    lo, hi = block_bounds(_budget_top(n_max))
     chaos.check_field_budget(1, hi - lo + 1)  # the widest block, the last
     return np.array([np.sum(chaos.walk_variances(r, *block_bounds(m)))
                      for m in range(1, n_max + 1)])
@@ -294,7 +301,7 @@ def event_G_all_angles_mc(K: float, r: float, A: Sequence[float], samples: int,
     levels = _event_levels("G", r, K, _heights(A, samples))
     # a chunk's draws at the widest grid, the last, before any map runs
     n_max, chunk = levels.shape[1], 512
-    chaos.check_field_budget(min(samples, chunk), _grid_size(n_max))
+    chaos.check_field_budget(min(samples, chunk), _grid_size(_budget_top(n_max)))
     levels += 2.0 * np.cumsum(_block_variances(r, n_max))
     values = mc.map_chunks(_grid_event_chunk, (r, levels), seed, samples, workers,
                            chunk=chunk)
@@ -408,10 +415,8 @@ def block_stats(r: float, theta: float, K: float, m_max: int | None = None) -> W
     count = m_max if m_max is not None else log_K_r
     if count < 0:
         raise PreconditionError("the horizon K_r is below 1: pass m_max")
-    # budget the widest block, the last, before any is built; every block from
-    # log FIELD_BUDGET + 2 on is over the budget, so that one is checked in
-    # place of a later one, whose e^m may overflow a float (m >= 710)
-    top = min(count, int(math.log(chaos.FIELD_BUDGET)) + 2)
+    # budget the widest block, the last, before any is built
+    top = _budget_top(count)
     if top:
         top_lo, top_hi = block_bounds(top)
         chaos.check_field_budget(1, top_hi - top_lo + 1)

@@ -13,10 +13,12 @@ values. A map_chunks kernel draws its whole chunk from one stream: the
 barrier kernels lay the chunk's walks out step-major (barrier._walks), one
 row of real draws per step, so walk i is column i. A stream is Philox
 keyed directly by its seed, so creating one per replicate reads no OS
-entropy. Reductions run over the gathered array in replicate order with
+entropy. The maps write each task's values into one (samples, ...) array
+as the results arrive. Reductions run over it in replicate order with
 numpy's pairwise summation, making every estimate reproducible bit for bit;
-from_values sums one float copy of the values, then their squared
-deviations, formed in place on it.
+from_values walks numpy's own summation tree down to leaves of at most
+SPAN_BLOCK values and casts one leaf at a time to float, so it holds no
+float copy of the values.
 Both maps refuse a sample count below 2 or above FIELD_BUDGET before they
 build a task (check_samples); an estimator with O(K) set-up calls
 check_samples itself first.
@@ -55,19 +57,41 @@ class MomentEstimate:
     seed: Seed
 
 
+def _tree_sum(values, lo, hi, leaf_sum):
+    """The sum of leaf_sum over the leaves of values[lo:hi], split as numpy's
+    pairwise_sum splits above its 128-value block (n // 2 rounded down to a
+    multiple of 8) down to at most SPAN_BLOCK values: with a leaf_sum that
+    runs np.sum on its leaf, it has the bits of np.sum over all of them."""
+    n = hi - lo
+    if n <= SPAN_BLOCK:
+        return leaf_sum(values[lo:hi])
+    half = n // 2
+    half -= half % 8
+    return (_tree_sum(values, lo, lo + half, leaf_sum)
+            + _tree_sum(values, lo + half, hi, leaf_sum))
+
+
 def from_values(values: np.ndarray, seed: Seed) -> MomentEstimate:
     """Mean and standard error (sample sd / sqrt(n)) of replicate values.
 
-    One float copy holds the values and then, in place, their squared
-    deviations (the bits of (values - mean) ** 2), so the caller's array is
-    never written and no second temporary is built."""
-    values = np.array(values, dtype=float)
+    Both sums keep the bits of np.sum over a float copy of the values and
+    of (values - mean) ** 2, but hold one float leaf of at most SPAN_BLOCK
+    values at a time (_tree_sum); the caller's array is never written."""
+    if isinstance(values, np.ndarray):
+        values = values.ravel()
+    else:
+        values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
         raise PreconditionError("an estimate needs at least 2 samples")
-    mean = float(np.sum(values) / n)
-    np.subtract(values, mean, out=values)
-    var = float(np.sum(np.square(values, out=values)) / (n - 1))
+    mean = float(_tree_sum(values, 0, n, lambda leaf: np.sum(leaf.astype(float))) / n)
+
+    def squared_deviations(leaf):
+        leaf = leaf.astype(float)
+        np.subtract(leaf, mean, out=leaf)
+        return np.sum(np.square(leaf, out=leaf))
+
+    var = float(_tree_sum(values, 0, n, squared_deviations) / (n - 1))
     return MomentEstimate(mean, math.sqrt(var / n), n, seed)
 
 
@@ -110,14 +134,29 @@ def _eval_chunk(task):
     return values
 
 
-def _run_tasks(runner, tasks, workers):
+def _gather(results, samples):
+    # one (samples, ...) array of the first result's dtype and trailing
+    # shape, each task's values written in as they arrive
+    out, start = None, 0
+    for values in results:
+        if out is None:
+            out = np.empty((samples, *values.shape[1:]), dtype=values.dtype)
+        elif values.dtype != out.dtype or values.shape[1:] != out.shape[1:]:
+            raise RuntimeError(f"a task returned {values.dtype} values of shape "
+                               f"{values.shape} after {out.dtype} rows of {out.shape[1:]}")
+        out[start : start + len(values)] = values
+        start += len(values)
+    return out
+
+
+def _run_tasks(runner, tasks, workers, samples):
     # a pool starts all its workers at once, so never more than there are
     # tasks or cores; results do not depend on the worker count
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [runner(t) for t in tasks]
+        return _gather(map(runner, tasks), samples)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(runner, tasks))
+        return _gather(pool.map(runner, tasks), samples)
 
 
 def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1) -> np.ndarray:
@@ -131,12 +170,12 @@ def map_replicates(fn, args, seed: Seed, samples: int, workers: int = 1) -> np.n
     check_samples(samples)
     tasks = [(fn, args, seed, start, min(start + REPLICATE_SPAN, samples))
              for start in range(0, samples, REPLICATE_SPAN)]
-    return np.concatenate(_run_tasks(_eval_span, tasks, workers))
+    return _run_tasks(_eval_span, tasks, workers, samples)
 
 
 def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
                chunk: int = CHUNK_SAMPLES) -> np.ndarray:
-    """Concatenate fn(Stream(split(seed, c)), count_c, *args) over chunks.
+    """fn(Stream(split(seed, c)), count_c, *args) of each chunk c, in order.
 
     For estimators that vectorize internally: chunk c owns replicates
     [c*chunk, c*chunk + count_c) and draws them all from one child stream.
@@ -150,4 +189,4 @@ def map_chunks(fn, args, seed: Seed, samples: int, workers: int = 1,
     tasks = []
     for index, start in enumerate(range(0, samples, chunk)):
         tasks.append((fn, args, seed, index, min(chunk, samples - start)))
-    return np.concatenate(_run_tasks(_eval_chunk, tasks, workers))
+    return _run_tasks(_eval_chunk, tasks, workers, samples)

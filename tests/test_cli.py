@@ -584,6 +584,24 @@ def test_precondition_violation_exits_3(tmp_path):
     assert main(["moment", "--N", "8", "--q", "1e308", "--samples", "4"]) == 3
 
 
+# K whose last block (or all-angle grid) is far over the budget
+_HUGE_K = (["event", "--kind", "G", "--all-angles", "--K", "1e307", "--r", "1",
+            "--samples", "2"],
+           ["event", "--K", "1e300", "--r", "1", "--samples", "2"],
+           ["com-check", "--K", "1e300", "--r", "1"])
+
+
+@pytest.mark.parametrize("argv", _HUGE_K)
+def test_a_huge_K_is_refused_in_one_short_line(argv, capsys):
+    # budgeted at block log FIELD_BUDGET + 2, not at one whose width has
+    # hundreds of digits or whose e^m is a float overflow
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 120
+    assert "exceeds the budget" in captured.err
+
+
 def test_over_budget_draws_exit_3_quickly():
     # refused before the (rows, width) block of draws is allocated; the
     # ballot's chunk is checked before its O(n) level and variance setup,
@@ -616,6 +634,9 @@ def test_over_budget_draws_exit_3_quickly():
                         # the all-angle chunk's widest grid before any draw
                         (["event", "--all-angles", "--K", "30000", "--r", "1",
                           "--samples", "2048"], 1.0),
+                        # blocks and grids past log FIELD_BUDGET + 2, whose
+                        # e^m is huge or overflows a float
+                        *((argv, 1.0) for argv in _HUGE_K),
                         # a map's sample count before its task list
                         (["moment", "--N", "8", "--samples", "1000000000000"], 1.0),
                         (["steinhaus", "--samples", "1000000000000"], 1.0),

@@ -206,17 +206,78 @@ def test_from_values_keeps_the_two_temporaries_bits_and_its_input():
         assert np.array(values).tobytes() == before
 
 
-def test_from_values_holds_one_float_copy():
-    # 10^6 indicators (1 MiB) and their 7.6 MiB float copy; a deviations
-    # array on top of it would be 7.6 MiB more
-    flags = Stream(Seed(18)).draw_real(10**6) > 0.0
+@pytest.mark.parametrize("n", [mc.SPAN_BLOCK - 1, mc.SPAN_BLOCK, mc.SPAN_BLOCK + 1,
+                               2 * mc.SPAN_BLOCK + 7, 10**6 + 3])
+def test_the_leaf_tree_keeps_the_bits_of_one_float_copy(n):
+    # every leaf boundary of numpy's pairwise tree, on values whose sums
+    # round differently under any other order
+    draws = Stream(Seed(19)).draw_real(3 * n)
+    wide = draws * np.exp(8.0 * draws)
+    table = wide.reshape(n, 3)
+    for values in (draws[:n] > 0.3, (draws[:n] * 1e6).astype(np.int64),
+                   wide[:n].tolist(), wide[:n], table[:, 1]):
+        before = np.array(values).tobytes()
+        est = mc.from_values(values, Seed(1))
+        mean, std_error = _from_values_two_temporaries(values)
+        assert np.array([est.mean, est.std_error]).tobytes() == \
+            np.array([mean, std_error]).tobytes()
+        assert est.samples == n
+        assert np.array(values).tobytes() == before
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        mc.from_values(flags, Seed(1))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+
+
+def test_from_values_holds_no_deviations_array():
+    # 10^6 indicators (1 MiB); a float copy of them would be 7.6 MiB, and a
+    # deviations array 7.6 MiB more
+    flags = Stream(Seed(18)).draw_real(10**6) > 0.0
+    assert _traced_peak(mc.from_values, flags, Seed(1)) < 10 * 2**20
+
+
+def test_from_values_holds_one_float_leaf_at_a_time():
+    # one leaf of mc.SPAN_BLOCK floats is 256 KiB
+    flags = Stream(Seed(18)).draw_real(10**6) > 0.0
+    assert _traced_peak(mc.from_values, flags, Seed(1)) < 2**20
+
+
+def _concatenated_chunks(fn, args, seed, samples, chunk):
+    # the maps' values as np.concatenate of every task's values
+    return np.concatenate([fn(Stream(split(seed, index)), min(chunk, samples - start), *args)
+                           for index, start in enumerate(range(0, samples, chunk))])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_maps_write_the_bytes_of_the_concatenated_tasks(workers):
+    heights = np.array([1.0, 2.0, 3.0])
+    sigmas = np.sqrt(barrier._block_variances(1.0, 3))
+    levels = barrier._levels(heights, 3, 10.0)
+    seed, samples, chunk = Seed(46), 3 * 512 + 5, 512
+    for fn, args in ((barrier._com_right_chunk, (sigmas, levels[:1])),  # bool (count,)
+                     (barrier._event_chunk, (sigmas, levels))):         # bool (count, heights)
+        values = mc.map_chunks(fn, args, seed, samples, workers, chunk=chunk)
+        ref = _concatenated_chunks(fn, args, seed, samples, chunk)
+        assert (values.dtype, values.shape) == (ref.dtype, ref.shape)
+        assert values.tobytes() == ref.tobytes()
+    samples = 2 * mc.REPLICATE_SPAN + 7  # float spans
+    values = mc.map_replicates(_first_draws, (0.5,), seed, samples, workers)
+    ref = _replicates(seed, samples, 0.5)
+    assert (values.dtype, values.shape) == (ref.dtype, ref.shape)
+    assert values.tobytes() == ref.tobytes()
+
+
+def test_a_task_of_another_dtype_raises():
+    def mixed(stream, count):
+        return np.zeros(count, dtype=bool if count == 4 else float)
+
+    with pytest.raises(RuntimeError):
+        mc.map_chunks(mixed, (), Seed(3), 6, chunk=4)
 
 
 def _input_row(N, seed, i):

@@ -19,3 +19,11 @@ def test_peaks_measures_a_workload_job():
 def test_large_inputs_are_cli_argvs():
     assert all(peaks.bench_digest.hmchaos.cli.build_parser().parse_args(argv).command
                == argv[0] for argv in peaks.LARGE)
+
+
+def test_the_change_of_measure_job_holds_no_copy_of_its_indicators():
+    # its 10^6 right-side indicators (1 MiB) are reduced a leaf at a time and
+    # gathered into one array, not a list of chunks and their concatenation
+    [argv] = [argv for argv in peaks.argvs("barrier-mc") if argv[0] == "com-check"]
+    peak, _, code = peaks.measure(argv)
+    assert code == 0 and peak < 3.0

@@ -33,6 +33,7 @@ LARGE = (
     ["event", "--K", "1e7", "--r", "1"],
     ["com-check", "--K", "1e6"],
     ["com-check", "--K", "1e7", "--samples-left", "1000"],
+    ["com-check", "--K", "20", "--samples-right", "16000000", "--samples-left", "1000"],
     ["blocks", "--r", "0.98", "--theta", "0.5", "--m-max", "17"],
     ["event", "--all-angles", "--K", "162755", "--r", "1", "--samples", "8"],
     ["event", "--all-angles", "--K", "30000", "--r", "1", "--samples", "2048"],
